@@ -181,7 +181,8 @@ def _outdir(cfg: RunConfig) -> str:
     return ensure_outdir(path)
 
 
-def _solve_one(cfg: RunConfig, engine: str, p: Params):
+def _solve_one(cfg: RunConfig, engine: str, p: Params, sol=None):
+    """Series of one engine; a spectral solution already at hand is reused."""
     ic = cfg.resolved_ic()
     T = cfg.horizon(p)
     if engine == "fdm":
@@ -192,7 +193,7 @@ def _solve_one(cfg: RunConfig, engine: str, p: Params):
         grid = fdm.Grid.for_parabolic(cfg.n_z, T, cfg.r)
         return validate.run_parabolic(p, ic, grid, probes=cfg.probes)
     if engine == "spectral":
-        sol = spectral.solve_spectral(p, ic, cfg.modes)
+        sol = sol or spectral.solve_spectral(p, ic, cfg.modes)
         tgrid = np.linspace(0.0, T, cfg.samples)
         return spectral.to_series(sol, tgrid, probes=cfg.probes)
     raise ConfigError(f"unknown engine {engine!r}")
@@ -204,7 +205,7 @@ def _series_diagnostics(series, cfg_echo: dict) -> dict:
         "engine": series.engine,
         "max_conservation_residual": validate._max_conservation(series),
         "sigma_final": float(series.sigma[-1]),
-        "meta": validate._jsonable(series.meta),
+        "meta": series.meta,
     }
     if series.params is not None:
         payload["params"] = {
@@ -220,12 +221,14 @@ def cmd_run(cfg: RunConfig) -> int:
     echo = cfg.echo()
     if cfg.engine == "compare":
         return _emit_comparison(cfg, p, outdir, echo)
-    series = _solve_one(cfg, cfg.engine, p)
+    sol = None
+    if cfg.engine == "spectral":
+        sol = spectral.solve_spectral(p, cfg.resolved_ic(), cfg.modes)
+    series = _solve_one(cfg, cfg.engine, p, sol)
     csv_path = os.path.join(outdir, f"{cfg.name}.csv")
     write_series_csv(series, csv_path, config=echo)
     diag = _series_diagnostics(series, echo)
     if cfg.engine == "spectral":
-        sol = spectral.solve_spectral(p, cfg.resolved_ic(), cfg.modes)
         diag["eigenvalues"] = [m.alpha for m in sol.modes]
         diag["anchors"] = [m.index for m in sol.modes]
         diag["amplitudes_S1"] = [complex(v) for v in sol.S1]
@@ -261,7 +264,6 @@ def _sweep_point(payload):
     cfg_dict, axis, value = payload
     cfg = RunConfig(**cfg_dict)
     setattr(cfg, axis, value)
-    cfg.T = cfg_dict["T"]  # None lets horizon() adapt per point
     p = cfg.resolved_params()
     series = _solve_one(cfg, cfg.engine, p)
     return value, series
@@ -274,8 +276,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep does not support the compare engine")
     outdir = _outdir(cfg)
     echo = cfg.echo()
-    base = cfg.echo()
-    jobs = [(base, cfg.axis, v) for v in cfg.values]
+    jobs = [(echo, cfg.axis, v) for v in cfg.values]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_sweep_point, jobs))

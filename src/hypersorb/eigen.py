@@ -220,19 +220,14 @@ def _roots_in_anchor_interval(p: Params, m: int) -> list[float]:
         extra = np.concatenate([pole - offsets, pole + offsets])
         grid = np.sort(np.concatenate([grid, extra[(extra > lo) & (extra < hi)]]))
     values = _re_E_array(grid, p)
-    roots: list[float] = []
+    fa, fb = values[:-1], values[1:]
+    usable = np.isfinite(fa) & np.isfinite(fb)
+    if pole is not None:
+        usable &= ~((grid[:-1] < pole) & (pole < grid[1:]))  # blow-up, not a root
+    roots = [float(a) for a in grid[:-1][usable & (fa == 0.0)]]
     func = lambda a: _re_E_array(np.asarray(a), p).item()
-    for i in range(grid.size - 1):
-        fa, fb = values[i], values[i + 1]
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if pole is not None and grid[i] < pole < grid[i + 1]:
-            continue  # sign change through the kinetic pole
-        if fa == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if fa * fb < 0.0:
-            roots.append(_bisect(func, float(grid[i]), float(grid[i + 1]), float(fa), float(fb)))
+    for i in np.flatnonzero(usable & (fa * fb < 0.0)):
+        roots.append(_bisect(func, float(grid[i]), float(grid[i + 1]), float(fa[i]), float(fb[i])))
     return sorted(roots)
 
 

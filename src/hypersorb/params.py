@@ -46,10 +46,10 @@ class PhysicalInputs:
     def __post_init__(self):
         for name in ("d", "D", "tau_a", "k_a", "n0"):
             value = getattr(self, name)
-            if not value > 0:
-                raise InvalidInput(f"{name} must be strictly positive, got {value!r}")
-        if not self.tau_r >= 0:
-            raise InvalidInput(f"tau_r must be non-negative, got {self.tau_r!r}")
+            if not 0 < value < math.inf:
+                raise InvalidInput(f"{name} must be finite and strictly positive, got {value!r}")
+        if not 0 <= self.tau_r < math.inf:
+            raise InvalidInput(f"tau_r must be finite and non-negative, got {self.tau_r!r}")
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,14 @@ class Params:
     N0: float
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise InvalidInput(f"A must be strictly positive, got {self.A!r}")
-        if not self.B >= 0:
-            raise InvalidInput(f"B must be non-negative, got {self.B!r}")
-        if not self.L >= 0:
-            raise InvalidInput(f"L must be non-negative, got {self.L!r}")
-        if not self.N0 > 0:
-            raise InvalidInput(f"N0 must be strictly positive, got {self.N0!r}")
+        if not 0 < self.A < math.inf:
+            raise InvalidInput(f"A must be finite and strictly positive, got {self.A!r}")
+        if not 0 <= self.B < math.inf:
+            raise InvalidInput(f"B must be finite and non-negative, got {self.B!r}")
+        if not 0 <= self.L < math.inf:
+            raise InvalidInput(f"L must be finite and non-negative, got {self.L!r}")
+        if not 0 < self.N0 < math.inf:
+            raise InvalidInput(f"N0 must be finite and strictly positive, got {self.N0!r}")
 
 
 def from_physical(p: PhysicalInputs) -> Params:

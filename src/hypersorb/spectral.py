@@ -1,10 +1,11 @@
 """Closed-form modal solution built on the non-orthogonal cosine modes.
 
 The admissible spatial modes cos(alpha z*) are not mutually orthogonal on
-[-1/2, 1/2], so the initial condition is projected through an explicitly
-orthogonalized companion basis.  Each mode then evolves with its two
-temporal exponents and amplitudes fixed by the zero-initial-velocity
-condition, giving bulk and surface densities evaluable at any (z*, t*).
+[-1/2, 1/2], so the initial condition is projected through an orthogonal
+companion basis read off the Cholesky factor of the mode Gram matrix.  Each
+mode then evolves with its two temporal exponents and amplitudes fixed by
+the zero-initial-velocity condition, giving bulk and surface densities
+evaluable at any (z*, t*).
 """
 
 from __future__ import annotations
@@ -73,15 +74,14 @@ def _mode_alphas(modes) -> np.ndarray:
 
 
 def orthogonalize(modes) -> OrthoBasis:
-    """Sequential projection (modified Gram-Schmidt) in coefficient space.
+    """Orthogonal companions from the Cholesky factor G = R^T R of the Gram matrix.
 
-    Works entirely through exact Gram entries, so no quadrature enters.  The
-    result spans the same flags as the classical cofactor-of-Gram
-    construction (see minor_formula_coefficients) but stays numerically
-    stable for large mode counts.
+    Gram-Schmidt in the Gram inner product gives the unit upper triangular
+    columns of R^-1 diag(R) with squared norms diag(R)^2.  Only exact Gram
+    entries enter (no quadrature); the flags spanned are those of the
+    classical cofactor-of-Gram construction (see minor_formula_coefficients).
     """
     alphas = _mode_alphas(modes)
-    n = alphas.size
     gram = gram_matrix(alphas)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > MAX_GRAM_CONDITION:
@@ -89,21 +89,14 @@ def orthogonalize(modes) -> OrthoBasis:
             f"Gram matrix condition {cond:.3g} exceeds {MAX_GRAM_CONDITION:.0e};"
             " reduce the mode count"
         )
-    coeffs = np.zeros((n, n))
-    norms = np.zeros(n)
-    gram_cols = np.zeros((n, n))  # gram @ coeffs[:, j], cached per finalized column
-    for q in range(n):
-        v = np.zeros(n)
-        v[q] = 1.0
-        for j in range(q):
-            v -= (v @ gram_cols[:, j]) / norms[j] * coeffs[:, j]
-        gv = gram @ v
-        norms[q] = v @ gv
-        if norms[q] <= 0.0:
-            raise DegenerateBasisError(f"non-positive norm for orthogonal function {q}")
-        coeffs[:, q] = v
-        gram_cols[:, q] = gv
-    return OrthoBasis(alphas=alphas, coeffs=coeffs, norms=norms, gram=gram)
+    try:
+        upper = np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateBasisError(f"Gram matrix is not positive definite: {exc}") from exc
+    diag = np.diag(upper)
+    # R^-1 diag(R) is the inverse of the unit triangle diag(R)^-1 R
+    coeffs = np.linalg.inv(upper / diag[:, None])
+    return OrthoBasis(alphas=alphas, coeffs=coeffs, norms=diag**2, gram=gram)
 
 
 def orthogonality_residual(basis: OrthoBasis) -> float:
@@ -146,6 +139,13 @@ def project_initial(ic: InitialCondition, basis: OrthoBasis, p: Params) -> np.nd
     return basis.coeffs @ r
 
 
+def _mode_exponents(modes) -> tuple[np.ndarray, np.ndarray]:
+    """Temporal exponents mu1, mu2 of each mode as complex arrays."""
+    mu1 = np.array([m.exponents.mu1 for m in modes], dtype=complex)
+    mu2 = np.array([m.exponents.mu2 for m in modes], dtype=complex)
+    return mu1, mu2
+
+
 def amplitudes(C: np.ndarray, modes) -> tuple[np.ndarray, np.ndarray]:
     """Split each expansion coefficient over the two temporal exponents.
 
@@ -153,8 +153,7 @@ def amplitudes(C: np.ndarray, modes) -> tuple[np.ndarray, np.ndarray]:
     S1 = C / (1 - mu1/mu2) and S2 = C - S1.  Modes sitting exactly at the
     critical point (mu1 = mu2) have no such splitting and are refused.
     """
-    mu1 = np.array([m.exponents.mu1 for m in modes], dtype=complex)
-    mu2 = np.array([m.exponents.mu2 for m in modes], dtype=complex)
+    mu1, mu2 = _mode_exponents(modes)
     degenerate = np.abs(mu1 - mu2) <= 1e-14 * np.abs(mu1)
     if np.any(degenerate):
         raise DegenerateModeError(
@@ -179,16 +178,13 @@ class SpectralSolution:
     C: np.ndarray
     S1: np.ndarray
     S2: np.ndarray
+    mu1: np.ndarray
+    mu2: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def alphas(self) -> np.ndarray:
         return self.basis.alphas
-
-    def _mu(self) -> tuple[np.ndarray, np.ndarray]:
-        mu1 = np.array([m.exponents.mu1 for m in self.modes], dtype=complex)
-        mu2 = np.array([m.exponents.mu2 for m in self.modes], dtype=complex)
-        return mu1, mu2
 
 
 def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
@@ -199,26 +195,45 @@ def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidInput("t* must be non-negative")
-    mu1, mu2 = sol._mu()
     tt = t[..., None]
-    w1 = sol.S1 * np.exp(mu1 * tt)
-    w2 = sol.S2 * np.exp(mu2 * tt)
+    w1 = sol.S1 * np.exp(sol.mu1 * tt)
+    w2 = sol.S2 * np.exp(sol.mu2 * tt)
     if rate:
-        return mu1 * w1 + mu2 * w2
+        return sol.mu1 * w1 + sol.mu2 * w2
     return w1 + w2
+
+
+def _modal_sum(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Sum over modes of weights (n_modes or n_t x n_modes) times basis rows."""
+    if weights.ndim > 1:
+        return weights @ basis.T
+    return basis @ weights
+
+
+def _cosines(sol: SpectralSolution, zstar) -> np.ndarray:
+    """cos(alpha z*) for every mode, after checking z* lies in the slab."""
+    z = np.asarray(zstar, dtype=float)
+    if np.any(np.abs(z) > 0.5 + 1e-12):
+        raise InvalidInput("z* must lie within [-1/2, 1/2]")
+    return np.cos(np.multiply.outer(z, sol.alphas))
+
+
+def _wall_factors(sol: SpectralSolution) -> np.ndarray:
+    """sin(alpha/2)/alpha: each mode's share of the surface density."""
+    return np.sin(0.5 * sol.alphas) / sol.alphas
+
+
+def _density(sol: SpectralSolution, weights: np.ndarray, zstar) -> np.ndarray:
+    return sol.n_eq + np.real(_modal_sum(weights, _cosines(sol, zstar)))
+
+
+def _sigma(sol: SpectralSolution, weights: np.ndarray) -> np.ndarray:
+    return sol.sigma_eq - np.real(_modal_sum(weights, _wall_factors(sol)))
 
 
 def eval_density(sol: SpectralSolution, zstar, tstar):
     """Bulk density N(z*, t*); broadcasts over array z* and t*."""
-    z = np.asarray(zstar, dtype=float)
-    if np.any(np.abs(z) > 0.5 + 1e-12):
-        raise InvalidInput("z* must lie within [-1/2, 1/2]")
-    weights = _time_weights(sol, tstar)
-    cosines = np.cos(np.multiply.outer(z, sol.alphas))
-    if weights.ndim > 1:
-        value = sol.n_eq + np.real(weights @ cosines.T)
-    else:
-        value = sol.n_eq + np.real(cosines @ weights)
+    value = _density(sol, _time_weights(sol, tstar), zstar)
     if np.isscalar(zstar) and np.isscalar(tstar):
         return float(value)
     return value
@@ -226,19 +241,13 @@ def eval_density(sol: SpectralSolution, zstar, tstar):
 
 def density_rate(sol: SpectralSolution, zstar, tstar):
     """Time derivative of the bulk density; zero at t* = 0 by construction."""
-    z = np.asarray(zstar, dtype=float)
     weights = _time_weights(sol, tstar, rate=True)
-    cosines = np.cos(np.multiply.outer(z, sol.alphas))
-    if weights.ndim > 1:
-        return np.real(weights @ cosines.T)
-    return np.real(cosines @ weights)
+    return np.real(_modal_sum(weights, _cosines(sol, zstar)))
 
 
 def eval_sigma(sol: SpectralSolution, tstar):
     """Surface density sigma(t*) from the modewise conservation balance."""
-    weights = _time_weights(sol, tstar)
-    factors = np.sin(0.5 * sol.alphas) / sol.alphas
-    value = sol.sigma_eq - np.real(weights @ factors)
+    value = _sigma(sol, _time_weights(sol, tstar))
     if np.isscalar(tstar):
         return float(value)
     return value
@@ -247,8 +256,7 @@ def eval_sigma(sol: SpectralSolution, tstar):
 def sigma_rate(sol: SpectralSolution, tstar):
     """Time derivative of sigma(t*); vanishes identically at t* = 0."""
     weights = _time_weights(sol, tstar, rate=True)
-    factors = np.sin(0.5 * sol.alphas) / sol.alphas
-    value = -np.real(weights @ factors)
+    value = -np.real(_modal_sum(weights, _wall_factors(sol)))
     if np.isscalar(tstar):
         return float(value)
     return value
@@ -256,12 +264,9 @@ def sigma_rate(sol: SpectralSolution, tstar):
 
 def imag_residue(sol: SpectralSolution, zgrid, tgrid) -> float:
     """Largest imaginary leak of the complex evaluation over a probe grid."""
-    z = np.asarray(zgrid, dtype=float)
     weights = _time_weights(sol, np.asarray(tgrid, dtype=float))
-    cosines = np.cos(np.multiply.outer(z, sol.alphas))
-    bulk = np.max(np.abs(np.imag(weights @ cosines.T)))
-    factors = np.sin(0.5 * sol.alphas) / sol.alphas
-    surf = np.max(np.abs(np.imag(weights @ factors)))
+    bulk = np.max(np.abs(np.imag(_modal_sum(weights, _cosines(sol, zgrid)))))
+    surf = np.max(np.abs(np.imag(_modal_sum(weights, _wall_factors(sol)))))
     return float(max(bulk, surf))
 
 
@@ -280,6 +285,7 @@ def solve_spectral(
     basis = orthogonalize(modes)
     C = project_initial(ic, basis, p)
     s1, s2 = amplitudes(C, modes)
+    mu1, mu2 = _mode_exponents(modes)
     n_eq, sigma_eq = equilibrium(p)
     sol = SpectralSolution(
         params=p,
@@ -290,18 +296,21 @@ def solve_spectral(
         C=C,
         S1=s1,
         S2=s2,
+        mu1=mu1,
+        mu2=mu2,
     )
     zprobe = np.linspace(-0.45, 0.45, 37)
     recon = eval_density(sol, zprobe, 0.0)
     target = sample_initial(ic, p, zprobe)
     quad_z = np.linspace(0.0, 0.5, 2001)
     mass0 = 2.0 * np.trapezoid(eval_density(sol, quad_z, 0.0), quad_z)
+    sigma0 = eval_sigma(sol, 0.0)
     sol.diagnostics = {
         "mode_count": mode_count,
         "reconstruction_max_error": float(np.max(np.abs(recon - target))),
         "reconstruction_error_at_center": float(abs(recon[18] - target[18])),
-        "sigma_at_zero": float(eval_sigma(sol, 0.0)),
-        "conservation_residual_t0": float(abs(mass0 + 2.0 * eval_sigma(sol, 0.0) - p.N0)),
+        "sigma_at_zero": sigma0,
+        "conservation_residual_t0": float(abs(mass0 + 2.0 * sigma0 - p.N0)),
         "orthogonality_residual": orthogonality_residual(basis),
     }
     return sol
@@ -316,12 +325,13 @@ def to_series(
 ) -> TimeSeries:
     """Sample the modal solution onto the common TimeSeries layout."""
     t = np.asarray(tgrid, dtype=float)
-    sigma = eval_sigma(sol, t)
-    surface = eval_density(sol, 0.5, t)
-    probe_map = {float(z): eval_density(sol, float(z), t) for z in probes}
+    weights = _time_weights(sol, t)
+    sigma = _sigma(sol, weights)
+    surface = _density(sol, weights, 0.5)
+    probe_map = {float(z): _density(sol, weights, float(z)) for z in probes}
     row_z = np.linspace(0.0, 0.5, row_zcount)
     idx = thin_indices(t.size, max_rows)
-    rows = eval_density(sol, row_z, t[idx])
+    rows = _density(sol, weights[idx], row_z)
     cons = np.abs(2.0 * np.trapezoid(rows, row_z, axis=1) + 2.0 * sigma[idx] - sol.params.N0)
     return TimeSeries(
         t=t,

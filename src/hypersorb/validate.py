@@ -203,7 +203,7 @@ def compare_engines(
         sigma_tol=float(sigma_tol),
         passed=max_sigma <= sigma_tol,
         params=p,
-        meta={"engine_a_meta": _jsonable(series_a.meta), "engine_b_meta": _jsonable(series_b.meta)},
+        meta={"engine_a_meta": series_a.meta, "engine_b_meta": series_b.meta},
     )
 
 
@@ -211,18 +211,6 @@ def _max_conservation(series: TimeSeries) -> float:
     if series.conservation is None or len(series.conservation) == 0:
         return float("nan")
     return float(np.max(series.conservation))
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def audit_kinetics(series: TimeSeries, p: Params) -> np.ndarray:

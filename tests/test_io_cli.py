@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hypersorb import spectral
 from hypersorb.cli import build_config, load_config_file, main, make_parser
 from hypersorb.errors import InvalidInput
 from hypersorb.series import TimeSeries
@@ -137,6 +138,34 @@ class TestCli:
     def test_missing_parameters_exit_code(self, tmp_path, capsys):
         assert main(["run", "--engine", "fdm", "--outdir", str(tmp_path)]) == 2
         assert "incomplete parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["A", "L"])
+    def test_non_finite_parameter_exit_code(self, tmp_path, capsys, field):
+        args = self.run_args(tmp_path)
+        args[args.index(f"--{field}") + 1] = "inf"
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be finite" in err
+        assert not (tmp_path / "t.json").exists()
+
+    def test_spectral_run_solves_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = spectral.solve_spectral
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "solve_spectral", counting)
+        rc = main([
+            "run", "--engine", "spectral", "--A", "1e-3", "--B", "0.1", "--L", "1",
+            "--N0", "3", "--T", "0.1", "--modes", "8", "--samples", "11",
+            "--outdir", str(tmp_path), "--name", "once",
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+        payload = json.loads((tmp_path / "once.json").read_text())
+        assert len(payload["eigenvalues"]) == 8
 
     def test_physical_parameter_route(self, tmp_path):
         rc = main([

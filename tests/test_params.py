@@ -53,6 +53,13 @@ class TestFromPhysical:
         with pytest.raises(InvalidInput):
             PhysicalInputs(d=1, D=1, tau_r=-1, tau_a=1, k_a=1, n0=1)
 
+    @pytest.mark.parametrize("field", ["d", "D", "tau_r", "tau_a", "k_a", "n0"])
+    def test_non_finite_rejected(self, field):
+        values = dict(d=1.0, D=1.0, tau_r=0.0, tau_a=1.0, k_a=1.0, n0=1.0)
+        values[field] = math.inf
+        with pytest.raises(InvalidInput, match=f"{field} must be finite"):
+            PhysicalInputs(**values)
+
     @given(
         d=positive, D=positive, tau_r=positive, tau_a=positive,
         k_a=positive, n0=positive,
@@ -229,6 +236,13 @@ class TestParamsValidation:
             Params(A=1.0, B=0.1, L=-1.0, N0=1.0)
         with pytest.raises(InvalidInput):
             Params(A=1.0, B=0.1, L=1.0, N0=0.0)
+
+    @pytest.mark.parametrize("field", ["A", "B", "L", "N0"])
+    def test_non_finite_rejected(self, field):
+        values = dict(A=1.0, B=0.1, L=1.0, N0=1.0)
+        values[field] = math.inf
+        with pytest.raises(InvalidInput, match=f"{field} must be finite"):
+            Params(**values)
 
     def test_inert_walls_allowed(self):
         assert Params(A=1.0, B=0.1, L=0.0, N0=1.0).L == 0.0

@@ -4,11 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hypersorb.eigen import Exponents, Mode, find_eigenvalues
-from hypersorb.errors import DegenerateBasisError, DegenerateModeError, InvalidInput
-from hypersorb.params import Params, equilibrium, parabolic_ic, sample_initial, step_ic
+from hypersorb.errors import (
+    BracketingError,
+    DegenerateBasisError,
+    DegenerateModeError,
+    InvalidInput,
+    PartialResultError,
+)
+from hypersorb.params import (
+    Params,
+    cosine_moment,
+    equilibrium,
+    parabolic_ic,
+    sample_initial,
+    step_ic,
+)
 from hypersorb.spectral import (
     amplitudes,
     eval_density,
@@ -20,6 +35,7 @@ from hypersorb.spectral import (
     minor_formula_coefficients,
     orthogonality_residual,
     orthogonalize,
+    phi_integral,
     project_initial,
     sigma_rate,
     solve_spectral,
@@ -88,6 +104,30 @@ class TestOrthogonalize:
         with pytest.raises(DegenerateBasisError):
             orthogonalize(np.array([6.28, 6.28 + 1e-12, 12.57]))
 
+    @given(
+        A=st.floats(min_value=1e-4, max_value=10.0),
+        B=st.floats(min_value=1e-3, max_value=1.0),
+        L=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=100.0)),
+        count=st.integers(min_value=5, max_value=120),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_companion_basis_inverts_gram(self, A, B, L, count):
+        p = Params(A=A, B=B, L=L, N0=3.0)
+        try:
+            modes = find_eigenvalues(p, count)
+        except (BracketingError, PartialResultError):
+            reject()
+        basis = orthogonalize(modes)
+        V, g = basis.coeffs, basis.gram
+        assert np.all(np.tril(V, -1) == 0.0) and np.all(np.diag(V) == 1.0)
+        g_inv = V @ np.diag(1.0 / basis.norms) @ V.T
+        assert np.max(np.abs(g_inv @ g - np.eye(count))) <= 1e-12
+        n_eq, _ = equilibrium(p)
+        moments = np.array([cosine_moment(step_ic(), p, a) for a in basis.alphas])
+        expected = np.linalg.solve(g, moments - n_eq * phi_integral(basis.alphas))
+        C = project_initial(step_ic(), basis, p)
+        assert np.max(np.abs(C - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestProjection:
     def test_coefficients_match_quadrature(self, oscillatory_params):
@@ -123,7 +163,7 @@ class TestProjection:
 class TestAmplitudes:
     def test_identities(self, spectral_oscillatory_50):
         sol = spectral_oscillatory_50
-        mu1, mu2 = sol._mu()
+        mu1, mu2 = sol.mu1, sol.mu2
         zero_rate = mu1 * sol.S1 + mu2 * sol.S2
         assert np.max(np.abs(zero_rate)) <= 1e-12 * np.max(np.abs(mu1 * sol.S1))
         assert sol.S1 + sol.S2 == pytest.approx(sol.C, rel=1e-12)
@@ -211,6 +251,8 @@ class TestEvaluation:
     def test_out_of_slab_rejected(self, spectral_oscillatory_50):
         with pytest.raises(InvalidInput):
             eval_density(spectral_oscillatory_50, 0.7, 0.1)
+        with pytest.raises(InvalidInput):
+            density_rate(spectral_oscillatory_50, 0.7, 0.1)
 
 
 class TestSolveSpectral:
