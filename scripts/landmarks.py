@@ -23,7 +23,7 @@ import numpy as np
 
 from hypersorb import Params, parabolic_ic, run_fdm, solve_spectral, step_ic
 from hypersorb.cli import _write_eigen_grid
-from hypersorb.fdm import Grid, default_lambda
+from hypersorb.fdm import Grid, default_lambda, run_fdm_batch
 from hypersorb.seriesio import write_series_csv
 from hypersorb.spectral import to_series
 
@@ -55,14 +55,18 @@ def main():
                  {"engine": "spectral", "A": 1e-3, "B": 0.1, "L": L, "N0": 3.0,
                   "modes": 50, "window": "startup"})
 
-    # parameter studies with the finite-difference engine
-    for A in (0.005, 0.01, 0.1, 1.0):
-        p = Params(A=A, B=0.1, L=1.0, N0=3.0)
-        emit(f"sigma_vs_A_{A:g}.csv", fdm_series(p, step_ic()),
+    # parameter studies with the finite-difference engine; the A and L
+    # families share B, so each marches as one batch
+    grid = Grid.from_lambda(200, 2.0, default_lambda(0.1))
+    A_values = (0.005, 0.01, 0.1, 1.0)
+    family = run_fdm_batch([Params(A=A, B=0.1, L=1.0, N0=3.0) for A in A_values], step_ic(), grid)
+    for A, ser in zip(A_values, family):
+        emit(f"sigma_vs_A_{A:g}.csv", ser,
              {"engine": "fdm", "A": A, "B": 0.1, "L": 1.0, "N0": 3.0})
-    for L in (0.1, 0.5, 1.0, 5.0):
-        p = Params(A=0.01, B=0.1, L=L, N0=3.0)
-        emit(f"sigma_vs_L_{L:g}.csv", fdm_series(p, step_ic()),
+    L_values = (0.1, 0.5, 1.0, 5.0)
+    family = run_fdm_batch([Params(A=0.01, B=0.1, L=L, N0=3.0) for L in L_values], step_ic(), grid)
+    for L, ser in zip(L_values, family):
+        emit(f"sigma_vs_L_{L:g}.csv", ser,
              {"engine": "fdm", "A": 0.01, "B": 0.1, "L": L, "N0": 3.0})
     for B in (1e-3, 1e-2, 0.1, 1.0):
         T = 10.0 if B >= 1.0 else 2.0

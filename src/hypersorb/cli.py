@@ -13,14 +13,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import eigen, fdm, spectral, validate
 from .errors import ConfigError, HypersorbError
 from .params import InitialCondition, Params, PhysicalInputs, from_physical, parabolic_ic, sampled_ic, step_ic
-from .seriesio import ensure_outdir, write_json, write_series_csv
+from .seriesio import ensure_outdir, write_csv, write_json, write_series_csv
 
 OUTDIR_ENV = "HYPERSORB_OUTDIR"
 
@@ -181,22 +181,35 @@ def _outdir(cfg: RunConfig) -> str:
     return ensure_outdir(path)
 
 
-def _solve_one(cfg: RunConfig, engine: str, p: Params, sol=None):
-    """Series of one engine; a spectral solution already at hand is reused."""
-    ic = cfg.resolved_ic()
+def _grid(cfg: RunConfig, engine: str, p: Params) -> fdm.Grid:
     T = cfg.horizon(p)
     if engine == "fdm":
         lam = cfg.lam if cfg.lam is not None else fdm.default_lambda(p.B)
-        grid = fdm.Grid.from_lambda(cfg.n_z, T, lam)
-        return fdm.run_fdm(p, ic, grid, probes=cfg.probes)
+        return fdm.Grid.from_lambda(cfg.n_z, T, lam)
+    return fdm.Grid.for_parabolic(cfg.n_z, T, cfg.r)
+
+
+def _solve_one(cfg: RunConfig, engine: str, p: Params, sol=None):
+    """Series of one engine; a spectral solution already at hand is reused."""
+    ic = cfg.resolved_ic()
+    if engine == "fdm":
+        return fdm.run_fdm(p, ic, _grid(cfg, engine, p), probes=cfg.probes)
     if engine == "parabolic":
-        grid = fdm.Grid.for_parabolic(cfg.n_z, T, cfg.r)
-        return validate.run_parabolic(p, ic, grid, probes=cfg.probes)
+        return validate.run_parabolic(p, ic, _grid(cfg, engine, p), probes=cfg.probes)
     if engine == "spectral":
         sol = sol or spectral.solve_spectral(p, ic, cfg.modes)
-        tgrid = np.linspace(0.0, T, cfg.samples)
+        tgrid = np.linspace(0.0, cfg.horizon(p), cfg.samples)
         return spectral.to_series(sol, tgrid, probes=cfg.probes)
     raise ConfigError(f"unknown engine {engine!r}")
+
+
+def _solve_batch(cfg: RunConfig, ps: list[Params]) -> list:
+    """Series of points that share B, hence one grid, marched as one batch."""
+    ic = cfg.resolved_ic()
+    grid = _grid(cfg, cfg.engine, ps[0])
+    if cfg.engine == "fdm":
+        return fdm.run_fdm_batch(ps, ic, grid, probes=cfg.probes)
+    return validate.run_parabolic_batch(ps, ic, grid, probes=cfg.probes)
 
 
 def _series_diagnostics(series, cfg_echo: dict) -> dict:
@@ -261,12 +274,9 @@ def _emit_comparison(cfg: RunConfig, p: Params, outdir: str, echo: dict) -> int:
 
 
 def _sweep_point(payload):
-    cfg_dict, axis, value = payload
+    cfg_dict, p = payload
     cfg = RunConfig(**cfg_dict)
-    setattr(cfg, axis, value)
-    p = cfg.resolved_params()
-    series = _solve_one(cfg, cfg.engine, p)
-    return value, series
+    return _solve_one(cfg, cfg.engine, p)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -276,14 +286,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep does not support the compare engine")
     outdir = _outdir(cfg)
     echo = cfg.echo()
-    jobs = [(echo, cfg.axis, v) for v in cfg.values]
-    if cfg.workers > 1:
+    # the axis value completes the dimensionless set when it is the one left out
+    base = replace(cfg, **{cfg.axis: cfg.values[0]}).resolved_params()
+    points = [replace(base, **{cfg.axis: v}) for v in cfg.values]
+    if cfg.engine != "spectral" and cfg.axis != "B":
+        # A, L and N0 leave the grid alone: one batched march, no pool
+        series_list = _solve_batch(cfg, points)
+    elif cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_sweep_point, jobs))
+            series_list = list(pool.map(_sweep_point, [(echo, p) for p in points]))
     else:
-        results = [_sweep_point(job) for job in jobs]
+        series_list = [_sweep_point((echo, p)) for p in points]
     files = []
-    for value, series in results:
+    for value, series in zip(cfg.values, series_list):
         stem = f"{cfg.name}_{cfg.axis}{value:g}"
         path = os.path.join(outdir, f"{stem}.csv")
         point_echo = dict(echo)
@@ -303,16 +318,8 @@ def _write_eigen_grid(p: Params, path: str, echo: dict, alpha_min=0.05, alpha_ma
         alpha_max = 2.0 * np.pi * 12
     grid = np.linspace(alpha_min, alpha_max, points)
     table = eigen.eigen_grid(p, grid)
-    lines = ["# config: " + json.dumps(echo, sort_keys=True, separators=(",", ":"))]
-    lines.append("alpha,f1,f2,re_E,im_E")
-    for i in range(grid.size):
-        lines.append(
-            ",".join(
-                f"{table[c][i]:.17g}" for c in ("alpha", "f1", "f2", "re_E", "im_E")
-            )
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    names = ("alpha", "f1", "f2", "re_E", "im_E")
+    write_csv(path, names, [table[c] for c in names], config=echo)
 
 
 def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: int) -> int:

@@ -17,8 +17,11 @@ from .errors import InvalidInput
 from .series import TimeSeries
 
 
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
-    return f"{x:.17g}"
+    return FLOAT_FORMAT % x
 
 
 def probe_column(z: float) -> str:
@@ -28,19 +31,33 @@ def probe_column(z: float) -> str:
 def write_series_csv(series: TimeSeries, path, config: dict | None = None) -> None:
     """Emit the series; probe columns appear in increasing z* order."""
     zs = sorted(series.probes)
-    header = ",".join(["t_star", "sigma"] + [probe_column(z) for z in zs])
-    lines = []
-    if config is not None:
-        lines.append("# config: " + json.dumps(config, sort_keys=True, separators=(",", ":")))
-    lines.append(header)
-    columns = [series.t, series.sigma] + [series.probes[z] for z in zs]
-    for i in range(series.t.size):
-        lines.append(",".join(format_float(float(col[i])) for col in columns))
+    names = ["t_star", "sigma"] + [probe_column(z) for z in zs]
+    write_csv(path, names, [series.t, series.sigma] + [series.probes[z] for z in zs], config)
+
+
+# rows formatted and written per block: bounded memory for long series
+CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path, names, columns, config: dict | None = None) -> None:
+    """Columns of equal length as CSV, floats to 17 significant digits.
+
+    An optional first line echoes config; then the header of names.  The
+    rows are formatted a block at a time, each written as it is done.
+    """
+    row_format = ",".join([FLOAT_FORMAT] * len(columns)) + "\n"
+    n_rows = len(columns[0])
     try:
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            if config is not None:
+                echo = json.dumps(config, sort_keys=True, separators=(",", ":"))
+                fh.write(f"# config: {echo}\n")
+            fh.write(",".join(names) + "\n")
+            for a in range(0, n_rows, CSV_BLOCK_ROWS):
+                block = zip(*(np.asarray(col)[a:a + CSV_BLOCK_ROWS].tolist() for col in columns))
+                fh.write("".join([row_format % row for row in block]))
     except OSError as exc:
-        raise InvalidInput(f"cannot write series to {path!r}: {exc}") from exc
+        raise InvalidInput(f"cannot write CSV to {path!r}: {exc}") from exc
 
 
 def read_series_csv(path) -> TimeSeries:

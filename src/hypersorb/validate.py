@@ -14,16 +14,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidInput
-from .fdm import Grid, _probe_weights, apply_surface, trapezoid_interior
-from .params import InitialCondition, Params, equilibrium, sample_initial
-from .series import TimeSeries, thin_indices
+# validate.apply_surface stays bound: perfbench's tracer wraps it by that name
+from .fdm import HEAT, LOCAL, NONLOCAL, Grid, apply_surface, march  # noqa: F401
+from .params import InitialCondition, Params, equilibrium
+from .series import TimeSeries
+
+
+def run_parabolic_batch(
+    ps,
+    ic: InitialCondition,
+    grid: Grid,
+    boundary: str = LOCAL,
+    probes=(),
+    max_rows: int = 401,
+) -> list[TimeSeries]:
+    """run_parabolic for several parameter sets on one grid, marched as one array.
+
+    Series b is bit-identical to run_parabolic(ps[b], ic, grid, ...).
+    """
+    if boundary not in (LOCAL, NONLOCAL):
+        raise InvalidInput(f"unknown boundary closure {boundary!r}")
+    r = grid.k / (grid.h * grid.h)
+    if r > 0.5 + 1e-12:
+        raise ConfigError(f"parabolic stability needs k <= h^2/2; got r = {r:.4g}")
+    meta = {"engine": "parabolic", "boundary": boundary}
+    return march(ps, ic, grid, HEAT, boundary, meta, probes=probes, max_rows=max_rows)
 
 
 def run_parabolic(
     p: Params,
     ic: InitialCondition,
     grid: Grid,
-    boundary: str = "local",
+    boundary: str = LOCAL,
     probes=(),
     max_rows: int = 401,
 ) -> TimeSeries:
@@ -34,69 +56,7 @@ def run_parabolic(
     reuses the conservation-based closure of the hyperbolic engine.  For
     step initial data sigma(t) is monotonic non-decreasing.
     """
-    if boundary not in ("local", "nonlocal"):
-        raise InvalidInput(f"unknown boundary closure {boundary!r}")
-    h, k = grid.h, grid.k
-    r = k / (h * h)
-    if r > 0.5 + 1e-12:
-        raise ConfigError(f"parabolic stability needs k <= h^2/2; got r = {r:.4g}")
-    zgrid = grid.zgrid()
-    row = sample_initial(ic, p, zgrid)
-    n_levels = grid.n_t + 1
-    stored = thin_indices(n_levels, max_rows)
-    stored_set = set(stored.tolist())
-    sigma = np.empty(n_levels)
-    wall = np.empty(n_levels)
-    cons = np.empty(n_levels)
-    stencils = _probe_weights(probes, zgrid)
-    probe_data = {z: np.empty(n_levels) for z, _, _ in stencils}
-    rows = np.empty((stored.size, zgrid.size))
-
-    def record(j, row, s):
-        sigma[j] = s
-        wall[j] = row[-1]
-        mass = trapezoid_interior(row, h) + 0.5 * h * row[-1]
-        cons[j] = abs(2.0 * mass + 2.0 * s - p.N0)
-        for z, i, frac in stencils:
-            probe_data[z][j] = (1.0 - frac) * row[i] + frac * row[i + 1]
-        if j in stored_set:
-            rows[np.searchsorted(stored, j)] = row
-
-    if boundary == "local":
-        s = 0.0
-    else:
-        s = 0.5 * p.N0 - (trapezoid_interior(row, h) + 0.5 * h * row[-1])
-    record(0, row, s)
-    for j in range(1, n_levels):
-        new = row.copy()
-        new[1:-1] = row[1:-1] + r * (row[2:] - 2.0 * row[1:-1] + row[:-2])
-        new[0] = new[1]
-        if boundary == "local":
-            # flux condition dsigma/dt = -dN/dz at the wall with a second-order
-            # one-sided gradient, combined with backward-Euler kinetics and
-            # solved for the wall value
-            wall_val = ((p.A + k) * (4.0 * new[-2] - new[-3]) + 2.0 * h * s) / (
-                2.0 * h * p.L + 3.0 * (p.A + k)
-            )
-            new[-1] = wall_val
-            s = (p.A * s + k * p.L * wall_val) / (p.A + k)
-        else:
-            _, s = apply_surface(new, s, grid, p)
-        record(j, new, s)
-        row = new
-    t = grid.tgrid()
-    return TimeSeries(
-        t=t,
-        sigma=sigma,
-        surface=wall,
-        probes=probe_data,
-        rows=rows,
-        row_times=t[stored],
-        row_z=zgrid,
-        conservation=cons,
-        params=p,
-        meta={"engine": "parabolic", "boundary": boundary, "grid": grid.__dict__.copy()},
-    )
+    return run_parabolic_batch([p], ic, grid, boundary, probes, max_rows)[0]
 
 
 @dataclass(eq=False)

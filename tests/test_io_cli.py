@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from hypersorb import spectral
+from hypersorb import cli, spectral
 from hypersorb.cli import build_config, load_config_file, main, make_parser
 from hypersorb.errors import InvalidInput
 from hypersorb.series import TimeSeries
-from hypersorb.seriesio import format_float, read_series_csv, write_series_csv
+from hypersorb.seriesio import CSV_BLOCK_ROWS, format_float, read_series_csv, write_series_csv
 
 
 def small_series():
@@ -52,6 +52,24 @@ class TestSeriesCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t_star,sigma"
         assert all(line.count(",") == 1 for line in lines)
+
+    def test_block_writer_matches_line_formatter(self, tmp_path):
+        # special values in the first and in the last, partial, block
+        n = 2 * CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        t = np.arange(n, dtype=float)
+        sigma = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1e16, 0.1 + 0.2]
+        sigma[:len(special)] = special
+        sigma[-len(special):] = special
+        probe = -sigma[::-1]
+        path = tmp_path / "s.csv"
+        write_series_csv(TimeSeries(t=t, sigma=sigma, surface=sigma, probes={0.25: probe}),
+                         path, config={"k": 1})
+        lines = ['# config: {"k":1}', "t_star,sigma,N_at_0.25"]
+        lines += [",".join(f"{float(col[i]):.17g}" for col in (t, sigma, probe)) for i in range(n)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_seventeen_digit_format(self):
         assert format_float(math.pi) == "3.1415926535897931"
@@ -228,6 +246,66 @@ class TestCli:
             a = (tmp_path / "serial" / f).read_text().splitlines()[1:]
             b = (tmp_path / "par" / f).read_text().splitlines()[1:]
             assert a == b
+
+    @staticmethod
+    def sweep_data(outdir, name="w"):
+        """Bytes of each sweep CSV after its config line."""
+        index = json.loads((outdir / f"{name}_index.json").read_text())
+        return {f: (outdir / f).read_bytes().split(b"\n", 1)[1] for f in index["files"]}
+
+    def test_same_grid_sweep_needs_no_pool(self, tmp_path, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a same-grid sweep must not start a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        rc = main([
+            "sweep", "--engine", "fdm", "--axis", "L", "--values", "0.5,2", "--workers", "2",
+            "--A", "0.01", "--B", "0.1", "--N0", "3", "--T", "0.2", "--n-z", "16",
+            "--outdir", str(tmp_path), "--name", "w",
+        ])
+        assert rc == 0
+        assert sorted(self.sweep_data(tmp_path)) == ["w_L0.5.csv", "w_L2.csv"]
+
+    @pytest.mark.parametrize("engine, axis, values", [
+        ("fdm", "A", "0.005,0.05"), ("fdm", "N0", "1,3"), ("parabolic", "L", "0,2"),
+    ])
+    def test_sweep_bytes_independent_of_workers(self, tmp_path, engine, axis, values):
+        args = [
+            "sweep", "--engine", engine, "--axis", axis, "--values", values,
+            "--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--T", "0.1", "--n-z", "16",
+            "--name", "w",
+        ]
+        assert main(args + ["--outdir", str(tmp_path / "serial"), "--workers", "1"]) == 0
+        assert main(args + ["--outdir", str(tmp_path / "par"), "--workers", "2"]) == 0
+        serial = self.sweep_data(tmp_path / "serial")
+        assert len(serial) == 2
+        assert serial == self.sweep_data(tmp_path / "par")
+
+    def test_B_sweep_points_match_single_runs(self, tmp_path):
+        common = ["--A", "0.01", "--L", "1", "--N0", "3", "--T", "0.2", "--n-z", "16"]
+        assert main(["sweep", "--engine", "fdm", "--axis", "B", "--values", "1e-3,0.1",
+                     "--workers", "2", *common, "--outdir", str(tmp_path), "--name", "w"]) == 0
+        swept = self.sweep_data(tmp_path)
+        for B in ("1e-3", "0.1"):
+            assert main(["run", "--engine", "fdm", "--B", B, *common,
+                         "--outdir", str(tmp_path), "--name", "one"]) == 0
+            single = (tmp_path / "one.csv").read_bytes().split(b"\n", 1)[1]
+            assert swept[f"w_B{float(B):g}.csv"] == single
+
+    def test_sweep_axis_applies_to_physical_inputs(self, tmp_path):
+        # d = D = 1, tau_r = 0.1, tau_a = 0.01, k_a = 100, n0 = 3 is
+        # A = 0.01, B = 0.1, L = 1, N0 = 3; the swept L replaces L = 1
+        common = ["--T", "0.1", "--n-z", "16", "--outdir", str(tmp_path)]
+        assert main(["sweep", "--engine", "fdm", "--axis", "L", "--values", "0.5,2",
+                     "--d", "1", "--D", "1", "--tau-r", "0.1", "--tau-a", "0.01",
+                     "--k-a", "100", "--n0", "3", *common, "--name", "w"]) == 0
+        swept = self.sweep_data(tmp_path)
+        for L in ("0.5", "2"):
+            assert main(["run", "--engine", "fdm", "--A", "0.01", "--B", "0.1", "--L", L,
+                         "--N0", "3", *common, "--name", "one"]) == 0
+            assert swept[f"w_L{L}.csv"] == (tmp_path / "one.csv").read_bytes().split(b"\n", 1)[1]
+        assert swept["w_L0.5.csv"] != swept["w_L2.csv"]
 
     def test_sweep_extends_horizon_for_slow_waves(self, tmp_path):
         rc = main([
