@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -111,6 +112,10 @@ class RunConfig:
         for z in self.probes:
             if abs(z) > 0.5:
                 raise ConfigError(f"probe z* = {z} outside [-1/2, 1/2]")
+        for key in ("T", "lam", "r"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be finite and strictly positive, got {value!r}")
         if self.modes < 1:
             raise ConfigError("modes must be at least 1")
         if self.samples < 2:
@@ -284,6 +289,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep requires --axis and --values")
     if cfg.engine == "compare":
         raise ConfigError("sweep does not support the compare engine")
+    stems = [f"{cfg.name}_{cfg.axis}{value:g}" for value in cfg.values]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise ConfigError(
+                f"sweep values {cfg.values[stems.index(stem)]!r} and {cfg.values[i]!r} both"
+                f" name {stem}.csv; give values that differ in 6 significant digits"
+            )
     outdir = _outdir(cfg)
     echo = cfg.echo()
     # the axis value completes the dimensionless set when it is the one left out
@@ -298,8 +310,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         series_list = [_sweep_point((echo, p)) for p in points]
     files = []
-    for value, series in zip(cfg.values, series_list):
-        stem = f"{cfg.name}_{cfg.axis}{value:g}"
+    for value, stem, series in zip(cfg.values, stems, series_list):
         path = os.path.join(outdir, f"{stem}.csv")
         point_echo = dict(echo)
         point_echo[cfg.axis] = value
@@ -323,6 +334,11 @@ def _write_eigen_grid(p: Params, path: str, echo: dict, alpha_min=0.05, alpha_ma
 
 
 def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: int) -> int:
+    if points < 2 or not 0 < alpha_min < alpha_max < math.inf:
+        raise ConfigError(
+            "eigen-dump needs points >= 2 and 0 < alpha-min < alpha-max < inf, got"
+            f" points = {points}, alpha-min = {alpha_min!r}, alpha-max = {alpha_max!r}"
+        )
     p = cfg.resolved_params()
     outdir = _outdir(cfg)
     path = os.path.join(outdir, f"{cfg.name}_eigen_grid.csv")

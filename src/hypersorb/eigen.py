@@ -11,16 +11,23 @@ Below the critical value alpha_c = 1/(2 sqrt(B)) both rates are real
 from the wall kinetics; the production set uses the real part of its
 analytic continuation for all alpha, which reduces to the average of the
 two real-branch equations below alpha_c.
+
+The rates and the secular equation are each written once, as the array
+functions ``_rates`` and ``secular``; the scalar entry points check their
+domain and evaluate them at one point.  ``find_eigenvalues`` scans the first
+``count`` anchor intervals as one flat grid and bisects every bracket
+together, one array evaluation per step.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, InvalidInput, PartialResultError, PoleError
+from .errors import BracketingError, InvalidInput, PoleError
 from .params import Params, alpha_critical
 
 # evaluation is refused this close to a pole of tan(alpha/2)
@@ -30,6 +37,8 @@ TAN_POLE_GUARD = 1e-8
 SEED_MARGIN = 1e-6
 # bisection stops once the bracket is narrower than this
 BRACKET_TOL = 1e-12
+# points per anchor interval in the root scan
+SCAN_POINTS = 601
 # roots this close to alpha_c are nudged off the degenerate point
 CRITICAL_NUDGE = 1e-9
 
@@ -62,6 +71,21 @@ class Mode:
     index: int = 0
 
 
+def _rates(alpha: np.ndarray, B: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rates mu1, mu2 of every alpha as complex arrays; B = 0 gives -inf, -alpha^2."""
+    alpha_sq = alpha**2
+    disc = 1.0 - 4.0 * alpha_sq * B
+    inv = 0.5 / B if B else math.inf
+    root = np.sqrt(np.abs(disc))
+    real = disc >= 0.0
+    mu1 = np.where(real, -(1.0 + root) * inv, -inv).astype(complex)
+    mu1.imag = np.where(real, 0.0, -root * inv)
+    # second real root through the product identity B mu1 mu2 = alpha^2,
+    # which avoids the 1 - sqrt(1 - x) cancellation at small alpha^2 B
+    mu2 = np.where(real, -2.0 * alpha_sq / (1.0 + root), np.conj(mu1))
+    return mu1, mu2
+
+
 def exponents(alpha: float, B: float) -> Exponents:
     """Temporal rates mu1, mu2 for a mode of spatial frequency alpha.
 
@@ -72,57 +96,69 @@ def exponents(alpha: float, B: float) -> Exponents:
         raise InvalidInput("alpha must be strictly positive")
     if B < 0:
         raise InvalidInput("B must be non-negative")
-    if B == 0:
-        return Exponents(complex(-math.inf, 0.0), complex(-(alpha**2), 0.0))
-    disc = 1.0 - 4.0 * alpha**2 * B
-    inv = 0.5 / B
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        # second root through the product identity B mu1 mu2 = alpha^2, which
-        # avoids the 1 - sqrt(1 - x) cancellation at small alpha^2 B
-        mu1 = -(1.0 + root) * inv
-        mu2 = -2.0 * alpha**2 / (1.0 + root)
-        return Exponents(complex(mu1, 0.0), complex(mu2, 0.0))
-    w = math.sqrt(-disc)
-    mu1 = complex(-inv, -w * inv)
-    return Exponents(mu1, mu1.conjugate())
+    return Exponents(*(complex(mu) for mu in _rates(np.asarray(alpha, dtype=float), B)))
 
 
-def _nearest_tan_pole(alpha: float) -> float:
-    """Closest odd multiple of pi (a pole of tan(alpha/2))."""
-    m = round((alpha / math.pi - 1.0) / 2.0)
-    return (2.0 * m + 1.0) * math.pi
+# the parts of the secular equation at each alpha, NaN outside their domain
+Secular = namedtuple("Secular", "re im f1 f2")
 
 
-def _tan_term(alpha: float) -> float:
-    if abs(alpha - _nearest_tan_pole(alpha)) < TAN_POLE_GUARD:
+def secular(alpha: np.ndarray, p: Params) -> Secular:
+    """The secular equation on an array of alpha > 0, with no pole guard.
+
+    With q = 4 alpha^2 B - 1 and den = (2B - A)^2 + A^2 q:
+
+    * re = tan(alpha/2)/alpha + L 2B(2B - A)/den continues the real part to
+      every alpha; the kinetic term is +-inf at kinetic_pole(p).
+    * im = 2BA sqrt(q)/den above alpha_c (+ sign convention), NaN below.
+    * f1, f2 = tan(alpha/2)/alpha + L/(1 + mu A), with the real rate mu1 or
+      mu2, below alpha_c; NaN above.
+    """
+    A, B, L = p.A, p.B, p.L
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tan_term = np.tan(0.5 * alpha) / alpha
+        q = 4.0 * alpha**2 * B - 1.0
+        den = (2.0 * B - A) ** 2 + A**2 * q
+        below = q <= 0.0
+        f1, f2 = np.full(q.shape, np.nan), np.full(q.shape, np.nan)
+        for f, mu in zip((f1, f2), _rates(alpha[below], B)):
+            f[below] = tan_term[below] + L / (1.0 + mu.real * A)
+        re = tan_term + L * 2.0 * B * (2.0 * B - A) / den
+        return Secular(re, 2.0 * B * A * np.sqrt(q) / den, f1, f2)
+
+
+def _in_guard_band(alpha):
+    """True where alpha lies within TAN_POLE_GUARD of a pole of tan(alpha/2)."""
+    pole = (2.0 * np.round((alpha / np.pi - 1.0) / 2.0) + 1.0) * np.pi
+    return np.abs(alpha - pole) < TAN_POLE_GUARD
+
+
+def _at(alpha: float, p: Params, real: bool = False) -> Secular:
+    """The secular equation at one alpha > 0; real=True also refuses alpha > alpha_c."""
+    if not alpha > 0:
+        raise InvalidInput("alpha must be strictly positive")
+    if _in_guard_band(alpha):
         raise PoleError(
             f"alpha = {alpha!r} lies inside the guard band of a tan(alpha/2) pole;"
             " re-bracket away from odd multiples of pi"
         )
-    return math.tan(0.5 * alpha) / alpha
-
-
-def f1(alpha: float, p: Params) -> float:
-    """Real-branch secular equation for the mu1 mode family."""
-    return _real_branch_equation(alpha, p, which=1)
-
-
-def f2(alpha: float, p: Params) -> float:
-    """Real-branch secular equation for the mu2 mode family."""
-    return _real_branch_equation(alpha, p, which=2)
-
-
-def _real_branch_equation(alpha: float, p: Params, which: int) -> float:
-    tan_term = _tan_term(alpha)
-    mu = exponents(alpha, p.B)
-    if not mu.is_real:
+    at = Secular(*(float(v) for v in secular(np.asarray(alpha, dtype=float), p)))
+    if real and math.isnan(at.f1):
         raise InvalidInput(
             f"alpha = {alpha!r} exceeds alpha_c = {alpha_critical(p)!r};"
             " the real-branch equations only exist for real exponents"
         )
-    mu_real = mu.mu1.real if which == 1 else mu.mu2.real
-    return tan_term + p.L / (1.0 + mu_real * p.A)
+    return at
+
+
+def f1(alpha: float, p: Params) -> float:
+    """Real-branch secular equation for the mu1 mode family."""
+    return _at(alpha, p, real=True).f1
+
+
+def f2(alpha: float, p: Params) -> float:
+    """Real-branch secular equation for the mu2 mode family."""
+    return _at(alpha, p, real=True).f2
 
 
 def eigen_equation_complex(alpha: float, p: Params) -> tuple[float, float]:
@@ -135,13 +171,7 @@ def eigen_equation_complex(alpha: float, p: Params) -> tuple[float, float]:
         raise InvalidInput("the oscillatory branch requires B > 0")
     if not alpha > alpha_critical(p):
         raise InvalidInput("eigen_equation_complex requires alpha > alpha_c")
-    tan_term = _tan_term(alpha)
-    A, B, L = p.A, p.B, p.L
-    q = 4.0 * alpha**2 * B - 1.0
-    den = (2.0 * B - A) ** 2 + A**2 * q
-    re = tan_term + L * 2.0 * B * (2.0 * B - A) / den
-    im = 2.0 * B * A * math.sqrt(q) / den
-    return re, im
+    return _at(alpha, p)[:2]
 
 
 def re_eigen_equation(alpha: float, p: Params) -> float:
@@ -151,8 +181,7 @@ def re_eigen_equation(alpha: float, p: Params) -> float:
     real part of the complex equation.  Used to define the production
     eigenvalue set.
     """
-    tan_term = _tan_term(alpha)
-    return tan_term + _kinetic_term(np.asarray(alpha), p).item()
+    return _at(alpha, p).re
 
 
 def im_eigen_equation(alpha: float, p: Params) -> float:
@@ -164,19 +193,6 @@ def im_eigen_equation(alpha: float, p: Params) -> float:
     return eigen_equation_complex(alpha, p)[1]
 
 
-def _kinetic_term(alpha: np.ndarray, p: Params):
-    """Wall-kinetics contribution L*2B(2B-A) / ((2B-A)^2 + A^2(4 alpha^2 B - 1)).
-
-    Has a simple pole at alpha_p = sqrt(A-B)/A when A > B (where one real
-    exponent hits -1/A); evaluation returns +-inf there.
-    """
-    A, B, L = p.A, p.B, p.L
-    q = 4.0 * alpha**2 * B - 1.0
-    den = (2.0 * B - A) ** 2 + A**2 * q
-    with np.errstate(divide="ignore"):
-        return L * 2.0 * B * (2.0 * B - A) / den
-
-
 def kinetic_pole(p: Params) -> float | None:
     """Location of the kinetic-term pole, or None when it does not exist."""
     if p.A > p.B:
@@ -184,114 +200,111 @@ def kinetic_pole(p: Params) -> float | None:
     return None
 
 
-def _re_E_array(alpha: np.ndarray, p: Params) -> np.ndarray:
-    """Vectorised continuation of the secular equation (no pole guard)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.tan(0.5 * alpha) / alpha + _kinetic_term(alpha, p)
+def _scan(p: Params, count: int) -> np.ndarray:
+    """Ascending scan points of the first ``count`` anchor intervals.
 
-
-def _bisect(func, a: float, b: float, fa: float, fb: float) -> float:
-    """Plain bisection on a sign-change bracket; unconditionally convergent."""
-    while b - a > BRACKET_TOL:
-        mid = 0.5 * (a + b)
-        fm = func(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
-def _roots_in_anchor_interval(p: Params, m: int) -> list[float]:
-    """All genuine roots of the continued secular equation in the m-th interval.
-
-    The interval spans the two tan poles bracketing the anchor 2 m pi.  The
-    scan grid is refined around the kinetic pole (when present) and sign
-    changes across that pole are discarded: they are blow-ups, not roots.
+    Interval m runs between the tan poles around 2 m pi, each moved in by
+    SEED_MARGIN pi: SCAN_POINTS even points, plus geometric refinement on
+    both sides of the kinetic pole in the interval holding it.
     """
+    m = np.arange(1, count + 1)
     lo = (2 * m - 1) * math.pi + SEED_MARGIN * math.pi
     hi = (2 * m + 1) * math.pi - SEED_MARGIN * math.pi
-    grid = np.linspace(lo, hi, 601)
+    alpha = np.linspace(lo, hi, SCAN_POINTS, axis=1).ravel()
     pole = kinetic_pole(p)
-    if pole is not None and lo < pole < hi:
+    host = (lo < pole) & (pole < hi) if pole is not None else np.zeros(count, bool)
+    if host.any():
         offsets = np.geomspace(1e-9, 0.5, 24)
         extra = np.concatenate([pole - offsets, pole + offsets])
-        grid = np.sort(np.concatenate([grid, extra[(extra > lo) & (extra < hi)]]))
-    values = _re_E_array(grid, p)
-    fa, fb = values[:-1], values[1:]
-    usable = np.isfinite(fa) & np.isfinite(fb)
-    if pole is not None:
-        usable &= ~((grid[:-1] < pole) & (pole < grid[1:]))  # blow-up, not a root
-    roots = [float(a) for a in grid[:-1][usable & (fa == 0.0)]]
-    func = lambda a: _re_E_array(np.asarray(a), p).item()
-    for i in np.flatnonzero(usable & (fa * fb < 0.0)):
-        roots.append(_bisect(func, float(grid[i]), float(grid[i + 1]), float(fa[i]), float(fb[i])))
-    return sorted(roots)
+        alpha = np.sort(np.concatenate([alpha, extra[(extra > lo[host]) & (extra < hi[host])]]))
+    return alpha
+
+
+def _bisect(p: Params, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Bisect every sign-change bracket [a, b] together; unconditionally convergent.
+
+    Each bracket halves until narrower than BRACKET_TOL and returns its
+    midpoint, or returns the first midpoint where the equation is exactly 0.
+    """
+    roots = np.empty_like(a)
+    live = np.arange(a.size)
+    while True:
+        wide = b - a > BRACKET_TOL
+        roots[live[~wide]] = 0.5 * (a[~wide] + b[~wide])
+        live, a, b, fa = live[wide], a[wide], b[wide], fa[wide]
+        if not live.size:
+            return roots
+        mid = 0.5 * (a + b)
+        fm = secular(mid, p).re
+        # an exact zero closes its bracket on mid, whose midpoint is mid again
+        hit = fm == 0.0
+        left = (fa < 0.0) != (fm < 0.0)
+        a = np.where(left & ~hit, a, mid)
+        b = np.where(left | hit, mid, b)
+        fa = np.where(left, fa, fm)
 
 
 def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
     """First ``count`` roots of the continued secular equation, ascending.
 
-    One anchor interval per integer m is scanned in order; the occasional
-    interval contributes two roots (when the kinetic pole falls inside it).
-    Roots landing within CRITICAL_NUDGE of alpha_c are pushed off the
+    Each anchor interval yields a root or raises, so the first ``count`` are
+    scanned together; the one holding the kinetic pole may yield two.  Sign
+    changes across an interval boundary or the kinetic pole are blow-ups,
+    not roots.  Roots within CRITICAL_NUDGE of alpha_c are pushed off the
     degenerate point so both exponents stay distinct.
     """
     if count < 1:
         raise InvalidInput("count must be at least 1")
     if not p.B > 0:
         raise InvalidInput("the eigenvalue set requires B > 0")
+    alpha = _scan(p, count)
+    # the anchor interval m of a scan point is the one around the nearest 2 m pi
+    index = np.rint(alpha / (2.0 * math.pi)).astype(int)
+    values = secular(alpha, p).re
+    fa, fb = values[:-1], values[1:]
+    usable = (index[:-1] == index[1:]) & np.isfinite(fa) & np.isfinite(fb)
+    pole = kinetic_pole(p)
+    if pole is not None:
+        usable &= ~((alpha[:-1] < pole) & (pole < alpha[1:]))
+    change = usable & (fa * fb < 0.0)
+    cells = np.flatnonzero(change | (usable & (fa == 0.0)))
+    found = np.bincount(index[cells], minlength=count + 1)[1:]
+    empty = (found == 0) & (np.cumsum(found) - found < count)
+    if empty.any():
+        m = int(np.argmax(empty)) + 1
+        raise BracketingError(
+            f"no sign change of the secular equation inside anchor interval m={m}"
+            f" (({2 * m - 1}pi, {2 * m + 1}pi)) for {p}"
+        )
+    cells = cells[:count]
+    roots, bisected = alpha[cells], change[cells]
+    left = cells[bisected]
+    roots[bisected] = _bisect(p, alpha[left], alpha[left + 1], fa[left])
     a_c = alpha_critical(p)
-    collected: list[Mode] = []
-    m = 0
-    while len(collected) < count:
-        m += 1
-        if m > count + 64:
-            raise PartialResultError(
-                f"only {len(collected)} of {count} eigenvalues resolved after {m - 1}"
-                " anchor intervals",
-                modes=collected,
-            )
-        roots = _roots_in_anchor_interval(p, m)
-        if not roots:
-            raise BracketingError(
-                f"no sign change of the secular equation inside anchor interval m={m}"
-                f" (({2 * m - 1}pi, {2 * m + 1}pi)) for {p}"
-            )
-        for alpha in roots:
-            if abs(alpha - a_c) < CRITICAL_NUDGE:
-                alpha = a_c + CRITICAL_NUDGE
-            collected.append(Mode(alpha, exponents(alpha, p.B), branch="ReE", index=m))
-    return collected[:count]
+    roots = np.where(np.abs(roots - a_c) < CRITICAL_NUDGE, a_c + CRITICAL_NUDGE, roots)
+    rates = zip(*(mu.tolist() for mu in _rates(roots, p.B)))
+    return [
+        Mode(a, Exponents(*mu), branch="ReE", index=m)
+        for a, mu, m in zip(roots.tolist(), rates, index[cells].tolist())
+    ]
 
 
 def eigen_grid(p: Params, alphas) -> dict[str, np.ndarray]:
     """Tabulate the secular functions on a user grid for diagnostic dumps.
 
     Returns columns alpha, f1, f2, re_E, im_E; entries are NaN where a
-    function is undefined (tan-pole guard band, or the real branch above
-    alpha_c).
+    function is undefined (alpha <= 0, tan-pole guard band, or the real
+    branch above alpha_c).
     """
     alphas = np.asarray(alphas, dtype=float)
-    n = alphas.size
-    out = {
-        "alpha": alphas,
-        "f1": np.full(n, np.nan),
-        "f2": np.full(n, np.nan),
-        "re_E": np.full(n, np.nan),
-        "im_E": np.full(n, np.nan),
-    }
+    at = secular(alphas, p)
     a_c = alpha_critical(p)
-    for i, a in enumerate(alphas):
-        if a <= 0 or abs(a - _nearest_tan_pole(a)) < TAN_POLE_GUARD:
-            continue
-        out["re_E"][i] = re_eigen_equation(a, p)
-        if a < a_c:
-            out["f1"][i] = f1(a, p)
-            out["f2"][i] = f2(a, p)
-            out["im_E"][i] = 0.0
-        elif a > a_c:
-            out["im_E"][i] = eigen_equation_complex(a, p)[1]
-    return out
+    defined = (alphas > 0) & ~_in_guard_band(alphas)
+    below = defined & (alphas < a_c)
+    return {
+        "alpha": alphas,
+        "f1": np.where(below, at.f1, np.nan),
+        "f2": np.where(below, at.f2, np.nan),
+        "re_E": np.where(defined, at.re, np.nan),
+        "im_E": np.where(below, 0.0, np.where(defined & (alphas > a_c), at.im, np.nan)),
+    }

@@ -17,17 +17,6 @@ class BracketingError(HypersorbError, RuntimeError):
     """Root bracketing failed; message carries the interval diagnostics."""
 
 
-class PartialResultError(BracketingError):
-    """Fewer roots could be resolved than requested.
-
-    The modes found so far are attached as ``modes``.
-    """
-
-    def __init__(self, message, modes=()):
-        super().__init__(message)
-        self.modes = list(modes)
-
-
 class DegenerateBasisError(HypersorbError, RuntimeError):
     """The mode Gram matrix is numerically singular; use fewer modes."""
 

@@ -227,9 +227,99 @@ class TestFindEigenvalues:
             find_eigenvalues(Params(A=1, B=0.0, L=1, N0=1), 5)
 
     def test_bracketing_failure_reported(self, oscillatory_params, monkeypatch):
-        monkeypatch.setattr(eigen, "_roots_in_anchor_interval", lambda p, m: [])
-        with pytest.raises(BracketingError):
+        # a scan that misses anchor interval 2 leaves it without a root
+        scan = eigen._scan
+
+        def without_second_interval(p, count):
+            alpha = scan(p, count)
+            return alpha[np.abs(alpha - 4 * math.pi) > math.pi]
+
+        monkeypatch.setattr(eigen, "_scan", without_second_interval)
+        with pytest.raises(BracketingError, match="m=2"):
             find_eigenvalues(oscillatory_params, 3)
+
+
+def reference_roots(p, count):
+    """(alpha, m) of the first ``count`` roots, one anchor interval at a time.
+
+    The scan-and-bisect algorithm written out in scalar form: 601 points per
+    interval plus refinement around the kinetic pole, then plain bisection
+    of each bracket to 1e-12 with a Python-float loop.
+    """
+    A, B, L = p.A, p.B, p.L
+
+    def re_E(a):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = 4.0 * a**2 * B - 1.0
+            den = (2.0 * B - A) ** 2 + A**2 * q
+            return np.tan(0.5 * a) / a + L * 2.0 * B * (2.0 * B - A) / den
+
+    def bisect(a, b, fa):
+        while b - a > 1e-12:
+            mid = 0.5 * (a + b)
+            fm = re_E(np.asarray(mid)).item()
+            if fm == 0.0:
+                return mid
+            if (fa < 0.0) != (fm < 0.0):
+                b = mid
+            else:
+                a, fa = mid, fm
+        return 0.5 * (a + b)
+
+    pole = math.sqrt(A - B) / A if A > B else None
+    a_c = 0.5 / math.sqrt(B)
+    found, m = [], 0
+    while len(found) < count:
+        m += 1
+        lo = (2 * m - 1) * math.pi + 1e-6 * math.pi
+        hi = (2 * m + 1) * math.pi - 1e-6 * math.pi
+        grid = np.linspace(lo, hi, 601)
+        if pole is not None and lo < pole < hi:
+            offsets = np.geomspace(1e-9, 0.5, 24)
+            extra = np.concatenate([pole - offsets, pole + offsets])
+            grid = np.sort(np.concatenate([grid, extra[(extra > lo) & (extra < hi)]]))
+        values = re_E(grid)
+        roots = []
+        for i in range(grid.size - 1):
+            a, b, fa, fb = (float(v) for v in (grid[i], grid[i + 1], values[i], values[i + 1]))
+            if not (math.isfinite(fa) and math.isfinite(fb)):
+                continue
+            if pole is not None and a < pole < b:
+                continue
+            if fa == 0.0:
+                roots.append(a)
+            elif fa * fb < 0.0:
+                roots.append(bisect(a, b, fa))
+        if not roots:
+            raise BracketingError(f"anchor interval m={m} holds no root")
+        for alpha in sorted(roots):
+            if abs(alpha - a_c) < 1e-9:
+                alpha = a_c + 1e-9
+            found.append((alpha, m))
+    return found[:count]
+
+
+class TestBatchedRootFinder:
+    @given(
+        A=st.floats(min_value=1e-4, max_value=10.0),
+        B=st.floats(min_value=1e-3, max_value=1.0),
+        L=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=100.0)),
+        count=st.integers(min_value=5, max_value=120),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_reference(self, A, B, L, count):
+        p = Params(A=A, B=B, L=L, N0=3.0)
+        try:
+            expected = reference_roots(p, count)
+        except BracketingError as exc:
+            m = str(exc).split("m=")[1].split()[0]
+            with pytest.raises(BracketingError, match=f"m={m} "):
+                find_eigenvalues(p, count)
+            return
+        modes = find_eigenvalues(p, count)
+        assert [(mode.alpha, mode.index) for mode in modes] == expected
+        for mode in modes:
+            assert mode.exponents == exponents(mode.alpha, B)
 
 
 class TestEigenGrid:

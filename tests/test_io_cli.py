@@ -166,6 +166,20 @@ class TestCli:
         assert err.startswith("error:") and f"{field} must be finite" in err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("engine, flag, value", [
+        ("fdm", "--T", "inf"), ("spectral", "--T", "inf"), ("fdm", "--T", "nan"),
+        ("fdm", "--T", "0"), ("parabolic", "--T", "-1"), ("fdm", "--lam", "inf"),
+        ("fdm", "--lam", "0"), ("parabolic", "--r", "inf"), ("parabolic", "--r", "-0.4"),
+    ])
+    def test_bad_step_or_horizon_exit_code(self, tmp_path, capsys, engine, flag, value):
+        args = self.run_args(tmp_path, extra=(flag, value))
+        args[args.index("--engine") + 1] = engine
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"{flag[2:]} must be finite and strictly positive" in err
+        assert not (tmp_path / "t.json").exists()
+
     def test_spectral_run_solves_once(self, tmp_path, monkeypatch):
         calls = []
         solve = spectral.solve_spectral
@@ -220,6 +234,33 @@ class TestCli:
         body = (tmp_path / "diag_eigen_grid.csv").read_text().splitlines()
         data = [line for line in body if not line.startswith(("#", "alpha"))]
         assert len(data) == 200
+
+    @pytest.mark.parametrize("flags", [
+        ("--points", "-5"), ("--points", "1"), ("--alpha-min", "5", "--alpha-max", "1"),
+        ("--alpha-min", "0"), ("--alpha-min", "-1"), ("--alpha-max", "inf"),
+        ("--alpha-min", "nan"),
+    ])
+    def test_eigen_dump_rejects_bad_range(self, tmp_path, capsys, flags):
+        rc = main([
+            "eigen-dump", "--A", "0.5", "--B", "1e-3", "--L", "0.1", "--N0", "3",
+            *flags, "--outdir", str(tmp_path), "--name", "diag",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: eigen-dump needs")
+        assert not (tmp_path / "diag_eigen_grid.csv").exists()
+
+    def test_sweep_rejects_colliding_file_names(self, tmp_path, capsys):
+        # both values print as 0.1 with 6 significant digits
+        rc = main([
+            "sweep", "--engine", "fdm", "--axis", "L", "--values", "0.1,2,0.1000001",
+            "--A", "0.01", "--B", "0.1", "--N0", "3", "--T", "0.1", "--n-z", "16",
+            "--outdir", str(tmp_path), "--name", "c",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "0.1 and 0.1000001" in err and "c_L0.1.csv" in err
+        assert not list(tmp_path.iterdir())
 
     def test_sweep_writes_family_and_index(self, tmp_path):
         rc = main([
