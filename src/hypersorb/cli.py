@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -27,6 +26,10 @@ OUTDIR_ENV = "HYPERSORB_OUTDIR"
 
 SWEEP_AXES = ("A", "B", "L", "N0")
 ENGINES = ("fdm", "spectral", "parabolic", "compare")
+
+# ten times the largest mode count in use; the root scan holds
+# eigen.SCAN_POINTS points per mode and the Gram matrix modes^2 doubles
+MAX_MODES = 2000
 
 
 @dataclass
@@ -110,14 +113,19 @@ class RunConfig:
         if self.axis is not None and self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         for z in self.probes:
-            if abs(z) > 0.5:
+            if not abs(z) <= 0.5:
                 raise ConfigError(f"probe z* = {z} outside [-1/2, 1/2]")
+        if self.n_z < fdm.MIN_N_Z:
+            raise ConfigError(f"n_z must be at least {fdm.MIN_N_Z}, got {self.n_z}")
         for key in ("T", "lam", "r"):
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be finite and strictly positive, got {value!r}")
-        if self.modes < 1:
-            raise ConfigError("modes must be at least 1")
+        if not 1 <= self.modes <= MAX_MODES:
+            raise ConfigError(
+                f"modes must be between 1 and {MAX_MODES}, got {self.modes}: the root scan"
+                f" holds {eigen.SCAN_POINTS} points per mode and the Gram matrix modes^2 doubles"
+            )
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
         if self.workers < 1:
@@ -305,7 +313,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         # A, L and N0 leave the grid alone: one batched march, no pool
         series_list = _solve_batch(cfg, points)
     elif cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # looked up on the module: __getattr__ imports it on first use, and a
+        # rebinding of cli.ProcessPoolExecutor takes effect
+        pool_type = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+        with pool_type(max_workers=cfg.workers) as pool:
             series_list = list(pool.map(_sweep_point, [(echo, p) for p in points]))
     else:
         series_list = [_sweep_point((echo, p)) for p in points]
@@ -322,6 +333,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
     )
     print("\n".join(os.path.join(outdir, f) for f in files))
     return 0
+
+
+def __getattr__(name: str):
+    """Import ProcessPoolExecutor on first use.
+
+    concurrent.futures.process and multiprocessing add ~16 ms to every
+    fresh interpreter, and only B and spectral sweeps on several workers
+    start a pool.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _write_eigen_grid(p: Params, path: str, echo: dict, alpha_min=0.05, alpha_max=None, points=4000):

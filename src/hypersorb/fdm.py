@@ -32,9 +32,23 @@ from .errors import ConfigError, InvalidInput, StabilityError
 from .params import InitialCondition, Params, sample_initial
 from .series import TimeSeries, thin_indices
 
-# hard cap on the step ratio lambda = k/h regardless of B, after the
-# empirical observation that the nonlocal wall closure tightens the plain
-# wave-equation bound
+# level rows held by the marching kernel: level j is written into slot
+# j % RING, and what a level leaves in its rows (wall values, inner mass,
+# probe nodes, stored rows) is recorded once per pass around the ring
+RING = 64
+
+# fewest segments a grid of the half slab may have
+MIN_N_Z = 8
+
+# cap on the step ratio lambda = k/h, an accuracy limit and not a
+# stability one.  The one-step companion matrix of the whole scheme
+# (interior stencil, symmetry node, nonlocal closure and sigma) keeps its
+# spectral radius below 1 up to lambda = sqrt(B), and above it past that
+# (1.15-1.32 at 1.01 sqrt(B) on 11 sets of A, B, L and n_z), so the closure
+# does not tighten the wave bound.  What grows with lambda is the start-up
+# slope of sigma, (sigma_1 - sigma_0)/k: at B = 0.1, n_z = 200 it is 0.25 at
+# the cap but 2.28 at sqrt(B)/2, where acceptance criterion 4 allows 0.49
+# (5 % of the physical slope).
 LAMBDA_CAP = 2.5e-2
 
 
@@ -43,8 +57,9 @@ class Grid:
     """Space-time discretization of the half slab.
 
     lam = k/h controls stability of the explicit scheme; it must stay under
-    sqrt(B) for the interior stencil, and empirically well under that when
-    B is small.
+    sqrt(B), the bound of the interior stencil, which the symmetry node and
+    the nonlocal wall closure keep.  default_lambda's smaller value is set
+    on accuracy (see LAMBDA_CAP).
     """
 
     n_z: int
@@ -55,8 +70,8 @@ class Grid:
     T: float
 
     def __post_init__(self):
-        if self.n_z < 8:
-            raise InvalidInput(f"n_z must be at least 8, got {self.n_z}")
+        if self.n_z < MIN_N_Z:
+            raise InvalidInput(f"n_z must be at least {MIN_N_Z}, got {self.n_z}")
         if self.n_t < 1:
             raise InvalidInput("n_t must be at least 1")
         if not (self.h > 0 and self.k > 0):
@@ -145,10 +160,9 @@ class _Row(NamedTuple):
     """
 
     full: np.ndarray
-    flat: np.ndarray  # full, flattened (a view for the kernel's contiguous buffers)
-    left: np.ndarray  # flat[:-2]
-    mid: np.ndarray  # flat[1:-1]
-    right: np.ndarray  # flat[2:]
+    left: np.ndarray  # full flattened, [:-2]
+    mid: np.ndarray  # full flattened, [1:-1]
+    right: np.ndarray  # full flattened, [2:]
     interior: np.ndarray  # interior nodes 1 .. n_z-1 of each row
     head: np.ndarray  # symmetry node 0
     neck: np.ndarray  # node 1
@@ -160,7 +174,7 @@ class _Row(NamedTuple):
 def _views(row: np.ndarray) -> _Row:
     flat = row.reshape(-1)
     return _Row(
-        row, flat, flat[:-2], flat[1:-1], flat[2:], row[..., 1:-1], row[..., 0], row[..., 1],
+        row, flat[:-2], flat[1:-1], flat[2:], row[..., 1:-1], row[..., 0], row[..., 1],
         row[..., -1], row[..., -2], row[..., -3],
     )
 
@@ -220,9 +234,13 @@ def apply_symmetry(row: np.ndarray) -> np.ndarray:
     return row
 
 
-def trapezoid_interior(row: np.ndarray, h: float) -> float:
-    """Trapezoidal mass of the half row excluding the wall-node contribution."""
-    return h * (0.5 * row[0] + float(np.sum(row[1:-1])))
+def trapezoid_interior(rows: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoidal mass of the half row excluding the wall-node contribution.
+
+    rows may be one row or any stack of rows (space on the last axis); the
+    result has one entry per row.
+    """
+    return h * (0.5 * rows[..., 0] + np.add.reduce(rows[..., 1:-1], axis=-1))
 
 
 class _Nonlocal:
@@ -240,22 +258,28 @@ class _Nonlocal:
         den = k * p.L + (p.A + k) * 0.5 * h
         if abs(den / k) < 1e-14:
             raise ConfigError("degenerate wall closure: (A/k + 1) h/2 + L is numerically zero")
-        return 0.5 * p.N0, p.A + k, p.A, den, 0.5 * h
+        return 0.5 * p.N0, p.A + k, p.A, den, h
 
     @staticmethod
-    def start(inner: list, wall: list, constants: list) -> list:
+    def start(row: _Row, constants: list) -> list:
         """sigma at level 0, fixed by the conservation identity."""
-        return [c[0] - (mass + c[4] * w) for mass, w, c in zip(inner, wall, constants)]
+        inner = trapezoid_interior(row.full, constants[0][4]).tolist()
+        rows = zip(inner, row.wall.tolist(), constants)
+        return [c[0] - (mass + 0.5 * c[4] * w) for mass, w, c in rows]
 
     @staticmethod
-    def close(row: _Row, inner: list, sigma: list, constants: list) -> list:
-        """Wall value of each row; sigma is updated in place."""
+    def close(row: _Row, sigma: list, constants: list) -> list:
+        """Wall value of each row; sigma is updated in place.
+
+        The inner mass is trapezoid_interior's, in Python floats.
+        """
         wall = []
-        for b, (mass, s, (half_n0, a_k, a, den, half_h)) in enumerate(zip(inner, sigma, constants)):
-            rhs_mass = half_n0 - mass
+        rows = zip(row.head.tolist(), np.add.reduce(row.interior, axis=1).tolist(), sigma, constants)
+        for b, (head, total, s, (half_n0, a_k, a, den, h)) in enumerate(rows):
+            rhs_mass = half_n0 - h * (0.5 * head + total)
             w = (a_k * rhs_mass - a * s) / den
             wall.append(w)
-            sigma[b] = rhs_mass - half_h * w
+            sigma[b] = rhs_mass - 0.5 * h * w
         return wall
 
 
@@ -273,11 +297,11 @@ class _Local:
         return p.A + k, 2.0 * h, p.A, k * p.L, 2.0 * h * p.L + 3.0 * (p.A + k)
 
     @staticmethod
-    def start(inner: list, wall: list, constants: list) -> list:
-        return [0.0] * len(inner)
+    def start(row: _Row, constants: list) -> list:
+        return [0.0] * len(constants)
 
     @staticmethod
-    def close(row: _Row, inner: list, sigma: list, constants: list) -> list:
+    def close(row: _Row, sigma: list, constants: list) -> list:
         wall = []
         near, near2 = row.near.tolist(), row.near2.tolist()
         rows = zip(near, near2, sigma, constants)
@@ -304,8 +328,7 @@ def apply_surface(
     backward-Euler kinetics A (sigma_j - sigma_{j-1})/k = L N_wall - sigma_j.
     """
     sigma = [sigma_prev]
-    inner = [trapezoid_interior(row, grid.h)]
-    (wall,) = _Nonlocal.close(_views(row), inner, sigma, [_Nonlocal.constants(p, grid)])
+    (wall,) = _Nonlocal.close(_views(row[np.newaxis]), sigma, [_Nonlocal.constants(p, grid)])
     row[-1] = wall
     return wall, sigma[0]
 
@@ -313,11 +336,13 @@ def apply_surface(
 class _March:
     """One explicit march of a batch of rows on a shared grid.
 
-    levels() is the engine's only time loop.  Each level it advances the
-    interior of every row (three-level wave or two-level heat stencil),
-    mirrors the symmetry node, closes each wall (nonlocal or local closure),
-    and appends sigma, the wall value and the inner trapezoidal mass of each
-    row to the record, plus the probe nodes and, at the stored levels, the
+    levels() is the engine's only time loop.  Level j lives in slot
+    j % RING of a ring of level rows.  Each level advances the interior of
+    every row from the two slots before it (three-level wave or two-level
+    heat stencil), mirrors the symmetry node, closes each wall (nonlocal or
+    local closure) and appends sigma to the record.  The rest of the record
+    is read off the ring once per pass around it: the wall values, the
+    inner trapezoidal mass, the probe nodes and, at the stored levels, the
     full rows.  Row b only ever sees parameter set b, so each row of a batch
     matches a march of its point alone bit for bit.
     """
@@ -336,28 +361,29 @@ class _March:
         self.grid, self.ps, self.g = grid, list(ps), g
         self.stencil, self.closure = stencil, _CLOSURES[closure]
         self.constants = [self.closure.constants(p, grid) for p in ps]
-        self.bufs = [_views(np.empty((n_batch, n_nodes))) for _ in range(3)]
-        np.copyto(self.bufs[0].full, rows0)
-        self.stored = [int(j) for j in stored]
-        # probe nodes of every row as indices into the flattened batch
-        offsets = np.arange(n_batch)[:, None] * n_nodes
-        self.node_idx = (offsets + np.asarray(probe_nodes, dtype=np.intp)).ravel()
-        # per-level record, level-major: one entry per row, or per row and probe node
-        self.sigma, self.wall, self.inner, self.nodes = (array("d") for _ in range(4))
-        self.rows = np.empty((n_batch, len(self.stored), n_nodes))
+        self.ring = np.empty((RING, n_batch, n_nodes))
+        self.slots = [_views(row) for row in self.ring]
+        np.copyto(self.ring[0], rows0)
+        self.stored = np.asarray(stored, dtype=np.intp)
+        self.probe_nodes = np.asarray(probe_nodes, dtype=np.intp)
+        # the record, level-major: one entry per row, or per row and probe node
+        n_levels = grid.n_t + 1
+        self.sigma = array("d")
+        self.wall, self.inner = np.empty((n_levels, n_batch)), np.empty((n_levels, n_batch))
+        self.nodes = np.empty((n_levels, n_batch, self.probe_nodes.size))
+        self.rows = np.empty((n_batch, self.stored.size, n_nodes))
 
-    def levels(self) -> Iterator[tuple[int, np.ndarray, list, list, list]]:
-        """Advance level by level, yielding (j, rows, sigma, wall, inner) after each.
+    def levels(self) -> Iterator[tuple[int, np.ndarray, list]]:
+        """Advance level by level, yielding (j, rows, sigma) after each.
 
-        The rows yielded are the live buffer, overwritten three levels later.
+        The rows yielded are a ring slot, overwritten RING levels later.
         """
-        grid, h, g = self.grid, self.grid.h, self.g
+        grid, g, slots = self.grid, self.g, self.slots
         update, weights = _UPDATES[self.stencil], self.weights
-        start, close, constants = self.closure.start, self.closure.close, self.constants
+        close, constants = self.closure.close, self.constants
         wave = self.stencil == WAVE
         B = self.ps[0].B
-        new, old, older = self.bufs
-        lap = np.empty_like(new.mid)
+        lap = np.empty_like(slots[0].mid)
         tmp = np.empty_like(lap)
         # a diverging run is cut off well before float overflow, so no step
         # ever produces inf or a numpy warning.  One squared norm of the
@@ -366,37 +392,37 @@ class _March:
         # are the rows checked one by one.
         ceilings = [1e100 * max(1.0, p.N0) for p in self.ps]
         ceiling2 = min(c * c for c in ceilings)
-        sig_rec, wall_rec, inner_rec, node_rec = self.sigma, self.wall, self.inner, self.nodes
-        node_idx, row_rec = self.node_idx, self.rows
-        stored = self.stored + [-1]
-        pos = 0
-        for j in range(grid.n_t + 1):
-            if j:
-                older, old, new = old, new, older
-                if wave and j == 1:
-                    np.copyto(new.full, step_first(old.full, g, grid, B))
-                else:
-                    update(new, old, older, weights, lap, tmp)
-                np.copyto(new.head, new.neck)
-            sums = np.add.reduce(new.interior, axis=1).tolist()
-            inner = [h * (0.5 * a + s) for a, s in zip(new.head.tolist(), sums)]
-            if j:
-                wall = close(new, inner, sigma, constants)
-                new.wall[:] = wall
-                if wave and not np.vdot(new.full, new.full) < ceiling2:
-                    self._check_divergence(j, new.full, wall, ceilings)
+        sig_rec, n_t = self.sigma, grid.n_t
+        new = slots[0]
+        sigma = self.closure.start(new, constants)
+        sig_rec.extend(sigma)
+        yield 0, new.full, sigma
+        for j in range(1, n_t + 1):
+            i = j % RING
+            new, old, older = slots[i], slots[i - 1], slots[i - 2]
+            if wave and j == 1:
+                np.copyto(new.full, step_first(old.full, g, grid, B))
             else:
-                wall = new.wall.tolist()
-                sigma = start(inner, wall, constants)
+                update(new, old, older, weights, lap, tmp)
+            np.copyto(new.head, new.neck)
+            wall = close(new, sigma, constants)
+            new.wall[:] = wall
+            if wave and not np.vdot(new.full, new.full) < ceiling2:
+                self._check_divergence(j, new.full, wall, ceilings)
             sig_rec.extend(sigma)
-            wall_rec.extend(wall)
-            inner_rec.extend(inner)
-            if node_idx.size:
-                node_rec.frombytes(new.flat[node_idx].tobytes())
-            if j == stored[pos]:
-                row_rec[:, pos] = new.full
-                pos += 1
-            yield j, new.full, sigma, wall, inner
+            if i == RING - 1 or j == n_t:
+                self._record(j - i, i + 1)
+            yield j, new.full, sigma
+
+    def _record(self, first: int, count: int) -> None:
+        """Record levels first .. first+count-1, held in ring slots 0 .. count-1."""
+        block = self.ring[:count]
+        done = slice(first, first + count)
+        self.wall[done] = block[..., -1]
+        self.inner[done] = trapezoid_interior(block, self.grid.h)
+        self.nodes[done] = block[..., self.probe_nodes]
+        take = (self.stored >= first) & (self.stored < first + count)
+        self.rows[:, take] = block[self.stored[take] - first].swapaxes(0, 1)
 
     def _check_divergence(self, j: int, rows: np.ndarray, wall: list, ceilings: list) -> None:
         """Raise StabilityError for the first row with a node past its ceiling."""
@@ -424,9 +450,10 @@ def iterate(
     callers must copy what they keep.
     """
     run = _March(np.asarray(row0, dtype=float)[np.newaxis], grid, [p], WAVE, NONLOCAL, g)
-    for j, rows, sigma, wall, inner in run.levels():
-        s, w = sigma[0], wall[0]
-        yield j, rows[0], s, w, _conservation_residual(inner[0], w, s, p.N0, grid.h)
+    for j, rows, sigma in run.levels():
+        row, s = rows[0], sigma[0]
+        w, inner = float(row[-1]), float(trapezoid_interior(row, grid.h))
+        yield j, row, s, w, _conservation_residual(inner, w, s, p.N0, grid.h)
 
 
 def _conservation_residual(inner, wall, sigma, n0: float, h: float):
@@ -474,14 +501,12 @@ def march(
     run = _March(rows0, grid, ps, stencil, closure, g, stored, nodes)
     deque(run.levels(), maxlen=0)
     sigma, wall, inner = (
-        np.array(rec).reshape(n_levels, len(ps)).T.copy()
-        for rec in (run.sigma, run.wall, run.inner)
+        np.reshape(rec, (n_levels, len(ps))).T.copy() for rec in (run.sigma, run.wall, run.inner)
     )
-    node_rec = np.array(run.nodes).reshape(n_levels, len(ps), len(nodes))
     t = grid.tgrid()
     out = []
     for b, p in enumerate(ps):
-        node = node_rec[:, b]
+        node = run.nodes[:, b]
         probe_data = {
             z: (1.0 - frac) * node[:, nodes.index(i)] + frac * node[:, nodes.index(i + 1)]
             for z, i, frac in stencils

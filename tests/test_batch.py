@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersorb.errors import InvalidInput, StabilityError
-from hypersorb.fdm import Grid, _probe_weights, default_lambda, run_fdm, run_fdm_batch
+from hypersorb.fdm import RING, Grid, _probe_weights, default_lambda, iterate, run_fdm, run_fdm_batch
 from hypersorb.params import Params, parabolic_ic, sample_initial, step_ic
 from hypersorb.series import thin_indices
 from hypersorb.validate import run_parabolic, run_parabolic_batch
@@ -135,6 +135,63 @@ def test_batch_rows_equal_single_runs_bit_for_bit(scheme, points, B, n_z, smooth
         assert ser.meta == one.meta
         assert_same_series(ser, one)
         assert_same_series(one, reference_march(p, ic, grid, scheme))
+
+
+def grid_with_levels(scheme, n_t, n_z=10, B=0.1):
+    """A grid of exactly n_t steps: the default wave step ratio, or r = 0.4."""
+    h = 0.5 / n_z
+    k = default_lambda(B) * h if scheme == "fdm" else 0.4 * h * h
+    return Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=n_t * k)
+
+
+RING_POINTS = [
+    Params(A=0.01, B=0.1, L=1.0, N0=3.0),
+    Params(A=1e-3, B=0.1, L=0.0, N0=1.0),
+    Params(A=0.5, B=0.1, L=10.0, N0=7.0),
+]
+
+
+@pytest.mark.parametrize("n_t", [1, RING - 2, RING - 1, RING, RING + 1, 3 * RING + 5])
+@pytest.mark.parametrize("scheme", ["fdm", "local", "nonlocal"])
+@pytest.mark.parametrize("n_batch", [1, 3])
+def test_ring_pass_boundaries_match_reference(n_t, scheme, n_batch):
+    # every level stored, and a thinned set whose stride crosses the passes
+    grid = grid_with_levels(scheme, n_t)
+    ps = RING_POINTS[:n_batch]
+    for max_rows in (n_t + 1, MAX_ROWS):
+        if scheme == "fdm":
+            batch = run_fdm_batch(ps, step_ic(), grid, probes=PROBES, max_rows=max_rows)
+        else:
+            batch = run_parabolic_batch(ps, step_ic(), grid, scheme, probes=PROBES, max_rows=max_rows)
+        for p, ser in zip(ps, batch):
+            assert_same_series(ser, reference_march(p, step_ic(), grid, scheme, max_rows=max_rows))
+
+
+def test_iterate_across_ring_passes():
+    grid = grid_with_levels("fdm", 3 * RING + 5)
+    p = RING_POINTS[0]
+    ref = reference_march(p, step_ic(), grid, "fdm", max_rows=grid.n_t + 1)
+    out = [(j, row.copy(), s, w, res) for j, row, s, w, res in
+           iterate(sample_initial(step_ic(), p, grid.zgrid()), grid, p)]
+    assert [j for j, *_ in out] == list(range(grid.n_t + 1))
+    assert_same_bits([row for _, row, *_ in out], ref["rows"])
+    assert_same_bits([s for _, _, s, _, _ in out], ref["sigma"])
+    assert_same_bits([w for *_, w, _ in out], ref["surface"])
+    assert_same_bits([res for *_, res in out], ref["conservation"])
+
+
+@pytest.mark.parametrize("n_z, T, lam, p, message", [
+    (40, 0.5, 0.04, Params(A=0.1, B=1e-3, L=5.0, N0=2.0),
+     "density diverging at level j=198, node i=12 (lambda=0.04, B=0.001); reduce lambda"),
+    (100, 0.5, 0.4, Params(A=0.01, B=0.1, L=1.0, N0=3.0),
+     "density diverging at level j=169, node i=74 (lambda=0.4, B=0.1); reduce lambda"),
+])
+def test_divergence_in_a_later_ring_pass(n_z, T, lam, p, message):
+    # both levels lie past the first pass and off its boundaries
+    grid = Grid.from_lambda(n_z, T, lam)
+    with pytest.raises(StabilityError) as err:
+        run_fdm(p, step_ic(), grid, enforce_stability=False)
+    assert str(err.value) == message
 
 
 def test_batch_needs_shared_B():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,6 +387,38 @@ class TestCli:
         rc = main(self.run_args(tmp_path, extra=("--probes", "0,0.8")))
         assert rc == 2
         assert "probe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probes", ["nan", "inf", "0,-inf"])
+    def test_non_finite_probe_rejected(self, tmp_path, capsys, probes):
+        assert main(self.run_args(tmp_path, extra=("--probes", probes))) == 2
+        assert capsys.readouterr().err.startswith("configuration error: probe z* = ")
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("n_z", ["0", "1", "7"])
+    def test_grid_floor_exit_code(self, tmp_path, capsys, n_z):
+        assert main(self.run_args(tmp_path, extra=("--n-z", n_z))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: n_z must be at least 8, got {n_z}")
+        assert not (tmp_path / "t.json").exists()
+
+    def test_mode_count_bounded(self, tmp_path, capsys):
+        # refused at the boundary, before any root scan starts
+        args = self.run_args(tmp_path, extra=("--modes", str(cli.MAX_MODES + 1)))
+        args[args.index("--engine") + 1] = "spectral"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: modes must be between 1 and {cli.MAX_MODES}")
+        assert "Gram matrix" in err
+        assert not (tmp_path / "t.json").exists()
+
+    def test_import_starts_no_process_pool_machinery(self):
+        # only B and spectral sweeps on several workers need the pool
+        code = "import sys, hypersorb.cli; print('concurrent.futures.process' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_documented_zero_slope_recipe(self, tmp_path):
         # README recipe: zoomed series of the oscillatory landmark shows a
