@@ -31,6 +31,10 @@ ENGINES = ("fdm", "spectral", "parabolic", "compare")
 # eigen.SCAN_POINTS points per mode and the Gram matrix modes^2 doubles
 MAX_MODES = 2000
 
+# most sweep workers a run may ask for; each one is a process of its own,
+# and the pool starts all of them on the first point it is handed
+MAX_WORKERS = 64
+
 
 @dataclass
 class RunConfig:
@@ -128,8 +132,11 @@ class RunConfig:
             )
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(
+                f"workers must be between 1 and {MAX_WORKERS}, got {self.workers}:"
+                " each worker is a process"
+            )
         if len(self.pair) != 2 or any(e not in ("fdm", "spectral", "parabolic") for e in self.pair):
             raise ConfigError("pair must name two of fdm, spectral, parabolic")
 
@@ -316,7 +323,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         # looked up on the module: __getattr__ imports it on first use, and a
         # rebinding of cli.ProcessPoolExecutor takes effect
         pool_type = getattr(sys.modules[__name__], "ProcessPoolExecutor")
-        with pool_type(max_workers=cfg.workers) as pool:
+        with pool_type(max_workers=min(cfg.workers, len(points))) as pool:
             series_list = list(pool.map(_sweep_point, [(echo, p) for p in points]))
     else:
         series_list = [_sweep_point((echo, p)) for p in points]

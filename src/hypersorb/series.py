@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidInput
 from .params import Params
 
 
@@ -42,6 +43,8 @@ class TimeSeries:
 
 def thin_indices(n_levels: int, max_rows: int) -> np.ndarray:
     """Evenly spaced level indices including both endpoints."""
+    if max_rows < 2:
+        raise InvalidInput(f"max_rows must be at least 2 to hold both endpoints, got {max_rows}")
     if max_rows >= n_levels:
         return np.arange(n_levels)
     idx = np.linspace(0, n_levels - 1, max_rows).round().astype(int)

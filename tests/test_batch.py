@@ -167,6 +167,28 @@ def test_ring_pass_boundaries_match_reference(n_t, scheme, n_batch):
             assert_same_series(ser, reference_march(p, step_ic(), grid, scheme, max_rows=max_rows))
 
 
+# sweep-sized batch: every row's closure reads and writes its own nodes
+WIDE_BATCH = [
+    Params(A=A, B=0.1, L=L, N0=N0)
+    for A, L, N0 in zip(
+        [1e-3, 0.01, 0.5, 2.0] * 4,
+        [0.0, 0.1, 1.0, 10.0, 100.0, 0.0, 3.0, 0.5] * 2,
+        [3.0, 1.0, 7.0, 0.25, 50.0, 2.0, 1e-3, 10.0, 4.0, 0.5, 1.5, 20.0, 3.0, 9.0, 0.1, 6.0],
+    )
+]
+
+
+@pytest.mark.parametrize("scheme", ["fdm", "local", "nonlocal"])
+def test_wide_batch_rows_match_single_runs_and_reference(scheme):
+    grid = grid_with_levels(scheme, RING + 5, n_z=16)
+    batch, single = march_family(scheme, WIDE_BATCH, step_ic(), grid)
+    assert len(batch) == 16
+    for p, ser, one in zip(WIDE_BATCH, batch, single):
+        assert ser.params == p
+        assert_same_series(ser, one)
+        assert_same_series(ser, reference_march(p, step_ic(), grid, scheme))
+
+
 def test_iterate_across_ring_passes():
     grid = grid_with_levels("fdm", 3 * RING + 5)
     p = RING_POINTS[0]

@@ -252,6 +252,52 @@ class TestCli:
         assert capsys.readouterr().err.startswith("configuration error: eigen-dump needs")
         assert not (tmp_path / "diag_eigen_grid.csv").exists()
 
+    @staticmethod
+    def recording_pool(monkeypatch):
+        """Bind a stand-in executor that records its size and maps in process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def b_sweep_args(self, tmp_path, workers):
+        return [
+            "sweep", "--engine", "fdm", "--axis", "B", "--values", "1e-3,1e-2",
+            "--A", "0.01", "--L", "1", "--N0", "3", "--T", "0.05", "--n-z", "16",
+            "--workers", str(workers), "--outdir", str(tmp_path), "--name", "w",
+        ]
+
+    def test_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        sizes = self.recording_pool(monkeypatch)
+        assert main(self.b_sweep_args(tmp_path, cli.MAX_WORKERS)) == 0
+        assert sizes == [2]
+        assert sorted(self.sweep_data(tmp_path)) == ["w_B0.001.csv", "w_B0.01.csv"]
+
+    @pytest.mark.parametrize("workers", [0, -1, cli.MAX_WORKERS + 1, 5000])
+    def test_worker_count_bounded(self, tmp_path, capsys, monkeypatch, workers):
+        # refused at the boundary, before any pool is asked for
+        sizes = self.recording_pool(monkeypatch)
+        assert main(self.b_sweep_args(tmp_path, workers)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"configuration error: workers must be between 1 and {cli.MAX_WORKERS}, got {workers}"
+        )
+        assert sizes == []
+        assert not (tmp_path / "w_index.json").exists()
+
     def test_sweep_rejects_colliding_file_names(self, tmp_path, capsys):
         # both values print as 0.1 with 6 significant digits
         rc = main([

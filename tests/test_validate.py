@@ -6,6 +6,7 @@ import pytest
 from hypersorb.errors import ConfigError, InvalidInput
 from hypersorb.fdm import Grid, default_lambda, run_fdm
 from hypersorb.params import Params, equilibrium, parabolic_ic, step_ic
+from hypersorb.series import thin_indices
 from hypersorb.spectral import solve_spectral, to_series
 from hypersorb.validate import (
     audit_conservation,
@@ -178,3 +179,16 @@ class TestAudits:
         bare = type(ser)(t=ser.t, sigma=ser.sigma, surface=ser.surface)
         with pytest.raises(InvalidInput):
             audit_conservation(bare, diffusive_params)
+
+    @pytest.mark.parametrize("max_rows", [1, 0, -1])
+    def test_stored_rows_hold_both_endpoints(self, max_rows):
+        # fewer than two rows cannot hold both ends, and none would leave
+        # audit_conservation nothing to check
+        with pytest.raises(InvalidInput, match="max_rows must be at least 2"):
+            thin_indices(10, max_rows)
+        p = Params(A=0.01, B=1e-3, L=1.0, N0=3.0)
+        with pytest.raises(InvalidInput, match="max_rows must be at least 2"):
+            run_parabolic(p, step_ic(), Grid.for_parabolic(10, 0.01), max_rows=max_rows)
+
+    def test_two_stored_rows_are_the_endpoints(self):
+        assert thin_indices(10, 2).tolist() == [0, 9]
