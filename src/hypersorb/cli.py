@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,6 +30,10 @@ ENGINES = ("fdm", "spectral", "parabolic", "compare")
 # ten times the largest mode count in use; the root scan holds
 # eigen.SCAN_POINTS points per mode and the Gram matrix modes^2 doubles
 MAX_MODES = 2000
+
+# the secular-equation grid of eigen-dump and run --diagnostics: alpha
+# from ALPHA_MIN to ALPHA_MAX (twelve anchor intervals) in GRID_POINTS points
+ALPHA_MIN, ALPHA_MAX, GRID_POINTS = 0.05, 2.0 * math.pi * 12, 4000
 
 # most sweep workers a run may ask for; each one is a process of its own,
 # and the pool starts all of them on the first point it is handed
@@ -94,7 +98,14 @@ class RunConfig:
         if self.ic == "sampled":
             if not self.ic_file:
                 raise ConfigError("ic = sampled requires ic_file (two-column CSV: z,value)")
-            data = np.loadtxt(self.ic_file, delimiter=",", comments="#")
+            try:
+                data = np.loadtxt(self.ic_file, delimiter=",", comments="#", ndmin=2)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read ic_file {self.ic_file!r}: {exc}") from exc
+            if data.shape[1] < 2:
+                raise ConfigError(
+                    f"ic_file {self.ic_file!r} has {data.shape[1]} column(s); it needs two: z,value"
+                )
             return sampled_ic(data[:, 0], data[:, 1])
         raise ConfigError(f"ic must be step, parabolic or sampled, got {self.ic!r}")
 
@@ -103,13 +114,6 @@ class RunConfig:
             return self.T
         # default window 2; slow-wave runs (B >= 1) need the longer horizon
         return 10.0 if p.B >= 1.0 else 2.0
-
-    def echo(self) -> dict:
-        d = asdict(self)
-        d["probes"] = list(self.probes)
-        d["values"] = list(self.values)
-        d["pair"] = list(self.pair)
-        return d
 
     def validate(self) -> None:
         if self.engine not in ENGINES:
@@ -174,24 +178,45 @@ def load_config_file(path) -> dict:
 
 _FLOAT_KEYS = ("A", "B", "L", "N0", "d", "D", "tau_r", "tau_a", "k_a", "n0", "T", "lam", "r")
 _INT_KEYS = ("n_z", "modes", "samples", "workers")
+_FIELDS = frozenset(f.name for f in fields(RunConfig))
+_OPTIONAL = frozenset(f.name for f in fields(RunConfig) if f.default is None)
+
+
+def _coerce(key: str, value):
+    """value as the type of RunConfig field key; ConfigError if it cannot be."""
+    if value is None and key in _OPTIONAL:
+        return None
+    try:
+        if key in _FLOAT_KEYS:
+            return float(value)
+        if key in _INT_KEYS:
+            number = float(value)
+            if not number.is_integer():
+                raise ValueError("not an integer")
+            return int(number)
+        if key in ("probes", "values"):
+            return [float(v) for v in value]
+        if key == "pair":
+            return [str(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+    return value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """RunConfig from the --config file, then the flags set on the command line.
+
+    The file may only name RunConfig fields; flags without a field (the
+    command, --config, the eigen-dump range) are skipped.
+    """
     cfg = RunConfig()
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for source in (file_values, {k: v for k, v in vars(args).items() if v is not None}):
-        for key, value in source.items():
-            if not hasattr(cfg, key) or key == "config":
-                continue
-            if key in _FLOAT_KEYS and value is not None:
-                value = float(value)
-            if key in _INT_KEYS and value is not None:
-                value = int(value)
-            if key in ("probes", "values") and value is not None:
-                value = [float(v) for v in value]
-            if key == "pair" and value is not None:
-                value = [str(v) for v in value]
-            setattr(cfg, key, value)
+    unknown = sorted(set(file_values) - _FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config file {args.config}: {', '.join(unknown)}")
+    flags = {k: v for k, v in vars(args).items() if v is not None and k in _FIELDS}
+    for key, value in {**file_values, **flags}.items():
+        setattr(cfg, key, _coerce(key, value))
     cfg.validate()
     return cfg
 
@@ -241,17 +266,14 @@ def _series_diagnostics(series, cfg_echo: dict) -> dict:
         "meta": series.meta,
     }
     if series.params is not None:
-        payload["params"] = {
-            "A": series.params.A, "B": series.params.B,
-            "L": series.params.L, "N0": series.params.N0,
-        }
+        payload["params"] = asdict(series.params)
     return payload
 
 
 def cmd_run(cfg: RunConfig) -> int:
     p = cfg.resolved_params()
     outdir = _outdir(cfg)
-    echo = cfg.echo()
+    echo = asdict(cfg)
     if cfg.engine == "compare":
         return _emit_comparison(cfg, p, outdir, echo)
     sol = None
@@ -268,7 +290,8 @@ def cmd_run(cfg: RunConfig) -> int:
         diag["amplitudes_S2"] = [complex(v) for v in sol.S2]
         diag["spectral_diagnostics"] = sol.diagnostics
         if cfg.diagnostics:
-            _write_eigen_grid(p, os.path.join(outdir, f"{cfg.name}_eigen_grid.csv"), echo)
+            path = os.path.join(outdir, f"{cfg.name}_eigen_grid.csv")
+            _write_eigen_grid(p, path, echo, ALPHA_MIN, ALPHA_MAX, GRID_POINTS)
     write_json(diag, os.path.join(outdir, f"{cfg.name}.json"))
     print(csv_path)
     return 0
@@ -312,7 +335,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f" name {stem}.csv; give values that differ in 6 significant digits"
             )
     outdir = _outdir(cfg)
-    echo = cfg.echo()
+    echo = asdict(cfg)
     # the axis value completes the dimensionless set when it is the one left out
     base = replace(cfg, **{cfg.axis: cfg.values[0]}).resolved_params()
     points = [replace(base, **{cfg.axis: v}) for v in cfg.values]
@@ -356,9 +379,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _write_eigen_grid(p: Params, path: str, echo: dict, alpha_min=0.05, alpha_max=None, points=4000):
-    if alpha_max is None:
-        alpha_max = 2.0 * np.pi * 12
+def _write_eigen_grid(p: Params, path: str, echo: dict, alpha_min, alpha_max, points):
     grid = np.linspace(alpha_min, alpha_max, points)
     table = eigen.eigen_grid(p, grid)
     names = ("alpha", "f1", "f2", "re_E", "im_E")
@@ -374,7 +395,7 @@ def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: i
     p = cfg.resolved_params()
     outdir = _outdir(cfg)
     path = os.path.join(outdir, f"{cfg.name}_eigen_grid.csv")
-    _write_eigen_grid(p, path, cfg.echo(), alpha_min, alpha_max, points)
+    _write_eigen_grid(p, path, asdict(cfg), alpha_min, alpha_max, points)
     print(path)
     return 0
 
@@ -428,9 +449,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     dump = subs.add_parser("eigen-dump", help="tabulate the secular equations on an alpha grid")
     _add_common(dump)
-    dump.add_argument("--alpha-min", type=float, default=0.05)
-    dump.add_argument("--alpha-max", type=float, default=float(2.0 * np.pi * 12))
-    dump.add_argument("--points", type=int, default=4000)
+    dump.add_argument("--alpha-min", type=float, default=ALPHA_MIN)
+    dump.add_argument("--alpha-max", type=float, default=ALPHA_MAX)
+    dump.add_argument("--points", type=int, default=GRID_POINTS)
     return parser
 
 

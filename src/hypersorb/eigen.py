@@ -62,12 +62,11 @@ class Mode:
     """One admissible eigenvalue with its temporal exponents.
 
     index is the ordinal m of the 2 m pi anchor interval the root was
-    bracketed in; branch records which secular equation produced it.
+    bracketed in.
     """
 
     alpha: float
     exponents: Exponents
-    branch: str = "ReE"
     index: int = 0
 
 
@@ -284,7 +283,7 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
     roots = np.where(np.abs(roots - a_c) < CRITICAL_NUDGE, a_c + CRITICAL_NUDGE, roots)
     rates = zip(*(mu.tolist() for mu in _rates(roots, p.B)))
     return [
-        Mode(a, Exponents(*mu), branch="ReE", index=m)
+        Mode(a, Exponents(*mu), index=m)
         for a, mu, m in zip(roots.tolist(), rates, index[cells].tolist())
     ]
 

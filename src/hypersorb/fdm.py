@@ -88,8 +88,8 @@ class Grid:
     @staticmethod
     def from_lambda(n_z: int, T: float, lam: float) -> "Grid":
         """Grid with spacing h = 0.5/n_z and step count chosen so k/h <= lam."""
-        if not (T > 0 and lam > 0):
-            raise InvalidInput("T and lambda must be positive")
+        if not (0 < T < math.inf and lam > 0):
+            raise InvalidInput("T must be finite and positive, and lambda positive")
         h = 0.5 / n_z
         n_t = max(1, math.ceil(T / (lam * h)))
         k = T / n_t
@@ -98,8 +98,8 @@ class Grid:
     @staticmethod
     def for_parabolic(n_z: int, T: float, r: float = 0.4) -> "Grid":
         """Grid for the diffusive reference scheme, r = k/h^2 <= 1/2."""
-        if not (T > 0 and 0 < r <= 0.5):
-            raise InvalidInput("parabolic grids need 0 < r <= 1/2 and T > 0")
+        if not (0 < T < math.inf and 0 < r <= 0.5):
+            raise InvalidInput("parabolic grids need 0 < r <= 1/2 and a finite T > 0")
         h = 0.5 / n_z
         n_t = max(1, math.ceil(T / (r * h * h)))
         k = T / n_t
@@ -119,42 +119,20 @@ def default_lambda(B: float) -> float:
     return min(0.5 * math.sqrt(B), LAMBDA_CAP)
 
 
-def first_step_coefficients(grid: Grid, B: float) -> tuple[float, float]:
-    """(Laplacian weight, initial-rate weight) of the start-up level."""
-    lam, k = grid.lam, grid.k
-    return lam * lam / (2.0 * B), (2.0 * B - k) * k / (2.0 * B)
-
-
-def interior_coefficients(grid: Grid, B: float) -> tuple[float, float, float]:
-    """Stencil weights (neighbour, same-node, two-back) of the running scheme.
-
-    They sum to one, so constant states are preserved exactly.
-    """
-    lam, k = grid.lam, grid.k
-    den = 2.0 * B + k
-    a = 2.0 * lam * lam / den
-    b = 4.0 * (B - lam * lam) / den
-    c = -(2.0 * B - k) / den
-    return a, b, c
-
-
-def step_first(row0: np.ndarray, g, grid: Grid, B: float) -> np.ndarray:
-    """Start-up level from the initial profile and initial rate g.
+def step_first(row0: np.ndarray, grid: Grid, B: float) -> np.ndarray:
+    """Start-up level from the initial profile, the bulk starting at rest.
 
     Written in increment form (identical algebra to the direct stencil) so
     a constant row stays bitwise constant.  Boundary nodes are copied over
-    and must be closed by apply_symmetry / apply_surface.  row0 may also be
-    a batch of rows (space on the last axis).
+    and must be closed by the symmetry mirror and a wall closure.  row0 may
+    also be a batch of rows (space on the last axis).
     """
     if not B > 0:
         raise ConfigError("the hyperbolic stencil requires B > 0; use the parabolic solver")
-    c_lap, c_g = first_step_coefficients(grid, B)
     lap = np.empty_like(row0[..., 1:-1])
     _laplacian(row0[..., :-2], row0[..., 1:-1], row0[..., 2:], lap, np.empty_like(lap))
     row1 = row0.copy()
-    row1[..., 1:-1] = row0[..., 1:-1] + c_lap * lap
-    if g is not None:
-        row1[..., 1:-1] += c_g * np.asarray(g, dtype=float)[..., 1:-1]
+    row1[..., 1:-1] = row0[..., 1:-1] + grid.lam * grid.lam / (2.0 * B) * lap
     return row1
 
 
@@ -233,18 +211,12 @@ def step_interior(prev: np.ndarray, prev2: np.ndarray, grid: Grid, B: float) -> 
     """Advance the interior one level using the two previous complete rows.
 
     Increment form of the three-level stencil (same algebra as the direct
-    weights from interior_coefficients, exact on constant rows).
+    three-point weights, exact on constant rows).
     """
     row = prev.copy()
     new = _views(row)
     lap = np.empty_like(new.mid)
     _wave_update(new, _views(prev), _views(prev2), _wave_weights(grid, B), lap, np.empty_like(lap))
-    return row
-
-
-def apply_symmetry(row: np.ndarray) -> np.ndarray:
-    """Mirror condition at z* = 0: the plane node copies its neighbour."""
-    row[0] = row[1]
     return row
 
 
@@ -365,7 +337,7 @@ class _March:
     """
 
     def __init__(
-        self, rows0, grid: Grid, ps, stencil: str, closure: str, g=None, stored=(), probe_nodes=()
+        self, rows0, grid: Grid, ps, stencil: str, closure: str, stored=(), probe_nodes=()
     ):
         n_batch, n_nodes = rows0.shape
         if stencil == WAVE:
@@ -378,7 +350,7 @@ class _March:
         # 0-d arrays: a ufunc takes them as they are, with no conversion of
         # a Python float on each call
         self.weights = tuple(np.array(w) for w in weights)
-        self.grid, self.ps, self.g = grid, list(ps), g
+        self.grid, self.ps = grid, list(ps)
         self.stencil, self.closure = stencil, _CLOSURES[closure]
         self.constants = [self.closure.constants(p, grid) for p in ps]
         self.ring = np.empty((RING, n_batch, n_nodes))
@@ -398,7 +370,7 @@ class _March:
 
         The rows yielded are a ring slot, overwritten RING levels later.
         """
-        grid, g, slots = self.grid, self.g, self.slots
+        grid, slots = self.grid, self.slots
         # (new, old, older) slots of a level, by the slot of the new one
         triples = [(slots[i], slots[i - 1], slots[i - 2]) for i in range(RING)]
         update, weights = _UPDATES[self.stencil], self.weights
@@ -423,7 +395,7 @@ class _March:
             i = j % RING
             new, old, older = triples[i]
             if wave and j == 1:
-                np.copyto(new.full, step_first(old.full, g, grid, B))
+                np.copyto(new.full, step_first(old.full, grid, B))
             else:
                 update(new, old, older, weights, lap, tmp)
             new.head[...] = new.neck
@@ -442,8 +414,8 @@ class _March:
         self.wall[done] = block[..., -1]
         self.inner[done] = trapezoid_interior(block, self.grid.h)
         self.nodes[done] = block[..., self.probe_nodes]
-        take = (self.stored >= first) & (self.stored < first + count)
-        self.rows[:, take] = block[self.stored[take] - first].swapaxes(0, 1)
+        lo, hi = np.searchsorted(self.stored, (first, first + count))
+        self.rows[:, lo:hi] = block[self.stored[lo:hi] - first].swapaxes(0, 1)
 
     def _check_divergence(self, j: int, rows: np.ndarray, ceilings: list) -> None:
         """Raise StabilityError for the first row with a node past its ceiling."""
@@ -461,7 +433,7 @@ class _March:
 
 
 def iterate(
-    row0: np.ndarray, grid: Grid, p: Params, g=None
+    row0: np.ndarray, grid: Grid, p: Params
 ) -> Iterator[tuple[int, np.ndarray, float, float, float]]:
     """Yield (level j, row, sigma, wall value, conservation residual) per level.
 
@@ -470,7 +442,7 @@ def iterate(
     representing the jump on the grid).  The rows yielded are live views;
     callers must copy what they keep.
     """
-    run = _March(np.asarray(row0, dtype=float)[np.newaxis], grid, [p], WAVE, NONLOCAL, g)
+    run = _March(np.asarray(row0, dtype=float)[np.newaxis], grid, [p], WAVE, NONLOCAL)
     for j, rows, sigma in run.levels():
         row, s = rows[0], sigma[0]
         w, inner = float(row[-1]), float(trapezoid_interior(row, grid.h))
@@ -492,7 +464,7 @@ def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
     h = zgrid[1] - zgrid[0]
     for z in probes:
         az = abs(float(z))
-        if az > 0.5 + 1e-12:
+        if not az <= 0.5 + 1e-12:
             raise InvalidInput(f"probe z* = {z} outside [-1/2, 1/2]")
         az = min(az, 0.5)
         i = min(int(az / h), zgrid.size - 2)
@@ -503,7 +475,7 @@ def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
 
 def march(
     ps, ic: InitialCondition, grid: Grid, stencil: str, closure: str, meta: dict,
-    g=None, probes=(), max_rows: int = 401,
+    probes=(), max_rows: int = 401,
 ) -> list[TimeSeries]:
     """March the parameter sets ps as one batch on grid; one series per point.
 
@@ -519,7 +491,7 @@ def march(
     stored = thin_indices(n_levels, max_rows)
     stencils = _probe_weights(probes, zgrid)
     nodes = sorted({n for _, i, _ in stencils for n in (i, i + 1)})
-    run = _March(rows0, grid, ps, stencil, closure, g, stored, nodes)
+    run = _March(rows0, grid, ps, stencil, closure, stored, nodes)
     deque(run.levels(), maxlen=0)
     sigma, wall, inner = (
         np.reshape(rec, (n_levels, len(ps))).T.copy() for rec in (run.sigma, run.wall, run.inner)
@@ -551,7 +523,6 @@ def run_fdm_batch(
     ps,
     ic: InitialCondition,
     grid: Grid,
-    g=None,
     probes=(),
     max_rows: int = 401,
     enforce_stability: bool = True,
@@ -571,29 +542,20 @@ def run_fdm_batch(
             f"{math.sqrt(B):.4g}; pass enforce_stability=False to override"
         )
     meta = {"engine": "fdm"}
-    if g is not None:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (grid.n_z + 1,):
-            raise InvalidInput("g must match the half-domain grid")
-        # compatibility of the initial rate with empty walls: its mass must vanish
-        meta["g_compatibility_residual"] = float(2.0 * np.trapezoid(g, grid.zgrid()))
-    return march(ps, ic, grid, WAVE, NONLOCAL, meta, g=g, probes=probes, max_rows=max_rows)
+    return march(ps, ic, grid, WAVE, NONLOCAL, meta, probes=probes, max_rows=max_rows)
 
 
 def run_fdm(
     p: Params,
     ic: InitialCondition,
     grid: Grid,
-    g=None,
     probes=(),
     max_rows: int = 401,
     enforce_stability: bool = True,
 ) -> TimeSeries:
     """March the hyperbolic system over [0, T] and collect the time series.
 
-    g is the optional initial time-derivative row (defaults to zero, the
-    compatible choice when the walls start empty); a nonzero g is accepted
-    for experimentation and its compatibility defect is reported in
-    meta["g_compatibility_residual"].
+    The bulk starts at rest: the initial rate is zero everywhere, the
+    compatible choice when the walls start empty.
     """
-    return run_fdm_batch([p], ic, grid, g, probes, max_rows, enforce_stability)[0]
+    return run_fdm_batch([p], ic, grid, probes, max_rows, enforce_stability)[0]

@@ -22,6 +22,11 @@ from .series import TimeSeries, thin_indices
 # Gram matrices with a condition estimate beyond this are rejected
 MAX_GRAM_CONDITION = 1e12
 
+# to_series stores rows on ROW_Z_COUNT even points of the half slab, at no
+# more than MAX_ROWS time levels
+ROW_Z_COUNT = 201
+MAX_ROWS = 201
+
 
 def gram_entry(alpha_a: float, alpha_b: float) -> float:
     """Inner product of cos(alpha_a z*) and cos(alpha_b z*) over [-1/2, 1/2]."""
@@ -79,7 +84,7 @@ def orthogonalize(modes) -> OrthoBasis:
     Gram-Schmidt in the Gram inner product gives the unit upper triangular
     columns of R^-1 diag(R) with squared norms diag(R)^2.  Only exact Gram
     entries enter (no quadrature); the flags spanned are those of the
-    classical cofactor-of-Gram construction (see minor_formula_coefficients).
+    classical cofactor-of-Gram construction.
     """
     alphas = _mode_alphas(modes)
     gram = gram_matrix(alphas)
@@ -106,23 +111,6 @@ def orthogonality_residual(basis: OrthoBasis) -> float:
     off = np.abs(cross) / scale
     np.fill_diagonal(off, 0.0)
     return float(np.max(off))
-
-
-def minor_formula_coefficients(gram: np.ndarray, q: int) -> np.ndarray:
-    """Cofactor-of-Gram construction of the q-th orthogonal function.
-
-    Classical small-n reference: coefficient a of the q-th function is the
-    signed cofactor of Gram entry (a, q) in the leading (q+1) x (q+1)
-    determinant, normalized by the diagonal cofactor.  Only used as a
-    cross-check; factorially expensive beyond a handful of modes.
-    """
-    sub = gram[: q + 1, : q + 1]
-    cof = np.zeros(q + 1)
-    for a in range(q + 1):
-        minor = np.delete(np.delete(sub, a, axis=0), q, axis=1)
-        det = np.linalg.det(minor) if minor.size else 1.0
-        cof[a] = (-1.0) ** (a + q) * det
-    return cof / cof[q]
 
 
 def project_initial(ic: InitialCondition, basis: OrthoBasis, p: Params) -> np.ndarray:
@@ -213,7 +201,7 @@ def _modal_sum(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _cosines(sol: SpectralSolution, zstar) -> np.ndarray:
     """cos(alpha z*) for every mode, after checking z* lies in the slab."""
     z = np.asarray(zstar, dtype=float)
-    if np.any(np.abs(z) > 0.5 + 1e-12):
+    if not np.all(np.abs(z) <= 0.5 + 1e-12):
         raise InvalidInput("z* must lie within [-1/2, 1/2]")
     return np.cos(np.multiply.outer(z, sol.alphas))
 
@@ -316,21 +304,15 @@ def solve_spectral(
     return sol
 
 
-def to_series(
-    sol: SpectralSolution,
-    tgrid,
-    probes=(),
-    row_zcount: int = 201,
-    max_rows: int = 201,
-) -> TimeSeries:
+def to_series(sol: SpectralSolution, tgrid, probes=()) -> TimeSeries:
     """Sample the modal solution onto the common TimeSeries layout."""
     t = np.asarray(tgrid, dtype=float)
     weights = _time_weights(sol, t)
     sigma = _sigma(sol, weights)
     surface = _density(sol, weights, 0.5)
     probe_map = {float(z): _density(sol, weights, float(z)) for z in probes}
-    row_z = np.linspace(0.0, 0.5, row_zcount)
-    idx = thin_indices(t.size, max_rows)
+    row_z = np.linspace(0.0, 0.5, ROW_Z_COUNT)
+    idx = thin_indices(t.size, MAX_ROWS)
     rows = _density(sol, weights[idx], row_z)
     cons = np.abs(2.0 * np.trapezoid(rows, row_z, axis=1) + 2.0 * sigma[idx] - sol.params.N0)
     return TimeSeries(

@@ -9,7 +9,7 @@ their agreement is itself a testable property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,25 +80,10 @@ class ComparisonReport:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "engine_a": self.engine_a,
-            "engine_b": self.engine_b,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "n_points": self.n_points,
-            "max_sigma_dev": self.max_sigma_dev,
-            "rms_sigma_dev": self.rms_sigma_dev,
-            "probe_devs": {f"{z:g}": v for z, v in sorted(self.probe_devs.items())},
-            "max_probe_dev": self.max_probe_dev,
-            "conservation_a": self.conservation_a,
-            "conservation_b": self.conservation_b,
-            "sigma_tol": self.sigma_tol,
-            "passed": self.passed,
-            "params": None
-            if self.params is None
-            else {"A": self.params.A, "B": self.params.B, "L": self.params.L, "N0": self.params.N0},
-            "meta": self.meta,
-        }
+        """The fields as plain JSON values; probe_devs keyed by z* as text."""
+        d = asdict(self)
+        d["probe_devs"] = {f"{z:g}": v for z, v in sorted(self.probe_devs.items())}
+        return d
 
     def summary(self) -> str:
         lines = [

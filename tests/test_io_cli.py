@@ -121,6 +121,20 @@ class TestConfigFile:
         cfg_file.write_text("engine fdm\n")
         assert main(["run", "--config", str(cfg_file)]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("validate = 1", "unknown key(s) in config file"),  # a method, not a field
+        ("lamda = 5", "unknown key(s) in config file"),  # a typo
+        ("A = abc", "bad value for A"),
+        ("n_z = 16.7", "bad value for n_z"),  # not an integer
+    ])
+    def test_bad_line_exit_code(self, tmp_path, capsys, line, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"engine = fdm\nA = 0.01\nB = 0.1\nL = 1\nN0 = 3\nT = 0.05\n{line}\n")
+        assert main(["run", "--config", str(cfg_file), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+        assert not (tmp_path / "series.json").exists()
+
 
 class TestCli:
     def run_args(self, tmp_path, extra=()):
@@ -201,6 +215,20 @@ class TestCli:
         assert len(calls) == 1
         payload = json.loads((tmp_path / "once.json").read_text())
         assert len(payload["eigenvalues"]) == 8
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read ic_file"),
+        ("0.0\n0.5\n", "it needs two: z,value"),
+    ])
+    def test_unreadable_ic_file_exit_code(self, tmp_path, capsys, content, message):
+        ic_file = tmp_path / "ic.csv"
+        if content is not None:
+            ic_file.write_text(content)
+        args = self.run_args(tmp_path, extra=("--ic", "sampled", "--ic-file", str(ic_file)))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err and str(ic_file) in err
+        assert not (tmp_path / "t.json").exists()
 
     def test_physical_parameter_route(self, tmp_path):
         rc = main([

@@ -31,7 +31,6 @@ from hypersorb.spectral import (
     gram_entry,
     gram_matrix,
     imag_residue,
-    minor_formula_coefficients,
     orthogonality_residual,
     orthogonalize,
     phi_integral,
@@ -41,6 +40,23 @@ from hypersorb.spectral import (
     to_series,
 )
 from conftest import first_local_max
+
+
+def minor_formula_coefficients(gram: np.ndarray, q: int) -> np.ndarray:
+    """Reference: cofactor-of-Gram construction of the q-th orthogonal function.
+
+    Classical small-n construction: coefficient a of the q-th function is
+    the signed cofactor of Gram entry (a, q) in the leading (q+1) x (q+1)
+    determinant, normalized by the diagonal cofactor.  Factorially
+    expensive beyond a handful of modes.
+    """
+    sub = gram[: q + 1, : q + 1]
+    cof = np.zeros(q + 1)
+    for a in range(q + 1):
+        minor = np.delete(np.delete(sub, a, axis=0), q, axis=1)
+        det = np.linalg.det(minor) if minor.size else 1.0
+        cof[a] = (-1.0) ** (a + q) * det
+    return cof / cof[q]
 
 
 class TestGram:
@@ -252,6 +268,8 @@ class TestEvaluation:
             eval_density(spectral_oscillatory_50, 0.7, 0.1)
         with pytest.raises(InvalidInput):
             density_rate(spectral_oscillatory_50, 0.7, 0.1)
+        with pytest.raises(InvalidInput):
+            to_series(spectral_oscillatory_50, [0.0, 0.1], probes=[math.nan])
 
 
 class TestSolveSpectral:
