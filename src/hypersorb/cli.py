@@ -31,6 +31,9 @@ ENGINES = ("fdm", "spectral", "parabolic", "compare")
 # eigen.SCAN_POINTS points per mode and the Gram matrix modes^2 doubles
 MAX_MODES = 2000
 
+# 250 times the default eigen-dump grid; the table costs ~85 bytes a point
+MAX_GRID_POINTS = 10**6
+
 # the secular-equation grid of eigen-dump and run --diagnostics: alpha
 # from ALPHA_MIN to ALPHA_MAX (twelve anchor intervals) in GRID_POINTS points
 ALPHA_MIN, ALPHA_MAX, GRID_POINTS = 0.05, 2.0 * math.pi * 12, 4000
@@ -234,9 +237,8 @@ def _grid(cfg: RunConfig, engine: str, p: Params) -> fdm.Grid:
     return fdm.Grid.for_parabolic(cfg.n_z, T, cfg.r)
 
 
-def _solve_one(cfg: RunConfig, engine: str, p: Params, sol=None):
+def _solve_one(cfg: RunConfig, engine: str, p: Params, ic: InitialCondition, sol=None):
     """Series of one engine; a spectral solution already at hand is reused."""
-    ic = cfg.resolved_ic()
     if engine == "fdm":
         return fdm.run_fdm(p, ic, _grid(cfg, engine, p), probes=cfg.probes)
     if engine == "parabolic":
@@ -248,9 +250,8 @@ def _solve_one(cfg: RunConfig, engine: str, p: Params, sol=None):
     raise ConfigError(f"unknown engine {engine!r}")
 
 
-def _solve_batch(cfg: RunConfig, ps: list[Params]) -> list:
+def _solve_batch(cfg: RunConfig, ps: list[Params], ic: InitialCondition) -> list:
     """Series of points that share B, hence one grid, marched as one batch."""
-    ic = cfg.resolved_ic()
     grid = _grid(cfg, cfg.engine, ps[0])
     if cfg.engine == "fdm":
         return fdm.run_fdm_batch(ps, ic, grid, probes=cfg.probes)
@@ -274,12 +275,13 @@ def cmd_run(cfg: RunConfig) -> int:
     p = cfg.resolved_params()
     outdir = _outdir(cfg)
     echo = asdict(cfg)
+    ic = cfg.resolved_ic()
     if cfg.engine == "compare":
-        return _emit_comparison(cfg, p, outdir, echo)
+        return _emit_comparison(cfg, p, ic, outdir, echo)
     sol = None
     if cfg.engine == "spectral":
-        sol = spectral.solve_spectral(p, cfg.resolved_ic(), cfg.modes)
-    series = _solve_one(cfg, cfg.engine, p, sol)
+        sol = spectral.solve_spectral(p, ic, cfg.modes)
+    series = _solve_one(cfg, cfg.engine, p, ic, sol)
     csv_path = os.path.join(outdir, f"{cfg.name}.csv")
     write_series_csv(series, csv_path, config=echo)
     diag = _series_diagnostics(series, echo)
@@ -297,10 +299,12 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def _emit_comparison(cfg: RunConfig, p: Params, outdir: str, echo: dict) -> int:
+def _emit_comparison(
+    cfg: RunConfig, p: Params, ic: InitialCondition, outdir: str, echo: dict
+) -> int:
     name_a, name_b = cfg.pair
-    series_a = _solve_one(cfg, name_a, p)
-    series_b = _solve_one(cfg, name_b, p)
+    series_a = _solve_one(cfg, name_a, p, ic)
+    series_b = _solve_one(cfg, name_b, p, ic)
     T = min(series_a.t[-1], series_b.t[-1])
     tgrid = np.linspace(0.05 * T, T, 401)
     report = validate.compare_engines(series_a, series_b, tgrid)
@@ -317,9 +321,9 @@ def _emit_comparison(cfg: RunConfig, p: Params, outdir: str, echo: dict) -> int:
 
 
 def _sweep_point(payload):
-    cfg_dict, p = payload
+    cfg_dict, p, ic = payload
     cfg = RunConfig(**cfg_dict)
-    return _solve_one(cfg, cfg.engine, p)
+    return _solve_one(cfg, cfg.engine, p, ic)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -339,17 +343,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # the axis value completes the dimensionless set when it is the one left out
     base = replace(cfg, **{cfg.axis: cfg.values[0]}).resolved_params()
     points = [replace(base, **{cfg.axis: v}) for v in cfg.values]
+    ic = cfg.resolved_ic()
     if cfg.engine != "spectral" and cfg.axis != "B":
         # A, L and N0 leave the grid alone: one batched march, no pool
-        series_list = _solve_batch(cfg, points)
+        series_list = _solve_batch(cfg, points, ic)
     elif cfg.workers > 1:
         # looked up on the module: __getattr__ imports it on first use, and a
         # rebinding of cli.ProcessPoolExecutor takes effect
         pool_type = getattr(sys.modules[__name__], "ProcessPoolExecutor")
         with pool_type(max_workers=min(cfg.workers, len(points))) as pool:
-            series_list = list(pool.map(_sweep_point, [(echo, p) for p in points]))
+            series_list = list(pool.map(_sweep_point, [(echo, p, ic) for p in points]))
     else:
-        series_list = [_sweep_point((echo, p)) for p in points]
+        series_list = [_sweep_point((echo, p, ic)) for p in points]
     files = []
     for value, stem, series in zip(cfg.values, stems, series_list):
         path = os.path.join(outdir, f"{stem}.csv")
@@ -387,9 +392,10 @@ def _write_eigen_grid(p: Params, path: str, echo: dict, alpha_min, alpha_max, po
 
 
 def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: int) -> int:
-    if points < 2 or not 0 < alpha_min < alpha_max < math.inf:
+    if not 2 <= points <= MAX_GRID_POINTS or not 0 < alpha_min < alpha_max < math.inf:
         raise ConfigError(
-            "eigen-dump needs points >= 2 and 0 < alpha-min < alpha-max < inf, got"
+            f"eigen-dump needs 2 <= points <= {MAX_GRID_POINTS} and"
+            " 0 < alpha-min < alpha-max < inf, got"
             f" points = {points}, alpha-min = {alpha_min!r}, alpha-max = {alpha_max!r}"
         )
     p = cfg.resolved_params()

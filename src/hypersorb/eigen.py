@@ -13,10 +13,11 @@ analytic continuation for all alpha, which reduces to the average of the
 two real-branch equations below alpha_c.
 
 The rates and the secular equation are each written once, as the array
-functions ``_rates`` and ``secular``; the scalar entry points check their
-domain and evaluate them at one point.  ``find_eigenvalues`` scans the first
-``count`` anchor intervals as one flat grid and bisects every bracket
-together, one array evaluation per step.
+functions ``_rates`` and ``secular``.  ``eigen_grid`` is the public
+evaluator of the secular functions: it masks their undefined entries with
+NaN rather than raising.  ``find_eigenvalues`` scans the first ``count``
+anchor intervals as one flat grid and bisects every bracket together, one
+array evaluation per step.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, InvalidInput, PoleError
+from .errors import BracketingError, InvalidInput
 from .params import Params, alpha_critical
 
-# evaluation is refused this close to a pole of tan(alpha/2)
+# eigen_grid masks alpha this close to a pole of tan(alpha/2)
 TAN_POLE_GUARD = 1e-8
 # bracket seeds sit at 2 m pi +- pi (1 - SEED_MARGIN), i.e. just inside the
 # two neighbouring tan poles
@@ -132,66 +133,6 @@ def _in_guard_band(alpha):
     return np.abs(alpha - pole) < TAN_POLE_GUARD
 
 
-def _at(alpha: float, p: Params, real: bool = False) -> Secular:
-    """The secular equation at one alpha > 0; real=True also refuses alpha > alpha_c."""
-    if not alpha > 0:
-        raise InvalidInput("alpha must be strictly positive")
-    if _in_guard_band(alpha):
-        raise PoleError(
-            f"alpha = {alpha!r} lies inside the guard band of a tan(alpha/2) pole;"
-            " re-bracket away from odd multiples of pi"
-        )
-    at = Secular(*(float(v) for v in secular(np.asarray(alpha, dtype=float), p)))
-    if real and math.isnan(at.f1):
-        raise InvalidInput(
-            f"alpha = {alpha!r} exceeds alpha_c = {alpha_critical(p)!r};"
-            " the real-branch equations only exist for real exponents"
-        )
-    return at
-
-
-def f1(alpha: float, p: Params) -> float:
-    """Real-branch secular equation for the mu1 mode family."""
-    return _at(alpha, p, real=True).f1
-
-
-def f2(alpha: float, p: Params) -> float:
-    """Real-branch secular equation for the mu2 mode family."""
-    return _at(alpha, p, real=True).f2
-
-
-def eigen_equation_complex(alpha: float, p: Params) -> tuple[float, float]:
-    """Real and imaginary parts of the secular equation above alpha_c.
-
-    The + sign convention is returned for the imaginary part; the conjugate
-    mode family flips its sign.
-    """
-    if p.B <= 0:
-        raise InvalidInput("the oscillatory branch requires B > 0")
-    if not alpha > alpha_critical(p):
-        raise InvalidInput("eigen_equation_complex requires alpha > alpha_c")
-    return _at(alpha, p)[:2]
-
-
-def re_eigen_equation(alpha: float, p: Params) -> float:
-    """Analytic continuation of Re[secular equation], valid for all alpha > 0.
-
-    Below alpha_c this equals (f1 + f2)/2; above alpha_c it is the genuine
-    real part of the complex equation.  Used to define the production
-    eigenvalue set.
-    """
-    return _at(alpha, p).re
-
-
-def im_eigen_equation(alpha: float, p: Params) -> float:
-    """Imaginary part of the secular equation; identically zero below alpha_c."""
-    if p.B <= 0:
-        raise InvalidInput("the oscillatory branch requires B > 0")
-    if alpha <= alpha_critical(p):
-        return 0.0
-    return eigen_equation_complex(alpha, p)[1]
-
-
 def kinetic_pole(p: Params) -> float | None:
     """Location of the kinetic-term pole, or None when it does not exist."""
     if p.A > p.B:
@@ -289,21 +230,22 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
 
 
 def eigen_grid(p: Params, alphas) -> dict[str, np.ndarray]:
-    """Tabulate the secular functions on a user grid for diagnostic dumps.
+    """The secular functions on an array of alpha, one column each.
 
-    Returns columns alpha, f1, f2, re_E, im_E; entries are NaN where a
-    function is undefined (alpha <= 0, tan-pole guard band, or the real
-    branch above alpha_c).
+    Returns columns alpha, f1, f2, re_E, im_E.  re_E and im_E are the real
+    and imaginary parts of the continued equation (im_E with the + sign
+    convention, 0 up to alpha_c); f1 and f2 are the real-branch equations,
+    NaN above alpha_c.  Every column is NaN for alpha <= 0 and inside the
+    tan-pole guard band.
     """
     alphas = np.asarray(alphas, dtype=float)
     at = secular(alphas, p)
     a_c = alpha_critical(p)
     defined = (alphas > 0) & ~_in_guard_band(alphas)
-    below = defined & (alphas < a_c)
     return {
         "alpha": alphas,
-        "f1": np.where(below, at.f1, np.nan),
-        "f2": np.where(below, at.f2, np.nan),
+        "f1": np.where(defined, at.f1, np.nan),
+        "f2": np.where(defined, at.f2, np.nan),
         "re_E": np.where(defined, at.re, np.nan),
-        "im_E": np.where(below, 0.0, np.where(defined & (alphas > a_c), at.im, np.nan)),
+        "im_E": np.where(defined, np.where(alphas <= a_c, 0.0, at.im), np.nan),
     }

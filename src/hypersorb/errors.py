@@ -9,10 +9,6 @@ class InvalidInput(HypersorbError, ValueError):
     """A user-supplied value violates a documented precondition."""
 
 
-class PoleError(HypersorbError, ValueError):
-    """Evaluation requested inside the guard band of a tan(alpha/2) pole."""
-
-
 class BracketingError(HypersorbError, RuntimeError):
     """Root bracketing failed; message carries the interval diagnostics."""
 

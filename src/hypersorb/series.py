@@ -33,7 +33,7 @@ class TimeSeries:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0):
+        if not np.all(np.diff(self.t) > 0):
             raise ValueError("time levels must be strictly increasing")
 
     @property

@@ -28,20 +28,14 @@ ROW_Z_COUNT = 201
 MAX_ROWS = 201
 
 
-def gram_entry(alpha_a: float, alpha_b: float) -> float:
-    """Inner product of cos(alpha_a z*) and cos(alpha_b z*) over [-1/2, 1/2]."""
-    if not (alpha_a > 0 and alpha_b > 0):
-        raise InvalidInput("mode frequencies must be strictly positive")
-    if alpha_a == alpha_b:
-        return 0.5 + np.sin(alpha_a) / (2.0 * alpha_a)
-    diff = alpha_a - alpha_b
-    total = alpha_a + alpha_b
-    return float(np.sin(0.5 * diff) / diff + np.sin(0.5 * total) / total)
-
-
 def gram_matrix(alphas) -> np.ndarray:
-    """Pairwise inner products of the cosine modes (symmetric, nonzero off-diagonal)."""
+    """Pairwise inner products of the cosine modes over [-1/2, 1/2].
+
+    Symmetric with nonzero off-diagonal entries; the alphas must be distinct.
+    """
     a = np.asarray(alphas, dtype=float)
+    if not np.all(a > 0):
+        raise InvalidInput("mode frequencies must be strictly positive")
     diff = a[:, None] - a[None, :]
     total = a[:, None] + a[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -72,13 +66,7 @@ class OrthoBasis:
     gram: np.ndarray
 
 
-def _mode_alphas(modes) -> np.ndarray:
-    if len(modes) and isinstance(modes[0], Mode):
-        return np.array([m.alpha for m in modes], dtype=float)
-    return np.asarray(modes, dtype=float)
-
-
-def orthogonalize(modes) -> OrthoBasis:
+def orthogonalize(alphas) -> OrthoBasis:
     """Orthogonal companions from the Cholesky factor G = R^T R of the Gram matrix.
 
     Gram-Schmidt in the Gram inner product gives the unit upper triangular
@@ -86,7 +74,7 @@ def orthogonalize(modes) -> OrthoBasis:
     entries enter (no quadrature); the flags spanned are those of the
     classical cofactor-of-Gram construction.
     """
-    alphas = _mode_alphas(modes)
+    alphas = np.asarray(alphas, dtype=float)
     gram = gram_matrix(alphas)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > MAX_GRAM_CONDITION:
@@ -127,21 +115,13 @@ def project_initial(ic: InitialCondition, basis: OrthoBasis, p: Params) -> np.nd
     return basis.coeffs @ r
 
 
-def _mode_exponents(modes) -> tuple[np.ndarray, np.ndarray]:
-    """Temporal exponents mu1, mu2 of each mode as complex arrays."""
-    mu1 = np.array([m.exponents.mu1 for m in modes], dtype=complex)
-    mu2 = np.array([m.exponents.mu2 for m in modes], dtype=complex)
-    return mu1, mu2
-
-
-def amplitudes(C: np.ndarray, modes) -> tuple[np.ndarray, np.ndarray]:
+def amplitudes(C: np.ndarray, mu1: np.ndarray, mu2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each expansion coefficient over the two temporal exponents.
 
     Zero initial velocity forces mu1 S1 + mu2 S2 = 0 per mode, hence
     S1 = C / (1 - mu1/mu2) and S2 = C - S1.  Modes sitting exactly at the
     critical point (mu1 = mu2) have no such splitting and are refused.
     """
-    mu1, mu2 = _mode_exponents(modes)
     degenerate = np.abs(mu1 - mu2) <= 1e-14 * np.abs(mu1)
     if np.any(degenerate):
         raise DegenerateModeError(
@@ -181,7 +161,7 @@ def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
     Shape (n_t, n_modes) for array t, (n_modes,) for scalar t.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise InvalidInput("t* must be non-negative")
     tt = t[..., None]
     w1 = sol.S1 * np.exp(sol.mu1 * tt)
@@ -270,10 +250,12 @@ def solve_spectral(
     if not p.B > 0:
         raise InvalidInput("the modal engine requires B > 0; use the parabolic solver")
     modes = find_eigenvalues(p, mode_count)
-    basis = orthogonalize(modes)
+    alphas = np.array([m.alpha for m in modes])
+    mu1 = np.array([m.exponents.mu1 for m in modes])
+    mu2 = np.array([m.exponents.mu2 for m in modes])
+    basis = orthogonalize(alphas)
     C = project_initial(ic, basis, p)
-    s1, s2 = amplitudes(C, modes)
-    mu1, mu2 = _mode_exponents(modes)
+    s1, s2 = amplitudes(C, mu1, mu2)
     n_eq, sigma_eq = equilibrium(p)
     sol = SpectralSolution(
         params=p,

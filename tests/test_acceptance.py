@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypersorb.eigen import find_eigenvalues, im_eigen_equation
+from hypersorb.eigen import eigen_grid, find_eigenvalues
 from hypersorb.fdm import Grid, default_lambda, iterate, run_fdm
 from hypersorb.params import Params, alpha_critical, equilibrium, step_ic
 from hypersorb.spectral import (
     eval_density,
     eval_sigma,
-    gram_entry,
+    gram_matrix,
     imag_residue,
     orthogonality_residual,
     sigma_rate,
@@ -109,7 +109,7 @@ class TestAcceptance:
         a_c = alpha_critical(p)
         grid = np.arange(a_c + 1e-3, 100.0, 1e-3)
         pole_dist = np.abs(grid - (2 * np.round((grid / np.pi - 1) / 2) + 1) * np.pi)
-        values = np.array([im_eigen_equation(a, p) for a in grid[pole_dist > 1e-6]])
+        values = eigen_grid(p, grid[pole_dist > 1e-6])["im_E"]
         assert np.all(values > 0)  # sign-constant: no zeros above the critical point
         report(6, "ten roots near 2m*pi; Im part never vanishes")
 
@@ -155,11 +155,12 @@ class TestAcceptance:
             assert abs(mu.mu1 + mu.mu2 + 1.0 / p.B) <= 1e-10 * abs(mu.mu1 + mu.mu2)
         # closed-form Gram entries against adaptive quadrature
         alphas = spectral_oscillatory_50.alphas[:6]
-        for a in alphas:
-            for b in alphas:
+        gram = gram_matrix(alphas)
+        for i, a in enumerate(alphas):
+            for j, b in enumerate(alphas):
                 oracle = quad(lambda zz: math.cos(a * zz) * math.cos(b * zz),
                               -0.5, 0.5, limit=200)[0]
-                assert abs(gram_entry(a, b) - oracle) < 1e-10
+                assert abs(gram[i, j] - oracle) < 1e-10
         # constant state with inert walls: bitwise exact on a dyadic grid
         dyadic = Params(A=0.25, B=0.25, L=0.0, N0=3.0)
         grid = Grid.from_lambda(128, 1.0, 0.25)

@@ -9,18 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersorb.eigen as eigen
-from hypersorb.eigen import (
-    eigen_equation_complex,
-    eigen_grid,
-    exponents,
-    f1,
-    f2,
-    find_eigenvalues,
-    im_eigen_equation,
-    kinetic_pole,
-    re_eigen_equation,
-)
-from hypersorb.errors import BracketingError, InvalidInput, PoleError
+from hypersorb.eigen import eigen_grid, exponents, find_eigenvalues, kinetic_pole
+from hypersorb.errors import BracketingError, InvalidInput
 from hypersorb.params import Params, alpha_critical
 
 
@@ -92,41 +82,33 @@ class TestRealBranchEquations:
         # B = 0: tan(a/2)/a -> 1/2, mu2 -> -a^2, so f2 -> 1/2 + L/(1 - a^2 A)
         p = Params(A=0.5, B=0.0, L=0.1, N0=1.0)
         a = 1e-5
-        assert f2(a, p) == pytest.approx(0.5 + 0.1 / (1 - a * a * 0.5), rel=1e-8)
+        tab = eigen_grid(p, [a])
+        assert tab["f2"][0] == pytest.approx(0.5 + 0.1 / (1 - a * a * 0.5), rel=1e-8)
         # mu1 -> -inf kills the kinetic term of the first family
-        assert f1(a, p) == pytest.approx(0.5, rel=1e-8)
+        assert tab["f1"][0] == pytest.approx(0.5, rel=1e-8)
 
     def test_sign_change_near_anchors(self, secular_landmark_params):
         # the real branch only exists below alpha_c ~ 15.8: anchors m = 1, 2
         p = secular_landmark_params
         for m in (1, 2):
             anchor = 2 * m * math.pi
-            grid = np.linspace(anchor - 0.5, anchor + 0.5, 801)
-            for func in (f1, f2):
-                vals = np.array([func(a, p) for a in grid])
-                assert np.min(vals) < 0 < np.max(vals), f"{func.__name__} m={m}"
+            tab = eigen_grid(p, np.linspace(anchor - 0.5, anchor + 0.5, 801))
+            for name in ("f1", "f2"):
+                vals = tab[name]
+                assert np.min(vals) < 0 < np.max(vals), f"{name} m={m}"
         # the continuation keeps changing sign near every anchor, m = 1..5
         for m in range(1, 6):
             anchor = 2 * m * math.pi
             grid = np.linspace(anchor - 0.5, anchor + 0.5, 801)
-            vals = np.array([re_eigen_equation(a, p) for a in grid])
+            vals = eigen_grid(p, grid)["re_E"]
             assert np.min(vals) < 0 < np.max(vals)
-
-    def test_rejected_above_critical(self, secular_landmark_params):
-        with pytest.raises(InvalidInput):
-            f1(20.0, secular_landmark_params)
-
-    def test_pole_guard(self):
-        p = Params(A=0.5, B=1e-3, L=0.1, N0=1.0)
-        with pytest.raises(PoleError):
-            f1(3 * math.pi + 1e-10, p)
 
 
 class TestComplexBranch:
     def test_kinetic_term_vanishes_at_a_equal_2b(self):
         p = Params(A=0.2, B=0.1, L=5.0, N0=1.0)
-        for alpha in (7.0, 20.0, 33.3):
-            re, _ = eigen_equation_complex(alpha, p)
+        tab = eigen_grid(p, [7.0, 20.0, 33.3])
+        for alpha, re in zip(tab["alpha"], tab["re_E"]):
             assert re == pytest.approx(math.tan(alpha / 2) / alpha, rel=1e-14)
 
     def test_imaginary_part_never_vanishes(self, secular_landmark_params):
@@ -135,7 +117,7 @@ class TestComplexBranch:
         grid = np.arange(a_c + 1e-3, 100.0, 1e-3)
         pole_dist = np.abs(grid - (2 * np.round((grid / np.pi - 1) / 2) + 1) * np.pi)
         grid = grid[pole_dist > 1e-6]
-        vals = np.array([im_eigen_equation(a, p) for a in grid[:: max(1, grid.size // 5000)]])
+        vals = eigen_grid(p, grid[:: max(1, grid.size // 5000)])["im_E"]
         assert np.all(vals > 0)
 
     def test_real_dominates_away_from_roots(self, secular_landmark_params):
@@ -153,15 +135,13 @@ class TestComplexBranch:
         assert np.median(ratio) > 10.0
 
     def test_below_critical_is_zero(self, secular_landmark_params):
-        assert im_eigen_equation(1.0, secular_landmark_params) == 0.0
+        assert eigen_grid(secular_landmark_params, [1.0])["im_E"][0] == 0.0
 
     def test_continuation_matches_real_average(self, secular_landmark_params):
         # below alpha_c the continued equation equals (f1 + f2)/2
-        p = secular_landmark_params
-        for a in (2.0, 6.3, 12.5, 15.0):
-            assert re_eigen_equation(a, p) == pytest.approx(
-                0.5 * (f1(a, p) + f2(a, p)), rel=1e-12
-            )
+        tab = eigen_grid(secular_landmark_params, [2.0, 6.3, 12.5, 15.0])
+        for re, f1, f2 in zip(tab["re_E"], tab["f1"], tab["f2"]):
+            assert re == pytest.approx(0.5 * (f1 + f2), rel=1e-12)
 
 
 class TestFindEigenvalues:
@@ -185,8 +165,7 @@ class TestFindEigenvalues:
     def test_each_root_is_a_sign_change(self, oscillatory_params):
         eps = 1e-8
         for m in find_eigenvalues(oscillatory_params, 12):
-            lo = re_eigen_equation(m.alpha - eps, oscillatory_params)
-            hi = re_eigen_equation(m.alpha + eps, oscillatory_params)
+            lo, hi = eigen_grid(oscillatory_params, [m.alpha - eps, m.alpha + eps])["re_E"]
             assert lo * hi < 0
 
     def test_vieta_on_returned_modes(self, oscillatory_params):
@@ -216,8 +195,7 @@ class TestFindEigenvalues:
         in_pole_interval = [m for m in modes if m.index == 2]
         assert len(in_pole_interval) == 2
         for m in modes:
-            lo = re_eigen_equation(m.alpha - 1e-8, p)
-            hi = re_eigen_equation(m.alpha + 1e-8, p)
+            lo, hi = eigen_grid(p, [m.alpha - 1e-8, m.alpha + 1e-8])["re_E"]
             assert lo * hi < 0
 
     def test_invalid_requests(self, oscillatory_params):

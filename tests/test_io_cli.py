@@ -81,6 +81,8 @@ class TestSeriesCsv:
     def test_strictly_increasing_time_required(self):
         with pytest.raises(ValueError):
             TimeSeries(t=np.array([0.0, 0.0]), sigma=np.zeros(2), surface=np.zeros(2))
+        with pytest.raises(ValueError):
+            TimeSeries(t=np.array([0.0, math.nan]), sigma=np.zeros(2), surface=np.zeros(2))
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -230,6 +232,31 @@ class TestCli:
         assert err.startswith("configuration error:") and message in err and str(ic_file) in err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ("run", "--engine", "spectral"),
+        ("compare",),
+        ("sweep", "--engine", "spectral", "--axis", "A", "--values", "1e-3,2e-3,3e-3"),
+        ("sweep", "--engine", "fdm", "--axis", "B", "--values", "0.1,0.2"),
+    ])
+    def test_initial_condition_read_once(self, tmp_path, monkeypatch, command):
+        # a triangle, whose trapezoid mass is exactly N0 = 3
+        ic_file = tmp_path / "ic.csv"
+        ic_file.write_text("0,6\n0.25,3\n0.5,0\n")
+        reads = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            reads.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        assert main([
+            *command, "--A", "1e-3", "--B", "0.1", "--L", "1", "--N0", "3", "--T", "0.5",
+            "--n-z", "64", "--modes", "20", "--samples", "51", "--ic", "sampled",
+            "--ic-file", str(ic_file), "--outdir", str(tmp_path), "--name", "ic",
+        ]) == 0
+        assert len(reads) == 1
+
     def test_physical_parameter_route(self, tmp_path):
         rc = main([
             "run", "--engine", "fdm", "--d", "1", "--D", "1", "--tau-r", "0.1",
@@ -269,7 +296,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ("--points", "-5"), ("--points", "1"), ("--alpha-min", "5", "--alpha-max", "1"),
         ("--alpha-min", "0"), ("--alpha-min", "-1"), ("--alpha-max", "inf"),
-        ("--alpha-min", "nan"),
+        ("--alpha-min", "nan"), ("--points", "1000001"),
     ])
     def test_eigen_dump_rejects_bad_range(self, tmp_path, capsys, flags):
         rc = main([
