@@ -36,7 +36,8 @@ TAN_POLE_GUARD = 1e-8
 # bracket seeds sit at 2 m pi +- pi (1 - SEED_MARGIN), i.e. just inside the
 # two neighbouring tan poles
 SEED_MARGIN = 1e-6
-# bisection stops once the bracket is narrower than this
+# bisection stops once the bracket is narrower than this or its ends are
+# adjacent floats
 BRACKET_TOL = 1e-12
 # points per anchor interval in the root scan
 SCAN_POINTS = 601
@@ -163,18 +164,21 @@ def _scan(p: Params, count: int) -> np.ndarray:
 def _bisect(p: Params, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     """Bisect every sign-change bracket [a, b] together; unconditionally convergent.
 
-    Each bracket halves until narrower than BRACKET_TOL and returns its
-    midpoint, or returns the first midpoint where the equation is exactly 0.
+    Each bracket halves until narrower than BRACKET_TOL, or until its ends
+    are adjacent floats, and returns its midpoint, or returns the first
+    midpoint where the equation is exactly 0.
     """
     roots = np.empty_like(a)
     live = np.arange(a.size)
     while True:
-        wide = b - a > BRACKET_TOL
-        roots[live[~wide]] = 0.5 * (a[~wide] + b[~wide])
-        live, a, b, fa = live[wide], a[wide], b[wide], fa[wide]
+        mid = 0.5 * (a + b)
+        # above alpha = 2^13 the float spacing exceeds BRACKET_TOL: there a
+        # bracket of two adjacent floats has its midpoint on one of its ends
+        wide = (b - a > BRACKET_TOL) & (mid != a) & (mid != b)
+        roots[live[~wide]] = mid[~wide]
+        live, a, b, fa, mid = live[wide], a[wide], b[wide], fa[wide], mid[wide]
         if not live.size:
             return roots
-        mid = 0.5 * (a + b)
         fm = secular(mid, p).re
         # an exact zero closes its bracket on mid, whose midpoint is mid again
         hit = fm == 0.0

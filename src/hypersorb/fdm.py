@@ -11,11 +11,16 @@ single linear equation for the wall value.
 Conservation holds to machine precision at every level by construction:
 sigma_j is defined as N0/2 minus the trapezoidal mass of row j.
 
-One kernel does every march: parameter sets that share a grid advance
-together as one (n_batch, n_z+1) array, with the wave stencil or the
-parabolic reference stencil inside and the nonlocal or the local closure
-at the wall.  The closure is one linear equation per row, so each row of
-a batch is bit-identical to a march of its parameter set alone.
+One function, march, does every march: it takes one start row per
+parameter set, and sets that share a grid advance together as one
+(n_batch, n_z+1) array, with the wave stencil or the parabolic reference
+stencil inside and the nonlocal or the local closure at the wall.  The
+closure is one linear equation per row, so each row of a batch is
+bit-identical to a march of its parameter set alone.  The runners
+(run_fdm, run_fdm_batch and validate's parabolic pair) sample the initial
+condition, store 401 evenly spread rows and refuse a step ratio past the
+stability bound; a march with every level stored, a start row of one's
+own or a step ratio past the bound calls march directly.
 
 At the sizes in use numpy's per-call cost outweighs the arithmetic, so a
 level makes only the calls the stencil and the closure need: the stencil
@@ -30,9 +35,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -316,148 +320,6 @@ def apply_surface(
     return float(row[-1]), sigma[0]
 
 
-class _March:
-    """One explicit march of a batch of rows on a shared grid.
-
-    levels() is the engine's only time loop.  Level j lives in slot
-    j % RING of a ring of level rows.  Each level advances the interior of
-    every row from the two slots before it (three-level wave or two-level
-    heat stencil: nine or five ufunc calls with 0-d weights), mirrors the
-    symmetry node (one slice assignment), closes each wall and appends
-    sigma to the record.  A closure is one Python loop over the rows that
-    reads its nodes through the slot's memoryviews (the symmetry node and,
-    from numpy, the inner sum for the nonlocal closure; nodes n_z-1 and
-    n_z-2 for the local one) and writes each wall value straight into the
-    slot.  The wave stencil adds one squared norm per level, the divergence
-    filter.  The rest of the record is read off the ring once per pass
-    around it: the wall values, the inner trapezoidal mass, the probe nodes
-    and, at the stored levels, the full rows.  Row b only ever sees
-    parameter set b, so each row of a batch matches a march of its point
-    alone bit for bit.
-    """
-
-    def __init__(
-        self, rows0, grid: Grid, ps, stencil: str, closure: str, stored=(), probe_nodes=()
-    ):
-        n_batch, n_nodes = rows0.shape
-        if stencil == WAVE:
-            B = ps[0].B
-            if not B > 0:
-                raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic solver")
-            weights = _wave_weights(grid, B)
-        else:
-            weights = (grid.k / (grid.h * grid.h),)
-        # 0-d arrays: a ufunc takes them as they are, with no conversion of
-        # a Python float on each call
-        self.weights = tuple(np.array(w) for w in weights)
-        self.grid, self.ps = grid, list(ps)
-        self.stencil, self.closure = stencil, _CLOSURES[closure]
-        self.constants = [self.closure.constants(p, grid) for p in ps]
-        self.ring = np.empty((RING, n_batch, n_nodes))
-        self.slots = [_views(row) for row in self.ring]
-        np.copyto(self.ring[0], rows0)
-        self.stored = np.asarray(stored, dtype=np.intp)
-        self.probe_nodes = np.asarray(probe_nodes, dtype=np.intp)
-        # the record, level-major: one entry per row, or per row and probe node
-        n_levels = grid.n_t + 1
-        self.sigma = array("d")
-        self.wall, self.inner = np.empty((n_levels, n_batch)), np.empty((n_levels, n_batch))
-        self.nodes = np.empty((n_levels, n_batch, self.probe_nodes.size))
-        self.rows = np.empty((n_batch, self.stored.size, n_nodes))
-
-    def levels(self) -> Iterator[tuple[int, np.ndarray, list]]:
-        """Advance level by level, yielding (j, rows, sigma) after each.
-
-        The rows yielded are a ring slot, overwritten RING levels later.
-        """
-        grid, slots = self.grid, self.slots
-        # (new, old, older) slots of a level, by the slot of the new one
-        triples = [(slots[i], slots[i - 1], slots[i - 2]) for i in range(RING)]
-        update, weights = _UPDATES[self.stencil], self.weights
-        close, constants = self.closure.close, self.constants
-        wave = self.stencil == WAVE
-        B = self.ps[0].B
-        lap = np.empty_like(slots[0].mid)
-        tmp = np.empty_like(lap)
-        # a diverging run is cut off well before float overflow, so no step
-        # ever produces inf or a numpy warning.  One squared norm of the
-        # whole batch per level is the filter: it reaches ceiling^2 no later
-        # than any node reaches its ceiling (NaN fails it too), and only then
-        # are the rows checked one by one.
-        ceilings = [1e100 * max(1.0, p.N0) for p in self.ps]
-        ceiling2 = min(c * c for c in ceilings)
-        sig_rec, n_t = self.sigma, grid.n_t
-        new = slots[0]
-        sigma = self.closure.start(new, constants)
-        sig_rec.extend(sigma)
-        yield 0, new.full, sigma
-        for j in range(1, n_t + 1):
-            i = j % RING
-            new, old, older = triples[i]
-            if wave and j == 1:
-                np.copyto(new.full, step_first(old.full, grid, B))
-            else:
-                update(new, old, older, weights, lap, tmp)
-            new.head[...] = new.neck
-            close(new, sigma, constants)
-            if wave and not np.vdot(new.full, new.full) < ceiling2:
-                self._check_divergence(j, new.full, ceilings)
-            sig_rec.extend(sigma)
-            if i == RING - 1 or j == n_t:
-                self._record(j - i, i + 1)
-            yield j, new.full, sigma
-
-    def _record(self, first: int, count: int) -> None:
-        """Record levels first .. first+count-1, held in ring slots 0 .. count-1."""
-        block = self.ring[:count]
-        done = slice(first, first + count)
-        self.wall[done] = block[..., -1]
-        self.inner[done] = trapezoid_interior(block, self.grid.h)
-        self.nodes[done] = block[..., self.probe_nodes]
-        lo, hi = np.searchsorted(self.stored, (first, first + count))
-        self.rows[:, lo:hi] = block[self.stored[lo:hi] - first].swapaxes(0, 1)
-
-    def _check_divergence(self, j: int, rows: np.ndarray, ceilings: list) -> None:
-        """Raise StabilityError for the first row with a node past its ceiling."""
-        hint = f" (lambda={self.grid.lam:.4g}, B={self.ps[0].B:.4g}); reduce lambda"
-        for b, (row, ceiling, p) in enumerate(zip(rows, ceilings, self.ps)):
-            point = ""
-            if len(self.ps) > 1:
-                point = f" of batch point {b} (A={p.A:.4g}, L={p.L:.4g}, N0={p.N0:.4g})"
-            size = np.abs(row[:-1])
-            if not float(np.max(size)) < ceiling:
-                bad = int(np.argmax(~(size < ceiling)))
-                raise StabilityError(f"density diverging at level j={j}, node i={bad}{point}{hint}")
-            if not abs(float(row[-1])) < ceiling:
-                raise StabilityError(f"wall density diverging at level j={j}{point}{hint}")
-
-
-def iterate(
-    row0: np.ndarray, grid: Grid, p: Params
-) -> Iterator[tuple[int, np.ndarray, float, float, float]]:
-    """Yield (level j, row, sigma, wall value, conservation residual) per level.
-
-    Level 0 reports the initial row with sigma fixed by the conservation
-    identity (for discontinuous data this is O(h), the quadrature error of
-    representing the jump on the grid).  The rows yielded are live views;
-    callers must copy what they keep.
-    """
-    run = _March(np.asarray(row0, dtype=float)[np.newaxis], grid, [p], WAVE, NONLOCAL)
-    for j, rows, sigma in run.levels():
-        row, s = rows[0], sigma[0]
-        w, inner = float(row[-1]), float(trapezoid_interior(row, grid.h))
-        yield j, row, s, w, _conservation_residual(inner, w, s, p.N0, grid.h)
-
-
-def _conservation_residual(inner, wall, sigma, n0: float, h: float):
-    """|integral(N) + 2 sigma - N0| from the inner mass and the wall value.
-
-    Takes scalars or arrays over levels; the trapezoidal mass of the half
-    row is inner + (h/2) N_wall.
-    """
-    return abs(2.0 * (inner + 0.5 * h * wall) + 2.0 * sigma - n0)
-
-
 def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
     """Linear interpolation stencils (probe, left index, right weight)."""
     out = []
@@ -474,32 +336,103 @@ def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
 
 
 def march(
-    ps, ic: InitialCondition, grid: Grid, stencil: str, closure: str, meta: dict,
+    rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     probes=(), max_rows: int = 401,
 ) -> list[TimeSeries]:
-    """March the parameter sets ps as one batch on grid; one series per point.
+    """March start row rows0[b] with parameter set ps[b], all as one batch on grid.
 
-    stencil is WAVE or HEAT, closure NONLOCAL or LOCAL.  Each series gets
-    a copy of meta plus the grid.  The conservation residual and the probe
-    values are computed from the per-level record after the march.
+    The engine's only time loop; one series per point.  stencil is WAVE or
+    HEAT, closure NONLOCAL or LOCAL; the march itself does not check the
+    step ratio.  Level j lives in slot j % RING of a ring of level rows.
+    Each level advances the interior of every row from the two slots before
+    it (three-level wave or two-level heat stencil: nine or five ufunc calls
+    with 0-d weights), mirrors the symmetry node (one slice assignment),
+    closes each wall and appends sigma to the record.  A closure is one
+    Python loop over the rows that reads its nodes through the slot's
+    memoryviews (the symmetry node and, from numpy, the inner sum for the
+    nonlocal closure; nodes n_z-1 and n_z-2 for the local one) and writes
+    each wall value straight into the slot.  The wave stencil adds one
+    squared norm per level, the divergence filter.  The rest of the record
+    is read off the ring once per pass around it: the wall values, the
+    inner trapezoidal mass, the probe nodes and, at max_rows evenly spread
+    levels, the full rows.  Row b only ever sees parameter set b, so each
+    row of a batch matches a march of its point alone bit for bit.  Each
+    series gets a copy of meta plus the grid.
     """
-    if not ps:
-        raise InvalidInput("a batch needs at least one parameter set")
-    zgrid = grid.zgrid()
-    rows0 = np.array([sample_initial(ic, p, zgrid) for p in ps])
-    n_levels = grid.n_t + 1
+    ps = list(ps)
+    rows0 = np.asarray(rows0, dtype=float)
+    n_batch, n_nodes, n_t = len(ps), grid.n_z + 1, grid.n_t
+    if not ps or rows0.shape != (n_batch, n_nodes):
+        raise InvalidInput("a batch needs one start row of n_z+1 nodes per parameter set")
+    wave = stencil == WAVE
+    B = ps[0].B
+    if wave:
+        if not B > 0:
+            raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic solver")
+        weights = _wave_weights(grid, B)
+    else:
+        weights = (grid.k / (grid.h * grid.h),)
+    # 0-d arrays: a ufunc takes them as they are, with no conversion of a
+    # Python float on each call
+    weights = tuple(np.array(w) for w in weights)
+    update, wall_closure = _UPDATES[stencil], _CLOSURES[closure]
+    close, constants = wall_closure.close, [wall_closure.constants(p, grid) for p in ps]
+    zgrid, h = grid.zgrid(), grid.h
+    n_levels = n_t + 1
     stored = thin_indices(n_levels, max_rows)
     stencils = _probe_weights(probes, zgrid)
     nodes = sorted({n for _, i, _ in stencils for n in (i, i + 1)})
-    run = _March(rows0, grid, ps, stencil, closure, stored, nodes)
-    deque(run.levels(), maxlen=0)
+
+    ring = np.empty((RING, n_batch, n_nodes))
+    slots = [_views(row) for row in ring]
+    # (new, old, older) slots of a level, by the slot of the new one
+    triples = [(slots[i], slots[i - 1], slots[i - 2]) for i in range(RING)]
+    lap = np.empty_like(slots[0].mid)
+    tmp = np.empty_like(lap)
+    np.copyto(ring[0], rows0)
+    # the record, level-major: one entry per row, or per row and probe node
+    sig_rec = array("d")
+    wall, inner = np.empty((n_levels, n_batch)), np.empty((n_levels, n_batch))
+    node_rec = np.empty((n_levels, n_batch, len(nodes)))
+    rows = np.empty((n_batch, stored.size, n_nodes))
+    # a diverging run is cut off well before float overflow, so no step
+    # ever produces inf or a numpy warning.  One squared norm of the whole
+    # batch per level is the filter: it reaches ceiling^2 no later than any
+    # node reaches its ceiling (NaN fails it too), and only then are the
+    # rows checked one by one.
+    ceilings = [1e100 * max(1.0, p.N0) for p in ps]
+    ceiling2 = min(c * c for c in ceilings)
+    sigma = wall_closure.start(slots[0], constants)
+    sig_rec.extend(sigma)
+    for j in range(1, n_t + 1):
+        i = j % RING
+        new, old, older = triples[i]
+        if wave and j == 1:
+            np.copyto(new.full, step_first(old.full, grid, B))
+        else:
+            update(new, old, older, weights, lap, tmp)
+        new.head[...] = new.neck
+        close(new, sigma, constants)
+        if wave and not np.vdot(new.full, new.full) < ceiling2:
+            _check_divergence(j, new.full, ceilings, ps, grid)
+        sig_rec.extend(sigma)
+        if i == RING - 1 or j == n_t:
+            # record levels first .. j, held in ring slots 0 .. i
+            first, block = j - i, ring[: i + 1]
+            done = slice(first, j + 1)
+            wall[done] = block[..., -1]
+            inner[done] = trapezoid_interior(block, h)
+            node_rec[done] = block[..., nodes]
+            lo, hi = np.searchsorted(stored, (first, j + 1))
+            rows[:, lo:hi] = block[stored[lo:hi] - first].swapaxes(0, 1)
+
     sigma, wall, inner = (
-        np.reshape(rec, (n_levels, len(ps))).T.copy() for rec in (run.sigma, run.wall, run.inner)
+        np.reshape(rec, (n_levels, n_batch)).T.copy() for rec in (sig_rec, wall, inner)
     )
     t = grid.tgrid()
     out = []
     for b, p in enumerate(ps):
-        node = run.nodes[:, b]
+        node = node_rec[:, b]
         probe_data = {
             z: (1.0 - frac) * node[:, nodes.index(i)] + frac * node[:, nodes.index(i + 1)]
             for z, i, frac in stencils
@@ -509,24 +442,34 @@ def march(
             sigma=sigma[b],
             surface=wall[b],
             probes=probe_data,
-            rows=run.rows[b],
+            rows=rows[b],
             row_times=t[stored],
             row_z=zgrid,
-            conservation=_conservation_residual(inner[b], wall[b], sigma[b], p.N0, grid.h),
+            # |integral(N) + 2 sigma - N0|, the trapezoidal mass of the half
+            # row being the inner mass plus (h/2) N_wall
+            conservation=abs(2.0 * (inner[b] + 0.5 * h * wall[b]) + 2.0 * sigma[b] - p.N0),
             params=p,
             meta=dict(meta, grid=grid.__dict__.copy()),
         ))
     return out
 
 
-def run_fdm_batch(
-    ps,
-    ic: InitialCondition,
-    grid: Grid,
-    probes=(),
-    max_rows: int = 401,
-    enforce_stability: bool = True,
-) -> list[TimeSeries]:
+def _check_divergence(j: int, rows: np.ndarray, ceilings: list, ps: list, grid: Grid) -> None:
+    """Raise StabilityError for the first row with a node past its ceiling."""
+    hint = f" (lambda={grid.lam:.4g}, B={ps[0].B:.4g}); reduce lambda"
+    for b, (row, ceiling, p) in enumerate(zip(rows, ceilings, ps)):
+        point = ""
+        if len(ps) > 1:
+            point = f" of batch point {b} (A={p.A:.4g}, L={p.L:.4g}, N0={p.N0:.4g})"
+        size = np.abs(row[:-1])
+        if not float(np.max(size)) < ceiling:
+            bad = int(np.argmax(~(size < ceiling)))
+            raise StabilityError(f"density diverging at level j={j}, node i={bad}{point}{hint}")
+        if not abs(float(row[-1])) < ceiling:
+            raise StabilityError(f"wall density diverging at level j={j}{point}{hint}")
+
+
+def run_fdm_batch(ps, ic: InitialCondition, grid: Grid, probes=()) -> list[TimeSeries]:
     """run_fdm for parameter sets sharing B (hence one grid), marched as one array.
 
     Series b is bit-identical to run_fdm(ps[b], ic, grid, ...).
@@ -536,26 +479,20 @@ def run_fdm_batch(
     B = ps[0].B
     if not B > 0:
         raise ConfigError("run_fdm requires B > 0; use the parabolic reference solver")
-    if enforce_stability and grid.lam > math.sqrt(B):
+    if grid.lam > math.sqrt(B):
         raise ConfigError(
             f"lambda = {grid.lam:.4g} exceeds the stability bound sqrt(B) = "
-            f"{math.sqrt(B):.4g}; pass enforce_stability=False to override"
+            f"{math.sqrt(B):.4g}; reduce lambda"
         )
-    meta = {"engine": "fdm"}
-    return march(ps, ic, grid, WAVE, NONLOCAL, meta, probes=probes, max_rows=max_rows)
+    zgrid = grid.zgrid()
+    rows0 = [sample_initial(ic, p, zgrid) for p in ps]
+    return march(rows0, ps, grid, WAVE, NONLOCAL, {"engine": "fdm"}, probes)
 
 
-def run_fdm(
-    p: Params,
-    ic: InitialCondition,
-    grid: Grid,
-    probes=(),
-    max_rows: int = 401,
-    enforce_stability: bool = True,
-) -> TimeSeries:
+def run_fdm(p: Params, ic: InitialCondition, grid: Grid, probes=()) -> TimeSeries:
     """March the hyperbolic system over [0, T] and collect the time series.
 
     The bulk starts at rest: the initial rate is zero everywhere, the
     compatible choice when the walls start empty.
     """
-    return run_fdm_batch([p], ic, grid, probes, max_rows, enforce_stability)[0]
+    return run_fdm_batch([p], ic, grid, probes)[0]

@@ -147,8 +147,9 @@ def sampled_ic(z, values) -> InitialCondition:
     """User-supplied profile on its own grid.
 
     The grid must be strictly increasing and cover either [0, 1/2] or
-    [-1/2, 1/2]; values are interpreted per unit N0 scaling of the caller
-    (they are used as-is, constraints are checked in sample_initial).
+    [-1/2, 1/2], and the values must be finite; values are interpreted per
+    unit N0 scaling of the caller (they are used as-is, constraints are
+    checked in sample_initial).
     """
     z = np.asarray(z, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -156,6 +157,8 @@ def sampled_ic(z, values) -> InitialCondition:
         raise InvalidInput("sampled initial data needs matching 1-d z and value arrays")
     if not np.all(np.diff(z) > 0):
         raise InvalidInput("sampled z grid must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise InvalidInput("sampled initial values must be finite")
     half = z[0] >= -1e-12
     lo = 0.0 if half else -0.5
     if abs(z[0] - lo) > 1e-9 or abs(z[-1] - 0.5) > 1e-9:

@@ -76,6 +76,11 @@ def orthogonalize(alphas) -> OrthoBasis:
     """
     alphas = np.asarray(alphas, dtype=float)
     gram = gram_matrix(alphas)
+    if not np.all(np.isfinite(gram)):
+        # 0/0 off the diagonal: a repeated alpha
+        raise DegenerateBasisError(
+            "Gram matrix is not finite; the mode frequencies must be distinct"
+        )
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > MAX_GRAM_CONDITION:
         raise DegenerateBasisError(

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInput
 # validate.apply_surface stays bound: perfbench's tracer wraps it by that name
 from .fdm import HEAT, LOCAL, NONLOCAL, Grid, apply_surface, march  # noqa: F401
-from .params import InitialCondition, Params, equilibrium
+from .params import InitialCondition, Params, equilibrium, sample_initial
 from .series import TimeSeries
 
 
@@ -26,7 +26,6 @@ def run_parabolic_batch(
     grid: Grid,
     boundary: str = LOCAL,
     probes=(),
-    max_rows: int = 401,
 ) -> list[TimeSeries]:
     """run_parabolic for several parameter sets on one grid, marched as one array.
 
@@ -37,8 +36,10 @@ def run_parabolic_batch(
     r = grid.k / (grid.h * grid.h)
     if r > 0.5 + 1e-12:
         raise ConfigError(f"parabolic stability needs k <= h^2/2; got r = {r:.4g}")
+    zgrid = grid.zgrid()
+    rows0 = [sample_initial(ic, p, zgrid) for p in ps]
     meta = {"engine": "parabolic", "boundary": boundary}
-    return march(ps, ic, grid, HEAT, boundary, meta, probes=probes, max_rows=max_rows)
+    return march(rows0, ps, grid, HEAT, boundary, meta, probes)
 
 
 def run_parabolic(
@@ -47,7 +48,6 @@ def run_parabolic(
     grid: Grid,
     boundary: str = LOCAL,
     probes=(),
-    max_rows: int = 401,
 ) -> TimeSeries:
     """Explicit diffusive reference solution (B treated as zero).
 
@@ -56,7 +56,7 @@ def run_parabolic(
     reuses the conservation-based closure of the hyperbolic engine.  For
     step initial data sigma(t) is monotonic non-decreasing.
     """
-    return run_parabolic_batch([p], ic, grid, boundary, probes, max_rows)[0]
+    return run_parabolic_batch([p], ic, grid, boundary, probes)[0]
 
 
 @dataclass(eq=False)

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from hypersorb.eigen import eigen_grid, find_eigenvalues
-from hypersorb.fdm import Grid, default_lambda, iterate, run_fdm
+from hypersorb.fdm import NONLOCAL, WAVE, Grid, default_lambda, march, run_fdm
 from hypersorb.params import Params, alpha_critical, equilibrium, step_ic
 from hypersorb.spectral import (
     eval_density,
@@ -165,6 +165,6 @@ class TestAcceptance:
         dyadic = Params(A=0.25, B=0.25, L=0.0, N0=3.0)
         grid = Grid.from_lambda(128, 1.0, 0.25)
         row0 = np.full(grid.n_z + 1, 3.0)
-        for j, row, sigma, wall, res in iterate(row0, grid, dyadic):
-            assert sigma == 0.0 and np.all(row == 3.0)
+        (ser,) = march([row0], [dyadic], grid, WAVE, NONLOCAL, {}, max_rows=grid.n_t + 1)
+        assert np.all(ser.sigma == 0.0) and np.all(ser.rows == 3.0)
         report(9, "property suite")

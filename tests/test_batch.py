@@ -6,20 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersorb.errors import InvalidInput, StabilityError
-from hypersorb.fdm import RING, Grid, _probe_weights, default_lambda, iterate, run_fdm, run_fdm_batch
+from hypersorb.fdm import (
+    HEAT, NONLOCAL, RING, WAVE, Grid, _probe_weights, default_lambda, march, run_fdm, run_fdm_batch,
+)
 from hypersorb.params import Params, parabolic_ic, sample_initial, step_ic
 from hypersorb.series import thin_indices
 from hypersorb.validate import run_parabolic, run_parabolic_batch
 
 PROBES = (0.0, 0.17, -0.25, 0.5)
-MAX_ROWS = 7
+# rows a runner stores, and a thinned set whose stride crosses the ring passes
+RUNNER_ROWS, MAX_ROWS = 401, 7
 
 
 def _inner(row, h):
     return h * (0.5 * row[0] + float(np.sum(row[1:-1])))
 
 
-def reference_march(p, ic, grid, scheme, probes=PROBES, max_rows=MAX_ROWS):
+def reference_march(p, ic, grid, scheme, probes=PROBES, max_rows=RUNNER_ROWS):
     """The scalar march written out level by level: one fresh row per level.
 
     scheme is "fdm" (wave stencil, nonlocal closure) or the wall closure of
@@ -96,12 +99,20 @@ def assert_same_series(ser, ref):
 
 def march_family(scheme, ps, ic, grid):
     if scheme == "fdm":
-        batch = run_fdm_batch(ps, ic, grid, probes=PROBES, max_rows=MAX_ROWS)
-        single = [run_fdm(p, ic, grid, probes=PROBES, max_rows=MAX_ROWS) for p in ps]
+        batch = run_fdm_batch(ps, ic, grid, probes=PROBES)
+        single = [run_fdm(p, ic, grid, probes=PROBES) for p in ps]
     else:
-        batch = run_parabolic_batch(ps, ic, grid, scheme, probes=PROBES, max_rows=MAX_ROWS)
-        single = [run_parabolic(p, ic, grid, scheme, probes=PROBES, max_rows=MAX_ROWS) for p in ps]
+        batch = run_parabolic_batch(ps, ic, grid, scheme, probes=PROBES)
+        single = [run_parabolic(p, ic, grid, scheme, probes=PROBES) for p in ps]
     return batch, single
+
+
+def step_march(ps, grid, scheme="fdm", max_rows=RUNNER_ROWS):
+    """fdm.march from the step profile, without the runners' step-ratio check."""
+    zgrid = grid.zgrid()
+    rows0 = [sample_initial(step_ic(), p, zgrid) for p in ps]
+    stencil, closure = (WAVE, NONLOCAL) if scheme == "fdm" else (HEAT, scheme)
+    return march(rows0, ps, grid, stencil, closure, {}, PROBES, max_rows)
 
 
 point = st.tuples(
@@ -159,11 +170,7 @@ def test_ring_pass_boundaries_match_reference(n_t, scheme, n_batch):
     grid = grid_with_levels(scheme, n_t)
     ps = RING_POINTS[:n_batch]
     for max_rows in (n_t + 1, MAX_ROWS):
-        if scheme == "fdm":
-            batch = run_fdm_batch(ps, step_ic(), grid, probes=PROBES, max_rows=max_rows)
-        else:
-            batch = run_parabolic_batch(ps, step_ic(), grid, scheme, probes=PROBES, max_rows=max_rows)
-        for p, ser in zip(ps, batch):
+        for p, ser in zip(ps, step_march(ps, grid, scheme, max_rows)):
             assert_same_series(ser, reference_march(p, step_ic(), grid, scheme, max_rows=max_rows))
 
 
@@ -189,19 +196,6 @@ def test_wide_batch_rows_match_single_runs_and_reference(scheme):
         assert_same_series(ser, reference_march(p, step_ic(), grid, scheme))
 
 
-def test_iterate_across_ring_passes():
-    grid = grid_with_levels("fdm", 3 * RING + 5)
-    p = RING_POINTS[0]
-    ref = reference_march(p, step_ic(), grid, "fdm", max_rows=grid.n_t + 1)
-    out = [(j, row.copy(), s, w, res) for j, row, s, w, res in
-           iterate(sample_initial(step_ic(), p, grid.zgrid()), grid, p)]
-    assert [j for j, *_ in out] == list(range(grid.n_t + 1))
-    assert_same_bits([row for _, row, *_ in out], ref["rows"])
-    assert_same_bits([s for _, _, s, _, _ in out], ref["sigma"])
-    assert_same_bits([w for *_, w, _ in out], ref["surface"])
-    assert_same_bits([res for *_, res in out], ref["conservation"])
-
-
 @pytest.mark.parametrize("n_z, T, lam, p, message", [
     (40, 0.5, 0.04, Params(A=0.1, B=1e-3, L=5.0, N0=2.0),
      "density diverging at level j=198, node i=12 (lambda=0.04, B=0.001); reduce lambda"),
@@ -212,7 +206,7 @@ def test_divergence_in_a_later_ring_pass(n_z, T, lam, p, message):
     # both levels lie past the first pass and off its boundaries
     grid = Grid.from_lambda(n_z, T, lam)
     with pytest.raises(StabilityError) as err:
-        run_fdm(p, step_ic(), grid, enforce_stability=False)
+        step_march([p], grid)
     assert str(err.value) == message
 
 
@@ -231,13 +225,13 @@ def test_diverging_point_named_with_its_level():
     grid = Grid.from_lambda(64, 0.055, 0.05)
     quiet = Params(A=0.01, B=1e-3, L=1.0, N0=1e-30)
     loud = Params(A=0.01, B=1e-3, L=1.0, N0=3.0)
-    ser = run_fdm(quiet, step_ic(), grid, enforce_stability=False)
+    (ser,) = step_march([quiet], grid)
     assert np.all(np.isfinite(ser.sigma))
     with pytest.raises(StabilityError) as alone:
-        run_fdm(loud, step_ic(), grid, enforce_stability=False)
+        step_march([loud], grid)
     assert "level j=127, node i=41 (" in str(alone.value)
     with pytest.raises(StabilityError) as batch:
-        run_fdm_batch([quiet, loud], step_ic(), grid, enforce_stability=False)
+        step_march([quiet, loud], grid)
     message = str(batch.value)
     assert "level j=127, node i=41 of batch point 1 " in message
     assert "N0=3" in message and "lambda" in message

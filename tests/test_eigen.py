@@ -1,6 +1,7 @@
 """Characteristic exponents and the secular eigenvalue problem."""
 
 import math
+import signal
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersorb.eigen as eigen
+from hypersorb.cli import MAX_MODES
 from hypersorb.eigen import eigen_grid, exponents, find_eigenvalues, kinetic_pole
 from hypersorb.errors import BracketingError, InvalidInput
 from hypersorb.params import Params, alpha_critical
@@ -203,6 +205,24 @@ class TestFindEigenvalues:
             find_eigenvalues(oscillatory_params, 0)
         with pytest.raises(InvalidInput):
             find_eigenvalues(Params(A=1, B=0.0, L=1, N0=1), 5)
+
+    def test_most_modes_the_cli_accepts(self):
+        # past alpha = 2^13 the float spacing exceeds the bracket tolerance,
+        # so brackets close on adjacent floats; the alarm turns a bisection
+        # that never closes into a failure instead of a hung suite
+        def hung(signum, frame):
+            raise TimeoutError(f"find_eigenvalues(p, {MAX_MODES}) still running after 20 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            modes = find_eigenvalues(Params(A=1e-3, B=0.1, L=1.0, N0=3.0), MAX_MODES)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        alphas = np.array([m.alpha for m in modes])
+        assert alphas.size == MAX_MODES and alphas[-1] > 2.0**13
+        assert np.all(np.diff(alphas) > 0)
 
     def test_bracketing_failure_reported(self, oscillatory_params, monkeypatch):
         # a scan that misses anchor interval 2 leaves it without a root

@@ -7,15 +7,17 @@ import pytest
 
 from hypersorb.errors import ConfigError, InvalidInput, StabilityError
 from hypersorb.fdm import (
+    NONLOCAL,
+    WAVE,
     Grid,
     apply_surface,
     default_lambda,
-    iterate,
+    march,
     run_fdm,
     step_first,
     step_interior,
 )
-from hypersorb.params import Params, equilibrium, parabolic_ic, step_ic
+from hypersorb.params import Params, equilibrium, parabolic_ic, sample_initial, step_ic
 from conftest import first_local_max, interior_maxima
 
 
@@ -232,8 +234,9 @@ class TestRunFdm:
         grid = Grid.from_lambda(64, 2.0, 0.05)  # above sqrt(B) ~ 0.0316
         with pytest.raises(ConfigError):
             run_fdm(p, step_ic(), grid)
+        row0 = sample_initial(step_ic(), p, grid.zgrid())
         with pytest.raises(StabilityError) as err:
-            run_fdm(p, step_ic(), grid, enforce_stability=False)
+            march([row0], [p], grid, WAVE, NONLOCAL, {})
         assert "lambda" in str(err.value)
 
     def test_wave_regime_required(self):
@@ -260,15 +263,14 @@ class TestConstantState:
         p = Params(A=0.25, B=0.25, L=0.0, N0=3.0)
         grid = Grid.from_lambda(128, 1.0, 0.25)
         row0 = np.full(grid.n_z + 1, 3.0)
-        for j, row, sigma, wall, res in iterate(row0, grid, p):
-            assert sigma == 0.0
-            assert np.all(row == 3.0)
+        (ser,) = march([row0], [p], grid, WAVE, NONLOCAL, {}, max_rows=grid.n_t + 1)
+        assert np.all(ser.sigma == 0.0)
+        assert np.all(ser.rows == 3.0)
 
     def test_near_exact_generic_parameters(self):
         p = Params(A=0.013, B=0.07, L=0.0, N0=3.0)
         grid = Grid.from_lambda(100, 1.0, 0.02)
         row0 = np.full(grid.n_z + 1, 3.0)
-        worst = 0.0
-        for j, row, sigma, wall, res in iterate(row0, grid, p):
-            worst = max(worst, float(np.max(np.abs(row - 3.0))), abs(sigma))
+        (ser,) = march([row0], [p], grid, WAVE, NONLOCAL, {}, max_rows=grid.n_t + 1)
+        worst = max(float(np.max(np.abs(ser.rows - 3.0))), float(np.max(np.abs(ser.sigma))))
         assert worst < 1e-13 * 3.0

@@ -232,6 +232,19 @@ class TestCli:
         assert err.startswith("configuration error:") and message in err and str(ic_file) in err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("engine", ["fdm", "parabolic", "spectral"])
+    def test_non_finite_ic_file_refused(self, tmp_path, capsys, engine):
+        ic_file = tmp_path / "ic.csv"
+        ic_file.write_text("0,6\n0.25,nan\n0.5,0\n")
+        rc = main([
+            "run", "--engine", engine, "--A", "1e-3", "--B", "0.1", "--L", "1", "--N0", "3",
+            "--T", "0.1", "--n-z", "32", "--modes", "8", "--samples", "11", "--ic", "sampled",
+            "--ic-file", str(ic_file), "--outdir", str(tmp_path), "--name", "nan",
+        ])
+        assert rc != 0
+        assert "finite" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ic.csv"]
+
     @pytest.mark.parametrize("command", [
         ("run", "--engine", "spectral"),
         ("compare",),

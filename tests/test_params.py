@@ -178,6 +178,14 @@ class TestSampleInitial:
         with pytest.raises(InvalidInput, match="mass"):
             sample_initial(sampled_ic(z, v), self.p, np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sampled_values_must_be_finite(self, bad):
+        z = np.linspace(0, 0.5, 101)
+        v = 1.5 * 3.0 * (1 - 4 * z * z)
+        v[50] = bad
+        with pytest.raises(InvalidInput, match="finite"):
+            sampled_ic(z, v)
+
     def test_sampled_nonzero_wall(self):
         z = np.linspace(0, 0.5, 101)
         v = np.full(z.size, 3.0)

@@ -121,6 +121,12 @@ class TestOrthogonalize:
         with pytest.raises(DegenerateBasisError):
             orthogonalize(np.array([6.28, 6.28 + 1e-12, 12.57]))
 
+    @pytest.mark.parametrize("alphas", [[2.0, 2.0], [6.0, 6.0, 12.0]])
+    def test_repeated_alpha_rejected(self, alphas):
+        # equal alphas put 0/0 off the Gram diagonal
+        with pytest.raises(DegenerateBasisError, match="distinct"):
+            orthogonalize(alphas)
+
     @given(
         A=st.floats(min_value=1e-4, max_value=10.0),
         B=st.floats(min_value=1e-3, max_value=1.0),

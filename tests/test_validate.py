@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hypersorb.errors import ConfigError, InvalidInput
-from hypersorb.fdm import Grid, default_lambda, run_fdm
-from hypersorb.params import Params, equilibrium, parabolic_ic, step_ic
+from hypersorb.fdm import HEAT, LOCAL, Grid, default_lambda, march, run_fdm
+from hypersorb.params import Params, equilibrium, parabolic_ic, sample_initial, step_ic
 from hypersorb.series import thin_indices
 from hypersorb.spectral import solve_spectral, to_series
 from hypersorb.validate import (
@@ -187,8 +187,10 @@ class TestAudits:
         with pytest.raises(InvalidInput, match="max_rows must be at least 2"):
             thin_indices(10, max_rows)
         p = Params(A=0.01, B=1e-3, L=1.0, N0=3.0)
+        grid = Grid.for_parabolic(10, 0.01)
+        row0 = sample_initial(step_ic(), p, grid.zgrid())
         with pytest.raises(InvalidInput, match="max_rows must be at least 2"):
-            run_parabolic(p, step_ic(), Grid.for_parabolic(10, 0.01), max_rows=max_rows)
+            march([row0], [p], grid, HEAT, LOCAL, {}, max_rows=max_rows)
 
     def test_two_stored_rows_are_the_endpoints(self):
         assert thin_indices(10, 2).tolist() == [0, 9]
