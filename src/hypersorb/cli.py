@@ -34,6 +34,11 @@ MAX_MODES = 2000
 # 250 times the default eigen-dump grid; the table costs ~85 bytes a point
 MAX_GRID_POINTS = 10**6
 
+# most samples x modes of a modal time evaluation; the (samples, modes)
+# table of complex weights is built in one piece, at 16 bytes an entry and
+# a few temporaries of the same size.  The largest in use is 801 x 2000.
+MAX_MODAL_TERMS = 10**7
+
 # the secular-equation grid of eigen-dump and run --diagnostics: alpha
 # from ALPHA_MIN to ALPHA_MAX (twelve anchor intervals) in GRID_POINTS points
 ALPHA_MIN, ALPHA_MAX, GRID_POINTS = 0.05, 2.0 * math.pi * 12, 4000
@@ -144,8 +149,16 @@ class RunConfig:
                 f"workers must be between 1 and {MAX_WORKERS}, got {self.workers}:"
                 " each worker is a process"
             )
-        if len(self.pair) != 2 or any(e not in ("fdm", "spectral", "parabolic") for e in self.pair):
-            raise ConfigError("pair must name two of fdm, spectral, parabolic")
+        if (len(self.pair) != 2 or self.pair[0] == self.pair[1]
+                or any(e not in ("fdm", "spectral", "parabolic") for e in self.pair)):
+            raise ConfigError(f"pair must name two different engines of fdm, spectral, parabolic,"
+                              f" got {','.join(self.pair)}")
+        modal = self.engine == "spectral" or (self.engine == "compare" and "spectral" in self.pair)
+        if modal and self.samples * self.modes > MAX_MODAL_TERMS:
+            raise ConfigError(
+                f"samples x modes must be at most {MAX_MODAL_TERMS}, got {self.samples} x"
+                f" {self.modes}: the modal time table holds one complex weight per sample and mode"
+            )
 
 
 def _parse_scalar(text: str):
@@ -210,7 +223,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the --config file, then the flags set on the command line.
 
     The file may only name RunConfig fields; flags without a field (the
-    command, --config, the eigen-dump range) are skipped.
+    command, --config, the eigen-dump range) are skipped.  The compare
+    command sets the engine to compare.
     """
     cfg = RunConfig()
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
@@ -218,6 +232,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown key(s) in config file {args.config}: {', '.join(unknown)}")
     flags = {k: v for k, v in vars(args).items() if v is not None and k in _FIELDS}
+    if getattr(args, "command", None) == "compare":
+        flags["engine"] = "compare"
     for key, value in {**file_values, **flags}.items():
         setattr(cfg, key, _coerce(key, value))
     cfg.validate()
@@ -471,7 +487,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         if args.command == "compare":
-            cfg.engine = "compare"
             return cmd_run(cfg)
         if args.command == "eigen-dump":
             return cmd_eigen_dump(cfg, args.alpha_min, args.alpha_max, args.points)

@@ -13,22 +13,20 @@ sigma_j is defined as N0/2 minus the trapezoidal mass of row j.
 
 One function, march, does every march: it takes one start row per
 parameter set, and sets that share a grid advance together as one
-(n_batch, n_z+1) array, with the wave stencil or the parabolic reference
-stencil inside and the nonlocal or the local closure at the wall.  The
-closure is one linear equation per row, so each row of a batch is
-bit-identical to a march of its parameter set alone.  The runners
-(run_fdm, run_fdm_batch and validate's parabolic pair) sample the initial
-condition, store 401 evenly spread rows and refuse a step ratio past the
-stability bound; a march with every level stored, a start row of one's
-own or a step ratio past the bound calls march directly.
+(n_batch, n_z+1) array, with the wave or the parabolic reference stencil
+inside and the nonlocal or the local closure at the wall.  Each row's
+closure is its own linear equation, so a batch row is bit-identical to a
+march of its set alone.  The runners (run_fdm, run_fdm_batch and
+validate's parabolic pair) sample the initial condition, store 401 rows
+and refuse a step ratio past the stability bound; other marches, such as
+one with every level stored, call march directly.
 
-At the sizes in use numpy's per-call cost outweighs the arithmetic, so a
-level makes only the calls the stencil and the closure need: the stencil
-weights are 0-d arrays, which a ufunc takes without converting a Python
-float, and the closures read and write their nodes as Python floats
-through memoryviews of the level's rows.  With one row of 101 nodes a
-heat level costs ~8 us and a wave level ~16 us of CPU time on one core of
-a shared Xeon host with numpy 2.4.
+At the sizes in use numpy's per-call cost outweighs the arithmetic, so
+each ring slot gets a pre-bound level program once per march: partials of
+the stencil's ufunc calls on the slot's views with 0-d weights, the
+symmetry mirror, and the wall closure bound to the slot's memoryviews.
+With one row of 101 nodes a heat level costs ~6.5 us and a wave level
+~13 us of CPU time on one core of a shared Xeon host with numpy 2.4.
 """
 
 from __future__ import annotations
@@ -36,6 +34,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from operator import setitem
 from typing import NamedTuple
 
 import numpy as np
@@ -126,29 +126,25 @@ def default_lambda(B: float) -> float:
 def step_first(row0: np.ndarray, grid: Grid, B: float) -> np.ndarray:
     """Start-up level from the initial profile, the bulk starting at rest.
 
-    Written in increment form (identical algebra to the direct stencil) so
-    a constant row stays bitwise constant.  Boundary nodes are copied over
-    and must be closed by the symmetry mirror and a wall closure.  row0 may
-    also be a batch of rows (space on the last axis).
+    The two-level stencil with weight lam^2/2B, in increment form (identical
+    algebra to the direct stencil) so a constant row stays bitwise
+    constant.  Boundary nodes are copied over and must be closed by the
+    symmetry mirror and a wall closure.  row0 may also be a batch of rows
+    (space on the last axis).
     """
     if not B > 0:
         raise ConfigError("the hyperbolic stencil requires B > 0; use the parabolic solver")
-    lap = np.empty_like(row0[..., 1:-1])
-    _laplacian(row0[..., :-2], row0[..., 1:-1], row0[..., 2:], lap, np.empty_like(lap))
-    row1 = row0.copy()
-    row1[..., 1:-1] = row0[..., 1:-1] + grid.lam * grid.lam / (2.0 * B) * lap
-    return row1
+    return _step(row0, None, (grid.lam * grid.lam / (2.0 * B),))
 
 
 class _Row(NamedTuple):
-    """A row buffer (one row or a batch of rows) and the views a level uses.
+    """A row buffer (one row or a batch of rows) and the views a level binds.
 
     left, mid and right span the flattened buffer, so a stencil advances a
-    whole batch in one contiguous pass.  Across a batch it also writes the
-    wall node of each row and the symmetry node of the next, and the wall
-    closure and the mirror overwrite both in the same level.  The closures
-    read and write single nodes as Python floats through the memoryviews,
-    one entry per row, without building an array or a list.
+    whole batch in one contiguous pass; across a batch it also writes the
+    wall node of each row and the symmetry node of the next, which the
+    closure and the mirror overwrite.  The closures read and write single
+    nodes as Python floats through the memoryviews, one entry per row.
     """
 
     full: np.ndarray
@@ -172,43 +168,50 @@ def _views(row: np.ndarray) -> _Row:
     )
 
 
-def _laplacian(left, mid, right, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = right - 2 mid + left (prev[2:] - 2 prev[1:-1] + prev[:-2]), in this order.
+def _stencil(new: _Row, old: _Row, older: _Row | None, weights, lap, tmp) -> list:
+    """One level's interior update as zero-argument ufunc calls, in this order.
 
-    2 mid is formed as mid + mid, which is exact and the same bits.
+    lap = right - 2 mid + left of old, 2 mid formed as mid + mid (exact).
+    With older, the three-level wave update in increment form, new = old +
+    (2 lam^2 lap + (2B - k)(old - older)) / (2B + k), weights (2 lam^2,
+    2B - k, 2B + k); without, new = old + r lap, weights (r,).  lap and tmp
+    are work buffers.  The weights are bound as 0-d arrays, which a ufunc
+    takes with no conversion of a Python float on each call.
     """
-    np.add(mid, mid, out=tmp)
-    np.subtract(right, tmp, out=out)
-    np.add(out, left, out=out)
+    weights = [np.array(w) for w in weights]
+    ops = [
+        partial(np.add, old.mid, old.mid, tmp),
+        partial(np.subtract, old.right, tmp, lap),
+        partial(np.add, lap, old.left, lap),
+    ]
+    if older is None:
+        ops.append(partial(np.multiply, lap, weights[0], lap))
+    else:
+        c_lap, c_rate, den = weights
+        ops += [
+            partial(np.multiply, lap, c_lap, lap),
+            partial(np.subtract, old.mid, older.mid, tmp),
+            partial(np.multiply, tmp, c_rate, tmp),
+            partial(np.add, lap, tmp, lap),
+            partial(np.divide, lap, den, lap),
+        ]
+    return ops + [partial(np.add, old.mid, lap, new.mid)]
+
+
+def _step(prev: np.ndarray, prev2: np.ndarray | None, weights) -> np.ndarray:
+    """The next level of prev (and prev2) by _stencil, boundary nodes copied over."""
+    row = prev.copy()
+    new = _views(row)
+    lap = np.empty_like(new.mid)
+    older = None if prev2 is None else _views(prev2)
+    for op in _stencil(new, _views(prev), older, weights, lap, np.empty_like(lap)):
+        op()
+    row[..., 0], row[..., -1] = prev[..., 0], prev[..., -1]
+    return row
 
 
 def _wave_weights(grid: Grid, B: float) -> tuple[float, float, float]:
-    k = grid.k
-    return 2.0 * grid.lam**2, 2.0 * B - k, 2.0 * B + k
-
-
-def _wave_update(new: _Row, old: _Row, older: _Row, weights, lap, tmp) -> None:
-    """Three-level interior update in increment form, written into new.mid.
-
-    new = prev + (2 lam^2 lap(prev) + (2B - k)(prev - prev2)) / (2B + k),
-    evaluated in exactly this order; lap and tmp are work buffers.
-    """
-    c_lap, c_rate, den = weights
-    _laplacian(old.left, old.mid, old.right, lap, tmp)
-    np.multiply(lap, c_lap, out=lap)
-    np.subtract(old.mid, older.mid, out=tmp)
-    np.multiply(tmp, c_rate, out=tmp)
-    np.add(lap, tmp, out=lap)
-    np.divide(lap, den, out=lap)
-    np.add(old.mid, lap, out=new.mid)
-
-
-def _heat_update(new: _Row, old: _Row, older: _Row, weights, lap, tmp) -> None:
-    """Two-level diffusive update new = prev + r lap(prev) with r = k/h^2."""
-    (r,) = weights
-    _laplacian(old.left, old.mid, old.right, lap, tmp)
-    np.multiply(lap, r, out=lap)
-    np.add(old.mid, lap, out=new.mid)
+    return 2.0 * grid.lam**2, 2.0 * B - grid.k, 2.0 * B + grid.k
 
 
 def step_interior(prev: np.ndarray, prev2: np.ndarray, grid: Grid, B: float) -> np.ndarray:
@@ -217,11 +220,7 @@ def step_interior(prev: np.ndarray, prev2: np.ndarray, grid: Grid, B: float) -> 
     Increment form of the three-level stencil (same algebra as the direct
     three-point weights, exact on constant rows).
     """
-    row = prev.copy()
-    new = _views(row)
-    lap = np.empty_like(new.mid)
-    _wave_update(new, _views(prev), _views(prev2), _wave_weights(grid, B), lap, np.empty_like(lap))
-    return row
+    return _step(prev, prev2, _wave_weights(grid, B))
 
 
 def trapezoid_interior(rows: np.ndarray, h: float) -> np.ndarray:
@@ -257,18 +256,23 @@ class _Nonlocal:
         return [c[0] - (mass + 0.5 * c[4] * w) for mass, w, c in zip(inner, row.wall, constants)]
 
     @staticmethod
-    def close(row: _Row, sigma: list, constants: list) -> None:
-        """Write the wall value of each row; sigma is updated in place.
+    def bind(row: _Row, sigma: list, constants: list):
+        """row's wall closure as a zero-argument call that updates sigma in place.
 
         The inner mass is trapezoid_interior's, in Python floats.
         """
-        wall = row.wall
-        rows = zip(row.heads, np.add.reduce(row.interior, axis=1).tolist(), sigma, constants)
-        for b, (head, total, s, (half_n0, a_k, a, den, h)) in enumerate(rows):
-            rhs_mass = half_n0 - h * (0.5 * head + total)
-            w = (a_k * rhs_mass - a * s) / den
-            wall[b] = w
-            sigma[b] = rhs_mass - 0.5 * h * w
+        wall, heads, inner_sum = row.wall, row.heads, partial(np.add.reduce, row.interior, 1)
+        indexed = [(b, *c) for b, c in enumerate(constants)]
+
+        def close() -> None:
+            totals = inner_sum().tolist()
+            for b, half_n0, a_k, a, den, h in indexed:
+                rhs_mass = half_n0 - h * (0.5 * heads[b] + totals[b])
+                w = (a_k * rhs_mass - a * sigma[b]) / den
+                wall[b] = w
+                sigma[b] = rhs_mass - 0.5 * h * w
+
+        return close
 
 
 class _Local:
@@ -289,25 +293,27 @@ class _Local:
         return [0.0] * len(constants)
 
     @staticmethod
-    def close(row: _Row, sigma: list, constants: list) -> None:
-        wall = row.wall
-        rows = zip(row.near, row.near2, sigma, constants)
-        for b, (n1, n2, s, (a_k, two_h, a, k_l, den)) in enumerate(rows):
-            w = (a_k * (4.0 * n1 - n2) + two_h * s) / den
-            wall[b] = w
-            sigma[b] = (a * s + k_l * w) / a_k
+    def bind(row: _Row, sigma: list, constants: list):
+        wall, near, near2 = row.wall, row.near, row.near2
+        indexed = [(b, *c) for b, c in enumerate(constants)]
+
+        def close() -> None:
+            for b, a_k, two_h, a, k_l, den in indexed:
+                s = sigma[b]
+                w = (a_k * (4.0 * near[b] - near2[b]) + two_h * s) / den
+                wall[b] = w
+                sigma[b] = (a * s + k_l * w) / a_k
+
+        return close
 
 
 # interior stencils and wall closures of the marching kernel
 WAVE, HEAT = "wave", "heat"
 NONLOCAL, LOCAL = "nonlocal", "local"
-_UPDATES = {WAVE: _wave_update, HEAT: _heat_update}
 _CLOSURES = {NONLOCAL: _Nonlocal, LOCAL: _Local}
 
 
-def apply_surface(
-    row: np.ndarray, sigma_prev: float, grid: Grid, p: Params
-) -> tuple[float, float]:
+def apply_surface(row: np.ndarray, sigma_prev: float, grid: Grid, p: Params) -> tuple[float, float]:
     """Close the wall node of one row and update sigma for the current level.
 
     The nonlocal closure: sigma = N0/2 - trapezoid(row) combined with
@@ -316,7 +322,7 @@ def apply_surface(
     its wall node, so row must be a writable float64 array.
     """
     sigma = [sigma_prev]
-    _Nonlocal.close(_views(row[np.newaxis]), sigma, [_Nonlocal.constants(p, grid)])
+    _Nonlocal.bind(_views(row[np.newaxis]), sigma, [_Nonlocal.constants(p, grid)])()
     return float(row[-1]), sigma[0]
 
 
@@ -335,29 +341,26 @@ def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
     return out
 
 
-def march(
-    rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
-    probes=(), max_rows: int = 401,
-) -> list[TimeSeries]:
+def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
+          probes=(), max_rows: int = 401) -> list[TimeSeries]:
     """March start row rows0[b] with parameter set ps[b], all as one batch on grid.
 
     The engine's only time loop; one series per point.  stencil is WAVE or
     HEAT, closure NONLOCAL or LOCAL; the march itself does not check the
-    step ratio.  Level j lives in slot j % RING of a ring of level rows.
-    Each level advances the interior of every row from the two slots before
-    it (three-level wave or two-level heat stencil: nine or five ufunc calls
-    with 0-d weights), mirrors the symmetry node (one slice assignment),
-    closes each wall and appends sigma to the record.  A closure is one
-    Python loop over the rows that reads its nodes through the slot's
-    memoryviews (the symmetry node and, from numpy, the inner sum for the
-    nonlocal closure; nodes n_z-1 and n_z-2 for the local one) and writes
-    each wall value straight into the slot.  The wave stencil adds one
-    squared norm per level, the divergence filter.  The rest of the record
-    is read off the ring once per pass around it: the wall values, the
-    inner trapezoidal mass, the probe nodes and, at max_rows evenly spread
-    levels, the full rows.  Row b only ever sees parameter set b, so each
-    row of a batch matches a march of its point alone bit for bit.  Each
-    series gets a copy of meta plus the grid.
+    step ratio.  Level j lives in slot j % RING of a ring of level rows, and
+    each slot gets its level program once per march: a tuple of zero-argument
+    calls that advance every row's interior from the two slots before it
+    (_stencil's nine or five ufunc calls; the wave march's first level is
+    step_first's two-level one), mirror the symmetry node and close the
+    walls.  The closure is one Python loop over the rows, bound to the
+    slot's memoryviews, the sigma list and the rows' constants.  A level
+    runs its program, the wave march's divergence filter (one squared norm)
+    and appends sigma to the record.  The rest of the record is read off the
+    ring once per pass around it: the wall values, the inner trapezoidal
+    mass, the probe nodes and, at max_rows evenly spread levels, the full
+    rows.  Row b only ever sees parameter set b, so each row of a batch
+    matches a march of its point alone bit for bit.  Each series gets a copy
+    of meta plus the grid.
     """
     ps = list(ps)
     rows0 = np.asarray(rows0, dtype=float)
@@ -366,17 +369,10 @@ def march(
         raise InvalidInput("a batch needs one start row of n_z+1 nodes per parameter set")
     wave = stencil == WAVE
     B = ps[0].B
-    if wave:
-        if not B > 0:
-            raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic solver")
-        weights = _wave_weights(grid, B)
-    else:
-        weights = (grid.k / (grid.h * grid.h),)
-    # 0-d arrays: a ufunc takes them as they are, with no conversion of a
-    # Python float on each call
-    weights = tuple(np.array(w) for w in weights)
-    update, wall_closure = _UPDATES[stencil], _CLOSURES[closure]
-    close, constants = wall_closure.close, [wall_closure.constants(p, grid) for p in ps]
+    if wave and not B > 0:
+        raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic solver")
+    wall_closure = _CLOSURES[closure]
+    constants = [wall_closure.constants(p, grid) for p in ps]
     zgrid, h = grid.zgrid(), grid.h
     n_levels = n_t + 1
     stored = thin_indices(n_levels, max_rows)
@@ -385,46 +381,50 @@ def march(
 
     ring = np.empty((RING, n_batch, n_nodes))
     slots = [_views(row) for row in ring]
-    # (new, old, older) slots of a level, by the slot of the new one
-    triples = [(slots[i], slots[i - 1], slots[i - 2]) for i in range(RING)]
-    lap = np.empty_like(slots[0].mid)
-    tmp = np.empty_like(lap)
+    norms = [partial(np.vdot, row, row) for row in ring]
+    lap, tmp = np.empty_like(slots[0].mid), np.empty_like(slots[0].mid)
     np.copyto(ring[0], rows0)
+    sigma = wall_closure.start(slots[0], constants)
+
+    def program(i: int, weights, two_level: bool) -> tuple:
+        # slot i's level: stencil from slots i-1 (and i-2), mirror, closure
+        new, older = slots[i], None if two_level else slots[i - 2]
+        return (*_stencil(new, slots[i - 1], older, weights, lap, tmp),
+                partial(setitem, new.head, Ellipsis, new.neck),
+                wall_closure.bind(new, sigma, constants))
+
+    weights = _wave_weights(grid, B) if wave else (grid.k / (grid.h * grid.h),)
+    programs = [program(i, weights, not wave) for i in range(RING)]
+    start = program(1, (grid.lam * grid.lam / (2.0 * B),), True) if wave else programs[1]
     # the record, level-major: one entry per row, or per row and probe node
     sig_rec = array("d")
     wall, inner = np.empty((n_levels, n_batch)), np.empty((n_levels, n_batch))
     node_rec = np.empty((n_levels, n_batch, len(nodes)))
     rows = np.empty((n_batch, stored.size, n_nodes))
-    # a diverging run is cut off well before float overflow, so no step
-    # ever produces inf or a numpy warning.  One squared norm of the whole
-    # batch per level is the filter: it reaches ceiling^2 no later than any
-    # node reaches its ceiling (NaN fails it too), and only then are the
-    # rows checked one by one.
+    # a diverging run is cut off well before float overflow, so no step ever
+    # produces inf or a numpy warning.  One squared norm of the whole batch
+    # per level is the filter: it reaches ceiling^2 no later than any node
+    # reaches its ceiling (NaN fails it too); only then are rows checked.
     ceilings = [1e100 * max(1.0, p.N0) for p in ps]
     ceiling2 = min(c * c for c in ceilings)
-    sigma = wall_closure.start(slots[0], constants)
     sig_rec.extend(sigma)
-    for j in range(1, n_t + 1):
-        i = j % RING
-        new, old, older = triples[i]
-        if wave and j == 1:
-            np.copyto(new.full, step_first(old.full, grid, B))
-        else:
-            update(new, old, older, weights, lap, tmp)
-        new.head[...] = new.neck
-        close(new, sigma, constants)
-        if wave and not np.vdot(new.full, new.full) < ceiling2:
-            _check_divergence(j, new.full, ceilings, ps, grid)
-        sig_rec.extend(sigma)
-        if i == RING - 1 or j == n_t:
-            # record levels first .. j, held in ring slots 0 .. i
-            first, block = j - i, ring[: i + 1]
-            done = slice(first, j + 1)
-            wall[done] = block[..., -1]
-            inner[done] = trapezoid_interior(block, h)
-            node_rec[done] = block[..., nodes]
-            lo, hi = np.searchsorted(stored, (first, j + 1))
-            rows[:, lo:hi] = block[stored[lo:hi] - first].swapaxes(0, 1)
+    # pass by pass around the ring: levels first .. last in slots 0 .. last - first;
+    # the first pass starts from the start row in slot 0, with the start-up level
+    for first in range(0, n_levels, RING):
+        last = min(first + RING, n_levels) - 1
+        pass_programs = programs if first else [(), start, *programs[2:]]
+        for i in range(0 if first else 1, last - first + 1):
+            for op in pass_programs[i]:
+                op()
+            if wave and not norms[i]() < ceiling2:
+                _check_divergence(first + i, ring[i], ceilings, ps, grid)
+            sig_rec.extend(sigma)
+        block, done = ring[: last - first + 1], slice(first, last + 1)
+        wall[done] = block[..., -1]
+        inner[done] = trapezoid_interior(block, h)
+        node_rec[done] = block[..., nodes]
+        lo, hi = np.searchsorted(stored, (first, last + 1))
+        rows[:, lo:hi] = block[stored[lo:hi] - first].swapaxes(0, 1)
 
     sigma, wall, inner = (
         np.reshape(rec, (n_levels, n_batch)).T.copy() for rec in (sig_rec, wall, inner)

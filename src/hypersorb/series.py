@@ -34,7 +34,7 @@ class TimeSeries:
 
     def __post_init__(self):
         if not np.all(np.diff(self.t) > 0):
-            raise ValueError("time levels must be strictly increasing")
+            raise InvalidInput("time levels must be strictly increasing")
 
     @property
     def engine(self) -> str:

@@ -43,7 +43,8 @@ def write_csv(path, names, columns, config: dict | None = None) -> None:
     """Columns of equal length as CSV, floats to 17 significant digits.
 
     An optional first line echoes config; then the header of names.  The
-    rows are formatted a block at a time, each written as it is done.
+    rows are formatted a block at a time, with one % on the row format
+    repeated for the block, and each block is written as it is done.
     """
     row_format = ",".join([FLOAT_FORMAT] * len(columns)) + "\n"
     n_rows = len(columns[0])
@@ -54,8 +55,8 @@ def write_csv(path, names, columns, config: dict | None = None) -> None:
                 fh.write(f"# config: {echo}\n")
             fh.write(",".join(names) + "\n")
             for a in range(0, n_rows, CSV_BLOCK_ROWS):
-                block = zip(*(np.asarray(col)[a:a + CSV_BLOCK_ROWS].tolist() for col in columns))
-                fh.write("".join([row_format % row for row in block]))
+                block = np.column_stack([np.asarray(col)[a:a + CSV_BLOCK_ROWS] for col in columns])
+                fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise InvalidInput(f"cannot write CSV to {path!r}: {exc}") from exc
 
@@ -80,13 +81,16 @@ def read_series_csv(path) -> TimeSeries:
             continue
         if line:
             body.append(line)
-    if not body:
+    if len(body) < 2:
         raise InvalidInput(f"{path!r} contains no series data")
     names = body[0].split(",")
     if names[:2] != ["t_star", "sigma"]:
         raise InvalidInput(f"{path!r} is not a series CSV (header {body[0]!r})")
-    data = np.array([[float(v) for v in line.split(",")] for line in body[1:]])
-    if data.ndim != 2 or data.shape[1] != len(names):
+    try:
+        data = np.array([[float(v) for v in line.split(",")] for line in body[1:]])
+    except ValueError as exc:
+        raise InvalidInput(f"{path!r} has ragged rows or a value that is no number: {exc}") from exc
+    if data.shape[1] != len(names):
         raise InvalidInput(f"{path!r} has ragged rows")
     probes = {}
     for j, name in enumerate(names[2:], start=2):

@@ -94,6 +94,29 @@ class TestSeriesCsv:
         with pytest.raises(InvalidInput):
             read_series_csv(tmp_path / "absent.csv")
 
+    def test_header_only_file_has_no_series_data(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text('# config: {"k":1}\nt_star,sigma\n')
+        with pytest.raises(InvalidInput, match="contains no series data"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,1\n1\n", "ragged rows"),
+        ("0,1,2\n1,2,3\n", "ragged rows"),
+        ("0,x\n", "no number"),
+    ])
+    def test_malformed_rows_refused_on_read_back(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("t_star,sigma\n" + body)
+        with pytest.raises(InvalidInput, match=message):
+            read_series_csv(path)
+
+    def test_repeated_time_refused_on_read_back(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text("t_star,sigma\n0,0\n0,1\n")
+        with pytest.raises(InvalidInput, match="strictly increasing"):
+            read_series_csv(path)
+
 
 class TestConfigFile:
     def test_parse_and_overrides(self, tmp_path):
@@ -524,6 +547,56 @@ class TestCli:
         assert err.startswith(f"configuration error: modes must be between 1 and {cli.MAX_MODES}")
         assert "Gram matrix" in err
         assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("compare", "--pair", "fdm,fdm"),
+        ("compare", "--pair", "spectral,spectral"),
+        ("run", "--engine", "compare", "--pair", "parabolic,parabolic"),
+    ])
+    def test_pair_of_one_engine_refused(self, tmp_path, capsys, command):
+        args = [*command, "--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--T", "0.02",
+                "--n-z", "16", "--modes", "4", "--samples", "11", "--outdir", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: pair must name two different engines")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ("run", "--engine", "spectral"),
+        ("sweep", "--engine", "spectral", "--axis", "L", "--values", "1,2"),
+        ("compare", "--pair", "spectral,fdm"),
+        ("run", "--engine", "compare", "--pair", "parabolic,spectral"),
+    ])
+    def test_modal_table_bounded(self, tmp_path, capsys, monkeypatch, command):
+        # refused before any modal work starts, so a missing check fails
+        # here instead of building a table of gigabytes
+        def no_modal_work(*args, **kwargs):
+            raise AssertionError("modal work started")
+
+        monkeypatch.setattr(cli.spectral, "solve_spectral", no_modal_work)
+        monkeypatch.setattr(cli.spectral, "to_series", no_modal_work)
+        modes = 50
+        samples = cli.MAX_MODAL_TERMS // modes + 1
+        args = [*command, "--A", "0.01", "--B", "0.1", "--N0", "3", "--T", "0.02", "--n-z", "16",
+                "--modes", str(modes), "--samples", str(samples), "--outdir", str(tmp_path)]
+        if command[0] != "sweep":
+            args += ["--L", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: samples x modes must be at most {cli.MAX_MODAL_TERMS}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_modal_table_bound_is_inclusive_and_modal_only(self):
+        modes = 50
+        at_bound = ["--modes", str(modes), "--samples", str(cli.MAX_MODAL_TERMS // modes)]
+        past = ["--modes", str(modes), "--samples", str(cli.MAX_MODAL_TERMS // modes + 1)]
+        parser = make_parser()
+        cfg = build_config(parser.parse_args(["run", "--engine", "spectral", *at_bound]))
+        assert cfg.samples * cfg.modes == cli.MAX_MODAL_TERMS
+        for args in (["run", "--engine", "fdm", *past], ["compare", "--pair", "parabolic,fdm", *past]):
+            assert build_config(parser.parse_args(args)).samples == cli.MAX_MODAL_TERMS // modes + 1
+        with pytest.raises(cli.ConfigError, match="samples x modes"):
+            build_config(parser.parse_args(["compare", "--pair", "fdm,spectral", *past]))
 
     def test_import_starts_no_process_pool_machinery(self):
         # only B and spectral sweeps on several workers need the pool
