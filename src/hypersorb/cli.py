@@ -137,6 +137,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be finite and strictly positive, got {value!r}")
+        if self.r > 0.5:
+            raise ConfigError(f"r must be at most 1/2 for a stable parabolic march, got {self.r!r}")
         if not 1 <= self.modes <= MAX_MODES:
             raise ConfigError(
                 f"modes must be between 1 and {MAX_MODES}, got {self.modes}: the root scan"
@@ -162,7 +164,6 @@ class RunConfig:
 
 
 def _parse_scalar(text: str):
-    text = text.strip()
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -185,35 +186,37 @@ def load_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in ("probes", "values", "pair"):
-            items = [v for v in value.split(",") if v.strip()]
-            out[key] = [_parse_scalar(v) for v in items]
+            items = [v.strip() for v in value.split(",") if v.strip()]
+            out[key] = items if key == "pair" else [_parse_scalar(v) for v in items]
         else:
-            out[key] = _parse_scalar(value)
+            # text keys are taken as written, as their flags take them
+            out[key] = value if key in _TEXT_KEYS else _parse_scalar(value)
     return out
 
 
 _FLOAT_KEYS = ("A", "B", "L", "N0", "d", "D", "tau_r", "tau_a", "k_a", "n0", "T", "lam", "r")
 _INT_KEYS = ("n_z", "modes", "samples", "workers")
+_TEXT_KEYS = ("engine", "ic", "ic_file", "outdir", "name", "axis")
 _FIELDS = frozenset(f.name for f in fields(RunConfig))
 _OPTIONAL = frozenset(f.name for f in fields(RunConfig) if f.default is None)
 
 
 def _coerce(key: str, value):
-    """value as the type of RunConfig field key; ConfigError if it cannot be."""
+    """value, from a flag or the config file, as field key's type; ConfigError if it cannot be."""
     if value is None and key in _OPTIONAL:
         return None
     try:
         if key in _FLOAT_KEYS:
             return float(value)
         if key in _INT_KEYS:
-            number = float(value)
-            if not number.is_integer():
+            # an integer literal: flag text, or a JSON integer of the file
+            if type(value) not in (int, str):
                 raise ValueError("not an integer")
-            return int(number)
+            return int(value)
         if key in ("probes", "values"):
             return [float(v) for v in value]
-        if key == "pair":
-            return [str(v) for v in value]
+        if key == "diagnostics" and not isinstance(value, bool):
+            raise ValueError("not true or false")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     return value
@@ -245,12 +248,16 @@ def _outdir(cfg: RunConfig) -> str:
     return ensure_outdir(path)
 
 
-def _grid(cfg: RunConfig, engine: str, p: Params) -> fdm.Grid:
+def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1) -> fdm.Grid:
+    """Grid of engine fdm or parabolic for p, checked for a march of n_points rows."""
     T = cfg.horizon(p)
     if engine == "fdm":
         lam = cfg.lam if cfg.lam is not None else fdm.default_lambda(p.B)
-        return fdm.Grid.from_lambda(cfg.n_z, T, lam)
-    return fdm.Grid.for_parabolic(cfg.n_z, T, cfg.r)
+        grid = fdm.Grid.from_lambda(cfg.n_z, T, lam)
+    else:
+        grid = fdm.Grid.for_parabolic(cfg.n_z, T, cfg.r)
+    fdm.check_grid(grid, fdm.WAVE if engine == "fdm" else fdm.HEAT, p.B, n_points)
+    return grid
 
 
 def _solve_one(cfg: RunConfig, engine: str, p: Params, ic: InitialCondition, sol=None):
@@ -264,14 +271,6 @@ def _solve_one(cfg: RunConfig, engine: str, p: Params, ic: InitialCondition, sol
         tgrid = np.linspace(0.0, cfg.horizon(p), cfg.samples)
         return spectral.to_series(sol, tgrid, probes=cfg.probes)
     raise ConfigError(f"unknown engine {engine!r}")
-
-
-def _solve_batch(cfg: RunConfig, ps: list[Params], ic: InitialCondition) -> list:
-    """Series of points that share B, hence one grid, marched as one batch."""
-    grid = _grid(cfg, cfg.engine, ps[0])
-    if cfg.engine == "fdm":
-        return fdm.run_fdm_batch(ps, ic, grid, probes=cfg.probes)
-    return validate.run_parabolic_batch(ps, ic, grid, probes=cfg.probes)
 
 
 def _series_diagnostics(series, cfg_echo: dict) -> dict:
@@ -289,6 +288,10 @@ def _series_diagnostics(series, cfg_echo: dict) -> dict:
 
 def cmd_run(cfg: RunConfig) -> int:
     p = cfg.resolved_params()
+    # every grid is refused here if it is bad, before any engine runs
+    for engine in cfg.pair if cfg.engine == "compare" else [cfg.engine]:
+        if engine != "spectral":
+            _grid(cfg, engine, p)
     outdir = _outdir(cfg)
     echo = asdict(cfg)
     ic = cfg.resolved_ic()
@@ -354,15 +357,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f"sweep values {cfg.values[stems.index(stem)]!r} and {cfg.values[i]!r} both"
                 f" name {stem}.csv; give values that differ in 6 significant digits"
             )
-    outdir = _outdir(cfg)
-    echo = asdict(cfg)
     # the axis value completes the dimensionless set when it is the one left out
     base = replace(cfg, **{cfg.axis: cfg.values[0]}).resolved_params()
     points = [replace(base, **{cfg.axis: v}) for v in cfg.values]
+    if cfg.engine != "spectral":
+        # every grid is checked before any march, for all points: a sweep holds all their series
+        grids = [_grid(cfg, cfg.engine, p, len(points)) for p in points]
+    outdir = _outdir(cfg)
+    echo = asdict(cfg)
     ic = cfg.resolved_ic()
     if cfg.engine != "spectral" and cfg.axis != "B":
         # A, L and N0 leave the grid alone: one batched march, no pool
-        series_list = _solve_batch(cfg, points, ic)
+        run_batch = fdm.run_fdm_batch if cfg.engine == "fdm" else validate.run_parabolic_batch
+        series_list = run_batch(points, ic, grids[0], probes=cfg.probes)
     elif cfg.workers > 1:
         # looked up on the module: __getattr__ imports it on first use, and a
         # rebinding of cli.ProcessPoolExecutor takes effect
@@ -431,11 +438,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ic", choices=("step", "parabolic", "sampled"))
     sub.add_argument("--ic-file", dest="ic_file")
     sub.add_argument("--T", type=float)
-    sub.add_argument("--n-z", type=int, dest="n_z")
+    # int keys stay text here: _coerce parses them for flags and file alike
+    sub.add_argument("--n-z", dest="n_z")
     sub.add_argument("--lam", type=float, help="time/space step ratio for the fdm engine")
     sub.add_argument("--r", type=float, help="k/h^2 for the parabolic engine")
-    sub.add_argument("--modes", type=int)
-    sub.add_argument("--samples", type=int)
+    sub.add_argument("--modes")
+    sub.add_argument("--samples")
     sub.add_argument("--probes", type=lambda s: [float(v) for v in s.split(",") if v.strip()])
     sub.add_argument("--outdir")
     sub.add_argument("--name")
@@ -462,7 +470,7 @@ def make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--engine", choices=("fdm", "spectral", "parabolic"))
     sweep.add_argument("--axis", choices=SWEEP_AXES)
     sweep.add_argument("--values", type=lambda s: [float(v) for v in s.split(",") if v.strip()])
-    sweep.add_argument("--workers", type=int)
+    sweep.add_argument("--workers")
 
     comp = subs.add_parser("compare", help="run two engines and report deviations")
     _add_common(comp)

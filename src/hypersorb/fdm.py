@@ -17,14 +17,16 @@ parameter set, and sets that share a grid advance together as one
 inside and the nonlocal or the local closure at the wall.  Each row's
 closure is its own linear equation, so a batch row is bit-identical to a
 march of its set alone.  The runners (run_fdm, run_fdm_batch and
-validate's parabolic pair) sample the initial condition, store 401 rows
-and refuse a step ratio past the stability bound; other marches, such as
-one with every level stored, call march directly.
+validate's parabolic pair, which closes the wall locally) sample the
+initial condition, store 401 rows and refuse, through check_grid, a grid
+they cannot march; other marches, such as one with every level stored or
+the heat stencil under the nonlocal closure, call march directly.
 
 At the sizes in use numpy's per-call cost outweighs the arithmetic, so
 each ring slot gets a pre-bound level program once per march: partials of
 the stencil's ufunc calls on the slot's views with 0-d weights, the
-symmetry mirror, and the wall closure bound to the slot's memoryviews.
+symmetry mirror, and the wall closure bound to the slot's memoryviews;
+a march shorter than RING builds programs for its own levels only.
 With one row of 101 nodes a heat level costs ~6.5 us and a wave level
 ~13 us of CPU time on one core of a shared Xeon host with numpy 2.4.
 """
@@ -44,10 +46,16 @@ from .errors import ConfigError, InvalidInput, StabilityError
 from .params import InitialCondition, Params, sample_initial
 from .series import TimeSeries, thin_indices
 
-# level rows held by the marching kernel: level j is written into slot
+# most level rows held by the marching kernel: level j is written into slot
 # j % RING, and what a level leaves in its rows (wall values, inner mass,
 # probe nodes, stored rows) is recorded once per pass around the ring
 RING = 64
+
+# most levels x points a runner marches, fifty times the largest in use (the
+# parabolic oracle's 200,001 levels of one point at n_z = 100).  The record and
+# its series take ~133 bytes a level and point with three probes (measured at
+# 10^6 levels), the CSV ~100 bytes a level: ~1.3 GB in memory at the bound.
+MAX_RECORD = 10**7
 
 # fewest segments a grid of the half slab may have
 MIN_N_Z = 8
@@ -123,18 +131,19 @@ def default_lambda(B: float) -> float:
     return min(0.5 * math.sqrt(B), LAMBDA_CAP)
 
 
-def step_first(row0: np.ndarray, grid: Grid, B: float) -> np.ndarray:
-    """Start-up level from the initial profile, the bulk starting at rest.
-
-    The two-level stencil with weight lam^2/2B, in increment form (identical
-    algebra to the direct stencil) so a constant row stays bitwise
-    constant.  Boundary nodes are copied over and must be closed by the
-    symmetry mirror and a wall closure.  row0 may also be a batch of rows
-    (space on the last axis).
-    """
-    if not B > 0:
-        raise ConfigError("the hyperbolic stencil requires B > 0; use the parabolic solver")
-    return _step(row0, None, (grid.lam * grid.lam / (2.0 * B),))
+def check_grid(grid: Grid, stencil: str, B: float, n_points: int = 1) -> None:
+    """Refuse with ConfigError an unstable grid, or levels x n_points past MAX_RECORD."""
+    r = grid.k / (grid.h * grid.h)
+    if stencil == WAVE and not B > 0:
+        raise ConfigError("run_fdm requires B > 0; use the parabolic reference solver")
+    if stencil == WAVE and grid.lam > math.sqrt(B):
+        raise ConfigError(f"lambda = {grid.lam:.4g} exceeds the stability bound sqrt(B) = "
+                          f"{math.sqrt(B):.4g}; reduce lambda")
+    if stencil == HEAT and r > 0.5 + 1e-12:
+        raise ConfigError(f"parabolic stability needs k <= h^2/2; got r = {r:.4g}")
+    if (grid.n_t + 1) * n_points > MAX_RECORD:
+        raise ConfigError(f"{grid.n_t + 1} levels x {n_points} point(s) exceed the march"
+                          f" record bound {MAX_RECORD}: shorten T or coarsen n_z")
 
 
 class _Row(NamedTuple):
@@ -346,14 +355,16 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     """March start row rows0[b] with parameter set ps[b], all as one batch on grid.
 
     The engine's only time loop; one series per point.  stencil is WAVE or
-    HEAT, closure NONLOCAL or LOCAL; the march itself does not check the
-    step ratio.  Level j lives in slot j % RING of a ring of level rows, and
-    each slot gets its level program once per march: a tuple of zero-argument
+    HEAT, closure NONLOCAL or LOCAL (other names raise InvalidInput); the
+    march itself does not check the grid (see check_grid).  Level j lives
+    in slot j % RING of a ring of min(RING, n_t + 1) level rows, and each
+    slot gets its level program once per march: a tuple of zero-argument
     calls that advance every row's interior from the two slots before it
     (_stencil's nine or five ufunc calls; the wave march's first level is
-    step_first's two-level one), mirror the symmetry node and close the
-    walls.  The closure is one Python loop over the rows, bound to the
-    slot's memoryviews, the sigma list and the rows' constants.  A level
+    the two-level start-up, weight lam^2/2B, of a bulk at rest), mirror the
+    symmetry node and close the walls.  The closure is one Python loop over
+    the rows, bound to the slot's memoryviews, the sigma list and the rows'
+    constants.  A level
     runs its program, the wave march's divergence filter (one squared norm)
     and appends sigma to the record.  The rest of the record is read off the
     ring once per pass around it: the wall values, the inner trapezoidal
@@ -367,6 +378,9 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     n_batch, n_nodes, n_t = len(ps), grid.n_z + 1, grid.n_t
     if not ps or rows0.shape != (n_batch, n_nodes):
         raise InvalidInput("a batch needs one start row of n_z+1 nodes per parameter set")
+    if stencil not in (WAVE, HEAT) or closure not in _CLOSURES:
+        raise InvalidInput(f"march needs stencil 'wave' or 'heat' and closure 'nonlocal' or"
+                           f" 'local', got {stencil!r} and {closure!r}")
     wave = stencil == WAVE
     B = ps[0].B
     if wave and not B > 0:
@@ -375,11 +389,12 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     constants = [wall_closure.constants(p, grid) for p in ps]
     zgrid, h = grid.zgrid(), grid.h
     n_levels = n_t + 1
+    n_slots = min(RING, n_levels)
     stored = thin_indices(n_levels, max_rows)
     stencils = _probe_weights(probes, zgrid)
     nodes = sorted({n for _, i, _ in stencils for n in (i, i + 1)})
 
-    ring = np.empty((RING, n_batch, n_nodes))
+    ring = np.empty((n_slots, n_batch, n_nodes))
     slots = [_views(row) for row in ring]
     norms = [partial(np.vdot, row, row) for row in ring]
     lap, tmp = np.empty_like(slots[0].mid), np.empty_like(slots[0].mid)
@@ -394,7 +409,7 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
                 wall_closure.bind(new, sigma, constants))
 
     weights = _wave_weights(grid, B) if wave else (grid.k / (grid.h * grid.h),)
-    programs = [program(i, weights, not wave) for i in range(RING)]
+    programs = [program(i, weights, not wave) for i in range(n_slots)]
     start = program(1, (grid.lam * grid.lam / (2.0 * B),), True) if wave else programs[1]
     # the record, level-major: one entry per row, or per row and probe node
     sig_rec = array("d")
@@ -410,8 +425,8 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     sig_rec.extend(sigma)
     # pass by pass around the ring: levels first .. last in slots 0 .. last - first;
     # the first pass starts from the start row in slot 0, with the start-up level
-    for first in range(0, n_levels, RING):
-        last = min(first + RING, n_levels) - 1
+    for first in range(0, n_levels, n_slots):
+        last = min(first + n_slots, n_levels) - 1
         pass_programs = programs if first else [(), start, *programs[2:]]
         for i in range(0 if first else 1, last - first + 1):
             for op in pass_programs[i]:
@@ -476,14 +491,7 @@ def run_fdm_batch(ps, ic: InitialCondition, grid: Grid, probes=()) -> list[TimeS
     """
     if not ps or any(p.B != ps[0].B for p in ps):
         raise InvalidInput("a batch needs one or more parameter sets sharing one B")
-    B = ps[0].B
-    if not B > 0:
-        raise ConfigError("run_fdm requires B > 0; use the parabolic reference solver")
-    if grid.lam > math.sqrt(B):
-        raise ConfigError(
-            f"lambda = {grid.lam:.4g} exceeds the stability bound sqrt(B) = "
-            f"{math.sqrt(B):.4g}; reduce lambda"
-        )
+    check_grid(grid, WAVE, ps[0].B, len(ps))
     zgrid = grid.zgrid()
     rows0 = [sample_initial(ic, p, zgrid) for p in ps]
     return march(rows0, ps, grid, WAVE, NONLOCAL, {"engine": "fdm"}, probes)

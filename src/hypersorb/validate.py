@@ -2,8 +2,9 @@
 
 The parabolic solver integrates the classical diffusion limit (B = 0) with
 the same wall kinetics.  In that limit global conservation collapses to a
-local flux condition at the wall, so the solver supports both closures and
-their agreement is itself a testable property.
+local flux condition at the wall, the solver's closure; march(..., HEAT,
+NONLOCAL, ...) closes the same stencil by conservation, and the agreement
+of the two closures is itself a testable property.
 """
 
 from __future__ import annotations
@@ -13,50 +14,32 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput
+from .errors import InvalidInput
 # validate.apply_surface stays bound: perfbench's tracer wraps it by that name
-from .fdm import HEAT, LOCAL, NONLOCAL, Grid, apply_surface, march  # noqa: F401
+from .fdm import HEAT, LOCAL, Grid, apply_surface, check_grid, march  # noqa: F401
 from .params import InitialCondition, Params, equilibrium, sample_initial
 from .series import TimeSeries
 
 
-def run_parabolic_batch(
-    ps,
-    ic: InitialCondition,
-    grid: Grid,
-    boundary: str = LOCAL,
-    probes=(),
-) -> list[TimeSeries]:
+def run_parabolic_batch(ps, ic: InitialCondition, grid: Grid, probes=()) -> list[TimeSeries]:
     """run_parabolic for several parameter sets on one grid, marched as one array.
 
     Series b is bit-identical to run_parabolic(ps[b], ic, grid, ...).
     """
-    if boundary not in (LOCAL, NONLOCAL):
-        raise InvalidInput(f"unknown boundary closure {boundary!r}")
-    r = grid.k / (grid.h * grid.h)
-    if r > 0.5 + 1e-12:
-        raise ConfigError(f"parabolic stability needs k <= h^2/2; got r = {r:.4g}")
+    check_grid(grid, HEAT, 0.0, len(ps))
     zgrid = grid.zgrid()
     rows0 = [sample_initial(ic, p, zgrid) for p in ps]
-    meta = {"engine": "parabolic", "boundary": boundary}
-    return march(rows0, ps, grid, HEAT, boundary, meta, probes)
+    return march(rows0, ps, grid, HEAT, LOCAL, {"engine": "parabolic", "boundary": LOCAL}, probes)
 
 
-def run_parabolic(
-    p: Params,
-    ic: InitialCondition,
-    grid: Grid,
-    boundary: str = LOCAL,
-    probes=(),
-) -> TimeSeries:
+def run_parabolic(p: Params, ic: InitialCondition, grid: Grid, probes=()) -> TimeSeries:
     """Explicit diffusive reference solution (B treated as zero).
 
-    boundary="local" closes the wall with the flux condition
-    -dN/dz = dsigma/dt plus backward-Euler kinetics; boundary="nonlocal"
-    reuses the conservation-based closure of the hyperbolic engine.  For
-    step initial data sigma(t) is monotonic non-decreasing.
+    The wall is closed with the flux condition -dN/dz = dsigma/dt plus
+    backward-Euler kinetics.  For step initial data sigma(t) is monotonic
+    non-decreasing.
     """
-    return run_parabolic_batch([p], ic, grid, boundary, probes)[0]
+    return run_parabolic_batch([p], ic, grid, probes)[0]
 
 
 @dataclass(eq=False)

@@ -101,9 +101,17 @@ def march_family(scheme, ps, ic, grid):
     if scheme == "fdm":
         batch = run_fdm_batch(ps, ic, grid, probes=PROBES)
         single = [run_fdm(p, ic, grid, probes=PROBES) for p in ps]
+    elif scheme == "local":
+        batch = run_parabolic_batch(ps, ic, grid, probes=PROBES)
+        single = [run_parabolic(p, ic, grid, probes=PROBES) for p in ps]
     else:
-        batch = run_parabolic_batch(ps, ic, grid, scheme, probes=PROBES)
-        single = [run_parabolic(p, ic, grid, scheme, probes=PROBES) for p in ps]
+        # the parabolic stencil under the conservation closure has no runner
+        def run(points):
+            rows0 = [sample_initial(ic, p, grid.zgrid()) for p in points]
+            return march(rows0, points, grid, HEAT, NONLOCAL, {}, PROBES)
+
+        batch = run(ps)
+        single = [run([p])[0] for p in ps]
     return batch, single
 
 

@@ -7,14 +7,16 @@ import pytest
 
 from hypersorb.errors import ConfigError, InvalidInput, StabilityError
 from hypersorb.fdm import (
+    HEAT,
+    MAX_RECORD,
     NONLOCAL,
     WAVE,
     Grid,
     apply_surface,
+    check_grid,
     default_lambda,
     march,
     run_fdm,
-    step_first,
     step_interior,
 )
 from hypersorb.params import Params, equilibrium, parabolic_ic, sample_initial, step_ic
@@ -73,16 +75,24 @@ class TestStencils:
     B, lam = 0.25, 0.25
     grid = Grid.from_lambda(128, 1.0, 0.25)
 
+    def first_level(self, row):
+        """Level 1 of a one-level wave march from row: the start-up stencil."""
+        g = self.grid
+        one = Grid(n_z=g.n_z, n_t=1, h=g.h, k=g.k, lam=g.lam, T=g.k)
+        p = Params(A=0.25, B=self.B, L=1.0, N0=3.0)
+        (ser,) = march([row], [p], one, WAVE, NONLOCAL, {}, max_rows=one.n_t + 1)
+        return ser.rows[1]
+
     def test_first_step_preserves_constants_exactly(self):
         row = np.full(self.grid.n_z + 1, 3.0)
-        out = step_first(row, self.grid, self.B)
-        assert np.array_equal(out, row)
+        out = self.first_level(row)
+        assert np.array_equal(out[1:-1], row[1:-1])
 
     def test_first_step_against_direct_formula(self):
         # node next to an emptied wall: N0 (lam^2/2B + (B - lam^2)/B)
         row = np.full(self.grid.n_z + 1, 3.0)
         row[-1] = 0.0
-        out = step_first(row, self.grid, self.B)
+        out = self.first_level(row)
         expected = 3.0 * (self.lam**2 / (2 * self.B) + (self.B - self.lam**2) / self.B)
         assert expected == 2.625
         assert out[-2] == expected
@@ -243,6 +253,23 @@ class TestRunFdm:
         p = Params(A=0.01, B=0.0, L=1.0, N0=3.0)
         with pytest.raises(ConfigError):
             run_fdm(p, step_ic(), Grid.from_lambda(16, 1.0, 0.02))
+
+    @pytest.mark.parametrize("stencil, closure", [("Wave", NONLOCAL), (WAVE, "Nonlocal"), ("", "")])
+    def test_march_refuses_unknown_names(self, wavefront_params, stencil, closure):
+        grid = Grid.from_lambda(16, 0.01, 0.02)
+        with pytest.raises(InvalidInput, match="march needs stencil 'wave' or 'heat'"):
+            march([np.full(17, 3.0)], [wavefront_params], grid, stencil, closure, {})
+
+    def test_record_bound_admits_the_oracle_march(self):
+        # the parabolic oracle of compare parabolic,fdm at n_z = 100, T = 2
+        oracle = Grid.for_parabolic(100, 2.0, 0.4)
+        assert oracle.n_t + 1 == 200_001
+        check_grid(oracle, HEAT, 0.0)
+        h = 0.5 / 16
+        at = Grid(n_z=16, n_t=MAX_RECORD // 2 - 1, h=h, k=h * h / 4, lam=h / 4, T=1.0)
+        check_grid(at, HEAT, 0.0, n_points=2)
+        with pytest.raises(ConfigError, match="record bound"):
+            check_grid(at, HEAT, 0.0, n_points=3)
 
     def test_probe_validation(self, wavefront_params):
         grid = Grid.from_lambda(16, 0.1, 0.02)

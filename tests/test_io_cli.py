@@ -160,6 +160,40 @@ class TestConfigFile:
         assert err.startswith("configuration error:") and message in err
         assert not (tmp_path / "series.json").exists()
 
+    BASE = "A = 0.01\nB = 0.1\nL = 1\nN0 = 3\nT = 0.02\nn_z = 16\n"
+
+    def test_text_key_stored_as_its_flag_stores_it(self, tmp_path):
+        # name = 123 and --name 123 are one configuration: the same bytes
+        cfg_file = tmp_path / "run.cfg"
+        outdir = tmp_path / "out"
+        written = []
+        for extra_line, flags in (("name = 123\n", []), ("", ["--name", "123"])):
+            cfg_file.write_text(self.BASE + extra_line)
+            assert main(["run", "--config", str(cfg_file), "--outdir", str(outdir), *flags]) == 0
+            written.append([(outdir / f"123.{ext}").read_bytes() for ext in ("csv", "json")])
+        assert written[0] == written[1]
+        assert json.loads(written[0][1])["config"]["name"] == "123"
+
+    @pytest.mark.parametrize("value", ["no", "1", "\"true\""])
+    def test_diagnostics_takes_only_true_or_false(self, tmp_path, capsys, value):
+        cfg_file = tmp_path / "run.cfg"
+        spectral = "engine = spectral\nmodes = 4\nsamples = 11\n"
+        cfg_file.write_text(f"{spectral}{self.BASE}diagnostics = {value}\n")
+        assert main(["run", "--config", str(cfg_file), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: bad value for diagnostics")
+        assert not (tmp_path / "series_eigen_grid.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("modes", "10.0"), ("n_z", "1e2"), ("samples", "true")])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_int_keys_take_integer_literals_from_either_source(self, tmp_path, capsys, key, value,
+                                                                source):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(self.BASE + (f"{key} = {value}\n" if source == "file" else ""))
+        flags = [f"--{key.replace('_', '-')}", value] if source == "flag" else []
+        assert main(["run", "--config", str(cfg_file), "--outdir", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: bad value for {key}")
+        assert not (tmp_path / "series.json").exists()
+
 
 class TestCli:
     def run_args(self, tmp_path, extra=()):
@@ -537,6 +571,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: n_z must be at least 8, got {n_z}")
         assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (("compare", "--pair", "fdm,parabolic", "--r", "0.6"), "r must be at most 1/2"),
+        (("compare", "--pair", "parabolic,fdm", "--lam", "0.5"), "exceeds the stability bound"),
+        (("sweep", "--engine", "fdm", "--axis", "B", "--values", "0.1,1e-3", "--lam", "0.1"),
+         "exceeds the stability bound sqrt(B) = 0.03162"),
+        (("run", "--engine", "fdm", "--T", "1e6"), "exceed the march record bound"),
+        (("sweep", "--engine", "parabolic", "--axis", "L", "--values", "1,2,3", "--T", "2000"),
+         "x 3 point(s) exceed the march record bound"),
+    ])
+    def test_bad_grid_refused_before_any_march(self, tmp_path, capsys, monkeypatch, command,
+                                               message):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started")
+
+        monkeypatch.setattr(cli.fdm, "march", no_march)
+        monkeypatch.setattr(cli.validate, "march", no_march)
+        args = [*command, "--A", "0.01", "--B", "1e-3", "--N0", "3", "--n-z", "16",
+                "--outdir", str(tmp_path)]
+        args += [] if "--T" in command else ["--T", "0.05"]
+        args += [] if "L" in command else ["--L", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_mode_count_bounded(self, tmp_path, capsys):
         # refused at the boundary, before any root scan starts

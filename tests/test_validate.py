@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypersorb.errors import ConfigError, InvalidInput
-from hypersorb.fdm import HEAT, LOCAL, Grid, default_lambda, march, run_fdm
+from hypersorb.fdm import HEAT, LOCAL, NONLOCAL, Grid, default_lambda, march, run_fdm
 from hypersorb.params import Params, equilibrium, parabolic_ic, sample_initial, step_ic
 from hypersorb.series import thin_indices
 from hypersorb.spectral import solve_spectral, to_series
@@ -14,6 +14,12 @@ from hypersorb.validate import (
     compare_engines,
     run_parabolic,
 )
+
+
+def run_parabolic_nonlocal(p, ic, grid, probes=()):
+    """The parabolic stencil under the conservation closure, stored as the runners store."""
+    (ser,) = march([sample_initial(ic, p, grid.zgrid())], [p], grid, HEAT, NONLOCAL, {}, probes)
+    return ser
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +44,7 @@ class TestRunParabolic:
     def test_equilibrium_value_conservative_closure(self, diffusive_params):
         # the conservation-based closure pins the final state exactly
         grid = Grid.for_parabolic(50, 10.0, 0.4)
-        ser = run_parabolic(diffusive_params, step_ic(), grid, boundary="nonlocal")
+        ser = run_parabolic_nonlocal(diffusive_params, step_ic(), grid)
         _, sigma_eq = equilibrium(diffusive_params)
         assert abs(ser.sigma[-1] - sigma_eq) < 0.005 * sigma_eq
         assert np.max(ser.conservation) < 1e-12 * 3.0
@@ -49,7 +55,7 @@ class TestRunParabolic:
         devs = {}
         for n_z in (50, 100):
             grid = Grid.for_parabolic(n_z, 3.0, 0.4)
-            ser = run_parabolic(diffusive_params, parabolic_ic(), grid, boundary="local")
+            ser = run_parabolic(diffusive_params, parabolic_ic(), grid)
             devs[n_z] = abs(ser.sigma[-1] - sigma_eq)
         assert devs[100] < 0.01 * sigma_eq
         assert devs[100] == pytest.approx(0.5 * devs[50], rel=0.2)
@@ -61,8 +67,8 @@ class TestRunParabolic:
         gaps = {}
         for n_z in (64, 128):
             grid = Grid.for_parabolic(n_z, 1.0, 0.4)
-            loc = run_parabolic(diffusive_params, step_ic(), grid, boundary="local")
-            non = run_parabolic(diffusive_params, step_ic(), grid, boundary="nonlocal")
+            loc = run_parabolic(diffusive_params, step_ic(), grid)
+            non = run_parabolic_nonlocal(diffusive_params, step_ic(), grid)
             gaps[n_z] = np.max(np.abs(loc.sigma - non.sigma))
         assert gaps[64] < 0.02 * sigma_eq
         assert gaps[128] < 0.7 * gaps[64]
@@ -72,8 +78,8 @@ class TestRunParabolic:
         # to the uniform state carrying the full mass
         p = Params(A=0.01, B=1e-4, L=0.0, N0=3.0)
         grid = Grid.for_parabolic(32, 1.0, 0.4)
-        for boundary in ("local", "nonlocal"):
-            ser = run_parabolic(p, step_ic(), grid, boundary=boundary, probes=[0.25])
+        for run in (run_parabolic, run_parabolic_nonlocal):
+            ser = run(p, step_ic(), grid, probes=[0.25])
             # sigma stays within the startup quadrature artifact and decays away
             assert np.max(np.abs(ser.sigma)) <= grid.h * 3.0
             assert abs(ser.sigma[-1]) < 1e-6
@@ -85,9 +91,10 @@ class TestRunParabolic:
             run_parabolic(diffusive_params, step_ic(), grid)
 
     def test_unknown_closure(self, diffusive_params):
+        grid = Grid.for_parabolic(16, 0.1, 0.4)
+        row0 = sample_initial(step_ic(), diffusive_params, grid.zgrid())
         with pytest.raises(InvalidInput):
-            run_parabolic(diffusive_params, step_ic(), Grid.for_parabolic(16, 0.1, 0.4),
-                          boundary="mystery")
+            march([row0], [diffusive_params], grid, HEAT, "mystery", {})
 
 
 class TestCompareEngines:
