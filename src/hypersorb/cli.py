@@ -20,6 +20,7 @@ import numpy as np
 from . import eigen, fdm, spectral, validate
 from .errors import ConfigError, HypersorbError
 from .params import InitialCondition, Params, PhysicalInputs, from_physical, parabolic_ic, sampled_ic, step_ic
+from .series import thin_series
 from .seriesio import ensure_outdir, write_csv, write_json, write_series_csv
 
 OUTDIR_ENV = "HYPERSORB_OUTDIR"
@@ -302,7 +303,7 @@ def cmd_run(cfg: RunConfig) -> int:
         sol = spectral.solve_spectral(p, ic, cfg.modes)
     series = _solve_one(cfg, cfg.engine, p, ic, sol)
     csv_path = os.path.join(outdir, f"{cfg.name}.csv")
-    write_series_csv(series, csv_path, config=echo)
+    write_series_csv(thin_series(series, cfg.samples), csv_path, config=echo)
     diag = _series_diagnostics(series, echo)
     if cfg.engine == "spectral":
         diag["eigenvalues"] = [m.alpha for m in sol.modes]
@@ -327,8 +328,9 @@ def _emit_comparison(
     T = min(series_a.t[-1], series_b.t[-1])
     tgrid = np.linspace(0.05 * T, T, 401)
     report = validate.compare_engines(series_a, series_b, tgrid)
-    write_series_csv(series_a, os.path.join(outdir, f"{cfg.name}_{name_a}.csv"), config=echo)
-    write_series_csv(series_b, os.path.join(outdir, f"{cfg.name}_{name_b}.csv"), config=echo)
+    for name, series in ((name_a, series_a), (name_b, series_b)):
+        path = os.path.join(outdir, f"{cfg.name}_{name}.csv")
+        write_series_csv(thin_series(series, cfg.samples), path, config=echo)
     payload = report.to_dict()
     payload["config"] = echo
     write_json(payload, os.path.join(outdir, f"{cfg.name}_report.json"))
@@ -366,8 +368,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
     echo = asdict(cfg)
     ic = cfg.resolved_ic()
-    if cfg.engine != "spectral" and cfg.axis != "B":
-        # A, L and N0 leave the grid alone: one batched march, no pool
+    # A, L and N0 leave the grid alone, and the heat stencil never reads B:
+    # points on one grid march as one batch, with no pool
+    batched = cfg.engine == "parabolic" or (cfg.engine == "fdm" and cfg.axis != "B")
+    if batched and all(g == grids[0] for g in grids):
         run_batch = fdm.run_fdm_batch if cfg.engine == "fdm" else validate.run_parabolic_batch
         series_list = run_batch(points, ic, grids[0], probes=cfg.probes)
     elif cfg.workers > 1:
@@ -383,7 +387,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         path = os.path.join(outdir, f"{stem}.csv")
         point_echo = dict(echo)
         point_echo[cfg.axis] = value
-        write_series_csv(series, path, config=point_echo)
+        write_series_csv(thin_series(series, cfg.samples), path, config=point_echo)
         files.append(os.path.basename(path))
     write_json(
         {"config": echo, "axis": cfg.axis, "values": list(cfg.values), "files": files},
@@ -397,8 +401,9 @@ def __getattr__(name: str):
     """Import ProcessPoolExecutor on first use.
 
     concurrent.futures.process and multiprocessing add ~16 ms to every
-    fresh interpreter, and only B and spectral sweeps on several workers
-    start a pool.
+    fresh interpreter, and only spectral sweeps, fdm sweeps along B and
+    parabolic sweeps whose points need different horizons start a pool,
+    on several workers.
     """
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
@@ -429,6 +434,11 @@ def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: i
     return 0
 
 
+def _names(text: str) -> list[str]:
+    """A comma-separated list of names, each stripped, as the config file splits it."""
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value configuration file")
     for key in ("A", "B", "L", "N0"):
@@ -443,7 +453,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lam", type=float, help="time/space step ratio for the fdm engine")
     sub.add_argument("--r", type=float, help="k/h^2 for the parabolic engine")
     sub.add_argument("--modes")
-    sub.add_argument("--samples")
+    sub.add_argument("--samples", help="rows of every written series: evenly spread levels"
+                     " including both ends (default 801); at least the level count (n_t + 1)"
+                     " writes every level, and with spectral, samples x modes is at most 10^7")
     sub.add_argument("--probes", type=lambda s: [float(v) for v in s.split(",") if v.strip()])
     sub.add_argument("--outdir")
     sub.add_argument("--name")
@@ -462,7 +474,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", choices=ENGINES)
     run.add_argument("--diagnostics", action="store_true", default=None,
                      help="also dump the secular-equation grid (spectral engine)")
-    run.add_argument("--pair", type=lambda s: s.split(","),
+    run.add_argument("--pair", type=_names,
                      help="engines for --engine compare, e.g. spectral,fdm")
 
     sweep = subs.add_parser("sweep", help="repeat a run along one parameter axis")
@@ -474,7 +486,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     comp = subs.add_parser("compare", help="run two engines and report deviations")
     _add_common(comp)
-    comp.add_argument("--pair", type=lambda s: s.split(","),
+    comp.add_argument("--pair", type=_names,
                       help="two of fdm, spectral, parabolic (default spectral,fdm)")
 
     dump = subs.add_parser("eigen-dump", help="tabulate the secular equations on an alpha grid")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,11 +14,14 @@ from .params import Params
 class TimeSeries:
     """Surface and bulk densities sampled over a run.
 
-    t, sigma and surface cover every time level; probes maps a z* position
-    to the bulk density history there.  Full spatial rows are stored only at
-    row_times (thinned to keep memory bounded) on the half-domain grid
-    row_z in [0, 1/2].  conservation holds the per-level residual
-    |integral(N) + 2 sigma - N0| when the engine computes one.
+    t, sigma and surface cover every time level an engine computed; probes
+    maps a z* position to the bulk density history there.  Full spatial rows
+    are stored only at row_times (thinned to keep memory bounded) on the
+    half-domain grid row_z in [0, 1/2].  conservation holds the per-level
+    residual |integral(N) + 2 sigma - N0| when the engine computes one.  The
+    CLI writes each series through thin_series: samples evenly spread levels
+    including both ends, or every level when samples is at least the level
+    count; conservation is left whole.
     """
 
     t: np.ndarray
@@ -49,3 +52,23 @@ def thin_indices(n_levels: int, max_rows: int) -> np.ndarray:
         return np.arange(n_levels)
     idx = np.linspace(0, n_levels - 1, max_rows).round().astype(int)
     return np.unique(idx)
+
+
+def thin_series(series: TimeSeries, samples: int) -> TimeSeries:
+    """The series at thin_indices(levels, samples); itself when samples >= levels.
+
+    t, sigma, surface and the probes are thinned; conservation, the stored
+    rows, params and meta are kept as they are, so a check of the residual
+    still covers every level.
+    """
+    n_levels = series.t.size
+    if samples >= n_levels:
+        return series
+    idx = thin_indices(n_levels, samples)
+    return replace(
+        series,
+        t=series.t[idx],
+        sigma=series.sigma[idx],
+        surface=series.surface[idx],
+        probes={z: v[idx] for z, v in series.probes.items()},
+    )

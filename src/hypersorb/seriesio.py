@@ -2,8 +2,11 @@
 
 Series CSV contract: optional leading comment lines starting with '#'
 (one of which echoes the resolved run configuration), then the header
-``t_star,sigma,N_at_<z1>,...`` and one row per time level with floats
-printed to 17 significant digits (lossless for float64).
+``t_star,sigma,N_at_<z1>,...`` and one row per time level of the series
+handed in, with floats printed to 17 significant digits (lossless for
+float64).  The CLI hands in ``samples`` evenly spread levels including
+both ends (series.thin_series); a ``--samples`` at or above the level count
+writes every level.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from hypersorb import cli, spectral
+from hypersorb import cli, fdm, spectral, validate
 from hypersorb.cli import build_config, load_config_file, main, make_parser
 from hypersorb.errors import InvalidInput
-from hypersorb.series import TimeSeries
+from hypersorb.params import Params, step_ic
+from hypersorb.series import TimeSeries, thin_indices, thin_series
 from hypersorb.seriesio import CSV_BLOCK_ROWS, format_float, read_series_csv, write_series_csv
 
 
@@ -508,6 +509,29 @@ class TestCli:
             single = (tmp_path / "one.csv").read_bytes().split(b"\n", 1)[1]
             assert swept[f"w_B{float(B):g}.csv"] == single
 
+    @pytest.mark.parametrize("values, T, marches", [
+        ("0.1,0.2,0.3", ("--T", "0.05"), 1),  # one grid: one batched march
+        ("0.5,1", (), 2),  # B = 1 extends the horizon to T = 10: a march each
+    ])
+    def test_parabolic_B_sweep_batched_on_one_grid(self, tmp_path, monkeypatch, values, T, marches):
+        calls = []
+
+        def counting_march(*args, **kwargs):
+            calls.append(len(args[1]))
+            return fdm.march(*args, **kwargs)
+
+        monkeypatch.setattr(validate, "march", counting_march)
+        common = ["--A", "0.01", "--L", "1", "--N0", "3", "--n-z", "8", *T]
+        assert main(["sweep", "--engine", "parabolic", "--axis", "B", "--values", values,
+                     *common, "--outdir", str(tmp_path), "--name", "w"]) == 0
+        assert len(calls) == marches and sum(calls) == len(values.split(","))
+        swept = self.sweep_data(tmp_path)
+        for B in values.split(","):
+            assert main(["run", "--engine", "parabolic", "--B", B, *common,
+                         "--outdir", str(tmp_path), "--name", "one"]) == 0
+            single = (tmp_path / "one.csv").read_bytes().split(b"\n", 1)[1]
+            assert swept[f"w_B{float(B):g}.csv"] == single
+
     def test_sweep_axis_applies_to_physical_inputs(self, tmp_path):
         # d = D = 1, tau_r = 0.1, tau_a = 0.01, k_a = 100, n0 = 3 is
         # A = 0.01, B = 0.1, L = 1, N0 = 3; the swept L replaces L = 1
@@ -621,6 +645,21 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [
+        ("compare", "--pair", " parabolic, fdm "),
+        ("run", "--engine", "compare", "--pair", "parabolic ,fdm"),
+    ])
+    def test_pair_names_stripped_as_in_the_config_file(self, tmp_path, command):
+        cfg_file = tmp_path / "pair.cfg"
+        cfg_file.write_text("pair = parabolic, fdm\n")
+        parser = make_parser()
+        from_flag = build_config(parser.parse_args(list(command)))
+        from_file = build_config(parser.parse_args([command[0], "--config", str(cfg_file)]))
+        assert from_flag.pair == from_file.pair == ["parabolic", "fdm"]
+        assert main([*command, "--A", "0.01", "--B", "1e-4", "--L", "1", "--N0", "3",
+                     "--T", "0.5", "--n-z", "48", "--outdir", str(tmp_path), "--name", "x"]) == 0
+        assert (tmp_path / "x_parabolic.csv").exists() and (tmp_path / "x_fdm.csv").exists()
+
+    @pytest.mark.parametrize("command", [
         ("run", "--engine", "spectral"),
         ("sweep", "--engine", "spectral", "--axis", "L", "--values", "1,2"),
         ("compare", "--pair", "spectral,fdm"),
@@ -658,7 +697,7 @@ class TestCli:
             build_config(parser.parse_args(["compare", "--pair", "fdm,spectral", *past]))
 
     def test_import_starts_no_process_pool_machinery(self):
-        # only B and spectral sweeps on several workers need the pool
+        # only sweeps solved point by point, on several workers, need the pool
         code = "import sys, hypersorb.cli; print('concurrent.futures.process' in sys.modules)"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -680,3 +719,93 @@ class TestCli:
         c_star = 1.0 / math.sqrt(0.1)
         assert abs(slopes[0]) < 0.05 * 3.0 * c_star
         assert abs(slopes[0]) < 0.1 * np.max(np.abs(slopes))
+
+
+def data_bytes(path) -> bytes:
+    """A CLI CSV after its config line."""
+    return path.read_bytes().split(b"\n", 1)[1]
+
+
+class TestWrittenSamples:
+    """Every engine's CSV holds --samples evenly spread levels, both ends included."""
+
+    P = Params(A=0.01, B=0.1, L=1.0, N0=3.0)
+    COMMON = ["--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--n-z", "32", "--T", "0.5"]
+    PROBES = [0.0, 0.25, 0.45]  # the CLI default
+
+    def full_series(self, engine):
+        if engine == "fdm":
+            grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
+            return fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES)
+        grid = fdm.Grid.for_parabolic(32, 0.5)
+        return validate.run_parabolic(self.P, step_ic(), grid, probes=self.PROBES)
+
+    def test_thin_series_thins_the_levels_and_keeps_the_rest(self):
+        full = self.full_series("fdm")
+        n = full.t.size
+        thin = thin_series(full, 11)
+        idx = thin_indices(n, 11)
+        assert thin.t.size == 11 and thin.t[0] == 0.0 and thin.t[-1] == full.t[-1]
+        for a, b in [(thin.t, full.t), (thin.sigma, full.sigma), (thin.surface, full.surface)]:
+            assert np.array_equal(a, b[idx])
+        assert sorted(thin.probes) == self.PROBES
+        for z in self.PROBES:
+            assert np.array_equal(thin.probes[z], full.probes[z][idx])
+        assert thin.conservation is full.conservation
+        assert thin.rows is full.rows and thin.row_times is full.row_times
+        assert thin.row_z is full.row_z and thin.params is full.params and thin.meta is full.meta
+        assert thin_series(full, n) is full and thin_series(full, 10**7) is full
+
+    # on COMMON's grid fdm marches 1281 levels and parabolic 5121, both more than 801
+    @pytest.mark.parametrize("command, files, codes", [
+        (("run", "--engine", "fdm"), ["x.csv"], (0,)),
+        (("run", "--engine", "parabolic"), ["x.csv"], (0,)),
+        # compare exits 1 when the engines disagree past 5 % of sigma_eq; it writes both series
+        (("compare", "--pair", "parabolic,fdm"), ["x_parabolic.csv", "x_fdm.csv"], (0, 1)),
+        (("sweep", "--engine", "fdm", "--axis", "L", "--values", "0.5,2"),
+         ["x_L0.5.csv", "x_L2.csv"], (0,)),
+    ])
+    def test_default_samples_rows_with_both_ends(self, tmp_path, command, files, codes):
+        assert main([*command, *self.COMMON, "--outdir", str(tmp_path), "--name", "x"]) in codes
+        for f in files:
+            ser = read_series_csv(tmp_path / f)
+            assert ser.t.size == cli.RunConfig().samples == 801
+            assert ser.t[0] == 0.0 and ser.t[-1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("engine", ["fdm", "parabolic"])
+    def test_samples_at_the_level_count_write_every_level(self, tmp_path, engine):
+        full = self.full_series(engine)
+        write_series_csv(full, tmp_path / "full.csv")
+        for samples in (full.t.size, 10**7):
+            assert main(["run", "--engine", engine, *self.COMMON, "--samples", str(samples),
+                         "--outdir", str(tmp_path), "--name", "x"]) == 0
+            assert data_bytes(tmp_path / "x.csv") == (tmp_path / "full.csv").read_bytes()
+        # one level fewer thins
+        assert main(["run", "--engine", engine, *self.COMMON, "--samples", str(full.t.size - 1),
+                     "--outdir", str(tmp_path), "--name", "x"]) == 0
+        assert read_series_csv(tmp_path / "x.csv").t.size == full.t.size - 1
+
+    @pytest.mark.parametrize("command, json_name", [
+        (("run", "--engine", "fdm"), "x.json"),
+        (("run", "--engine", "parabolic"), "x.json"),
+        (("compare", "--pair", "parabolic,fdm"), "x_report.json"),
+    ])
+    def test_json_from_the_full_series(self, tmp_path, command, json_name):
+        payloads = []
+        for samples in ("801", "10000000"):
+            out = tmp_path / samples
+            main([*command, *self.COMMON, "--samples", samples, "--outdir", str(out), "--name", "x"])
+            payload = json.loads((out / json_name).read_text())
+            payload.pop("config")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
+    def test_spectral_series_written_as_sampled(self, tmp_path):
+        # the modal engine evaluates exactly --samples levels: nothing is thinned
+        args = ["--modes", "8", "--samples", "101"]
+        assert main(["run", "--engine", "spectral", *self.COMMON, *args,
+                     "--outdir", str(tmp_path), "--name", "x"]) == 0
+        sol = spectral.solve_spectral(self.P, step_ic(), 8)
+        ser = spectral.to_series(sol, np.linspace(0.0, 0.5, 101), probes=self.PROBES)
+        write_series_csv(ser, tmp_path / "direct.csv")
+        assert data_bytes(tmp_path / "x.csv") == (tmp_path / "direct.csv").read_bytes()
