@@ -24,20 +24,21 @@ the heat stencil under the nonlocal closure, call march directly.
 
 At the sizes in use numpy's per-call cost outweighs the arithmetic, so
 each ring slot gets a pre-bound level program once per march: partials of
-the stencil's ufunc calls on the slot's views with 0-d weights, the
-symmetry mirror, and the wall closure bound to the slot's memoryviews;
-a march shorter than RING builds programs for its own levels only.
-With one row of 101 nodes a heat level costs ~6.5 us and a wave level
-~13 us of CPU time on one core of a shared Xeon host with numpy 2.4.
+the stencil's ufunc calls on the slot's views with 0-d weights, and the
+wall closure bound to the slot's memoryviews, which also mirrors the
+symmetry node and writes the slot's sigma; a march shorter than RING
+builds programs for its own levels only.  A level is its program and
+nothing else: the wave march's divergence check and the record run once
+per pass around the ring.  With one row of 101 nodes a heat level costs
+~3 us and a wave level ~6.5 us of CPU time on one core of a shared Xeon
+host with numpy 2.4, whose timings swing up to twofold with its load.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import partial
-from operator import setitem
 from typing import NamedTuple
 
 import numpy as np
@@ -152,8 +153,8 @@ class _Row(NamedTuple):
     left, mid and right span the flattened buffer, so a stencil advances a
     whole batch in one contiguous pass; across a batch it also writes the
     wall node of each row and the symmetry node of the next, which the
-    closure and the mirror overwrite.  The closures read and write single
-    nodes as Python floats through the memoryviews, one entry per row.
+    closure overwrites.  The closures read and write single nodes as Python
+    floats through the memoryviews, one entry per row.
     """
 
     full: np.ndarray
@@ -161,9 +162,8 @@ class _Row(NamedTuple):
     mid: np.ndarray  # full flattened, [1:-1]
     right: np.ndarray  # full flattened, [2:]
     interior: np.ndarray  # interior nodes 1 .. n_z-1 of each row
-    head: np.ndarray  # symmetry node 0
-    neck: np.ndarray  # node 1
-    heads: memoryview  # symmetry node 0
+    heads: memoryview  # symmetry node 0, mirrored from necks by the closures
+    necks: memoryview  # node 1
     near: memoryview  # node n_z-1
     near2: memoryview  # node n_z-2
     wall: memoryview  # wall node n_z, written by the closures
@@ -172,8 +172,8 @@ class _Row(NamedTuple):
 def _views(row: np.ndarray) -> _Row:
     flat = row.reshape(-1)
     return _Row(
-        row, flat[:-2], flat[1:-1], flat[2:], row[..., 1:-1], row[..., 0], row[..., 1],
-        *(memoryview(row[..., i]) for i in (0, -2, -3, -1)),
+        row, flat[:-2], flat[1:-1], flat[2:], row[..., 1:-1],
+        *(memoryview(row[..., i]) for i in (0, 1, -2, -3, -1)),
     )
 
 
@@ -265,19 +265,25 @@ class _Nonlocal:
         return [c[0] - (mass + 0.5 * c[4] * w) for mass, w, c in zip(inner, row.wall, constants)]
 
     @staticmethod
-    def bind(row: _Row, sigma: list, constants: list):
-        """row's wall closure as a zero-argument call that updates sigma in place.
+    def bind(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: list):
+        """row's wall closure as a zero-argument call: mirror, close, write sigma.
 
-        The inner mass is trapezoid_interior's, in Python floats.
+        Each row's symmetry node takes node 1's value, its wall value is
+        solved from sigma_old, and its sigma written to sigma, one entry per
+        row.  The inner mass is trapezoid_interior's, in Python floats: the
+        pairwise reduce writes into a buffer bound here.
         """
-        wall, heads, inner_sum = row.wall, row.heads, partial(np.add.reduce, row.interior, 1)
+        wall, heads, necks = row.wall, row.heads, row.necks
+        totals = np.empty(len(constants))
+        inner_sum, sums = partial(np.add.reduce, row.interior, 1, None, totals), memoryview(totals)
         indexed = [(b, *c) for b, c in enumerate(constants)]
 
         def close() -> None:
-            totals = inner_sum().tolist()
+            inner_sum()
             for b, half_n0, a_k, a, den, h in indexed:
-                rhs_mass = half_n0 - h * (0.5 * heads[b] + totals[b])
-                w = (a_k * rhs_mass - a * sigma[b]) / den
+                heads[b] = head = necks[b]
+                rhs_mass = half_n0 - h * (0.5 * head + sums[b])
+                w = (a_k * rhs_mass - a * sigma_old[b]) / den
                 wall[b] = w
                 sigma[b] = rhs_mass - 0.5 * h * w
 
@@ -302,13 +308,14 @@ class _Local:
         return [0.0] * len(constants)
 
     @staticmethod
-    def bind(row: _Row, sigma: list, constants: list):
-        wall, near, near2 = row.wall, row.near, row.near2
+    def bind(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: list):
+        wall, heads, necks, near, near2 = row.wall, row.heads, row.necks, row.near, row.near2
         indexed = [(b, *c) for b, c in enumerate(constants)]
 
         def close() -> None:
             for b, a_k, two_h, a, k_l, den in indexed:
-                s = sigma[b]
+                heads[b] = necks[b]
+                s = sigma_old[b]
                 w = (a_k * (4.0 * near[b] - near2[b]) + two_h * s) / den
                 wall[b] = w
                 sigma[b] = (a * s + k_l * w) / a_k
@@ -328,10 +335,15 @@ def apply_surface(row: np.ndarray, sigma_prev: float, grid: Grid, p: Params) -> 
     The nonlocal closure: sigma = N0/2 - trapezoid(row) combined with
     backward-Euler kinetics A (sigma_j - sigma_{j-1})/k = L N_wall - sigma_j.
     The wall value is written into row in place, through a memoryview of
-    its wall node, so row must be a writable float64 array.
+    its wall node, so row must be a writable float64 array; no other node
+    changes.
     """
-    sigma = [sigma_prev]
-    _Nonlocal.bind(_views(row[np.newaxis]), sigma, [_Nonlocal.constants(p, grid)])()
+    views = _views(row[np.newaxis])
+    sigma = memoryview(np.array([sigma_prev]))
+    # node 0 mirrors itself, so the closure reads the row's own symmetry node
+    close = _Nonlocal.bind(views._replace(necks=views.heads), sigma, sigma,
+                           [_Nonlocal.constants(p, grid)])
+    close()
     return float(row[-1]), sigma[0]
 
 
@@ -355,23 +367,24 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     """March start row rows0[b] with parameter set ps[b], all as one batch on grid.
 
     The engine's only time loop; one series per point.  stencil is WAVE or
-    HEAT, closure NONLOCAL or LOCAL (other names raise InvalidInput); the
-    march itself does not check the grid (see check_grid).  Level j lives
-    in slot j % RING of a ring of min(RING, n_t + 1) level rows, and each
-    slot gets its level program once per march: a tuple of zero-argument
-    calls that advance every row's interior from the two slots before it
-    (_stencil's nine or five ufunc calls; the wave march's first level is
-    the two-level start-up, weight lam^2/2B, of a bulk at rest), mirror the
-    symmetry node and close the walls.  The closure is one Python loop over
-    the rows, bound to the slot's memoryviews, the sigma list and the rows'
-    constants.  A level
-    runs its program, the wave march's divergence filter (one squared norm)
-    and appends sigma to the record.  The rest of the record is read off the
-    ring once per pass around it: the wall values, the inner trapezoidal
-    mass, the probe nodes and, at max_rows evenly spread levels, the full
-    rows.  Row b only ever sees parameter set b, so each row of a batch
-    matches a march of its point alone bit for bit.  Each series gets a copy
-    of meta plus the grid.
+    HEAT, closure NONLOCAL or LOCAL (other names raise InvalidInput), and a
+    WAVE batch shares one B (_shared_B); the march itself does not check the
+    grid (see check_grid).  Level j lives in slot j % RING of a ring of
+    min(RING, n_t + 1) level rows and sigmas, and each slot gets its level
+    program once per march: zero-argument calls that advance every row's
+    interior from the two slots before it (_stencil's nine or five ufunc
+    calls; the wave march's first level is the two-level start-up, weight
+    lam^2/2B, of a bulk at rest), then close the walls.  The closure is one
+    Python loop over the rows, bound to the slot's memoryviews and the
+    rows' constants: it mirrors the symmetry node, solves the wall value
+    and writes the row's sigma from the slot before it.  A pass around the
+    ring runs its levels' programs back to back.  Then the wave march
+    checks the pass for divergence (one max and one min of its levels),
+    and the record is read off the ring: sigma, the wall values, the inner
+    trapezoidal mass, the probe nodes and, at max_rows evenly spread
+    levels, the full rows.  Row b only ever sees parameter set b, so each
+    row of a batch matches a march of its point alone bit for bit.  Each
+    series gets a copy of meta plus the grid.
     """
     ps = list(ps)
     rows0 = np.asarray(rows0, dtype=float)
@@ -382,7 +395,7 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
         raise InvalidInput(f"march needs stencil 'wave' or 'heat' and closure 'nonlocal' or"
                            f" 'local', got {stencil!r} and {closure!r}")
     wave = stencil == WAVE
-    B = ps[0].B
+    B = _shared_B(ps) if wave else ps[0].B
     if wave and not B > 0:
         raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic solver")
     wall_closure = _CLOSURES[closure]
@@ -394,56 +407,62 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     stencils = _probe_weights(probes, zgrid)
     nodes = sorted({n for _, i, _ in stencils for n in (i, i + 1)})
 
-    ring = np.empty((n_slots, n_batch, n_nodes))
-    slots = [_views(row) for row in ring]
-    norms = [partial(np.vdot, row, row) for row in ring]
+    # level j in slot j % RING: its rows in ring, its sigma in sig_ring
+    ring, sig_ring = np.empty((n_slots, n_batch, n_nodes)), np.empty((n_slots, n_batch))
+    slots, sigmas = [_views(row) for row in ring], [memoryview(s) for s in sig_ring]
     lap, tmp = np.empty_like(slots[0].mid), np.empty_like(slots[0].mid)
     np.copyto(ring[0], rows0)
-    sigma = wall_closure.start(slots[0], constants)
+    sig_ring[0] = wall_closure.start(slots[0], constants)
 
     def program(i: int, weights, two_level: bool) -> tuple:
-        # slot i's level: stencil from slots i-1 (and i-2), mirror, closure
+        # slot i's level: stencil from slots i-1 (and i-2), then the closure,
+        # which mirrors node 0 and writes sigma from slot i-1's into slot i's
         new, older = slots[i], None if two_level else slots[i - 2]
         return (*_stencil(new, slots[i - 1], older, weights, lap, tmp),
-                partial(setitem, new.head, Ellipsis, new.neck),
-                wall_closure.bind(new, sigma, constants))
+                wall_closure.bind(new, sigmas[i - 1], sigmas[i], constants))
 
     weights = _wave_weights(grid, B) if wave else (grid.k / (grid.h * grid.h),)
     programs = [program(i, weights, not wave) for i in range(n_slots)]
     start = program(1, (grid.lam * grid.lam / (2.0 * B),), True) if wave else programs[1]
+    # the ops of one pass around the ring, slot after slot.  The first pass
+    # fills the ring (n_slots <= n_levels); the programs after it are equal
+    # in length, so a shorter last pass runs a prefix of full_pass
+    per_level = len(programs[0])
+    full_pass = [op for prog in programs for op in prog]
+    first_pass = [*start, *full_pass[2 * per_level:]]
     # the record, level-major: one entry per row, or per row and probe node
-    sig_rec = array("d")
-    wall, inner = np.empty((n_levels, n_batch)), np.empty((n_levels, n_batch))
+    sigma, wall, inner = (np.empty((n_levels, n_batch)) for _ in range(3))
     node_rec = np.empty((n_levels, n_batch, len(nodes)))
     rows = np.empty((n_batch, stored.size, n_nodes))
-    # a diverging run is cut off well before float overflow, so no step ever
-    # produces inf or a numpy warning.  One squared norm of the whole batch
-    # per level is the filter: it reaches ceiling^2 no later than any node
-    # reaches its ceiling (NaN fails it too); only then are rows checked.
+    # a wave march checks its new levels once a pass: a node at or past the
+    # smallest ceiling (or NaN) fails the block's max or min test, and only
+    # then are the pass's levels checked in order, each row against its own
+    # ceiling, so the first level and node past it are named.  Levels after
+    # that one may overflow before the pass ends; numpy stays quiet about it.
     ceilings = [1e100 * max(1.0, p.N0) for p in ps]
-    ceiling2 = min(c * c for c in ceilings)
-    sig_rec.extend(sigma)
-    # pass by pass around the ring: levels first .. last in slots 0 .. last - first;
+    ceiling = min(ceilings)
+    # (a heat march is not checked and keeps numpy's warnings: None leaves them as set)
+    quiet = "ignore" if wave else None
+    # pass by pass around the ring: levels first .. first + n - 1 in slots 0 .. n - 1;
     # the first pass starts from the start row in slot 0, with the start-up level
-    for first in range(0, n_levels, n_slots):
-        last = min(first + n_slots, n_levels) - 1
-        pass_programs = programs if first else [(), start, *programs[2:]]
-        for i in range(0 if first else 1, last - first + 1):
-            for op in pass_programs[i]:
+    with np.errstate(over=quiet, invalid=quiet):
+        for first in range(0, n_levels, n_slots):
+            n = min(n_slots, n_levels - first)
+            i0 = 0 if first else 1  # the slot of the pass's first new level
+            for op in full_pass[: n * per_level] if first else first_pass:
                 op()
-            if wave and not norms[i]() < ceiling2:
-                _check_divergence(first + i, ring[i], ceilings, ps, grid)
-            sig_rec.extend(sigma)
-        block, done = ring[: last - first + 1], slice(first, last + 1)
-        wall[done] = block[..., -1]
-        inner[done] = trapezoid_interior(block, h)
-        node_rec[done] = block[..., nodes]
-        lo, hi = np.searchsorted(stored, (first, last + 1))
-        rows[:, lo:hi] = block[stored[lo:hi] - first].swapaxes(0, 1)
+            block, done = ring[:n], slice(first, first + n)
+            if wave and not (block[i0:].max() < ceiling and block[i0:].min() > -ceiling):
+                for i in range(i0, n):
+                    _check_divergence(first + i, ring[i], ceilings, ps, grid)
+            sigma[done] = sig_ring[:n]
+            wall[done] = block[..., -1]
+            inner[done] = trapezoid_interior(block, h)
+            node_rec[done] = block[..., nodes]
+            lo, hi = np.searchsorted(stored, (first, first + n))
+            rows[:, lo:hi] = block[stored[lo:hi] - first].swapaxes(0, 1)
 
-    sigma, wall, inner = (
-        np.reshape(rec, (n_levels, n_batch)).T.copy() for rec in (sig_rec, wall, inner)
-    )
+    sigma, wall, inner = (rec.T.copy() for rec in (sigma, wall, inner))
     t = grid.tgrid()
     out = []
     for b, p in enumerate(ps):
@@ -484,14 +503,19 @@ def _check_divergence(j: int, rows: np.ndarray, ceilings: list, ps: list, grid: 
             raise StabilityError(f"wall density diverging at level j={j}{point}{hint}")
 
 
+def _shared_B(ps) -> float:
+    """The B of a wave batch: the stencil's weights hold one B for every row."""
+    if not ps or any(p.B != ps[0].B for p in ps):
+        raise InvalidInput("a batch needs one or more parameter sets sharing one B")
+    return ps[0].B
+
+
 def run_fdm_batch(ps, ic: InitialCondition, grid: Grid, probes=()) -> list[TimeSeries]:
     """run_fdm for parameter sets sharing B (hence one grid), marched as one array.
 
     Series b is bit-identical to run_fdm(ps[b], ic, grid, ...).
     """
-    if not ps or any(p.B != ps[0].B for p in ps):
-        raise InvalidInput("a batch needs one or more parameter sets sharing one B")
-    check_grid(grid, WAVE, ps[0].B, len(ps))
+    check_grid(grid, WAVE, _shared_B(ps), len(ps))
     zgrid = grid.zgrid()
     rows0 = [sample_initial(ic, p, zgrid) for p in ps]
     return march(rows0, ps, grid, WAVE, NONLOCAL, {"engine": "fdm"}, probes)

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hypersorb import fdm
 from hypersorb.errors import ConfigError, InvalidInput, StabilityError
 from hypersorb.fdm import (
     HEAT,
+    LOCAL,
     MAX_RECORD,
+    RING,
     NONLOCAL,
     WAVE,
     Grid,
@@ -165,6 +168,23 @@ class TestBoundaries:
         mass = np.trapezoid(row, g.zgrid())
         assert abs(2 * mass + 2 * sigma - 3.0) < 1e-14 * 3.0
 
+    def test_apply_surface_writes_the_wall_node_only(self):
+        # the nonlocal closure written out for one row: the row's own node 0
+        # enters the mass, and only the wall node changes
+        rng = np.random.default_rng(5)
+        p = Params(A=0.01, B=0.1, L=1.0, N0=3.0)
+        g = Grid.from_lambda(64, 1.0, 0.025)
+        h, k, sigma_prev = g.h, g.k, 0.4
+        row = 1.0 + rng.random(g.n_z + 1)
+        before = row.copy()
+        wall, sigma = apply_surface(row, sigma_prev, g, p)
+        rhs_mass = 0.5 * p.N0 - h * (0.5 * before[0] + float(np.add.reduce(before[1:-1])))
+        den = k * p.L + (p.A + k) * 0.5 * h
+        expected_wall = ((p.A + k) * rhs_mass - p.A * sigma_prev) / den
+        assert wall == expected_wall and row[-1] == wall
+        assert sigma == rhs_mass - 0.5 * h * expected_wall
+        assert row[:-1].tobytes() == before[:-1].tobytes()
+
     def test_degenerate_closure_rejected(self):
         p = Params(A=1e-10, B=0.1, L=0.0, N0=3.0)
         g = Grid(n_z=8, n_t=1, h=1e-15, k=1.0, lam=1e15, T=1.0)
@@ -248,6 +268,50 @@ class TestRunFdm:
         with pytest.raises(StabilityError) as err:
             march([row0], [p], grid, WAVE, NONLOCAL, {})
         assert "lambda" in str(err.value)
+
+    def test_divergence_and_overflow_in_one_ring_pass(self, monkeypatch):
+        # lambda = 1000 sqrt(B): level 21 crosses the ceiling and, in the
+        # same pass around the ring, level 63 overflows; the march names
+        # level 21 and warns of nothing (warnings are errors here)
+        p = Params(A=0.01, B=0.1, L=1.0, N0=3.0)
+        n_z, lam = 16, 1000.0 * math.sqrt(p.B)
+        h = 0.5 / n_z
+
+        def grid(n_t):
+            return Grid(n_z=n_z, n_t=n_t, h=h, k=lam * h, lam=lam, T=n_t * lam * h)
+
+        row0 = sample_initial(step_ic(), p, grid(1).zgrid())
+        with pytest.raises(StabilityError) as err:
+            march([row0], [p], grid(100), WAVE, NONLOCAL, {})
+        assert str(err.value) == (
+            "density diverging at level j=21, node i=4 (lambda=316.2, B=0.1); reduce lambda"
+        )
+        # level 21 from the two levels before it: node 4 is the first past the ceiling
+        (ser,) = march([row0], [p], grid(20), WAVE, NONLOCAL, {}, max_rows=21)
+        assert np.max(np.abs(ser.rows)) < 1e100 * p.N0
+        level = step_interior(ser.rows[20], ser.rows[19], grid(20), p.B)
+        level[0] = level[1]
+        assert int(np.argmax(np.abs(level[:-1]) >= 1e100 * p.N0)) == 4
+        # unchecked, the first pass (levels 0 .. RING - 1) overflows
+        monkeypatch.setattr(fdm, "_check_divergence", lambda *args: None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (ser,) = march([row0], [p], grid(RING - 1), WAVE, NONLOCAL, {}, max_rows=RING)
+        assert not np.all(np.isfinite(ser.rows))
+
+    def test_wave_batch_needs_one_B(self):
+        # the wave stencil's weights hold one B; a heat batch never reads B
+        grid = Grid.from_lambda(16, 0.05, 0.01)
+        ps = [Params(A=0.01, B=0.1, L=1.0, N0=3.0), Params(A=0.01, B=0.5, L=1.0, N0=3.0)]
+        rows0 = [sample_initial(step_ic(), p, grid.zgrid()) for p in ps]
+        with pytest.raises(InvalidInput, match="sharing one B"):
+            march(rows0, ps, grid, WAVE, NONLOCAL, {})
+        heat = Grid.for_parabolic(16, 0.05)
+        batch = march(rows0, ps, heat, HEAT, LOCAL, {})
+        for row0, p, ser in zip(rows0, ps, batch):
+            (one,) = march([row0], [p], heat, HEAT, LOCAL, {})
+            assert ser.params == p
+            assert ser.sigma.tobytes() == one.sigma.tobytes()
+            assert ser.rows.tobytes() == one.rows.tobytes()
 
     def test_wave_regime_required(self):
         p = Params(A=0.01, B=0.0, L=1.0, N0=3.0)
