@@ -13,11 +13,12 @@ analytic continuation for all alpha, which reduces to the average of the
 two real-branch equations below alpha_c.
 
 The rates and the secular equation are each written once, as the array
-functions ``_rates`` and ``secular``.  ``eigen_grid`` is the public
-evaluator of the secular functions: it masks their undefined entries with
-NaN rather than raising.  ``find_eigenvalues`` scans the first ``count``
-anchor intervals as one flat grid and bisects every bracket together, one
-array evaluation per step.
+functions ``_rates`` and ``secular``; the real part of the continued
+equation is ``_real_part``, which ``secular`` builds on.  ``eigen_grid`` is
+the public evaluator of the secular functions: it masks their undefined
+entries with NaN rather than raising.  ``find_eigenvalues`` scans the first
+``count`` anchor intervals as one flat grid and bisects every bracket
+together, one evaluation of the real part per step.
 """
 
 from __future__ import annotations
@@ -116,16 +117,27 @@ def secular(alpha: np.ndarray, p: Params) -> Secular:
       mu2, below alpha_c; NaN above.
     """
     A, B, L = p.A, p.B, p.L
+    re, tan_term, q, den = _real_part(alpha, p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tan_term = np.tan(0.5 * alpha) / alpha
-        q = 4.0 * alpha**2 * B - 1.0
-        den = (2.0 * B - A) ** 2 + A**2 * q
         below = q <= 0.0
         f1, f2 = np.full(q.shape, np.nan), np.full(q.shape, np.nan)
         for f, mu in zip((f1, f2), _rates(alpha[below], B)):
             f[below] = tan_term[below] + L / (1.0 + mu.real * A)
-        re = tan_term + L * 2.0 * B * (2.0 * B - A) / den
         return Secular(re, 2.0 * B * A * np.sqrt(q) / den, f1, f2)
+
+
+def _real_part(alpha: np.ndarray, p: Params):
+    """re of the secular equation, with the terms tan(alpha/2)/alpha, q and den it shares.
+
+    The root scan and the bisection read re alone; ``secular`` builds its
+    other parts from the shared terms.
+    """
+    A, B, L = p.A, p.B, p.L
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tan_term = np.tan(0.5 * alpha) / alpha
+        q = 4.0 * alpha**2 * B - 1.0
+        den = (2.0 * B - A) ** 2 + A**2 * q
+        return tan_term + L * 2.0 * B * (2.0 * B - A) / den, tan_term, q, den
 
 
 def _in_guard_band(alpha):
@@ -179,7 +191,7 @@ def _bisect(p: Params, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarr
         live, a, b, fa, mid = live[wide], a[wide], b[wide], fa[wide], mid[wide]
         if not live.size:
             return roots
-        fm = secular(mid, p).re
+        fm = _real_part(mid, p)[0]
         # an exact zero closes its bracket on mid, whose midpoint is mid again
         hit = fm == 0.0
         left = (fa < 0.0) != (fm < 0.0)
@@ -204,7 +216,7 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
     alpha = _scan(p, count)
     # the anchor interval m of a scan point is the one around the nearest 2 m pi
     index = np.rint(alpha / (2.0 * math.pi)).astype(int)
-    values = secular(alpha, p).re
+    values = _real_part(alpha, p)[0]
     fa, fb = values[:-1], values[1:]
     usable = (index[:-1] == index[1:]) & np.isfinite(fa) & np.isfinite(fb)
     pole = kinetic_pole(p)

@@ -6,6 +6,15 @@ import pytest
 from hypersorb import Params, solve_spectral, step_ic, run_fdm
 from hypersorb.fdm import Grid, default_lambda
 
+# (A, B, L) sets, each with its mode count and how many of those modes have
+# two real rates: every mode oscillating; three real modes; two real modes
+# with the kinetic pole below the first anchor interval
+MODE_REGIMES = [
+    pytest.param((Params(A=1e-3, B=0.1, L=1.0, N0=3.0), 200, 0), id="oscillating"),
+    pytest.param((Params(A=0.01, B=1e-3, L=1.0, N0=3.0), 50, 3), id="three-real"),
+    pytest.param((Params(A=0.5, B=1e-3, L=0.1, N0=3.0), 50, 2), id="two-real-pole"),
+]
+
 
 @pytest.fixture(scope="session")
 def secular_landmark_params():

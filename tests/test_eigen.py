@@ -14,6 +14,7 @@ from hypersorb.cli import MAX_MODES
 from hypersorb.eigen import eigen_grid, exponents, find_eigenvalues, kinetic_pole
 from hypersorb.errors import BracketingError, InvalidInput
 from hypersorb.params import Params, alpha_critical
+from conftest import MODE_REGIMES
 
 
 class TestExponents:
@@ -335,3 +336,14 @@ class TestEigenGrid:
         # tan pole row is masked entirely
         assert np.isnan(tab["re_E"][3])
         assert np.isfinite(tab["re_E"][4])
+
+
+@pytest.mark.parametrize("regime", MODE_REGIMES)
+def test_real_part_is_secular_re_on_the_scan(regime):
+    # the root scan and the bisection read re through _real_part alone
+    p, count, _ = regime
+    alpha = eigen._scan(p, count)
+    re, expected = eigen._real_part(alpha, p)[0], eigen.secular(alpha, p).re
+    for where in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(where(re), where(expected))
+    assert re.tobytes() == expected.tobytes()

@@ -1,6 +1,7 @@
 """Modal engine: Gram entries, orthogonalization, projection, evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import hypersorb.spectral as spectral
 from hypersorb.eigen import find_eigenvalues
 from hypersorb.errors import (
     BracketingError,
@@ -38,7 +40,7 @@ from hypersorb.spectral import (
     solve_spectral,
     to_series,
 )
-from conftest import first_local_max
+from conftest import MODE_REGIMES, first_local_max
 
 
 def minor_formula_coefficients(gram: np.ndarray, q: int) -> np.ndarray:
@@ -126,6 +128,25 @@ class TestOrthogonalize:
         # equal alphas put 0/0 off the Gram diagonal
         with pytest.raises(DegenerateBasisError, match="distinct"):
             orthogonalize(alphas)
+
+    @pytest.mark.parametrize("count", [50, 200])
+    def test_condition_matches_singular_values(self, oscillatory_params, count, monkeypatch):
+        # the refusal bound brackets the guard's condition number within 1e-9
+        alphas = [m.alpha for m in find_eigenvalues(oscillatory_params, count)]
+        cond = np.linalg.cond(gram_matrix(alphas))
+        monkeypatch.setattr(spectral, "MAX_GRAM_CONDITION", cond * (1.0 + 1e-9))
+        orthogonalize(alphas)
+        monkeypatch.setattr(spectral, "MAX_GRAM_CONDITION", cond * (1.0 - 1e-9))
+        with pytest.raises(DegenerateBasisError, match="condition"):
+            orthogonalize(alphas)
+
+    @pytest.mark.parametrize("gram", [np.diag([1.0, 0.0]), np.zeros((2, 2))])
+    def test_singular_gram_refused_without_warning(self, gram, monkeypatch):
+        monkeypatch.setattr(spectral, "gram_matrix", lambda alphas: gram)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateBasisError, match="condition"):
+                orthogonalize([3.7, 9.6])
 
     @given(
         A=st.floats(min_value=1e-4, max_value=10.0),
@@ -327,3 +348,39 @@ class TestSolveSpectral:
         assert set(ser.probes) == {0.0, 0.25}
         assert ser.rows.shape[1] == ser.row_z.size
         assert np.max(ser.conservation) < 1e-2 * 3.0
+
+
+@pytest.fixture(scope="module", params=MODE_REGIMES)
+def regime_solution(request):
+    p, count, real_modes = request.param
+    sol = solve_spectral(p, step_ic(), count)
+    assert np.count_nonzero(sol.mu1.imag == 0.0) == real_modes
+    return sol
+
+
+class TestModeRegimes:
+    @pytest.mark.parametrize("rate", [False, True])
+    def test_time_weights_bit_exact(self, regime_solution, rate):
+        sol = regime_solution
+        for t in (np.linspace(0.0, 2.0, 801), 0.0, 0.7):
+            w1 = sol.S1 * np.exp(sol.mu1 * np.asarray(t)[..., None])
+            w2 = sol.S2 * np.exp(sol.mu2 * np.asarray(t)[..., None])
+            expected = sol.mu1 * w1 + sol.mu2 * w2 if rate else w1 + w2
+            assert spectral._time_weights(sol, t, rate=rate).tobytes() == expected.tobytes()
+
+    def test_conservation_residual_closed_form(self, regime_solution):
+        N0 = regime_solution.params.N0
+        assert regime_solution.diagnostics["conservation_residual_t0"] <= 1e-14 * N0
+
+    def test_trapezoid_residual_is_quadrature_error(self, spectral_oscillatory_100):
+        # the slab mass by the trapezoid rule misses conservation by an error
+        # that quarters with each halving of the z step
+        sol = spectral_oscillatory_100
+        sigma0 = eval_sigma(sol, 0.0)
+        residuals = []
+        for steps in (2000, 4000, 8000, 16000):
+            z = np.linspace(0.0, 0.5, steps + 1)
+            mass = 2.0 * np.trapezoid(eval_density(sol, z, 0.0), z)
+            residuals.append(abs(mass + 2.0 * sigma0 - sol.params.N0))
+        assert residuals[0] > 1e-6
+        assert np.divide(residuals[:-1], residuals[1:]) == pytest.approx(4.0, rel=0.01)
