@@ -21,7 +21,7 @@ from . import eigen, fdm, spectral, validate
 from .errors import ConfigError, HypersorbError
 from .params import InitialCondition, Params, PhysicalInputs, from_physical, parabolic_ic, sampled_ic, step_ic
 from .series import thin_series
-from .seriesio import ensure_outdir, write_csv, write_json, write_series_csv
+from .seriesio import ensure_outdir, probe_column, write_csv, write_json, write_series_csv
 
 OUTDIR_ENV = "HYPERSORB_OUTDIR"
 
@@ -37,7 +37,7 @@ MAX_GRID_POINTS = 10**6
 
 # most samples x modes of a modal time evaluation; the (samples, modes)
 # table of complex weights is built in one piece, at 16 bytes an entry and
-# a few temporaries of the same size.  The largest in use is 801 x 2000.
+# one buffer of the same size.  The largest in use is 801 x 2000.
 MAX_MODAL_TERMS = 10**7
 
 # the secular-equation grid of eigen-dump and run --diagnostics: alpha
@@ -129,9 +129,16 @@ class RunConfig:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.axis is not None and self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        for z in self.probes:
+        # a series keys its probes by z*, which holds 0 and -0 as one
+        columns = [probe_column(z + 0.0) for z in self.probes]
+        for i, (z, column) in enumerate(zip(self.probes, columns)):
             if not abs(z) <= 0.5:
                 raise ConfigError(f"probe z* = {z} outside [-1/2, 1/2]")
+            if column in columns[:i]:
+                raise ConfigError(
+                    f"probes {self.probes[columns.index(column)]!r} and {z!r} both name column"
+                    f" {column}; give probes that differ in 6 significant digits"
+                )
         if self.n_z < fdm.MIN_N_Z:
             raise ConfigError(f"n_z must be at least {fdm.MIN_N_Z}, got {self.n_z}")
         for key in ("T", "lam", "r"):

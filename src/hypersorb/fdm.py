@@ -29,9 +29,14 @@ wall closure bound to the slot's memoryviews, which also mirrors the
 symmetry node and writes the slot's sigma; a march shorter than RING
 builds programs for its own levels only.  A level is its program and
 nothing else: the wave march's divergence check and the record run once
-per pass around the ring.  With one row of 101 nodes a heat level costs
-~3 us and a wave level ~6.5 us of CPU time on one core of a shared Xeon
-host with numpy 2.4, whose timings swing up to twofold with its load.
+per pass around the ring.  The record is row-major, one full-length array
+per quantity with a row per point, so each series is a row of it; a pass
+leaves its raw values (sigma, wall values, inner mass, probe nodes) in a
+level-major chunk of CHUNK_PASSES passes, from which the probes and the
+conservation residual are derived a chunk at a time.  With one row of 101
+nodes a heat level costs ~3 us and a wave level ~6.5 us of CPU time on one
+core of a shared Xeon host with numpy 2.4, whose timings swing up to
+twofold with its load.
 """
 
 from __future__ import annotations
@@ -52,10 +57,16 @@ from .series import TimeSeries, thin_indices
 # probe nodes, stored rows) is recorded once per pass around the ring
 RING = 64
 
+# ring passes whose record is held level-major before it is written into
+# the row-major series, the probes and conservation residual derived on the
+# way: a few long ufunc calls a chunk in place of a few short ones a pass
+CHUNK_PASSES = 16
+
 # most levels x points a runner marches, fifty times the largest in use (the
-# parabolic oracle's 200,001 levels of one point at n_z = 100).  The record and
-# its series take ~133 bytes a level and point with three probes (measured at
-# 10^6 levels), the CSV ~100 bytes a level: ~1.3 GB in memory at the bound.
+# parabolic oracle's 200,001 levels of one point at n_z = 100).  A march with
+# three probes peaks at ~67 bytes a level and point, of which its series keep
+# 56 (tracemalloc, 10^6 levels of one point), and the CSV takes ~100 bytes a
+# level: ~0.7 GB in memory at the bound.
 MAX_RECORD = 10**7
 
 # fewest segments a grid of the half slab may have
@@ -380,11 +391,16 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     and writes the row's sigma from the slot before it.  A pass around the
     ring runs its levels' programs back to back.  Then the wave march
     checks the pass for divergence (one max and one min of its levels),
-    and the record is read off the ring: sigma, the wall values, the inner
-    trapezoidal mass, the probe nodes and, at max_rows evenly spread
-    levels, the full rows.  Row b only ever sees parameter set b, so each
-    row of a batch matches a march of its point alone bit for bit.  Each
-    series gets a copy of meta plus the grid.
+    and the pass's raw record is read off the ring into a level-major
+    chunk: sigma, the wall values, the inner trapezoidal mass and the probe
+    nodes; the full rows, at max_rows evenly spread levels, go straight to
+    the series.  Every CHUNK_PASSES passes, and after the last, the chunk
+    is written into the row-major (n_batch, n_levels) record of sigma,
+    surface, conservation and each probe, the probes and the residual
+    derived on the way; series b holds row b of each.  Row b only ever sees
+    parameter set b, so each row of a batch matches a march of its point
+    alone bit for bit.  Each series gets its own time grid and a copy of
+    meta plus the grid.
     """
     ps = list(ps)
     rows0 = np.asarray(rows0, dtype=float)
@@ -430,10 +446,28 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     per_level = len(programs[0])
     full_pass = [op for prog in programs for op in prog]
     first_pass = [*start, *full_pass[2 * per_level:]]
-    # the record, level-major: one entry per row, or per row and probe node
-    sigma, wall, inner = (np.empty((n_levels, n_batch)) for _ in range(3))
-    node_rec = np.empty((n_levels, n_batch, len(nodes)))
+    # the record, row-major: one entry per level in each row's series
+    sigma, wall, cons = (np.empty((n_batch, n_levels)) for _ in range(3))
+    probe_rec = [np.empty((n_batch, n_levels)) for _ in stencils]
     rows = np.empty((n_batch, stored.size, n_nodes))
+    # the raw record of CHUNK_PASSES passes, level-major: sigma, the wall value,
+    # the inner trapezoidal mass and the probe nodes, one entry per row
+    n_chunk = min(CHUNK_PASSES * n_slots, n_levels)
+    sig_c, wall_c, inner_c = (np.empty((n_chunk, n_batch)) for _ in range(3))
+    node_c = np.empty((n_chunk, n_batch, len(nodes)))
+    n0 = np.array([p.N0 for p in ps])
+
+    def flush(lo: int, m: int) -> None:
+        # the chunk's first m levels into the record as levels lo .. lo + m - 1
+        span = slice(lo, lo + m)
+        sigma[:, span], wall[:, span] = sig_c[:m].T, wall_c[:m].T
+        for (_, i, frac), rec in zip(stencils, probe_rec):
+            left, right = node_c[:m, :, nodes.index(i)], node_c[:m, :, nodes.index(i + 1)]
+            rec[:, span] = ((1.0 - frac) * left + frac * right).T
+        # |integral(N) + 2 sigma - N0|, the trapezoidal mass of the half row
+        # being the inner mass plus (h/2) N_wall
+        cons[:, span] = abs(2.0 * (inner_c[:m] + 0.5 * h * wall_c[:m]) + 2.0 * sig_c[:m] - n0).T
+
     # a wave march checks its new levels once a pass: a node at or past the
     # smallest ceiling (or NaN) fails the block's max or min test, and only
     # then are the pass's levels checked in order, each row against its own
@@ -451,37 +485,33 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
             i0 = 0 if first else 1  # the slot of the pass's first new level
             for op in full_pass[: n * per_level] if first else first_pass:
                 op()
-            block, done = ring[:n], slice(first, first + n)
+            block = ring[:n]
             if wave and not (block[i0:].max() < ceiling and block[i0:].min() > -ceiling):
                 for i in range(i0, n):
                     _check_divergence(first + i, ring[i], ceilings, ps, grid)
-            sigma[done] = sig_ring[:n]
-            wall[done] = block[..., -1]
-            inner[done] = trapezoid_interior(block, h)
-            node_rec[done] = block[..., nodes]
+            c = first % n_chunk  # the pass's place in the chunk
+            done = slice(c, c + n)
+            sig_c[done] = sig_ring[:n]
+            wall_c[done] = block[..., -1]
+            inner_c[done] = trapezoid_interior(block, h)
+            node_c[done] = block[..., nodes]
+            if c + n == n_chunk or first + n == n_levels:
+                flush(first - c, c + n)
             lo, hi = np.searchsorted(stored, (first, first + n))
             rows[:, lo:hi] = block[stored[lo:hi] - first].swapaxes(0, 1)
 
-    sigma, wall, inner = (rec.T.copy() for rec in (sigma, wall, inner))
-    t = grid.tgrid()
     out = []
     for b, p in enumerate(ps):
-        node = node_rec[:, b]
-        probe_data = {
-            z: (1.0 - frac) * node[:, nodes.index(i)] + frac * node[:, nodes.index(i + 1)]
-            for z, i, frac in stencils
-        }
+        t = grid.tgrid()
         out.append(TimeSeries(
-            t=t.copy(),
+            t=t,
             sigma=sigma[b],
             surface=wall[b],
-            probes=probe_data,
+            probes={z: rec[b] for (z, _, _), rec in zip(stencils, probe_rec)},
             rows=rows[b],
             row_times=t[stored],
             row_z=zgrid,
-            # |integral(N) + 2 sigma - N0|, the trapezoidal mass of the half
-            # row being the inner mass plus (h/2) N_wall
-            conservation=abs(2.0 * (inner[b] + 0.5 * h * wall[b]) + 2.0 * sigma[b] - p.N0),
+            conservation=cons[b],
             params=p,
             meta=dict(meta, grid=grid.__dict__.copy()),
         ))

@@ -17,11 +17,12 @@ class TimeSeries:
     t, sigma and surface cover every time level an engine computed; probes
     maps a z* position to the bulk density history there.  Full spatial rows
     are stored only at row_times (thinned to keep memory bounded) on the
-    half-domain grid row_z in [0, 1/2].  conservation holds the per-level
-    residual |integral(N) + 2 sigma - N0| when the engine computes one.  The
-    CLI writes each series through thin_series: samples evenly spread levels
-    including both ends, or every level when samples is at least the level
-    count; conservation is left whole.
+    half-domain grid row_z in [0, 1/2].  conservation holds the residual
+    |integral(N) + 2 sigma - N0| at every level, for every engine (a series
+    read back from CSV has none).  The CLI writes each series through
+    thin_series: samples evenly spread levels including both ends, or every
+    level when samples is at least the level count; conservation is left
+    whole.
     """
 
     t: np.ndarray

@@ -12,6 +12,7 @@ writes every level.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -99,7 +100,15 @@ def read_series_csv(path) -> TimeSeries:
     for j, name in enumerate(names[2:], start=2):
         if not name.startswith("N_at_"):
             raise InvalidInput(f"unexpected column {name!r} in {path!r}")
-        probes[float(name[len("N_at_"):])] = data[:, j]
+        try:
+            z = float(name[len("N_at_"):])
+        except ValueError:
+            z = math.nan
+        if not abs(z) <= 0.5:
+            raise InvalidInput(f"column {name!r} in {path!r} names no probe position in [-1/2, 1/2]")
+        if z in probes:
+            raise InvalidInput(f"column {name!r} in {path!r} repeats the probe at z* = {z:g}")
+        probes[z] = data[:, j]
     return TimeSeries(
         t=data[:, 0],
         sigma=data[:, 1],

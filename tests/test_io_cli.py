@@ -112,6 +112,20 @@ class TestSeriesCsv:
         with pytest.raises(InvalidInput, match=message):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("t_star,sigma,N_at_0.25,N_at_0.25", "repeats the probe at z\\* = 0.25"),
+        ("t_star,sigma,N_at_0.25,N_at_.25", "repeats the probe at z\\* = 0.25"),
+        ("t_star,sigma,N_at_wall", "names no probe position"),
+        ("t_star,sigma,N_at_nan,N_at_nan", "names no probe position"),
+        ("t_star,sigma,N_at_0.7", "names no probe position"),
+    ])
+    def test_probe_columns_refused_on_read_back(self, tmp_path, header, message):
+        path = tmp_path / "probes.csv"
+        n_cols = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["0"] * n_cols) + "\n")
+        with pytest.raises(InvalidInput, match=message):
+            read_series_csv(path)
+
     def test_repeated_time_refused_on_read_back(self, tmp_path):
         path = tmp_path / "repeat.csv"
         path.write_text("t_star,sigma\n0,0\n0,1\n")
@@ -435,6 +449,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert "0.1 and 0.1000001" in err and "c_L0.1.csv" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("probes, message", [
+        # both print as 0.25 with 6 significant digits
+        ("0.25,0.2500001", "probes 0.25 and 0.2500001 both name column N_at_0.25"),
+        # one key of a series' probes
+        ("0,-0", "probes 0.0 and -0.0 both name column N_at_0"),
+    ])
+    @pytest.mark.parametrize("engine", ["fdm", "spectral", "compare"])
+    def test_run_rejects_colliding_probe_columns(self, tmp_path, capsys, engine, probes, message):
+        rc = main([
+            "run", "--engine", engine, "--probes", probes,
+            "--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--T", "0.1", "--n-z", "16",
+            "--outdir", str(tmp_path), "--name", "c",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert message in err
         assert not list(tmp_path.iterdir())
 
     def test_sweep_writes_family_and_index(self, tmp_path):

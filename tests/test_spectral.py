@@ -372,6 +372,12 @@ class TestModeRegimes:
         N0 = regime_solution.params.N0
         assert regime_solution.diagnostics["conservation_residual_t0"] <= 1e-14 * N0
 
+    def test_series_conservation_closed_form_every_sample(self, regime_solution):
+        t = np.linspace(0.0, 2.0, 801)
+        ser = to_series(regime_solution, t)
+        assert ser.conservation.shape == t.shape
+        assert np.max(ser.conservation) <= 1e-12 * regime_solution.params.N0
+
     def test_trapezoid_residual_is_quadrature_error(self, spectral_oscillatory_100):
         # the slab mass by the trapezoid rule misses conservation by an error
         # that quarters with each halving of the z step
