@@ -268,17 +268,15 @@ def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1) -> fdm.Grid
     return grid
 
 
-def _solve_one(cfg: RunConfig, engine: str, p: Params, ic: InitialCondition, sol=None):
-    """Series of one engine; a spectral solution already at hand is reused."""
+def _solve_one(cfg: RunConfig, engine: str, p: Params, ic: InitialCondition, grid=None, sol=None):
+    """Series of one engine on the grid checked up front; a spectral solution at hand is reused."""
     if engine == "fdm":
-        return fdm.run_fdm(p, ic, _grid(cfg, engine, p), probes=cfg.probes)
+        return fdm.run_fdm(p, ic, grid, probes=cfg.probes)
     if engine == "parabolic":
-        return validate.run_parabolic(p, ic, _grid(cfg, engine, p), probes=cfg.probes)
-    if engine == "spectral":
-        sol = sol or spectral.solve_spectral(p, ic, cfg.modes)
-        tgrid = np.linspace(0.0, cfg.horizon(p), cfg.samples)
-        return spectral.to_series(sol, tgrid, probes=cfg.probes)
-    raise ConfigError(f"unknown engine {engine!r}")
+        return validate.run_parabolic(p, ic, grid, probes=cfg.probes)
+    sol = sol or spectral.solve_spectral(p, ic, cfg.modes)
+    tgrid = np.linspace(0.0, cfg.horizon(p), cfg.samples)
+    return spectral.to_series(sol, tgrid, probes=cfg.probes)
 
 
 def _series_diagnostics(series, cfg_echo: dict) -> dict:
@@ -297,18 +295,17 @@ def _series_diagnostics(series, cfg_echo: dict) -> dict:
 def cmd_run(cfg: RunConfig) -> int:
     p = cfg.resolved_params()
     # every grid is refused here if it is bad, before any engine runs
-    for engine in cfg.pair if cfg.engine == "compare" else [cfg.engine]:
-        if engine != "spectral":
-            _grid(cfg, engine, p)
+    engines = cfg.pair if cfg.engine == "compare" else [cfg.engine]
+    grids = {e: _grid(cfg, e, p) for e in engines if e != "spectral"}
     outdir = _outdir(cfg)
     echo = asdict(cfg)
     ic = cfg.resolved_ic()
     if cfg.engine == "compare":
-        return _emit_comparison(cfg, p, ic, outdir, echo)
+        return _emit_comparison(cfg, p, ic, grids, outdir, echo)
     sol = None
     if cfg.engine == "spectral":
         sol = spectral.solve_spectral(p, ic, cfg.modes)
-    series = _solve_one(cfg, cfg.engine, p, ic, sol)
+    series = _solve_one(cfg, cfg.engine, p, ic, grids.get(cfg.engine), sol)
     csv_path = os.path.join(outdir, f"{cfg.name}.csv")
     write_series_csv(thin_series(series, cfg.samples), csv_path, config=echo)
     diag = _series_diagnostics(series, echo)
@@ -327,11 +324,11 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def _emit_comparison(
-    cfg: RunConfig, p: Params, ic: InitialCondition, outdir: str, echo: dict
+    cfg: RunConfig, p: Params, ic: InitialCondition, grids: dict, outdir: str, echo: dict
 ) -> int:
     name_a, name_b = cfg.pair
-    series_a = _solve_one(cfg, name_a, p, ic)
-    series_b = _solve_one(cfg, name_b, p, ic)
+    series_a = _solve_one(cfg, name_a, p, ic, grids.get(name_a))
+    series_b = _solve_one(cfg, name_b, p, ic, grids.get(name_b))
     T = min(series_a.t[-1], series_b.t[-1])
     tgrid = np.linspace(0.05 * T, T, 401)
     report = validate.compare_engines(series_a, series_b, tgrid)
@@ -348,10 +345,13 @@ def _emit_comparison(
     return 0 if report.passed else 1
 
 
-def _sweep_point(payload):
-    cfg_dict, p, ic = payload
-    cfg = RunConfig(**cfg_dict)
-    return _solve_one(cfg, cfg.engine, p, ic)
+def _solve_group(task) -> list:
+    """Series of a sweep's points on one grid as one batch, or of one spectral point."""
+    cfg, ps, ic, grid = task
+    if cfg.engine == "spectral":
+        return [_solve_one(cfg, "spectral", ps[0], ic)]
+    run_batch = fdm.run_fdm_batch if cfg.engine == "fdm" else validate.run_parabolic_batch
+    return run_batch(ps, ic, grid, probes=cfg.probes)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -369,33 +369,30 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # the axis value completes the dimensionless set when it is the one left out
     base = replace(cfg, **{cfg.axis: cfg.values[0]}).resolved_params()
     points = [replace(base, **{cfg.axis: v}) for v in cfg.values]
-    if cfg.engine != "spectral":
-        # every grid is checked before any march, for all points: a sweep holds all their series
-        grids = [_grid(cfg, cfg.engine, p, len(points)) for p in points]
+    # points on one grid march as one batch whatever their B, a spectral point alone.
+    # Every grid is checked before any march, for all points: a sweep holds all their series
+    groups: dict = {}
+    for i, p in enumerate(points):
+        grid = None if cfg.engine == "spectral" else _grid(cfg, cfg.engine, p, len(points))
+        groups.setdefault(i if grid is None else grid, (grid, []))[1].append(i)
     outdir = _outdir(cfg)
     echo = asdict(cfg)
     ic = cfg.resolved_ic()
-    # A, L and N0 leave the grid alone, and the heat stencil never reads B:
-    # points on one grid march as one batch, with no pool
-    batched = cfg.engine == "parabolic" or (cfg.engine == "fdm" and cfg.axis != "B")
-    if batched and all(g == grids[0] for g in grids):
-        run_batch = fdm.run_fdm_batch if cfg.engine == "fdm" else validate.run_parabolic_batch
-        series_list = run_batch(points, ic, grids[0], probes=cfg.probes)
-    elif cfg.workers > 1:
+    tasks = [(cfg, [points[i] for i in members], ic, grid) for grid, members in groups.values()]
+    if cfg.workers > 1 and len(tasks) > 1:
         # looked up on the module: __getattr__ imports it on first use, and a
         # rebinding of cli.ProcessPoolExecutor takes effect
         pool_type = getattr(sys.modules[__name__], "ProcessPoolExecutor")
-        with pool_type(max_workers=min(cfg.workers, len(points))) as pool:
-            series_list = list(pool.map(_sweep_point, [(echo, p, ic) for p in points]))
+        with pool_type(max_workers=min(cfg.workers, len(tasks))) as pool:
+            results = list(pool.map(_solve_group, tasks))
     else:
-        series_list = [_sweep_point((echo, p, ic)) for p in points]
-    files = []
-    for value, stem, series in zip(cfg.values, stems, series_list):
-        path = os.path.join(outdir, f"{stem}.csv")
-        point_echo = dict(echo)
-        point_echo[cfg.axis] = value
-        write_series_csv(thin_series(series, cfg.samples), path, config=point_echo)
-        files.append(os.path.basename(path))
+        results = list(map(_solve_group, tasks))
+    paths = [os.path.join(outdir, f"{stem}.csv") for stem in stems]
+    for (_, members), group in zip(groups.values(), results):
+        for i, series in zip(members, group):
+            point_echo = {**echo, cfg.axis: cfg.values[i]}
+            write_series_csv(thin_series(series, cfg.samples), paths[i], config=point_echo)
+    files = [os.path.basename(path) for path in paths]
     write_json(
         {"config": echo, "axis": cfg.axis, "values": list(cfg.values), "files": files},
         os.path.join(outdir, f"{cfg.name}_index.json"),
@@ -408,9 +405,8 @@ def __getattr__(name: str):
     """Import ProcessPoolExecutor on first use.
 
     concurrent.futures.process and multiprocessing add ~16 ms to every
-    fresh interpreter, and only spectral sweeps, fdm sweeps along B and
-    parabolic sweeps whose points need different horizons start a pool,
-    on several workers.
+    fresh interpreter, and only a sweep over two or more grids, or
+    spectral points, on several workers starts a pool.
     """
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor

@@ -12,7 +12,7 @@ Conservation holds to machine precision at every level by construction:
 sigma_j is defined as N0/2 minus the trapezoidal mass of row j.
 
 One function, march, does every march: it takes one start row per
-parameter set, and sets that share a grid advance together as one
+parameter set, and sets on one grid, whatever their B, advance as one
 (n_batch, n_z+1) array, with the wave or the parabolic reference stencil
 inside and the nonlocal or the local closure at the wall.  Each row's
 closure is its own linear equation, so a batch row is bit-identical to a
@@ -66,8 +66,10 @@ CHUNK_PASSES = 16
 # parabolic oracle's 200,001 levels of one point at n_z = 100).  A march with
 # three probes peaks at ~67 bytes a level and point, of which its series keep
 # 56 (tracemalloc, 10^6 levels of one point), and the CSV takes ~100 bytes a
-# level: ~0.7 GB in memory at the bound.
+# level: ~0.7 GB in memory at the bound.  It also bounds the nodes of a
+# march's RING + STORED_ROWS row buffers a point: n_z <= 21,504 for one point.
 MAX_RECORD = 10**7
+STORED_ROWS = 401  # full rows a runner stores, evenly spread over its levels
 
 # fewest segments a grid of the half slab may have
 MIN_N_Z = 8
@@ -114,10 +116,7 @@ class Grid:
         """Grid with spacing h = 0.5/n_z and step count chosen so k/h <= lam."""
         if not (0 < T < math.inf and lam > 0):
             raise InvalidInput("T must be finite and positive, and lambda positive")
-        h = 0.5 / n_z
-        n_t = max(1, math.ceil(T / (lam * h)))
-        k = T / n_t
-        return Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=T)
+        return Grid._stepped(n_z, T, lam * (0.5 / n_z))
 
     @staticmethod
     def for_parabolic(n_z: int, T: float, r: float = 0.4) -> "Grid":
@@ -125,8 +124,16 @@ class Grid:
         if not (0 < T < math.inf and 0 < r <= 0.5):
             raise InvalidInput("parabolic grids need 0 < r <= 1/2 and a finite T > 0")
         h = 0.5 / n_z
-        n_t = max(1, math.ceil(T / (r * h * h)))
-        k = T / n_t
+        return Grid._stepped(n_z, T, r * h * h)
+
+    @staticmethod
+    def _stepped(n_z: int, T: float, step: float) -> "Grid":
+        """Grid of n_z segments and the fewest steps of at most step over T."""
+        if not step > 0 or T / step == math.inf:
+            raise ConfigError(f"T = {T:.4g} in steps of {step:.4g} exceeds the march record bound"
+                              f" {MAX_RECORD}: shorten T or lengthen the step")
+        n_t = max(1, math.ceil(T / step))
+        h, k = 0.5 / n_z, T / n_t
         return Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=T)
 
     def zgrid(self) -> np.ndarray:
@@ -144,7 +151,7 @@ def default_lambda(B: float) -> float:
 
 
 def check_grid(grid: Grid, stencil: str, B: float, n_points: int = 1) -> None:
-    """Refuse with ConfigError an unstable grid, or levels x n_points past MAX_RECORD."""
+    """Refuse with ConfigError a grid unstable at B (a batch's least) or past MAX_RECORD."""
     r = grid.k / (grid.h * grid.h)
     if stencil == WAVE and not B > 0:
         raise ConfigError("run_fdm requires B > 0; use the parabolic reference solver")
@@ -156,6 +163,9 @@ def check_grid(grid: Grid, stencil: str, B: float, n_points: int = 1) -> None:
     if (grid.n_t + 1) * n_points > MAX_RECORD:
         raise ConfigError(f"{grid.n_t + 1} levels x {n_points} point(s) exceed the march"
                           f" record bound {MAX_RECORD}: shorten T or coarsen n_z")
+    if (RING + STORED_ROWS) * (grid.n_z + 1) * n_points > MAX_RECORD:
+        raise ConfigError(f"{RING + STORED_ROWS} rows of {grid.n_z + 1} nodes x {n_points}"
+                          f" point(s) exceed the march record bound {MAX_RECORD}: coarsen n_z")
 
 
 class _Row(NamedTuple):
@@ -195,10 +205,10 @@ def _stencil(new: _Row, old: _Row, older: _Row | None, weights, lap, tmp) -> lis
     With older, the three-level wave update in increment form, new = old +
     (2 lam^2 lap + (2B - k)(old - older)) / (2B + k), weights (2 lam^2,
     2B - k, 2B + k); without, new = old + r lap, weights (r,).  lap and tmp
-    are work buffers.  The weights are bound as 0-d arrays, which a ufunc
-    takes with no conversion of a Python float on each call.
+    are work buffers.  A float weight is bound as a 0-d array, which a ufunc
+    takes with no conversion on each call; an array spans mid, one B a row.
     """
-    weights = [np.array(w) for w in weights]
+    weights = [np.asarray(w) for w in weights]
     ops = [
         partial(np.add, old.mid, old.mid, tmp),
         partial(np.subtract, old.right, tmp, lap),
@@ -218,19 +228,7 @@ def _stencil(new: _Row, old: _Row, older: _Row | None, weights, lap, tmp) -> lis
     return ops + [partial(np.add, old.mid, lap, new.mid)]
 
 
-def _step(prev: np.ndarray, prev2: np.ndarray | None, weights) -> np.ndarray:
-    """The next level of prev (and prev2) by _stencil, boundary nodes copied over."""
-    row = prev.copy()
-    new = _views(row)
-    lap = np.empty_like(new.mid)
-    older = None if prev2 is None else _views(prev2)
-    for op in _stencil(new, _views(prev), older, weights, lap, np.empty_like(lap)):
-        op()
-    row[..., 0], row[..., -1] = prev[..., 0], prev[..., -1]
-    return row
-
-
-def _wave_weights(grid: Grid, B: float) -> tuple[float, float, float]:
+def _wave_weights(grid: Grid, B):
     return 2.0 * grid.lam**2, 2.0 * B - grid.k, 2.0 * B + grid.k
 
 
@@ -238,9 +236,16 @@ def step_interior(prev: np.ndarray, prev2: np.ndarray, grid: Grid, B: float) -> 
     """Advance the interior one level using the two previous complete rows.
 
     Increment form of the three-level stencil (same algebra as the direct
-    three-point weights, exact on constant rows).
+    three-point weights, exact on constant rows); boundary nodes copied.
     """
-    return _step(prev, prev2, _wave_weights(grid, B))
+    row = prev.copy()
+    new = _views(row)
+    lap = np.empty_like(new.mid)
+    weights = _wave_weights(grid, B)
+    for op in _stencil(new, _views(prev), _views(prev2), weights, lap, np.empty_like(lap)):
+        op()
+    row[..., 0], row[..., -1] = prev[..., 0], prev[..., -1]
+    return row
 
 
 def trapezoid_interior(rows: np.ndarray, h: float) -> np.ndarray:
@@ -374,33 +379,34 @@ def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
 
 
 def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
-          probes=(), max_rows: int = 401) -> list[TimeSeries]:
+          probes=(), max_rows: int = STORED_ROWS) -> list[TimeSeries]:
     """March start row rows0[b] with parameter set ps[b], all as one batch on grid.
 
     The engine's only time loop; one series per point.  stencil is WAVE or
-    HEAT, closure NONLOCAL or LOCAL (other names raise InvalidInput), and a
-    WAVE batch shares one B (_shared_B); the march itself does not check the
-    grid (see check_grid).  Level j lives in slot j % RING of a ring of
-    min(RING, n_t + 1) level rows and sigmas, and each slot gets its level
-    program once per march: zero-argument calls that advance every row's
-    interior from the two slots before it (_stencil's nine or five ufunc
-    calls; the wave march's first level is the two-level start-up, weight
-    lam^2/2B, of a bulk at rest), then close the walls.  The closure is one
-    Python loop over the rows, bound to the slot's memoryviews and the
-    rows' constants: it mirrors the symmetry node, solves the wall value
-    and writes the row's sigma from the slot before it.  A pass around the
-    ring runs its levels' programs back to back.  Then the wave march
-    checks the pass for divergence (one max and one min of its levels),
-    and the pass's raw record is read off the ring into a level-major
-    chunk: sigma, the wall values, the inner trapezoidal mass and the probe
-    nodes; the full rows, at max_rows evenly spread levels, go straight to
-    the series.  Every CHUNK_PASSES passes, and after the last, the chunk
-    is written into the row-major (n_batch, n_levels) record of sigma,
-    surface, conservation and each probe, the probes and the residual
-    derived on the way; series b holds row b of each.  Row b only ever sees
-    parameter set b, so each row of a batch matches a march of its point
-    alone bit for bit.  Each series gets its own time grid and a copy of
-    meta plus the grid.
+    HEAT, closure NONLOCAL or LOCAL (other names raise InvalidInput); the
+    march itself does not check the grid (see check_grid).  A WAVE batch may
+    mix B: the weights that hold B (2B - k, 2B + k and the start-up's
+    lam^2/2B) are arrays over the mid span, each row's entries its own B.
+    Level j lives in slot j % RING of a ring of min(RING, n_t + 1) level
+    rows and sigmas, and each slot gets its level program once per march:
+    zero-argument calls that advance every row's interior from the two slots
+    before it (_stencil's nine or five ufunc calls; the wave march's first
+    level is the two-level start-up of a bulk at rest), then close the
+    walls.  The closure is one Python loop over the rows, bound to the
+    slot's memoryviews and the rows' constants: it mirrors the symmetry
+    node, solves the wall value and writes the row's sigma from the slot
+    before it.  A pass around the ring runs its levels' programs back to
+    back.  Then the wave march checks the pass for divergence (one max and
+    one min of its levels), and the pass's raw record is read off the ring
+    into a level-major chunk: sigma, the wall values, the inner trapezoidal
+    mass and the probe nodes; the full rows, at max_rows evenly spread
+    levels, go straight to the series.  Every CHUNK_PASSES passes, and after
+    the last, the chunk is written into the row-major (n_batch, n_levels)
+    record of sigma, surface, conservation and each probe, the probes and
+    the residual derived on the way; series b holds row b of each.  Row b
+    only ever sees parameter set b, so each row of a batch matches a march
+    of its point alone bit for bit.  Each series gets its own time grid and
+    a copy of meta plus the grid.
     """
     ps = list(ps)
     rows0 = np.asarray(rows0, dtype=float)
@@ -411,8 +417,7 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
         raise InvalidInput(f"march needs stencil 'wave' or 'heat' and closure 'nonlocal' or"
                            f" 'local', got {stencil!r} and {closure!r}")
     wave = stencil == WAVE
-    B = _shared_B(ps) if wave else ps[0].B
-    if wave and not B > 0:
+    if wave and not min(p.B for p in ps) > 0:
         raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic solver")
     wall_closure = _CLOSURES[closure]
     constants = [wall_closure.constants(p, grid) for p in ps]
@@ -437,6 +442,8 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
         return (*_stencil(new, slots[i - 1], older, weights, lap, tmp),
                 wall_closure.bind(new, sigmas[i - 1], sigmas[i], constants))
 
+    # each row's B on its n_z + 1 nodes, trimmed as mid is
+    B = np.repeat([p.B for p in ps], n_nodes)[1:-1]
     weights = _wave_weights(grid, B) if wave else (grid.k / (grid.h * grid.h),)
     programs = [program(i, weights, not wave) for i in range(n_slots)]
     start = program(1, (grid.lam * grid.lam / (2.0 * B),), True) if wave else programs[1]
@@ -520,8 +527,8 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
 
 def _check_divergence(j: int, rows: np.ndarray, ceilings: list, ps: list, grid: Grid) -> None:
     """Raise StabilityError for the first row with a node past its ceiling."""
-    hint = f" (lambda={grid.lam:.4g}, B={ps[0].B:.4g}); reduce lambda"
     for b, (row, ceiling, p) in enumerate(zip(rows, ceilings, ps)):
+        hint = f" (lambda={grid.lam:.4g}, B={p.B:.4g}); reduce lambda"
         point = ""
         if len(ps) > 1:
             point = f" of batch point {b} (A={p.A:.4g}, L={p.L:.4g}, N0={p.N0:.4g})"
@@ -533,19 +540,14 @@ def _check_divergence(j: int, rows: np.ndarray, ceilings: list, ps: list, grid: 
             raise StabilityError(f"wall density diverging at level j={j}{point}{hint}")
 
 
-def _shared_B(ps) -> float:
-    """The B of a wave batch: the stencil's weights hold one B for every row."""
-    if not ps or any(p.B != ps[0].B for p in ps):
-        raise InvalidInput("a batch needs one or more parameter sets sharing one B")
-    return ps[0].B
-
-
 def run_fdm_batch(ps, ic: InitialCondition, grid: Grid, probes=()) -> list[TimeSeries]:
-    """run_fdm for parameter sets sharing B (hence one grid), marched as one array.
+    """run_fdm for parameter sets on one grid, whatever their B, marched as one array.
 
-    Series b is bit-identical to run_fdm(ps[b], ic, grid, ...).
+    The grid must be stable for the smallest B.  Series b is bit-identical
+    to run_fdm(ps[b], ic, grid, ...).
     """
-    check_grid(grid, WAVE, _shared_B(ps), len(ps))
+    # an empty batch is left to march, which refuses it
+    check_grid(grid, WAVE, min((p.B for p in ps), default=math.inf), len(ps))
     zgrid = grid.zgrid()
     rows0 = [sample_initial(ic, p, zgrid) for p in ps]
     return march(rows0, ps, grid, WAVE, NONLOCAL, {"engine": "fdm"}, probes)

@@ -167,12 +167,14 @@ def sampled_ic(z, values) -> InitialCondition:
 
 
 def _half_profile(ic: InitialCondition) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce sampled data to the half domain [0, 1/2]."""
+    """Sampled data on the half domain [0, 1/2], from a node at z* = 0 (interpolated if none)."""
     z, v = ic.z, ic.values
     if z[0] >= -1e-12:
         return z, v
     keep = z >= -1e-12
-    return z[keep], v[keep]
+    if z[keep][0] <= 1e-12:
+        return z[keep], v[keep]
+    return np.r_[0.0, z[keep]], np.r_[np.interp(0.0, z, v), v[keep]]
 
 
 def _validate_sampled(ic: InitialCondition, p: Params) -> None:

@@ -125,6 +125,7 @@ def step_march(ps, grid, scheme="fdm", max_rows=RUNNER_ROWS):
 
 point = st.tuples(
     st.floats(1e-4, 10.0),
+    st.floats(1e-2, 1.0),
     st.one_of(st.just(0.0), st.floats(1e-2, 100.0)),
     st.floats(0.1, 100.0),
 )
@@ -134,15 +135,15 @@ point = st.tuples(
 @given(
     scheme=st.sampled_from(["fdm", "local", "nonlocal"]),
     points=st.lists(point, min_size=1, max_size=5),
-    B=st.floats(1e-2, 1.0),
     n_z=st.integers(8, 20),
     smooth=st.booleans(),
 )
-def test_batch_rows_equal_single_runs_bit_for_bit(scheme, points, B, n_z, smooth):
-    ps = [Params(A=A, B=B, L=L, N0=N0) for A, L, N0 in points]
+def test_batch_rows_equal_single_runs_bit_for_bit(scheme, points, n_z, smooth):
+    # a B per point: a wave batch marches on the grid of its smallest B
+    ps = [Params(A=A, B=B, L=L, N0=N0) for A, B, L, N0 in points]
     ic = parabolic_ic() if smooth else step_ic()
     if scheme == "fdm":
-        grid = Grid.from_lambda(n_z, 0.05, default_lambda(B))
+        grid = Grid.from_lambda(n_z, 0.05, default_lambda(min(p.B for p in ps)))
     else:
         grid = Grid.for_parabolic(n_z, 0.02, 0.4)
     batch, single = march_family(scheme, ps, ic, grid)
@@ -218,11 +219,19 @@ def test_divergence_in_a_later_ring_pass(n_z, T, lam, p, message):
     assert str(err.value) == message
 
 
-def test_batch_needs_shared_B():
-    grid = Grid.from_lambda(16, 0.05, 0.02)
-    ps = [Params(A=0.01, B=0.1, L=1.0, N0=3.0), Params(A=0.01, B=0.2, L=1.0, N0=3.0)]
-    with pytest.raises(InvalidInput):
-        run_fdm_batch(ps, step_ic(), grid)
+MIXED_B = [Params(A=0.01, B=B, L=1.0, N0=3.0) for B in (0.0025, 0.01, 0.1, 0.5)]
+
+
+def test_batch_of_mixed_B_equals_single_runs():
+    # points on one grid batch whatever their B: each row meets its own B
+    grid = Grid.from_lambda(16, 0.05, default_lambda(MIXED_B[0].B))
+    for ic in (step_ic(), parabolic_ic()):
+        batch, single = march_family("fdm", MIXED_B, ic, grid)
+        for p, ser, one in zip(MIXED_B, batch, single):
+            assert ser.params == p
+            assert_same_series(ser, one)
+            assert_same_series(ser, reference_march(p, ic, grid, "fdm"))
+        assert len({ser.sigma.tobytes() for ser in batch}) == len(MIXED_B)
     with pytest.raises(InvalidInput):
         run_fdm_batch([], step_ic(), grid)
 
@@ -243,3 +252,14 @@ def test_diverging_point_named_with_its_level():
     message = str(batch.value)
     assert "level j=127, node i=41 of batch point 1 " in message
     assert "N0=3" in message and "lambda" in message
+
+
+def test_diverging_point_named_with_its_own_B():
+    # one grid, two B: only the B = 1e-3 point is past its bound sqrt(B)
+    grid = Grid.from_lambda(64, 0.055, 0.05)
+    stable = Params(A=0.01, B=0.1, L=1.0, N0=3.0)
+    loud = Params(A=0.01, B=1e-3, L=1.0, N0=3.0)
+    with pytest.raises(StabilityError) as err:
+        step_march([stable, loud], grid)
+    assert str(err.value) == ("density diverging at level j=127, node i=41 of batch point 1"
+                              " (A=0.01, L=1, N0=3) (lambda=0.04993, B=0.001); reduce lambda")

@@ -298,20 +298,19 @@ class TestRunFdm:
             (ser,) = march([row0], [p], grid(RING - 1), WAVE, NONLOCAL, {}, max_rows=RING)
         assert not np.all(np.isfinite(ser.rows))
 
-    def test_wave_batch_needs_one_B(self):
-        # the wave stencil's weights hold one B; a heat batch never reads B
-        grid = Grid.from_lambda(16, 0.05, 0.01)
+    def test_wave_batch_mixes_B(self):
+        # each row of a wave batch meets its own B; a heat batch never reads B
         ps = [Params(A=0.01, B=0.1, L=1.0, N0=3.0), Params(A=0.01, B=0.5, L=1.0, N0=3.0)]
-        rows0 = [sample_initial(step_ic(), p, grid.zgrid()) for p in ps]
-        with pytest.raises(InvalidInput, match="sharing one B"):
-            march(rows0, ps, grid, WAVE, NONLOCAL, {})
-        heat = Grid.for_parabolic(16, 0.05)
-        batch = march(rows0, ps, heat, HEAT, LOCAL, {})
-        for row0, p, ser in zip(rows0, ps, batch):
-            (one,) = march([row0], [p], heat, HEAT, LOCAL, {})
-            assert ser.params == p
-            assert ser.sigma.tobytes() == one.sigma.tobytes()
-            assert ser.rows.tobytes() == one.rows.tobytes()
+        for grid, stencil, closure in ((Grid.from_lambda(16, 0.05, 0.01), WAVE, NONLOCAL),
+                                       (Grid.for_parabolic(16, 0.05), HEAT, LOCAL)):
+            rows0 = [sample_initial(step_ic(), p, grid.zgrid()) for p in ps]
+            batch = march(rows0, ps, grid, stencil, closure, {})
+            for row0, p, ser in zip(rows0, ps, batch):
+                (one,) = march([row0], [p], grid, stencil, closure, {})
+                assert ser.params == p
+                assert ser.sigma.tobytes() == one.sigma.tobytes()
+                assert ser.rows.tobytes() == one.rows.tobytes()
+            assert (batch[0].sigma.tobytes() != batch[1].sigma.tobytes()) == (stencil == WAVE)
 
     def test_wave_regime_required(self):
         p = Params(A=0.01, B=0.0, L=1.0, N0=3.0)
@@ -334,6 +333,29 @@ class TestRunFdm:
         check_grid(at, HEAT, 0.0, n_points=2)
         with pytest.raises(ConfigError, match="record bound"):
             check_grid(at, HEAT, 0.0, n_points=3)
+
+    def test_record_bound_counts_the_row_buffers(self):
+        # a march holds RING + STORED_ROWS rows of n_z + 1 nodes a point: n_z <= 21,504 for one
+        def grid(n_z):
+            h = 0.5 / n_z
+            return Grid(n_z=n_z, n_t=8000, h=h, k=0.02 * h, lam=0.02, T=8000 * 0.02 * h)
+
+        assert (RING + fdm.STORED_ROWS) * 21_505 <= MAX_RECORD < (RING + fdm.STORED_ROWS) * 21_506
+        check_grid(grid(21_504), WAVE, 0.1)
+        with pytest.raises(ConfigError, match="rows of 21506 nodes x 1 point.* record bound"):
+            check_grid(grid(21_505), WAVE, 0.1)
+        check_grid(grid(10_751), WAVE, 0.1, n_points=2)
+        with pytest.raises(ConfigError, match="rows of 10753 nodes x 2 point"):
+            check_grid(grid(10_752), WAVE, 0.1, n_points=2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Grid.from_lambda(16, 1e300, 1e-10),
+        lambda: Grid.from_lambda(16, 1.0, 5e-324),  # k = lam h underflows to 0
+        lambda: Grid.for_parabolic(16, 1e300, 1e-10),
+    ])
+    def test_step_count_past_any_float_refused(self, make):
+        with pytest.raises(ConfigError, match="exceeds the march record bound"):
+            make()
 
     def test_probe_validation(self, wavefront_params):
         grid = Grid.from_lambda(16, 0.1, 0.02)

@@ -14,7 +14,9 @@ from hypersorb.cli import build_config, load_config_file, main, make_parser
 from hypersorb.errors import InvalidInput
 from hypersorb.params import Params, step_ic
 from hypersorb.series import TimeSeries, thin_indices, thin_series
-from hypersorb.seriesio import CSV_BLOCK_ROWS, format_float, read_series_csv, write_series_csv
+from hypersorb.seriesio import (
+    CSV_BLOCK_ROWS, format_float, read_series_csv, write_json, write_series_csv,
+)
 
 
 def small_series():
@@ -132,6 +134,30 @@ class TestSeriesCsv:
         with pytest.raises(InvalidInput, match="strictly increasing"):
             read_series_csv(path)
 
+    def test_unknown_column_refused_on_read_back(self, tmp_path):
+        path = tmp_path / "foo.csv"
+        path.write_text("t_star,sigma,foo\n0,0,0\n1,1,1\n")
+        with pytest.raises(InvalidInput, match="unexpected column 'foo'"):
+            read_series_csv(path)
+
+    def test_writers_refuse_a_directory(self, tmp_path):
+        with pytest.raises(InvalidInput, match="cannot write CSV to"):
+            write_series_csv(small_series(), tmp_path)
+        with pytest.raises(InvalidInput, match="cannot write JSON to"):
+            write_json({"a": 1}, tmp_path)
+
+    def test_json_encodes_numpy_and_complex_values(self, tmp_path):
+        path = tmp_path / "v.json"
+        write_json({
+            "f": np.float64(0.1), "i": np.int32(-3), "a": np.array([[1.0, 2.5]]),
+            "c": 1 - 2j, "z": np.complex128(0.5 + 0.25j),
+        }, path)
+        assert json.loads(path.read_text()) == {
+            "f": 0.1, "i": -3, "a": [[1.0, 2.5]], "c": [1.0, -2.0], "z": [0.5, 0.25],
+        }
+        with pytest.raises(TypeError, match="cannot serialize"):
+            write_json({"s": {1, 2}}, tmp_path / "set.json")
+
 
 class TestConfigFile:
     def test_parse_and_overrides(self, tmp_path):
@@ -155,6 +181,12 @@ class TestConfigFile:
         assert cfg.B == 0.2  # flag wins over the file
         assert cfg.A == 0.01
         assert cfg.n_z == 32
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        args = ["run", "--config", str(tmp_path / "absent.cfg"), "--outdir", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("configuration error: cannot read config file")
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -565,6 +597,42 @@ class TestCli:
             single = (tmp_path / "one.csv").read_bytes().split(b"\n", 1)[1]
             assert swept[f"w_B{float(B):g}.csv"] == single
 
+    def test_fdm_B_sweep_on_one_grid_marches_once_without_a_pool(self, tmp_path, monkeypatch):
+        # every B >= 0.0025 takes the default lambda's cap: one grid, one batch
+        calls, march = [], fdm.march
+
+        def counting_march(*args, **kwargs):
+            calls.append(len(args[1]))
+            return march(*args, **kwargs)
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a one-grid sweep must not start a process pool")
+
+        monkeypatch.setattr(fdm, "march", counting_march)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        values = ("0.01", "0.05", "0.1", "0.5")
+        common = ["--A", "0.01", "--L", "1", "--N0", "3", "--T", "0.05", "--n-z", "16"]
+        assert main(["sweep", "--engine", "fdm", "--axis", "B", "--values", ",".join(values),
+                     "--workers", "2", *common, "--outdir", str(tmp_path), "--name", "w"]) == 0
+        assert calls == [4]
+        swept = self.sweep_data(tmp_path)
+        for B in values:
+            assert main(["run", "--engine", "fdm", "--B", B, *common,
+                         "--outdir", str(tmp_path), "--name", "one"]) == 0
+            assert swept[f"w_B{B}.csv"] == (tmp_path / "one.csv").read_bytes().split(b"\n", 1)[1]
+        assert len(set(swept.values())) == len(values)
+
+    def test_spectral_sweep_points_each_a_pool_task(self, tmp_path, monkeypatch):
+        args = ["sweep", "--engine", "spectral", "--axis", "L", "--values", "0.5,1,2",
+                "--A", "0.01", "--B", "0.1", "--N0", "3", "--T", "0.2", "--modes", "20",
+                "--samples", "51", "--name", "w"]
+        assert main(args + ["--outdir", str(tmp_path / "serial")]) == 0
+        sizes = self.recording_pool(monkeypatch)
+        assert main(args + ["--outdir", str(tmp_path / "par"), "--workers", "2"]) == 0
+        assert sizes == [2]
+        assert self.sweep_data(tmp_path / "serial") == self.sweep_data(tmp_path / "par")
+
     def test_sweep_axis_applies_to_physical_inputs(self, tmp_path):
         # d = D = 1, tau_r = 0.1, tau_a = 0.01, k_a = 100, n0 = 3 is
         # A = 0.01, B = 0.1, L = 1, N0 = 3; the swept L replaces L = 1
@@ -652,6 +720,26 @@ class TestCli:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        # T / (lam h) is past any float: no level count at all
+        (("--T", "1e300", "--lam", "1e-10"), "T = 1e+300 in steps of"),
+        # 8,001 levels, but 465 rows of 10^6 + 1 nodes
+        (("--T", "1e-4", "--n-z", "1000000"), "465 rows of 1000001 nodes x 1 point(s)"),
+    ])
+    def test_oversized_grid_refused_before_any_march(self, tmp_path, capsys, monkeypatch, flags,
+                                                     message):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started")
+
+        monkeypatch.setattr(cli.fdm, "march", no_march)
+        args = ["run", "--engine", "fdm", "--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3",
+                *flags, "--outdir", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+        assert "march record bound" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_mode_count_bounded(self, tmp_path, capsys):

@@ -198,6 +198,35 @@ class TestSampleInitial:
         with pytest.raises(InvalidInput, match="even"):
             sample_initial(sampled_ic(z, v), self.p, np.array([0.0]))
 
+    def test_full_slab_data_without_a_node_at_zero_folded_there(self):
+        # 100 nodes of [-1/2, 1/2], none at z* = 0: the segment across 0 is split
+        # at its interpolated value, so the half profile keeps the full mass
+        z = np.linspace(-0.5, 0.5, 100)
+        v = 1.5 * (1 - 4 * z * z)
+        v *= 3.0 / np.trapezoid(v, z)
+        ic = sampled_ic(z, v)
+        keep = z > 0
+        half = sampled_ic(np.r_[0.0, z[keep]], np.r_[np.interp(0.0, z, v), v[keep]])
+        assert initial_mass(ic, self.p) == pytest.approx(3.0, rel=1e-14)
+        assert initial_mass(ic, self.p) == initial_mass(half, self.p)
+        zg = np.linspace(-0.5, 0.5, 41)
+        out = sample_initial(ic, self.p, zg)
+        assert out.tobytes() == sample_initial(half, self.p, zg).tobytes()
+        np.testing.assert_allclose(out, np.interp(zg, z, v), rtol=1e-14, atol=1e-14)
+        for alpha in (3.671, 17.3):
+            assert cosine_moment(ic, self.p, alpha) == cosine_moment(half, self.p, alpha)
+
+    def test_full_slab_data_with_a_node_at_zero_kept_as_given(self):
+        z = np.linspace(-0.5, 0.5, 101)
+        assert z[50] == 0.0
+        v = 1.5 * (1 - 4 * z * z)
+        v *= 3.0 / np.trapezoid(v, z)
+        ic, half = sampled_ic(z, v), sampled_ic(z[50:], v[50:])
+        assert initial_mass(ic, self.p) == initial_mass(half, self.p)
+        zg = np.linspace(-0.5, 0.5, 41)
+        assert sample_initial(ic, self.p, zg).tobytes() == sample_initial(half, self.p, zg).tobytes()
+        assert cosine_moment(ic, self.p, 17.3) == cosine_moment(half, self.p, 17.3)
+
     def test_zgrid_out_of_range(self):
         with pytest.raises(InvalidInput):
             sample_initial(step_ic(), self.p, np.array([0.6]))
