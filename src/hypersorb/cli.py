@@ -9,11 +9,10 @@ configuration, and identical configurations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -40,8 +39,8 @@ MAX_GRID_POINTS = 10**6
 # one buffer of the same size.  The largest in use is 801 x 2000.
 MAX_MODAL_TERMS = 10**7
 
-# the secular-equation grid of eigen-dump and run --diagnostics: alpha
-# from ALPHA_MIN to ALPHA_MAX (twelve anchor intervals) in GRID_POINTS points
+# eigen-dump's default secular-equation grid: alpha from ALPHA_MIN to
+# ALPHA_MAX (twelve anchor intervals) in GRID_POINTS points
 ALPHA_MIN, ALPHA_MAX, GRID_POINTS = 0.05, 2.0 * math.pi * 12, 4000
 
 # most sweep workers a run may ask for; each one is a process of its own,
@@ -51,7 +50,11 @@ MAX_WORKERS = 64
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; exactly one engine, optional sweep axis."""
+    """Resolved run configuration; exactly one engine, optional sweep axis.
+
+    Each field's annotation is the one schema of its key: _coerce types
+    the text of a flag or of a config file line by it.
+    """
 
     engine: str = "fdm"
     A: float | None = None
@@ -69,13 +72,11 @@ class RunConfig:
     T: float | None = None
     n_z: int = 200
     lam: float | None = None
-    r: float = 0.4
     modes: int = 50
     samples: int = 801
     probes: list[float] = field(default_factory=lambda: [0.0, 0.25, 0.45])
     outdir: str | None = None
     name: str = "series"
-    diagnostics: bool = False
     pair: list[str] = field(default_factory=lambda: ["spectral", "fdm"])
     axis: str | None = None
     values: list[float] = field(default_factory=list)
@@ -141,12 +142,10 @@ class RunConfig:
                 )
         if self.n_z < fdm.MIN_N_Z:
             raise ConfigError(f"n_z must be at least {fdm.MIN_N_Z}, got {self.n_z}")
-        for key in ("T", "lam", "r"):
+        for key in ("T", "lam"):
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be finite and strictly positive, got {value!r}")
-        if self.r > 0.5:
-            raise ConfigError(f"r must be at most 1/2 for a stable parabolic march, got {self.r!r}")
         if not 1 <= self.modes <= MAX_MODES:
             raise ConfigError(
                 f"modes must be between 1 and {MAX_MODES}, got {self.modes}: the root scan"
@@ -171,15 +170,27 @@ class RunConfig:
             )
 
 
-def _parse_scalar(text: str):
+def _names(text: str) -> list[str]:
+    """A comma-separated list of names, each stripped, empty items dropped."""
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _coerce(key: str, text: str):
+    """text of a flag or the config file as field key's type; ConfigError if it cannot be.
+
+    A list field splits text with _names; a float field takes a float
+    literal, an int field an integer literal, and a str field text as written.
+    """
+    kind = RunConfig.__annotations__[key]
+    scalar = float if "float" in kind else int if kind == "int" else str
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
+        return [scalar(v) for v in _names(text)] if kind.startswith("list") else scalar(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value document; '#' starts a comment; lists are comma-split."""
+    """Flat key = value document of RunConfig fields, each value typed; '#' starts a comment."""
     out: dict = {}
     try:
         with open(path) as fh:
@@ -193,60 +204,26 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("probes", "values", "pair"):
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            out[key] = items if key == "pair" else [_parse_scalar(v) for v in items]
-        else:
-            # text keys are taken as written, as their flags take them
-            out[key] = value if key in _TEXT_KEYS else _parse_scalar(value)
-    return out
-
-
-_FLOAT_KEYS = ("A", "B", "L", "N0", "d", "D", "tau_r", "tau_a", "k_a", "n0", "T", "lam", "r")
-_INT_KEYS = ("n_z", "modes", "samples", "workers")
-_TEXT_KEYS = ("engine", "ic", "ic_file", "outdir", "name", "axis")
-_FIELDS = frozenset(f.name for f in fields(RunConfig))
-_OPTIONAL = frozenset(f.name for f in fields(RunConfig) if f.default is None)
-
-
-def _coerce(key: str, value):
-    """value, from a flag or the config file, as field key's type; ConfigError if it cannot be."""
-    if value is None and key in _OPTIONAL:
-        return None
-    try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            # an integer literal: flag text, or a JSON integer of the file
-            if type(value) not in (int, str):
-                raise ValueError("not an integer")
-            return int(value)
-        if key in ("probes", "values"):
-            return [float(v) for v in value]
-        if key == "diagnostics" and not isinstance(value, bool):
-            raise ValueError("not true or false")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
-    return value
+        out[key] = value
+    unknown = sorted(set(out) - set(RunConfig.__annotations__))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
+    return {key: _coerce(key, value) for key, value in out.items()}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the --config file, then the flags set on the command line.
 
-    The file may only name RunConfig fields; flags without a field (the
-    command, --config, the eigen-dump range) are skipped.  The compare
-    command sets the engine to compare.
+    Flags without a field (the command, --config, the eigen-dump range) are
+    skipped.  The compare command sets the engine to compare.
     """
-    cfg = RunConfig()
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(file_values) - _FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in config file {args.config}: {', '.join(unknown)}")
-    flags = {k: v for k, v in vars(args).items() if v is not None and k in _FIELDS}
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, text in vars(args).items():
+        if text is not None and key in RunConfig.__annotations__:
+            values[key] = _coerce(key, text)
     if getattr(args, "command", None) == "compare":
-        flags["engine"] = "compare"
-    for key, value in {**file_values, **flags}.items():
-        setattr(cfg, key, _coerce(key, value))
+        values["engine"] = "compare"
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -263,7 +240,7 @@ def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1) -> fdm.Grid
         lam = cfg.lam if cfg.lam is not None else fdm.default_lambda(p.B)
         grid = fdm.Grid.from_lambda(cfg.n_z, T, lam)
     else:
-        grid = fdm.Grid.for_parabolic(cfg.n_z, T, cfg.r)
+        grid = fdm.Grid.for_parabolic(cfg.n_z, T)
     fdm.check_grid(grid, fdm.WAVE if engine == "fdm" else fdm.HEAT, p.B, n_points)
     return grid
 
@@ -297,9 +274,9 @@ def cmd_run(cfg: RunConfig) -> int:
     # every grid is refused here if it is bad, before any engine runs
     engines = cfg.pair if cfg.engine == "compare" else [cfg.engine]
     grids = {e: _grid(cfg, e, p) for e in engines if e != "spectral"}
+    ic = cfg.resolved_ic()
     outdir = _outdir(cfg)
     echo = asdict(cfg)
-    ic = cfg.resolved_ic()
     if cfg.engine == "compare":
         return _emit_comparison(cfg, p, ic, grids, outdir, echo)
     sol = None
@@ -314,10 +291,6 @@ def cmd_run(cfg: RunConfig) -> int:
         diag["anchors"] = [m.index for m in sol.modes]
         diag["amplitudes_S1"] = [complex(v) for v in sol.S1]
         diag["amplitudes_S2"] = [complex(v) for v in sol.S2]
-        diag["spectral_diagnostics"] = sol.diagnostics
-        if cfg.diagnostics:
-            path = os.path.join(outdir, f"{cfg.name}_eigen_grid.csv")
-            _write_eigen_grid(p, path, echo, ALPHA_MIN, ALPHA_MAX, GRID_POINTS)
     write_json(diag, os.path.join(outdir, f"{cfg.name}.json"))
     print(csv_path)
     return 0
@@ -375,9 +348,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for i, p in enumerate(points):
         grid = None if cfg.engine == "spectral" else _grid(cfg, cfg.engine, p, len(points))
         groups.setdefault(i if grid is None else grid, (grid, []))[1].append(i)
+    ic = cfg.resolved_ic()
     outdir = _outdir(cfg)
     echo = asdict(cfg)
-    ic = cfg.resolved_ic()
     tasks = [(cfg, [points[i] for i in members], ic, grid) for grid, members in groups.values()]
     if cfg.workers > 1 and len(tasks) > 1:
         # looked up on the module: __getattr__ imports it on first use, and a
@@ -437,29 +410,21 @@ def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: i
     return 0
 
 
-def _names(text: str) -> list[str]:
-    """A comma-separated list of names, each stripped, as the config file splits it."""
-    return [v.strip() for v in text.split(",") if v.strip()]
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value configuration file")
-    for key in ("A", "B", "L", "N0"):
-        sub.add_argument(f"--{key}", type=float)
-    for key in ("d", "D", "tau-r", "tau-a", "k-a", "n0"):
-        sub.add_argument(f"--{key}", type=float, dest=key.replace("-", "_"))
+    # every RunConfig flag stays text here: _coerce types it for flags and file alike
+    for key in ("A", "B", "L", "N0", "d", "D", "tau-r", "tau-a", "k-a", "n0"):
+        sub.add_argument(f"--{key}", dest=key.replace("-", "_"))
     sub.add_argument("--ic", choices=("step", "parabolic", "sampled"))
     sub.add_argument("--ic-file", dest="ic_file")
-    sub.add_argument("--T", type=float)
-    # int keys stay text here: _coerce parses them for flags and file alike
+    sub.add_argument("--T")
     sub.add_argument("--n-z", dest="n_z")
-    sub.add_argument("--lam", type=float, help="time/space step ratio for the fdm engine")
-    sub.add_argument("--r", type=float, help="k/h^2 for the parabolic engine")
+    sub.add_argument("--lam", help="time/space step ratio for the fdm engine")
     sub.add_argument("--modes")
     sub.add_argument("--samples", help="rows of every written series: evenly spread levels"
                      " including both ends (default 801); at least the level count (n_t + 1)"
                      " writes every level, and with spectral, samples x modes is at most 10^7")
-    sub.add_argument("--probes", type=lambda s: [float(v) for v in s.split(",") if v.strip()])
+    sub.add_argument("--probes")
     sub.add_argument("--outdir")
     sub.add_argument("--name")
 
@@ -475,22 +440,18 @@ def make_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="single solve with one engine")
     _add_common(run)
     run.add_argument("--engine", choices=ENGINES)
-    run.add_argument("--diagnostics", action="store_true", default=None,
-                     help="also dump the secular-equation grid (spectral engine)")
-    run.add_argument("--pair", type=_names,
-                     help="engines for --engine compare, e.g. spectral,fdm")
+    run.add_argument("--pair", help="engines for --engine compare, e.g. spectral,fdm")
 
     sweep = subs.add_parser("sweep", help="repeat a run along one parameter axis")
     _add_common(sweep)
     sweep.add_argument("--engine", choices=("fdm", "spectral", "parabolic"))
     sweep.add_argument("--axis", choices=SWEEP_AXES)
-    sweep.add_argument("--values", type=lambda s: [float(v) for v in s.split(",") if v.strip()])
+    sweep.add_argument("--values")
     sweep.add_argument("--workers")
 
     comp = subs.add_parser("compare", help="run two engines and report deviations")
     _add_common(comp)
-    comp.add_argument("--pair", type=_names,
-                      help="two of fdm, spectral, parabolic (default spectral,fdm)")
+    comp.add_argument("--pair", help="two of fdm, spectral, parabolic (default spectral,fdm)")
 
     dump = subs.add_parser("eigen-dump", help="tabulate the secular equations on an alpha grid")
     _add_common(dump)

@@ -116,19 +116,21 @@ class Grid:
         """Grid with spacing h = 0.5/n_z and step count chosen so k/h <= lam."""
         if not (0 < T < math.inf and lam > 0):
             raise InvalidInput("T must be finite and positive, and lambda positive")
-        return Grid._stepped(n_z, T, lam * (0.5 / n_z))
+        return Grid._stepped(n_z, T, lambda h: lam * h)
 
     @staticmethod
     def for_parabolic(n_z: int, T: float, r: float = 0.4) -> "Grid":
         """Grid for the diffusive reference scheme, r = k/h^2 <= 1/2."""
         if not (0 < T < math.inf and 0 < r <= 0.5):
             raise InvalidInput("parabolic grids need 0 < r <= 1/2 and a finite T > 0")
-        h = 0.5 / n_z
-        return Grid._stepped(n_z, T, r * h * h)
+        return Grid._stepped(n_z, T, lambda h: r * h * h)
 
     @staticmethod
-    def _stepped(n_z: int, T: float, step: float) -> "Grid":
-        """Grid of n_z segments and the fewest steps of at most step over T."""
+    def _stepped(n_z: int, T: float, step_of) -> "Grid":
+        """Grid of n_z segments and the fewest steps of at most step_of(h) over T."""
+        if n_z < MIN_N_Z:
+            raise InvalidInput(f"n_z must be at least {MIN_N_Z}, got {n_z}")
+        step = step_of(0.5 / n_z)
         if not step > 0 or T / step == math.inf:
             raise ConfigError(f"T = {T:.4g} in steps of {step:.4g} exceeds the march record bound"
                               f" {MAX_RECORD}: shorten T or lengthen the step")

@@ -65,6 +65,13 @@ class TestGrid:
         with pytest.raises(InvalidInput):
             Grid.for_parabolic(16, math.inf)
 
+    @pytest.mark.parametrize("n_z", [0, -5, 7])
+    def test_builders_refuse_a_coarse_grid_before_dividing(self, n_z):
+        # no ZeroDivisionError at 0, no step-count message at a negative n_z
+        for build in (lambda: Grid.from_lambda(n_z, 1.0, 0.02), lambda: Grid.for_parabolic(n_z, 1.0)):
+            with pytest.raises(InvalidInput, match=f"n_z must be at least 8, got {n_z}"):
+                build()
+
     def test_default_lambda(self):
         assert default_lambda(1e-3) == pytest.approx(0.5 * math.sqrt(1e-3))
         assert default_lambda(1e-3) <= 2.5e-2

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -198,6 +199,8 @@ class TestConfigFile:
         ("lamda = 5", "unknown key(s) in config file"),  # a typo
         ("A = abc", "bad value for A"),
         ("n_z = 16.7", "bad value for n_z"),  # not an integer
+        ("r = 0.4", "unknown key(s) in config file"),  # the parabolic grid keeps r = 0.4
+        ("diagnostics = true", "unknown key(s) in config file"),  # eigen-dump writes that grid
     ])
     def test_bad_line_exit_code(self, tmp_path, capsys, line, message):
         cfg_file = tmp_path / "run.cfg"
@@ -220,15 +223,6 @@ class TestConfigFile:
             written.append([(outdir / f"123.{ext}").read_bytes() for ext in ("csv", "json")])
         assert written[0] == written[1]
         assert json.loads(written[0][1])["config"]["name"] == "123"
-
-    @pytest.mark.parametrize("value", ["no", "1", "\"true\""])
-    def test_diagnostics_takes_only_true_or_false(self, tmp_path, capsys, value):
-        cfg_file = tmp_path / "run.cfg"
-        spectral = "engine = spectral\nmodes = 4\nsamples = 11\n"
-        cfg_file.write_text(f"{spectral}{self.BASE}diagnostics = {value}\n")
-        assert main(["run", "--config", str(cfg_file), "--outdir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("configuration error: bad value for diagnostics")
-        assert not (tmp_path / "series_eigen_grid.csv").exists()
 
     @pytest.mark.parametrize("key, value", [("modes", "10.0"), ("n_z", "1e2"), ("samples", "true")])
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -292,7 +286,7 @@ class TestCli:
     @pytest.mark.parametrize("engine, flag, value", [
         ("fdm", "--T", "inf"), ("spectral", "--T", "inf"), ("fdm", "--T", "nan"),
         ("fdm", "--T", "0"), ("parabolic", "--T", "-1"), ("fdm", "--lam", "inf"),
-        ("fdm", "--lam", "0"), ("parabolic", "--r", "inf"), ("parabolic", "--r", "-0.4"),
+        ("fdm", "--lam", "0"),
     ])
     def test_bad_step_or_horizon_exit_code(self, tmp_path, capsys, engine, flag, value):
         args = self.run_args(tmp_path, extra=(flag, value))
@@ -302,6 +296,32 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert f"{flag[2:]} must be finite and strictly positive" in err
         assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("command, flags, key", [
+        ("run", ("--A", "abc"), "A"),
+        ("run", ("--T", "x"), "T"),
+        ("run", ("--lam", "x"), "lam"),
+        ("run", ("--tau-r", "x"), "tau_r"),
+        ("run", ("--probes", "0,x"), "probes"),
+        ("sweep", ("--axis", "L", "--values", "1,x"), "values"),
+    ])
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys, command, flags, key):
+        # typed by _coerce, as a config file value is: exit 2, not an argparse exit
+        args = self.run_args(tmp_path / "out", extra=flags)
+        args[0] = command
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: bad value for {key}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [("run",), ("sweep", "--axis", "L", "--values", "1,2")])
+    @pytest.mark.parametrize("ic_flags", [("--ic", "sampled"), ("--ic", "sampled", "--ic-file", "absent.csv")])
+    def test_bad_initial_condition_refused_before_the_outdir(self, tmp_path, capsys, command,
+                                                              ic_flags):
+        args = self.run_args(tmp_path / "out", extra=ic_flags)
+        args[:1] = command
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
 
     def test_spectral_run_solves_once(self, tmp_path, monkeypatch):
         calls = []
@@ -388,16 +408,17 @@ class TestCli:
         rc = main([
             "run", "--engine", "spectral", "--A", "0.5", "--B", "1e-3", "--L", "0.1",
             "--N0", "3", "--T", "0.5", "--modes", "12", "--samples", "51",
-            "--diagnostics", "--outdir", str(tmp_path), "--name", "spec",
+            "--outdir", str(tmp_path), "--name", "spec",
         ])
         assert rc == 0
         payload = json.loads((tmp_path / "spec.json").read_text())
         assert len(payload["eigenvalues"]) == 12
         for alpha, m in zip(payload["eigenvalues"], payload["anchors"]):
             assert abs(alpha - 2 * m * math.pi) < 0.5
-        grid_csv = (tmp_path / "spec_eigen_grid.csv").read_text().splitlines()
-        header = grid_csv[1] if grid_csv[0].startswith("#") else grid_csv[0]
-        assert header == "alpha,f1,f2,re_E,im_E"
+        # the modal diagnostics are written once, in the series metadata
+        assert "spectral_diagnostics" not in payload
+        assert payload["meta"]["diagnostics"]["conservation_residual_t0"] < 1e-12
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.csv", "spec.json"]
 
     def test_eigen_dump(self, tmp_path):
         rc = main([
@@ -407,6 +428,8 @@ class TestCli:
         ])
         assert rc == 0
         body = (tmp_path / "diag_eigen_grid.csv").read_text().splitlines()
+        header = body[1] if body[0].startswith("#") else body[0]
+        assert header == "alpha,f1,f2,re_E,im_E"
         data = [line for line in body if not line.startswith(("#", "alpha"))]
         assert len(data) == 200
 
@@ -698,7 +721,8 @@ class TestCli:
         assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("command, message", [
-        (("compare", "--pair", "fdm,parabolic", "--r", "0.6"), "r must be at most 1/2"),
+        # the second grid of a pair: 1.15e7 parabolic levels, where fdm's 9.1e6 would march
+        (("compare", "--pair", "fdm,parabolic", "--T", "4500"), "11520001 levels x 1 point(s) exceed"),
         (("compare", "--pair", "parabolic,fdm", "--lam", "0.5"), "exceeds the stability bound"),
         (("sweep", "--engine", "fdm", "--axis", "B", "--values", "0.1,1e-3", "--lam", "0.1"),
          "exceeds the stability bound sqrt(B) = 0.03162"),
@@ -818,7 +842,7 @@ class TestCli:
             build_config(parser.parse_args(["compare", "--pair", "fdm,spectral", *past]))
 
     def test_import_starts_no_process_pool_machinery(self):
-        # only sweeps solved point by point, on several workers, need the pool
+        # only a sweep of two or more grid groups, on several workers, starts a pool
         code = "import sys, hypersorb.cli; print('concurrent.futures.process' in sys.modules)"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -840,6 +864,22 @@ class TestCli:
         c_star = 1.0 / math.sqrt(0.1)
         assert abs(slopes[0]) < 0.05 * 3.0 * c_star
         assert abs(slopes[0]) < 0.1 * np.max(np.abs(slopes))
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of each `hypersorb ...` command in README's bash blocks, continuations joined."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        blocks = fh.read().split("```bash\n")[1:]
+    text = "\n".join(block.split("```", 1)[0] for block in blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("hypersorb ")]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for i, argv in enumerate(commands):
+        assert main([*argv, "--outdir", str(tmp_path / str(i))]) == 0, argv
 
 
 def data_bytes(path) -> bytes:
