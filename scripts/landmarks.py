@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from hypersorb import Params, parabolic_ic, run_fdm, solve_spectral, step_ic
-from hypersorb.cli import _write_eigen_grid
+from hypersorb.eigen import eigen_grid
 from hypersorb.fdm import Grid, default_lambda, run_fdm_batch
-from hypersorb.seriesio import write_series_csv
+from hypersorb.seriesio import write_csv, write_series_csv
 from hypersorb.spectral import to_series
 
 
@@ -84,10 +84,11 @@ def main():
 
     # secular-equation grid for the root-structure plots
     p = Params(A=0.5, B=1e-3, L=0.1, N0=3.0)
-    _write_eigen_grid(p, os.path.join(outdir, "secular_grid.csv"),
-                      {"A": 0.5, "B": 1e-3, "L": 0.1, "N0": 3.0},
-                      alpha_min=0.05, alpha_max=70.0, points=7000)
-    print(os.path.join(outdir, "secular_grid.csv"))
+    table = eigen_grid(p, np.linspace(0.05, 70.0, 7000))
+    path = os.path.join(outdir, "secular_grid.csv")
+    write_csv(path, list(table), list(table.values()),
+              config={"A": 0.5, "B": 1e-3, "L": 0.1, "N0": 3.0})
+    print(path)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Two independent engines produce the bulk density N(z*, t*) and the surface
 density sigma(t*) in a slab with adsorbing walls: a modal series built on
 the non-orthogonal cosine eigenfunctions, and an explicit finite-difference
-scheme with a conservation-based wall closure.  A parabolic reference
-solver and comparison tooling cross-validate the two.
+scheme with a conservation-based wall closure.  The exact diffusive (B = 0)
+solution, a sum over the real poles of the surface density's Laplace
+transform, and comparison tooling cross-validate the two.
 """
 
 from .eigen import Exponents, Mode, exponents, find_eigenvalues

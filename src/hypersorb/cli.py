@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import eigen, fdm, spectral, validate
+from . import eigen, fdm, poles, spectral, validate
 from .errors import ConfigError, HypersorbError
 from .params import InitialCondition, Params, PhysicalInputs, from_physical, parabolic_ic, sampled_ic, step_ic
 from .series import thin_series
@@ -36,7 +36,9 @@ MAX_GRID_POINTS = 10**6
 
 # most samples x modes of a modal time evaluation; the (samples, modes)
 # table of complex weights is built in one piece, at 16 bytes an entry and
-# one buffer of the same size.  The largest in use is 801 x 2000.
+# one buffer of the same size.  The largest in use is 801 x 2000.  It also
+# bounds samples x roots of the parabolic pole sum, whose table holds one
+# real exponential per sample and root (801 x 21 at T = 2).
 MAX_MODAL_TERMS = 10**7
 
 # eigen-dump's default secular-equation grid: alpha from ALPHA_MIN to
@@ -233,27 +235,39 @@ def _outdir(cfg: RunConfig) -> str:
     return ensure_outdir(path)
 
 
-def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1) -> fdm.Grid:
-    """Grid of engine fdm or parabolic for p, checked for a march of n_points rows."""
+def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1):
+    """What engine evaluates p on, checked before any engine runs.
+
+    fdm marches a Grid, checked for a march of n_points rows; spectral and
+    parabolic evaluate --samples times over the horizon, and the parabolic
+    pole sum's table of samples x roots is held to MAX_MODAL_TERMS (the
+    spectral one is checked with the configuration).
+    """
     T = cfg.horizon(p)
     if engine == "fdm":
         lam = cfg.lam if cfg.lam is not None else fdm.default_lambda(p.B)
         grid = fdm.Grid.from_lambda(cfg.n_z, T, lam)
-    else:
-        grid = fdm.Grid.for_parabolic(cfg.n_z, T)
-    fdm.check_grid(grid, fdm.WAVE if engine == "fdm" else fdm.HEAT, p.B, n_points)
-    return grid
+        fdm.check_grid(grid, fdm.WAVE, p.B, n_points)
+        return grid
+    if engine == "parabolic":
+        roots = poles.interval_count(T / (cfg.samples - 1))
+        if cfg.samples * roots > MAX_MODAL_TERMS:
+            raise ConfigError(
+                f"samples x roots must be at most {MAX_MODAL_TERMS}, got {cfg.samples} x {roots}:"
+                f" the parabolic sum keeps every root beta with beta^2 T/(samples - 1) <="
+                f" {poles.DROP_EXPONENT:g}, one exponential per sample and root"
+            )
+    return np.linspace(0.0, T, cfg.samples)
 
 
-def _solve_one(cfg: RunConfig, engine: str, p: Params, ic: InitialCondition, grid=None, sol=None):
-    """Series of one engine on the grid checked up front; a spectral solution at hand is reused."""
+def _solve_one(cfg: RunConfig, engine: str, p: Params, ic: InitialCondition, grid, sol=None):
+    """Series of one engine on its grid from _grid; a spectral solution at hand is reused."""
     if engine == "fdm":
         return fdm.run_fdm(p, ic, grid, probes=cfg.probes)
     if engine == "parabolic":
-        return validate.run_parabolic(p, ic, grid, probes=cfg.probes)
+        return poles.to_series(p, ic, grid, probes=cfg.probes)
     sol = sol or spectral.solve_spectral(p, ic, cfg.modes)
-    tgrid = np.linspace(0.0, cfg.horizon(p), cfg.samples)
-    return spectral.to_series(sol, tgrid, probes=cfg.probes)
+    return spectral.to_series(sol, grid, probes=cfg.probes)
 
 
 def _series_diagnostics(series, cfg_echo: dict) -> dict:
@@ -273,7 +287,7 @@ def cmd_run(cfg: RunConfig) -> int:
     p = cfg.resolved_params()
     # every grid is refused here if it is bad, before any engine runs
     engines = cfg.pair if cfg.engine == "compare" else [cfg.engine]
-    grids = {e: _grid(cfg, e, p) for e in engines if e != "spectral"}
+    grids = {e: _grid(cfg, e, p) for e in engines}
     ic = cfg.resolved_ic()
     outdir = _outdir(cfg)
     echo = asdict(cfg)
@@ -282,7 +296,7 @@ def cmd_run(cfg: RunConfig) -> int:
     sol = None
     if cfg.engine == "spectral":
         sol = spectral.solve_spectral(p, ic, cfg.modes)
-    series = _solve_one(cfg, cfg.engine, p, ic, grids.get(cfg.engine), sol)
+    series = _solve_one(cfg, cfg.engine, p, ic, grids[cfg.engine], sol)
     csv_path = os.path.join(outdir, f"{cfg.name}.csv")
     write_series_csv(thin_series(series, cfg.samples), csv_path, config=echo)
     diag = _series_diagnostics(series, echo)
@@ -300,8 +314,8 @@ def _emit_comparison(
     cfg: RunConfig, p: Params, ic: InitialCondition, grids: dict, outdir: str, echo: dict
 ) -> int:
     name_a, name_b = cfg.pair
-    series_a = _solve_one(cfg, name_a, p, ic, grids.get(name_a))
-    series_b = _solve_one(cfg, name_b, p, ic, grids.get(name_b))
+    series_a = _solve_one(cfg, name_a, p, ic, grids[name_a])
+    series_b = _solve_one(cfg, name_b, p, ic, grids[name_b])
     T = min(series_a.t[-1], series_b.t[-1])
     tgrid = np.linspace(0.05 * T, T, 401)
     report = validate.compare_engines(series_a, series_b, tgrid)
@@ -319,12 +333,11 @@ def _emit_comparison(
 
 
 def _solve_group(task) -> list:
-    """Series of a sweep's points on one grid as one batch, or of one spectral point."""
+    """Series of a sweep's fdm points on one grid as one batch, or of one other point."""
     cfg, ps, ic, grid = task
-    if cfg.engine == "spectral":
-        return [_solve_one(cfg, "spectral", ps[0], ic)]
-    run_batch = fdm.run_fdm_batch if cfg.engine == "fdm" else validate.run_parabolic_batch
-    return run_batch(ps, ic, grid, probes=cfg.probes)
+    if cfg.engine == "fdm":
+        return fdm.run_fdm_batch(ps, ic, grid, probes=cfg.probes)
+    return [_solve_one(cfg, cfg.engine, ps[0], ic, grid)]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -342,12 +355,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # the axis value completes the dimensionless set when it is the one left out
     base = replace(cfg, **{cfg.axis: cfg.values[0]}).resolved_params()
     points = [replace(base, **{cfg.axis: v}) for v in cfg.values]
-    # points on one grid march as one batch whatever their B, a spectral point alone.
-    # Every grid is checked before any march, for all points: a sweep holds all their series
+    # fdm points on one grid march as one batch whatever their B, any other point alone.
+    # Every grid is checked before any engine runs, for all points: a sweep holds all their series
     groups: dict = {}
     for i, p in enumerate(points):
-        grid = None if cfg.engine == "spectral" else _grid(cfg, cfg.engine, p, len(points))
-        groups.setdefault(i if grid is None else grid, (grid, []))[1].append(i)
+        grid = _grid(cfg, cfg.engine, p, len(points))
+        groups.setdefault(grid if cfg.engine == "fdm" else i, (grid, []))[1].append(i)
     ic = cfg.resolved_ic()
     outdir = _outdir(cfg)
     echo = asdict(cfg)
@@ -388,13 +401,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _write_eigen_grid(p: Params, path: str, echo: dict, alpha_min, alpha_max, points):
-    grid = np.linspace(alpha_min, alpha_max, points)
-    table = eigen.eigen_grid(p, grid)
-    names = ("alpha", "f1", "f2", "re_E", "im_E")
-    write_csv(path, names, [table[c] for c in names], config=echo)
-
-
 def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: int) -> int:
     if not 2 <= points <= MAX_GRID_POINTS or not 0 < alpha_min < alpha_max < math.inf:
         raise ConfigError(
@@ -405,7 +411,8 @@ def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: i
     p = cfg.resolved_params()
     outdir = _outdir(cfg)
     path = os.path.join(outdir, f"{cfg.name}_eigen_grid.csv")
-    _write_eigen_grid(p, path, asdict(cfg), alpha_min, alpha_max, points)
+    table = eigen.eigen_grid(p, np.linspace(alpha_min, alpha_max, points))
+    write_csv(path, list(table), list(table.values()), config=asdict(cfg))
     print(path)
     return 0
 
@@ -421,9 +428,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-z", dest="n_z")
     sub.add_argument("--lam", help="time/space step ratio for the fdm engine")
     sub.add_argument("--modes")
-    sub.add_argument("--samples", help="rows of every written series: evenly spread levels"
-                     " including both ends (default 801); at least the level count (n_t + 1)"
-                     " writes every level, and with spectral, samples x modes is at most 10^7")
+    sub.add_argument("--samples", help="rows of every written series: evenly spread times"
+                     " including both ends (default 801); for fdm, at least the level count"
+                     " (n_t + 1) writes every level; spectral and parabolic evaluate exactly"
+                     " these times, samples x modes or x roots at most 10^7")
     sub.add_argument("--probes")
     sub.add_argument("--outdir")
     sub.add_argument("--name")

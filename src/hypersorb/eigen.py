@@ -173,25 +173,26 @@ def _scan(p: Params, count: int) -> np.ndarray:
     return alpha
 
 
-def _bisect(p: Params, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    """Bisect every sign-change bracket [a, b] together; unconditionally convergent.
+def bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float = BRACKET_TOL) -> np.ndarray:
+    """Bisect every sign-change bracket [a, b] of the array function f together.
 
-    Each bracket halves until narrower than BRACKET_TOL, or until its ends
-    are adjacent floats, and returns its midpoint, or returns the first
-    midpoint where the equation is exactly 0.
+    Unconditionally convergent: each bracket halves until narrower than tol,
+    or until its ends are adjacent floats, and returns its midpoint, or
+    returns the first midpoint where f is exactly 0.  Only the sign of fa,
+    f at a, is read.
     """
     roots = np.empty_like(a)
     live = np.arange(a.size)
     while True:
         mid = 0.5 * (a + b)
-        # above alpha = 2^13 the float spacing exceeds BRACKET_TOL: there a
+        # where the float spacing exceeds tol (above 2^13 for BRACKET_TOL) a
         # bracket of two adjacent floats has its midpoint on one of its ends
-        wide = (b - a > BRACKET_TOL) & (mid != a) & (mid != b)
+        wide = (b - a > tol) & (mid != a) & (mid != b)
         roots[live[~wide]] = mid[~wide]
         live, a, b, fa, mid = live[wide], a[wide], b[wide], fa[wide], mid[wide]
         if not live.size:
             return roots
-        fm = _real_part(mid, p)[0]
+        fm = f(mid)
         # an exact zero closes its bracket on mid, whose midpoint is mid again
         hit = fm == 0.0
         left = (fa < 0.0) != (fm < 0.0)
@@ -235,7 +236,8 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
     cells = cells[:count]
     roots, bisected = alpha[cells], change[cells]
     left = cells[bisected]
-    roots[bisected] = _bisect(p, alpha[left], alpha[left + 1], fa[left])
+    roots[bisected] = bisect(lambda x: _real_part(x, p)[0], alpha[left], alpha[left + 1],
+                             fa[left])
     a_c = alpha_critical(p)
     roots = np.where(np.abs(roots - a_c) < CRITICAL_NUDGE, a_c + CRITICAL_NUDGE, roots)
     rates = zip(*(mu.tolist() for mu in _rates(roots, p.B)))

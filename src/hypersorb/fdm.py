@@ -63,10 +63,11 @@ RING = 64
 CHUNK_PASSES = 16
 
 # most levels x points a runner marches, fifty times the largest in use (the
-# parabolic oracle's 200,001 levels of one point at n_z = 100).  A march with
-# three probes peaks at ~67 bytes a level and point, of which its series keep
-# 56 (tracemalloc, 10^6 levels of one point), and the CSV takes ~100 bytes a
-# level: ~0.7 GB in memory at the bound.  It also bounds the nodes of a
+# 200,001 heat levels of one point at n_z = 100 that acceptance criterion 7
+# marches as its reference; no CLI command marches the heat stencil).  A
+# march with three probes peaks at ~67 bytes a level and point, of which its
+# series keep 56 (tracemalloc, 10^6 levels of one point), and the CSV takes
+# ~100 bytes a level: ~0.7 GB in memory at the bound.  It also bounds the nodes of a
 # march's RING + STORED_ROWS row buffers a point: n_z <= 21,504 for one point.
 MAX_RECORD = 10**7
 STORED_ROWS = 401  # full rows a runner stores, evenly spread over its levels

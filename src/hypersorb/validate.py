@@ -1,10 +1,12 @@
-"""Independent cross-checks: parabolic reference solver and series audits.
+"""Independent cross-checks: the explicit heat march, engine comparison and series audits.
 
-The parabolic solver integrates the classical diffusion limit (B = 0) with
-the same wall kinetics.  In that limit global conservation collapses to a
-local flux condition at the wall, the solver's closure; march(..., HEAT,
+The heat march integrates the classical diffusion limit (B = 0) with the
+same wall kinetics.  In that limit global conservation collapses to a
+local flux condition at the wall, the march's closure; march(..., HEAT,
 NONLOCAL, ...) closes the same stencil by conservation, and the agreement
-of the two closures is itself a testable property.
+of the two closures is itself a testable property.  The march is first
+order in h, and converges to the exact sum of hypersorb.poles, which is
+the CLI's parabolic engine; no CLI command runs the march.
 """
 
 from __future__ import annotations

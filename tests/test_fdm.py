@@ -331,7 +331,7 @@ class TestRunFdm:
             march([np.full(17, 3.0)], [wavefront_params], grid, stencil, closure, {})
 
     def test_record_bound_admits_the_oracle_march(self):
-        # the parabolic oracle of compare parabolic,fdm at n_z = 100, T = 2
+        # the heat march that acceptance criterion 7 takes as its reference, n_z = 100, T = 2
         oracle = Grid.for_parabolic(100, 2.0, 0.4)
         assert oracle.n_t + 1 == 200_001
         check_grid(oracle, HEAT, 0.0)

@@ -6,11 +6,12 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hypersorb import cli, fdm, spectral, validate
+from hypersorb import cli, fdm, poles, spectral, validate
 from hypersorb.cli import build_config, load_config_file, main, make_parser
 from hypersorb.errors import InvalidInput
 from hypersorb.params import Params, step_ic
@@ -597,23 +598,31 @@ class TestCli:
             single = (tmp_path / "one.csv").read_bytes().split(b"\n", 1)[1]
             assert swept[f"w_B{float(B):g}.csv"] == single
 
-    @pytest.mark.parametrize("values, T, marches", [
-        ("0.1,0.2,0.3", ("--T", "0.05"), 1),  # one grid: one batched march
-        ("0.5,1", (), 2),  # B = 1 extends the horizon to T = 10: a march each
+    @pytest.mark.parametrize("values, T, horizons", [
+        ("0.1,0.2,0.3", ("--T", "0.05"), (0.05, 0.05, 0.05)),
+        ("0.5,1", (), (2.0, 10.0)),  # B = 1 extends the horizon to T = 10
     ])
-    def test_parabolic_B_sweep_batched_on_one_grid(self, tmp_path, monkeypatch, values, T, marches):
-        calls = []
+    def test_parabolic_B_sweep_sums_each_point(self, tmp_path, monkeypatch, values, T, horizons):
+        # one pole sum a point on its own horizon, and no march
+        calls, to_series = [], poles.to_series
 
-        def counting_march(*args, **kwargs):
-            calls.append(len(args[1]))
-            return fdm.march(*args, **kwargs)
+        def counting(p, ic, tgrid, probes=()):
+            calls.append(tgrid[-1])
+            return to_series(p, ic, tgrid, probes)
 
-        monkeypatch.setattr(validate, "march", counting_march)
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started")
+
+        monkeypatch.setattr(poles, "to_series", counting)
+        monkeypatch.setattr(fdm, "march", no_march)
+        monkeypatch.setattr(validate, "march", no_march)
         common = ["--A", "0.01", "--L", "1", "--N0", "3", "--n-z", "8", *T]
         assert main(["sweep", "--engine", "parabolic", "--axis", "B", "--values", values,
                      *common, "--outdir", str(tmp_path), "--name", "w"]) == 0
-        assert len(calls) == marches and sum(calls) == len(values.split(","))
+        assert calls == list(horizons)
         swept = self.sweep_data(tmp_path)
+        # the engine treats B as zero: points on one horizon write the same rows
+        assert len(set(swept.values())) == len(set(horizons))
         for B in values.split(","):
             assert main(["run", "--engine", "parabolic", "--B", B, *common,
                          "--outdir", str(tmp_path), "--name", "one"]) == 0
@@ -721,13 +730,15 @@ class TestCli:
         assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("command, message", [
-        # the second grid of a pair: 1.15e7 parabolic levels, where fdm's 9.1e6 would march
-        (("compare", "--pair", "fdm,parabolic", "--T", "4500"), "11520001 levels x 1 point(s) exceed"),
+        # the grid of a pair's second engine: 1.15e7 fdm levels, refused before the pole sum
+        (("compare", "--pair", "parabolic,fdm", "--lam", "0.025", "--T", "9000"),
+         "11520001 levels x 1 point(s) exceed"),
         (("compare", "--pair", "parabolic,fdm", "--lam", "0.5"), "exceeds the stability bound"),
         (("sweep", "--engine", "fdm", "--axis", "B", "--values", "0.1,1e-3", "--lam", "0.1"),
          "exceeds the stability bound sqrt(B) = 0.03162"),
         (("run", "--engine", "fdm", "--T", "1e6"), "exceed the march record bound"),
-        (("sweep", "--engine", "parabolic", "--axis", "L", "--values", "1,2,3", "--T", "2000"),
+        # 4.05e6 levels a point, past the bound only as a batch of three
+        (("sweep", "--engine", "fdm", "--axis", "L", "--values", "1,2,3", "--T", "2000"),
          "x 3 point(s) exceed the march record bound"),
     ])
     def test_bad_grid_refused_before_any_march(self, tmp_path, capsys, monkeypatch, command,
@@ -737,6 +748,7 @@ class TestCli:
 
         monkeypatch.setattr(cli.fdm, "march", no_march)
         monkeypatch.setattr(cli.validate, "march", no_march)
+        monkeypatch.setattr(cli.poles, "to_series", no_march)
         args = [*command, "--A", "0.01", "--B", "1e-3", "--N0", "3", "--n-z", "16",
                 "--outdir", str(tmp_path)]
         args += [] if "--T" in command else ["--T", "0.05"]
@@ -829,6 +841,46 @@ class TestCli:
         assert err.startswith(f"configuration error: samples x modes must be at most {cli.MAX_MODAL_TERMS}")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ("run", "--engine", "parabolic"),
+        ("compare", "--pair", "fdm,parabolic"),
+        ("sweep", "--engine", "parabolic", "--axis", "L", "--values", "0.5,1"),
+    ])
+    @pytest.mark.parametrize("flags, terms", [
+        # 801 samples of t_1 = 1.25e-12: every beta up to 5.66e6, in 900,317 intervals
+        (("--T", "1e-9"), "801 x 900317"),
+        # 10^6 samples at T = 2: every beta up to 4472, in 712 intervals
+        (("--samples", "1000000"), "1000000 x 712"),
+    ])
+    def test_parabolic_sum_bounded(self, tmp_path, capsys, monkeypatch, command, flags, terms):
+        # refused before the roots are sought or the outdir made
+        def no_work(*args, **kwargs):
+            raise AssertionError("an engine started")
+
+        for module, name in ((cli.poles, "roots"), (cli.poles, "to_series"), (cli.fdm, "march")):
+            monkeypatch.setattr(module, name, no_work)
+        args = [*command, "--A", "0.01", "--B", "0.1", "--N0", "3", "--n-z", "16", *flags,
+                "--outdir", str(tmp_path / "out")]
+        args += [] if "--T" in flags else ["--T", "2"]
+        args += [] if "sweep" in command else ["--L", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: samples x roots must be at most {cli.MAX_MODAL_TERMS},"
+                              f" got {terms}")
+        assert not (tmp_path / "out").exists()
+
+    def test_parabolic_sum_bound_is_inclusive(self):
+        # 10^4 samples: T = 0.01014 takes 1000 intervals, T = 0.01013 takes 1001
+        parser = make_parser()
+        p = Params(A=0.01, B=0.0, L=1.0, N0=3.0)
+        for T, roots in (("0.01014", 1000), ("0.01013", 1001)):
+            cfg = build_config(parser.parse_args(["run", "--engine", "parabolic", "--T", T,
+                                                  "--samples", "10000"]))
+            assert poles.interval_count(cfg.T / (cfg.samples - 1)) == roots
+        assert cli._grid(replace(cfg, T=0.01014), "parabolic", p).size == 10000
+        with pytest.raises(cli.ConfigError, match="got 10000 x 1001"):
+            cli._grid(cfg, "parabolic", p)
+
     def test_modal_table_bound_is_inclusive_and_modal_only(self):
         modes = 50
         at_bound = ["--modes", str(modes), "--samples", str(cli.MAX_MODAL_TERMS // modes)]
@@ -894,15 +946,12 @@ class TestWrittenSamples:
     COMMON = ["--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--n-z", "32", "--T", "0.5"]
     PROBES = [0.0, 0.25, 0.45]  # the CLI default
 
-    def full_series(self, engine):
-        if engine == "fdm":
-            grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
-            return fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES)
-        grid = fdm.Grid.for_parabolic(32, 0.5)
-        return validate.run_parabolic(self.P, step_ic(), grid, probes=self.PROBES)
+    def full_series(self):
+        grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
+        return fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES)
 
     def test_thin_series_thins_the_levels_and_keeps_the_rest(self):
-        full = self.full_series("fdm")
+        full = self.full_series()
         n = full.t.size
         thin = thin_series(full, 11)
         idx = thin_indices(n, 11)
@@ -917,7 +966,7 @@ class TestWrittenSamples:
         assert thin.row_z is full.row_z and thin.params is full.params and thin.meta is full.meta
         assert thin_series(full, n) is full and thin_series(full, 10**7) is full
 
-    # on COMMON's grid fdm marches 1281 levels and parabolic 5121, both more than 801
+    # on COMMON's grid fdm marches 1281 levels, more than 801; parabolic evaluates 801 times
     @pytest.mark.parametrize("command, files, codes", [
         (("run", "--engine", "fdm"), ["x.csv"], (0,)),
         (("run", "--engine", "parabolic"), ["x.csv"], (0,)),
@@ -933,9 +982,10 @@ class TestWrittenSamples:
             assert ser.t.size == cli.RunConfig().samples == 801
             assert ser.t[0] == 0.0 and ser.t[-1] == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("engine", ["fdm", "parabolic"])
+    # fdm is the one engine with levels; parabolic and spectral evaluate their samples
+    @pytest.mark.parametrize("engine", ["fdm"])
     def test_samples_at_the_level_count_write_every_level(self, tmp_path, engine):
-        full = self.full_series(engine)
+        full = self.full_series()
         write_series_csv(full, tmp_path / "full.csv")
         for samples in (full.t.size, 10**7):
             assert main(["run", "--engine", engine, *self.COMMON, "--samples", str(samples),
@@ -946,10 +996,9 @@ class TestWrittenSamples:
                      "--outdir", str(tmp_path), "--name", "x"]) == 0
         assert read_series_csv(tmp_path / "x.csv").t.size == full.t.size - 1
 
+    # fdm's full series, marched whatever --samples is (parabolic: written as sampled)
     @pytest.mark.parametrize("command, json_name", [
         (("run", "--engine", "fdm"), "x.json"),
-        (("run", "--engine", "parabolic"), "x.json"),
-        (("compare", "--pair", "parabolic,fdm"), "x_report.json"),
     ])
     def test_json_from_the_full_series(self, tmp_path, command, json_name):
         payloads = []
@@ -970,3 +1019,25 @@ class TestWrittenSamples:
         ser = spectral.to_series(sol, np.linspace(0.0, 0.5, 101), probes=self.PROBES)
         write_series_csv(ser, tmp_path / "direct.csv")
         assert data_bytes(tmp_path / "x.csv") == (tmp_path / "direct.csv").read_bytes()
+
+    def test_parabolic_series_written_as_sampled(self, tmp_path):
+        # the pole sum evaluates exactly --samples times: its CSV, its run JSON and a
+        # comparison's report come from that series, and nothing is thinned
+        args = [*self.COMMON, "--samples", "101", "--name", "x"]
+        assert main(["run", "--engine", "parabolic", *args, "--outdir", str(tmp_path)]) == 0
+        ser = poles.to_series(self.P, step_ic(), np.linspace(0.0, 0.5, 101), probes=self.PROBES)
+        write_series_csv(ser, tmp_path / "direct.csv")
+        assert data_bytes(tmp_path / "x.csv") == (tmp_path / "direct.csv").read_bytes()
+        payload = json.loads((tmp_path / "x.json").read_text())
+        assert payload["sigma_final"] == ser.sigma[-1]
+        assert payload["max_conservation_residual"] == ser.conservation.max()
+        assert payload["meta"] == ser.meta and ser.meta["roots"] > 0
+        out = tmp_path / "compare"
+        assert main(["compare", "--pair", "parabolic,fdm", *args, "--outdir", str(out)]) in (0, 1)
+        assert data_bytes(out / "x_parabolic.csv") == data_bytes(tmp_path / "x.csv")
+        grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
+        report = validate.compare_engines(ser, fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES),
+                                          np.linspace(0.025, 0.5, 401))
+        payload = json.loads((out / "x_report.json").read_text())
+        payload.pop("config")
+        assert payload == json.loads(json.dumps(report.to_dict()))
