@@ -6,7 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -946,12 +946,16 @@ class TestWrittenSamples:
     COMMON = ["--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--n-z", "32", "--T", "0.5"]
     PROBES = [0.0, 0.25, 0.45]  # the CLI default
 
-    def full_series(self):
+    def full_series(self, engine):
         grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
-        return fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES)
+        if engine == "fdm":
+            return fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES)
+        # the pole sum has no levels: its series at as many times as fdm has levels
+        return poles.to_series(self.P, step_ic(), np.linspace(0.0, 0.5, grid.n_t + 1),
+                               probes=self.PROBES)
 
     def test_thin_series_thins_the_levels_and_keeps_the_rest(self):
-        full = self.full_series()
+        full = self.full_series("fdm")
         n = full.t.size
         thin = thin_series(full, 11)
         idx = thin_indices(n, 11)
@@ -982,33 +986,53 @@ class TestWrittenSamples:
             assert ser.t.size == cli.RunConfig().samples == 801
             assert ser.t[0] == 0.0 and ser.t[-1] == pytest.approx(0.5)
 
-    # fdm is the one engine with levels; parabolic and spectral evaluate their samples
-    @pytest.mark.parametrize("engine", ["fdm"])
+    # fdm writes every level at any count from its level count up; the pole sum evaluates
+    # exactly the count asked, and refuses 10^7 samples by the samples x roots bound
+    @pytest.mark.parametrize("engine", ["fdm", "parabolic"])
     def test_samples_at_the_level_count_write_every_level(self, tmp_path, engine):
-        full = self.full_series()
+        full = self.full_series(engine)
         write_series_csv(full, tmp_path / "full.csv")
-        for samples in (full.t.size, 10**7):
+        for samples, code in ((full.t.size, 0), (10**7, 2 if engine == "parabolic" else 0)):
             assert main(["run", "--engine", engine, *self.COMMON, "--samples", str(samples),
-                         "--outdir", str(tmp_path), "--name", "x"]) == 0
+                         "--outdir", str(tmp_path), "--name", "x"]) == code
+            # a refused run writes nothing: the CSV is still the last one written
             assert data_bytes(tmp_path / "x.csv") == (tmp_path / "full.csv").read_bytes()
         # one level fewer thins
         assert main(["run", "--engine", engine, *self.COMMON, "--samples", str(full.t.size - 1),
                      "--outdir", str(tmp_path), "--name", "x"]) == 0
         assert read_series_csv(tmp_path / "x.csv").t.size == full.t.size - 1
 
-    # fdm's full series, marched whatever --samples is (parabolic: written as sampled)
+    # fdm's JSON comes from its full march whatever --samples is; the pole sum has no march,
+    # so its full series is the --samples times it evaluates, and 10^7 of them are refused
     @pytest.mark.parametrize("command, json_name", [
         (("run", "--engine", "fdm"), "x.json"),
+        (("run", "--engine", "parabolic"), "x.json"),
+        (("compare", "--pair", "parabolic,fdm"), "x_report.json"),
     ])
     def test_json_from_the_full_series(self, tmp_path, command, json_name):
         payloads = []
         for samples in ("801", "10000000"):
             out = tmp_path / samples
-            main([*command, *self.COMMON, "--samples", samples, "--outdir", str(out), "--name", "x"])
+            code = main([*command, *self.COMMON, "--samples", samples, "--outdir", str(out), "--name", "x"])
+            if code == 2:
+                assert "parabolic" in command[-1] and samples == "10000000" and not out.exists()
+                continue
             payload = json.loads((out / json_name).read_text())
             payload.pop("config")
             payloads.append(payload)
-        assert payloads[0] == payloads[1]
+        if "parabolic" not in command[-1]:
+            assert payloads[0] == payloads[1]
+            return
+        ser = poles.to_series(self.P, step_ic(), np.linspace(0.0, 0.5, 801), probes=self.PROBES)
+        if command[0] == "run":
+            expected = {"engine": "parabolic", "max_conservation_residual": ser.conservation.max(),
+                        "sigma_final": ser.sigma[-1], "meta": ser.meta, "params": asdict(self.P)}
+            assert ser.meta["roots"] > 0
+        else:
+            grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
+            march = fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES)
+            expected = validate.compare_engines(ser, march, np.linspace(0.025, 0.5, 401)).to_dict()
+        assert payloads == [json.loads(json.dumps(expected))]
 
     def test_spectral_series_written_as_sampled(self, tmp_path):
         # the modal engine evaluates exactly --samples levels: nothing is thinned
@@ -1021,23 +1045,13 @@ class TestWrittenSamples:
         assert data_bytes(tmp_path / "x.csv") == (tmp_path / "direct.csv").read_bytes()
 
     def test_parabolic_series_written_as_sampled(self, tmp_path):
-        # the pole sum evaluates exactly --samples times: its CSV, its run JSON and a
-        # comparison's report come from that series, and nothing is thinned
+        # the pole sum evaluates exactly --samples times, for a run and for a comparison's
+        # parabolic side: nothing is thinned
         args = [*self.COMMON, "--samples", "101", "--name", "x"]
         assert main(["run", "--engine", "parabolic", *args, "--outdir", str(tmp_path)]) == 0
         ser = poles.to_series(self.P, step_ic(), np.linspace(0.0, 0.5, 101), probes=self.PROBES)
         write_series_csv(ser, tmp_path / "direct.csv")
         assert data_bytes(tmp_path / "x.csv") == (tmp_path / "direct.csv").read_bytes()
-        payload = json.loads((tmp_path / "x.json").read_text())
-        assert payload["sigma_final"] == ser.sigma[-1]
-        assert payload["max_conservation_residual"] == ser.conservation.max()
-        assert payload["meta"] == ser.meta and ser.meta["roots"] > 0
         out = tmp_path / "compare"
         assert main(["compare", "--pair", "parabolic,fdm", *args, "--outdir", str(out)]) in (0, 1)
         assert data_bytes(out / "x_parabolic.csv") == data_bytes(tmp_path / "x.csv")
-        grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
-        report = validate.compare_engines(ser, fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES),
-                                          np.linspace(0.025, 0.5, 401))
-        payload = json.loads((out / "x_report.json").read_text())
-        payload.pop("config")
-        assert payload == json.loads(json.dumps(report.to_dict()))
