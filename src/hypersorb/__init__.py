@@ -4,8 +4,9 @@ Two independent engines produce the bulk density N(z*, t*) and the surface
 density sigma(t*) in a slab with adsorbing walls: a modal series built on
 the non-orthogonal cosine eigenfunctions, and an explicit finite-difference
 scheme with a conservation-based wall closure.  The exact diffusive (B = 0)
-solution, a sum over the real poles of the surface density's Laplace
-transform, and comparison tooling cross-validate the two.
+solution, hypersorb.poles.to_series, a sum over the real poles of the
+surface density's Laplace transform, and the comparison tooling of
+hypersorb.validate cross-validate the two.
 """
 
 from .eigen import Exponents, Mode, exponents, find_eigenvalues
@@ -26,7 +27,7 @@ from .params import (
 )
 from .series import TimeSeries
 from .spectral import SpectralSolution, eval_density, eval_sigma, solve_spectral, to_series
-from .validate import ComparisonReport, audit_conservation, audit_kinetics, compare_engines, run_parabolic
+from .validate import ComparisonReport, audit_conservation, audit_kinetics, compare_engines
 
 __all__ = [
     "ComparisonReport",
@@ -52,7 +53,6 @@ __all__ = [
     "from_physical",
     "parabolic_ic",
     "run_fdm",
-    "run_parabolic",
     "sample_initial",
     "sampled_ic",
     "solve_spectral",

@@ -41,6 +41,9 @@ MAX_GRID_POINTS = 10**6
 # real exponential per sample and root (801 x 21 at T = 2).
 MAX_MODAL_TERMS = 10**7
 
+# a comparison report's times, evenly spread over [REPORT_START T, T]
+REPORT_TIMES, REPORT_START = 401, 0.05
+
 # eigen-dump's default secular-equation grid: alpha from ALPHA_MIN to
 # ALPHA_MAX (twelve anchor intervals) in GRID_POINTS points
 ALPHA_MIN, ALPHA_MAX, GRID_POINTS = 0.05, 2.0 * math.pi * 12, 4000
@@ -240,23 +243,29 @@ def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1):
 
     fdm marches a Grid, checked for a march of n_points rows; spectral and
     parabolic evaluate --samples times over the horizon, and the parabolic
-    pole sum's table of samples x roots is held to MAX_MODAL_TERMS (the
-    spectral one is checked with the configuration).
+    pole sum's table of samples x roots, and under compare that of the
+    report's times, is held to MAX_MODAL_TERMS (the spectral one is checked
+    with the configuration).
     """
     T = cfg.horizon(p)
     if engine == "fdm":
         lam = cfg.lam if cfg.lam is not None else fdm.default_lambda(p.B)
         grid = fdm.Grid.from_lambda(cfg.n_z, T, lam)
-        fdm.check_grid(grid, fdm.WAVE, p.B, n_points)
+        fdm.check_grid(grid, p.B, n_points)
         return grid
     if engine == "parabolic":
-        roots = poles.interval_count(T / (cfg.samples - 1))
-        if cfg.samples * roots > MAX_MODAL_TERMS:
-            raise ConfigError(
-                f"samples x roots must be at most {MAX_MODAL_TERMS}, got {cfg.samples} x {roots}:"
-                f" the parabolic sum keeps every root beta with beta^2 T/(samples - 1) <="
-                f" {poles.DROP_EXPONENT:g}, one exponential per sample and root"
-            )
+        tables = [("samples", cfg.samples, T / (cfg.samples - 1))]
+        if cfg.engine == "compare":
+            tables.append(("report times", REPORT_TIMES, REPORT_START * T))
+        for what, times, t_first in tables:
+            roots = poles.interval_count(t_first)
+            if times * roots > MAX_MODAL_TERMS:
+                raise ConfigError(
+                    f"{what} x roots must be at most {MAX_MODAL_TERMS}, got {times} x {roots}:"
+                    f" the parabolic sum keeps every root beta with beta^2 t_1 <="
+                    f" {poles.DROP_EXPONENT:g} at its first positive time t_1, one exponential"
+                    f" per time and root"
+                )
     return np.linspace(0.0, T, cfg.samples)
 
 
@@ -291,11 +300,9 @@ def cmd_run(cfg: RunConfig) -> int:
     ic = cfg.resolved_ic()
     outdir = _outdir(cfg)
     echo = asdict(cfg)
+    sol = spectral.solve_spectral(p, ic, cfg.modes) if "spectral" in engines else None
     if cfg.engine == "compare":
-        return _emit_comparison(cfg, p, ic, grids, outdir, echo)
-    sol = None
-    if cfg.engine == "spectral":
-        sol = spectral.solve_spectral(p, ic, cfg.modes)
+        return _emit_comparison(cfg, p, ic, grids, sol, outdir, echo)
     series = _solve_one(cfg, cfg.engine, p, ic, grids[cfg.engine], sol)
     csv_path = os.path.join(outdir, f"{cfg.name}.csv")
     write_series_csv(thin_series(series, cfg.samples), csv_path, config=echo)
@@ -311,15 +318,17 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def _emit_comparison(
-    cfg: RunConfig, p: Params, ic: InitialCondition, grids: dict, outdir: str, echo: dict
+    cfg: RunConfig, p: Params, ic: InitialCondition, grids: dict, sol, outdir: str, echo: dict
 ) -> int:
-    name_a, name_b = cfg.pair
-    series_a = _solve_one(cfg, name_a, p, ic, grids[name_a])
-    series_b = _solve_one(cfg, name_b, p, ic, grids[name_b])
-    T = min(series_a.t[-1], series_b.t[-1])
-    tgrid = np.linspace(0.05 * T, T, 401)
-    report = validate.compare_engines(series_a, series_b, tgrid)
-    for name, series in ((name_a, series_a), (name_b, series_b)):
+    written = [_solve_one(cfg, name, p, ic, grids[name], sol) for name in cfg.pair]
+    T = cfg.horizon(p)
+    tgrid = np.linspace(REPORT_START * T, T, REPORT_TIMES)
+    # a sum engine (spectral, parabolic) is evaluated at the report's own times:
+    # read between its --samples times, the report would measure the sampling too
+    compared = [series if name == "fdm" else _solve_one(cfg, name, p, ic, tgrid, sol)
+                for name, series in zip(cfg.pair, written)]
+    report = validate.compare_engines(*compared, tgrid)
+    for name, series in zip(cfg.pair, written):
         path = os.path.join(outdir, f"{cfg.name}_{name}.csv")
         write_series_csv(thin_series(series, cfg.samples), path, config=echo)
     payload = report.to_dict()

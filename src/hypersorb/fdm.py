@@ -13,14 +13,12 @@ sigma_j is defined as N0/2 minus the trapezoidal mass of row j.
 
 One function, march, does every march: it takes one start row per
 parameter set, and sets on one grid, whatever their B, advance as one
-(n_batch, n_z+1) array, with the wave or the parabolic reference stencil
-inside and the nonlocal or the local closure at the wall.  Each row's
-closure is its own linear equation, so a batch row is bit-identical to a
-march of its set alone.  The runners (run_fdm, run_fdm_batch and
-validate's parabolic pair, which closes the wall locally) sample the
-initial condition, store 401 rows and refuse, through check_grid, a grid
-they cannot march; other marches, such as one with every level stored or
-the heat stencil under the nonlocal closure, call march directly.
+(n_batch, n_z+1) array.  Each row's closure is its own linear equation, so
+a batch row is bit-identical to a march of its set alone.  The runners
+(run_fdm and run_fdm_batch) sample the initial condition, store 401 rows
+and refuse, through check_grid, a grid they cannot march; other marches,
+such as one with every level stored, call march directly.  The diffusive
+(B = 0) limit is not marched: hypersorb.poles sums it exactly.
 
 At the sizes in use numpy's per-call cost outweighs the arithmetic, so
 each ring slot gets a pre-bound level program once per march: partials of
@@ -28,15 +26,14 @@ the stencil's ufunc calls on the slot's views with 0-d weights, and the
 wall closure bound to the slot's memoryviews, which also mirrors the
 symmetry node and writes the slot's sigma; a march shorter than RING
 builds programs for its own levels only.  A level is its program and
-nothing else: the wave march's divergence check and the record run once
-per pass around the ring.  The record is row-major, one full-length array
-per quantity with a row per point, so each series is a row of it; a pass
+nothing else: the divergence check and the record run once per pass
+around the ring.  The record is row-major, one full-length array per
+quantity with a row per point, so each series is a row of it; a pass
 leaves its raw values (sigma, wall values, inner mass, probe nodes) in a
 level-major chunk of CHUNK_PASSES passes, from which the probes and the
 conservation residual are derived a chunk at a time.  With one row of 101
-nodes a heat level costs ~3 us and a wave level ~6.5 us of CPU time on one
-core of a shared Xeon host with numpy 2.4, whose timings swing up to
-twofold with its load.
+nodes a level costs ~6.5 us of CPU time on one core of a shared Xeon host
+with numpy 2.4, whose timings swing up to twofold with its load.
 """
 
 from __future__ import annotations
@@ -62,12 +59,12 @@ RING = 64
 # way: a few long ufunc calls a chunk in place of a few short ones a pass
 CHUNK_PASSES = 16
 
-# most levels x points a runner marches, fifty times the largest in use (the
-# 200,001 heat levels of one point at n_z = 100 that acceptance criterion 7
-# marches as its reference; no CLI command marches the heat stencil).  A
-# march with three probes peaks at ~67 bytes a level and point, of which its
-# series keep 56 (tracemalloc, 10^6 levels of one point), and the CSV takes
-# ~100 bytes a level: ~0.7 GB in memory at the bound.  It also bounds the nodes of a
+# most levels x points a runner marches, about sixty times the largest in use
+# (the 160,001 levels of one point at n_z = 200 of the README's B sweep at
+# B = 1, T = 10, which scripts/landmarks.py marches too).  A march with three
+# probes peaks at ~66 bytes a level and point, of which its series keep 56
+# (tracemalloc, 10^6 levels of one point), and the CSV takes ~100 bytes a
+# level: ~0.7 GB in memory at the bound.  It also bounds the nodes of a
 # march's RING + STORED_ROWS row buffers a point: n_z <= 21,504 for one point.
 MAX_RECORD = 10**7
 STORED_ROWS = 401  # full rows a runner stores, evenly spread over its levels
@@ -117,21 +114,9 @@ class Grid:
         """Grid with spacing h = 0.5/n_z and step count chosen so k/h <= lam."""
         if not (0 < T < math.inf and lam > 0):
             raise InvalidInput("T must be finite and positive, and lambda positive")
-        return Grid._stepped(n_z, T, lambda h: lam * h)
-
-    @staticmethod
-    def for_parabolic(n_z: int, T: float, r: float = 0.4) -> "Grid":
-        """Grid for the diffusive reference scheme, r = k/h^2 <= 1/2."""
-        if not (0 < T < math.inf and 0 < r <= 0.5):
-            raise InvalidInput("parabolic grids need 0 < r <= 1/2 and a finite T > 0")
-        return Grid._stepped(n_z, T, lambda h: r * h * h)
-
-    @staticmethod
-    def _stepped(n_z: int, T: float, step_of) -> "Grid":
-        """Grid of n_z segments and the fewest steps of at most step_of(h) over T."""
         if n_z < MIN_N_Z:
             raise InvalidInput(f"n_z must be at least {MIN_N_Z}, got {n_z}")
-        step = step_of(0.5 / n_z)
+        step = lam * (0.5 / n_z)
         if not step > 0 or T / step == math.inf:
             raise ConfigError(f"T = {T:.4g} in steps of {step:.4g} exceeds the march record bound"
                               f" {MAX_RECORD}: shorten T or lengthen the step")
@@ -153,16 +138,13 @@ def default_lambda(B: float) -> float:
     return min(0.5 * math.sqrt(B), LAMBDA_CAP)
 
 
-def check_grid(grid: Grid, stencil: str, B: float, n_points: int = 1) -> None:
+def check_grid(grid: Grid, B: float, n_points: int = 1) -> None:
     """Refuse with ConfigError a grid unstable at B (a batch's least) or past MAX_RECORD."""
-    r = grid.k / (grid.h * grid.h)
-    if stencil == WAVE and not B > 0:
-        raise ConfigError("run_fdm requires B > 0; use the parabolic reference solver")
-    if stencil == WAVE and grid.lam > math.sqrt(B):
+    if not B > 0:
+        raise ConfigError("run_fdm requires B > 0; use the parabolic engine (hypersorb.poles)")
+    if grid.lam > math.sqrt(B):
         raise ConfigError(f"lambda = {grid.lam:.4g} exceeds the stability bound sqrt(B) = "
                           f"{math.sqrt(B):.4g}; reduce lambda")
-    if stencil == HEAT and r > 0.5 + 1e-12:
-        raise ConfigError(f"parabolic stability needs k <= h^2/2; got r = {r:.4g}")
     if (grid.n_t + 1) * n_points > MAX_RECORD:
         raise ConfigError(f"{grid.n_t + 1} levels x {n_points} point(s) exceed the march"
                           f" record bound {MAX_RECORD}: shorten T or coarsen n_z")
@@ -177,7 +159,7 @@ class _Row(NamedTuple):
     left, mid and right span the flattened buffer, so a stencil advances a
     whole batch in one contiguous pass; across a batch it also writes the
     wall node of each row and the symmetry node of the next, which the
-    closure overwrites.  The closures read and write single nodes as Python
+    closure overwrites.  The closure reads and writes single nodes as Python
     floats through the memoryviews, one entry per row.
     """
 
@@ -186,18 +168,16 @@ class _Row(NamedTuple):
     mid: np.ndarray  # full flattened, [1:-1]
     right: np.ndarray  # full flattened, [2:]
     interior: np.ndarray  # interior nodes 1 .. n_z-1 of each row
-    heads: memoryview  # symmetry node 0, mirrored from necks by the closures
+    heads: memoryview  # symmetry node 0, mirrored from necks by the closure
     necks: memoryview  # node 1
-    near: memoryview  # node n_z-1
-    near2: memoryview  # node n_z-2
-    wall: memoryview  # wall node n_z, written by the closures
+    wall: memoryview  # wall node n_z, written by the closure
 
 
 def _views(row: np.ndarray) -> _Row:
     flat = row.reshape(-1)
     return _Row(
         row, flat[:-2], flat[1:-1], flat[2:], row[..., 1:-1],
-        *(memoryview(row[..., i]) for i in (0, 1, -2, -3, -1)),
+        *(memoryview(row[..., i]) for i in (0, 1, -1)),
     )
 
 
@@ -207,8 +187,8 @@ def _stencil(new: _Row, old: _Row, older: _Row | None, weights, lap, tmp) -> lis
     lap = right - 2 mid + left of old, 2 mid formed as mid + mid (exact).
     With older, the three-level wave update in increment form, new = old +
     (2 lam^2 lap + (2B - k)(old - older)) / (2B + k), weights (2 lam^2,
-    2B - k, 2B + k); without, new = old + r lap, weights (r,).  lap and tmp
-    are work buffers.  A float weight is bound as a 0-d array, which a ufunc
+    2B - k, 2B + k); without, the start-up level of a bulk at rest, new =
+    old + (lam^2/2B) lap, weights (lam^2/2B,).  lap and tmp are work buffers.  A float weight is bound as a 0-d array, which a ufunc
     takes with no conversion on each call; an array spans mid, one B a row.
     """
     weights = [np.asarray(w) for w in weights]
@@ -260,98 +240,54 @@ def trapezoid_interior(rows: np.ndarray, h: float) -> np.ndarray:
     return h * (0.5 * rows[..., 0] + np.add.reduce(rows[..., 1:-1], axis=-1))
 
 
-class _Nonlocal:
-    """Wall closure from global conservation plus backward-Euler kinetics.
+def _wall_constants(p: Params, grid: Grid) -> tuple:
+    """The wall closure's constants for one parameter set (see _bind_wall)."""
+    h, k = grid.h, grid.k
+    den = k * p.L + (p.A + k) * 0.5 * h
+    if abs(den / k) < 1e-14:
+        raise ConfigError("degenerate wall closure: (A/k + 1) h/2 + L is numerically zero")
+    return 0.5 * p.N0, p.A + k, p.A, den, h
 
-    With I the trapezoidal mass of a row and sigma = N0/2 - I (half-domain
+
+def _start_sigma(row: _Row, constants: list) -> list:
+    """sigma at level 0, fixed by the conservation identity."""
+    inner = trapezoid_interior(row.full, constants[0][4]).tolist()
+    return [c[0] - (mass + 0.5 * c[4] * w) for mass, w, c in zip(inner, row.wall, constants)]
+
+
+def _bind_wall(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: list):
+    """row's wall closure as a zero-argument call: mirror, close, write sigma.
+
+    The closure joins global conservation to backward-Euler kinetics: with I
+    the trapezoidal mass of a row and sigma = N0/2 - I (half-domain
     conservation), A (sigma_j - sigma_{j-1})/k = L N_wall - sigma_j is linear
-    in the single unknown N_wall; the closed-form solve keeps the
-    conservation identity exact.
+    in the single unknown N_wall, and its closed-form solve keeps the
+    conservation identity exact.  Each row's symmetry node takes node 1's
+    value, its wall value is solved from sigma_old, and its sigma written to
+    sigma, one entry per row.  The inner mass is trapezoid_interior's, in
+    Python floats: the pairwise reduce writes into a buffer bound here.
     """
+    wall, heads, necks = row.wall, row.heads, row.necks
+    totals = np.empty(len(constants))
+    inner_sum, sums = partial(np.add.reduce, row.interior, 1, None, totals), memoryview(totals)
+    indexed = [(b, *c) for b, c in enumerate(constants)]
 
-    @staticmethod
-    def constants(p: Params, grid: Grid) -> tuple:
-        h, k = grid.h, grid.k
-        den = k * p.L + (p.A + k) * 0.5 * h
-        if abs(den / k) < 1e-14:
-            raise ConfigError("degenerate wall closure: (A/k + 1) h/2 + L is numerically zero")
-        return 0.5 * p.N0, p.A + k, p.A, den, h
+    def close() -> None:
+        inner_sum()
+        for b, half_n0, a_k, a, den, h in indexed:
+            heads[b] = head = necks[b]
+            rhs_mass = half_n0 - h * (0.5 * head + sums[b])
+            w = (a_k * rhs_mass - a * sigma_old[b]) / den
+            wall[b] = w
+            sigma[b] = rhs_mass - 0.5 * h * w
 
-    @staticmethod
-    def start(row: _Row, constants: list) -> list:
-        """sigma at level 0, fixed by the conservation identity."""
-        inner = trapezoid_interior(row.full, constants[0][4]).tolist()
-        return [c[0] - (mass + 0.5 * c[4] * w) for mass, w, c in zip(inner, row.wall, constants)]
-
-    @staticmethod
-    def bind(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: list):
-        """row's wall closure as a zero-argument call: mirror, close, write sigma.
-
-        Each row's symmetry node takes node 1's value, its wall value is
-        solved from sigma_old, and its sigma written to sigma, one entry per
-        row.  The inner mass is trapezoid_interior's, in Python floats: the
-        pairwise reduce writes into a buffer bound here.
-        """
-        wall, heads, necks = row.wall, row.heads, row.necks
-        totals = np.empty(len(constants))
-        inner_sum, sums = partial(np.add.reduce, row.interior, 1, None, totals), memoryview(totals)
-        indexed = [(b, *c) for b, c in enumerate(constants)]
-
-        def close() -> None:
-            inner_sum()
-            for b, half_n0, a_k, a, den, h in indexed:
-                heads[b] = head = necks[b]
-                rhs_mass = half_n0 - h * (0.5 * head + sums[b])
-                w = (a_k * rhs_mass - a * sigma_old[b]) / den
-                wall[b] = w
-                sigma[b] = rhs_mass - 0.5 * h * w
-
-        return close
-
-
-class _Local:
-    """Wall closure from the flux condition dsigma/dt = -dN/dz.
-
-    A second-order one-sided gradient at the wall combined with
-    backward-Euler kinetics, solved for the wall value.  It conserves mass
-    only to O(h).
-    """
-
-    @staticmethod
-    def constants(p: Params, grid: Grid) -> tuple:
-        h, k = grid.h, grid.k
-        return p.A + k, 2.0 * h, p.A, k * p.L, 2.0 * h * p.L + 3.0 * (p.A + k)
-
-    @staticmethod
-    def start(row: _Row, constants: list) -> list:
-        return [0.0] * len(constants)
-
-    @staticmethod
-    def bind(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: list):
-        wall, heads, necks, near, near2 = row.wall, row.heads, row.necks, row.near, row.near2
-        indexed = [(b, *c) for b, c in enumerate(constants)]
-
-        def close() -> None:
-            for b, a_k, two_h, a, k_l, den in indexed:
-                heads[b] = necks[b]
-                s = sigma_old[b]
-                w = (a_k * (4.0 * near[b] - near2[b]) + two_h * s) / den
-                wall[b] = w
-                sigma[b] = (a * s + k_l * w) / a_k
-
-        return close
-
-
-# interior stencils and wall closures of the marching kernel
-WAVE, HEAT = "wave", "heat"
-NONLOCAL, LOCAL = "nonlocal", "local"
-_CLOSURES = {NONLOCAL: _Nonlocal, LOCAL: _Local}
+    return close
 
 
 def apply_surface(row: np.ndarray, sigma_prev: float, grid: Grid, p: Params) -> tuple[float, float]:
     """Close the wall node of one row and update sigma for the current level.
 
-    The nonlocal closure: sigma = N0/2 - trapezoid(row) combined with
+    The march's closure: sigma = N0/2 - trapezoid(row) combined with
     backward-Euler kinetics A (sigma_j - sigma_{j-1})/k = L N_wall - sigma_j.
     The wall value is written into row in place, through a memoryview of
     its wall node, so row must be a writable float64 array; no other node
@@ -360,8 +296,7 @@ def apply_surface(row: np.ndarray, sigma_prev: float, grid: Grid, p: Params) -> 
     views = _views(row[np.newaxis])
     sigma = memoryview(np.array([sigma_prev]))
     # node 0 mirrors itself, so the closure reads the row's own symmetry node
-    close = _Nonlocal.bind(views._replace(necks=views.heads), sigma, sigma,
-                           [_Nonlocal.constants(p, grid)])
+    close = _bind_wall(views._replace(necks=views.heads), sigma, sigma, [_wall_constants(p, grid)])
     close()
     return float(row[-1]), sigma[0]
 
@@ -381,49 +316,43 @@ def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
     return out
 
 
-def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
-          probes=(), max_rows: int = STORED_ROWS) -> list[TimeSeries]:
+def march(rows0, ps, grid: Grid, meta: dict, probes=(),
+          max_rows: int = STORED_ROWS) -> list[TimeSeries]:
     """March start row rows0[b] with parameter set ps[b], all as one batch on grid.
 
-    The engine's only time loop; one series per point.  stencil is WAVE or
-    HEAT, closure NONLOCAL or LOCAL (other names raise InvalidInput); the
-    march itself does not check the grid (see check_grid).  A WAVE batch may
-    mix B: the weights that hold B (2B - k, 2B + k and the start-up's
-    lam^2/2B) are arrays over the mid span, each row's entries its own B.
-    Level j lives in slot j % RING of a ring of min(RING, n_t + 1) level
-    rows and sigmas, and each slot gets its level program once per march:
-    zero-argument calls that advance every row's interior from the two slots
-    before it (_stencil's nine or five ufunc calls; the wave march's first
-    level is the two-level start-up of a bulk at rest), then close the
-    walls.  The closure is one Python loop over the rows, bound to the
-    slot's memoryviews and the rows' constants: it mirrors the symmetry
-    node, solves the wall value and writes the row's sigma from the slot
-    before it.  A pass around the ring runs its levels' programs back to
-    back.  Then the wave march checks the pass for divergence (one max and
-    one min of its levels), and the pass's raw record is read off the ring
-    into a level-major chunk: sigma, the wall values, the inner trapezoidal
-    mass and the probe nodes; the full rows, at max_rows evenly spread
-    levels, go straight to the series.  Every CHUNK_PASSES passes, and after
-    the last, the chunk is written into the row-major (n_batch, n_levels)
-    record of sigma, surface, conservation and each probe, the probes and
-    the residual derived on the way; series b holds row b of each.  Row b
-    only ever sees parameter set b, so each row of a batch matches a march
-    of its point alone bit for bit.  Each series gets its own time grid and
-    a copy of meta plus the grid.
+    The engine's only time loop; one series per point.  The march itself
+    does not check the grid (see check_grid).  A batch may mix B: the
+    weights that hold B (2B - k, 2B + k and the start-up's lam^2/2B) are
+    arrays over the mid span, each row's entries its own B.  Level j lives
+    in slot j % RING of a ring of min(RING, n_t + 1) level rows and sigmas,
+    and each slot gets its level program once per march: zero-argument
+    calls that advance every row's interior from the two slots before it
+    (_stencil's nine ufunc calls; the first level is the two-level start-up
+    of a bulk at rest), then close the walls.  The closure is one Python
+    loop over the rows, bound to the slot's memoryviews and the rows'
+    constants: it mirrors the symmetry node, solves the wall value and
+    writes the row's sigma from the slot before it.  A pass around the ring
+    runs its levels' programs back to back.  Then the march checks the pass
+    for divergence (one max and one min of its levels), and the pass's raw
+    record is read off the ring into a level-major chunk: sigma, the wall
+    values, the inner trapezoidal mass and the probe nodes; the full rows,
+    at max_rows evenly spread levels, go straight to the series.  Every
+    CHUNK_PASSES passes, and after the last, the chunk is written into the
+    row-major (n_batch, n_levels) record of sigma, surface, conservation and
+    each probe, the probes and the residual derived on the way; series b
+    holds row b of each.  Row b only ever sees parameter set b, so each row
+    of a batch matches a march of its point alone bit for bit.  Each series
+    gets its own time grid and a copy of meta plus the grid.
     """
     ps = list(ps)
     rows0 = np.asarray(rows0, dtype=float)
     n_batch, n_nodes, n_t = len(ps), grid.n_z + 1, grid.n_t
     if not ps or rows0.shape != (n_batch, n_nodes):
         raise InvalidInput("a batch needs one start row of n_z+1 nodes per parameter set")
-    if stencil not in (WAVE, HEAT) or closure not in _CLOSURES:
-        raise InvalidInput(f"march needs stencil 'wave' or 'heat' and closure 'nonlocal' or"
-                           f" 'local', got {stencil!r} and {closure!r}")
-    wave = stencil == WAVE
-    if wave and not min(p.B for p in ps) > 0:
-        raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic solver")
-    wall_closure = _CLOSURES[closure]
-    constants = [wall_closure.constants(p, grid) for p in ps]
+    if not min(p.B for p in ps) > 0:
+        raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic engine"
+                          " (hypersorb.poles)")
+    constants = [_wall_constants(p, grid) for p in ps]
     zgrid, h = grid.zgrid(), grid.h
     n_levels = n_t + 1
     n_slots = min(RING, n_levels)
@@ -436,20 +365,19 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
     slots, sigmas = [_views(row) for row in ring], [memoryview(s) for s in sig_ring]
     lap, tmp = np.empty_like(slots[0].mid), np.empty_like(slots[0].mid)
     np.copyto(ring[0], rows0)
-    sig_ring[0] = wall_closure.start(slots[0], constants)
+    sig_ring[0] = _start_sigma(slots[0], constants)
 
-    def program(i: int, weights, two_level: bool) -> tuple:
-        # slot i's level: stencil from slots i-1 (and i-2), then the closure,
+    def program(i: int, older: _Row | None, weights) -> tuple:
+        # slot i's level: stencil from slots i-1 and older, then the closure,
         # which mirrors node 0 and writes sigma from slot i-1's into slot i's
-        new, older = slots[i], None if two_level else slots[i - 2]
-        return (*_stencil(new, slots[i - 1], older, weights, lap, tmp),
-                wall_closure.bind(new, sigmas[i - 1], sigmas[i], constants))
+        return (*_stencil(slots[i], slots[i - 1], older, weights, lap, tmp),
+                _bind_wall(slots[i], sigmas[i - 1], sigmas[i], constants))
 
     # each row's B on its n_z + 1 nodes, trimmed as mid is
     B = np.repeat([p.B for p in ps], n_nodes)[1:-1]
-    weights = _wave_weights(grid, B) if wave else (grid.k / (grid.h * grid.h),)
-    programs = [program(i, weights, not wave) for i in range(n_slots)]
-    start = program(1, (grid.lam * grid.lam / (2.0 * B),), True) if wave else programs[1]
+    weights = _wave_weights(grid, B)
+    programs = [program(i, slots[i - 2], weights) for i in range(n_slots)]
+    start = program(1, None, (grid.lam * grid.lam / (2.0 * B),))
     # the ops of one pass around the ring, slot after slot.  The first pass
     # fills the ring (n_slots <= n_levels); the programs after it are equal
     # in length, so a shorter last pass runs a prefix of full_pass
@@ -478,25 +406,23 @@ def march(rows0, ps, grid: Grid, stencil: str, closure: str, meta: dict,
         # being the inner mass plus (h/2) N_wall
         cons[:, span] = abs(2.0 * (inner_c[:m] + 0.5 * h * wall_c[:m]) + 2.0 * sig_c[:m] - n0).T
 
-    # a wave march checks its new levels once a pass: a node at or past the
+    # the march checks its new levels once a pass: a node at or past the
     # smallest ceiling (or NaN) fails the block's max or min test, and only
     # then are the pass's levels checked in order, each row against its own
     # ceiling, so the first level and node past it are named.  Levels after
     # that one may overflow before the pass ends; numpy stays quiet about it.
     ceilings = [1e100 * max(1.0, p.N0) for p in ps]
     ceiling = min(ceilings)
-    # (a heat march is not checked and keeps numpy's warnings: None leaves them as set)
-    quiet = "ignore" if wave else None
     # pass by pass around the ring: levels first .. first + n - 1 in slots 0 .. n - 1;
     # the first pass starts from the start row in slot 0, with the start-up level
-    with np.errstate(over=quiet, invalid=quiet):
+    with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_levels, n_slots):
             n = min(n_slots, n_levels - first)
             i0 = 0 if first else 1  # the slot of the pass's first new level
             for op in full_pass[: n * per_level] if first else first_pass:
                 op()
             block = ring[:n]
-            if wave and not (block[i0:].max() < ceiling and block[i0:].min() > -ceiling):
+            if not (block[i0:].max() < ceiling and block[i0:].min() > -ceiling):
                 for i in range(i0, n):
                     _check_divergence(first + i, ring[i], ceilings, ps, grid)
             c = first % n_chunk  # the pass's place in the chunk
@@ -550,10 +476,10 @@ def run_fdm_batch(ps, ic: InitialCondition, grid: Grid, probes=()) -> list[TimeS
     to run_fdm(ps[b], ic, grid, ...).
     """
     # an empty batch is left to march, which refuses it
-    check_grid(grid, WAVE, min((p.B for p in ps), default=math.inf), len(ps))
+    check_grid(grid, min((p.B for p in ps), default=math.inf), len(ps))
     zgrid = grid.zgrid()
     rows0 = [sample_initial(ic, p, zgrid) for p in ps]
-    return march(rows0, ps, grid, WAVE, NONLOCAL, {"engine": "fdm"}, probes)
+    return march(rows0, ps, grid, {"engine": "fdm"}, probes)
 
 
 def run_fdm(p: Params, ic: InitialCondition, grid: Grid, probes=()) -> TimeSeries:

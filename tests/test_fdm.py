@@ -8,12 +8,8 @@ import pytest
 from hypersorb import fdm
 from hypersorb.errors import ConfigError, InvalidInput, StabilityError
 from hypersorb.fdm import (
-    HEAT,
-    LOCAL,
     MAX_RECORD,
     RING,
-    NONLOCAL,
-    WAVE,
     Grid,
     apply_surface,
     check_grid,
@@ -62,15 +58,12 @@ class TestGrid:
             Grid.from_lambda(16, 1.0, 0.0)
         with pytest.raises(InvalidInput):
             Grid.from_lambda(16, math.inf, 0.02)
-        with pytest.raises(InvalidInput):
-            Grid.for_parabolic(16, math.inf)
 
     @pytest.mark.parametrize("n_z", [0, -5, 7])
     def test_builders_refuse_a_coarse_grid_before_dividing(self, n_z):
         # no ZeroDivisionError at 0, no step-count message at a negative n_z
-        for build in (lambda: Grid.from_lambda(n_z, 1.0, 0.02), lambda: Grid.for_parabolic(n_z, 1.0)):
-            with pytest.raises(InvalidInput, match=f"n_z must be at least 8, got {n_z}"):
-                build()
+        with pytest.raises(InvalidInput, match=f"n_z must be at least 8, got {n_z}"):
+            Grid.from_lambda(n_z, 1.0, 0.02)
 
     def test_default_lambda(self):
         assert default_lambda(1e-3) == pytest.approx(0.5 * math.sqrt(1e-3))
@@ -90,7 +83,7 @@ class TestStencils:
         g = self.grid
         one = Grid(n_z=g.n_z, n_t=1, h=g.h, k=g.k, lam=g.lam, T=g.k)
         p = Params(A=0.25, B=self.B, L=1.0, N0=3.0)
-        (ser,) = march([row], [p], one, WAVE, NONLOCAL, {}, max_rows=one.n_t + 1)
+        (ser,) = march([row], [p], one, {}, max_rows=one.n_t + 1)
         return ser.rows[1]
 
     def test_first_step_preserves_constants_exactly(self):
@@ -273,7 +266,7 @@ class TestRunFdm:
             run_fdm(p, step_ic(), grid)
         row0 = sample_initial(step_ic(), p, grid.zgrid())
         with pytest.raises(StabilityError) as err:
-            march([row0], [p], grid, WAVE, NONLOCAL, {})
+            march([row0], [p], grid, {})
         assert "lambda" in str(err.value)
 
     def test_divergence_and_overflow_in_one_ring_pass(self, monkeypatch):
@@ -289,12 +282,12 @@ class TestRunFdm:
 
         row0 = sample_initial(step_ic(), p, grid(1).zgrid())
         with pytest.raises(StabilityError) as err:
-            march([row0], [p], grid(100), WAVE, NONLOCAL, {})
+            march([row0], [p], grid(100), {})
         assert str(err.value) == (
             "density diverging at level j=21, node i=4 (lambda=316.2, B=0.1); reduce lambda"
         )
         # level 21 from the two levels before it: node 4 is the first past the ceiling
-        (ser,) = march([row0], [p], grid(20), WAVE, NONLOCAL, {}, max_rows=21)
+        (ser,) = march([row0], [p], grid(20), {}, max_rows=21)
         assert np.max(np.abs(ser.rows)) < 1e100 * p.N0
         level = step_interior(ser.rows[20], ser.rows[19], grid(20), p.B)
         level[0] = level[1]
@@ -302,44 +295,37 @@ class TestRunFdm:
         # unchecked, the first pass (levels 0 .. RING - 1) overflows
         monkeypatch.setattr(fdm, "_check_divergence", lambda *args: None)
         with np.errstate(over="ignore", invalid="ignore"):
-            (ser,) = march([row0], [p], grid(RING - 1), WAVE, NONLOCAL, {}, max_rows=RING)
+            (ser,) = march([row0], [p], grid(RING - 1), {}, max_rows=RING)
         assert not np.all(np.isfinite(ser.rows))
 
     def test_wave_batch_mixes_B(self):
-        # each row of a wave batch meets its own B; a heat batch never reads B
+        # each row of a batch meets its own B
         ps = [Params(A=0.01, B=0.1, L=1.0, N0=3.0), Params(A=0.01, B=0.5, L=1.0, N0=3.0)]
-        for grid, stencil, closure in ((Grid.from_lambda(16, 0.05, 0.01), WAVE, NONLOCAL),
-                                       (Grid.for_parabolic(16, 0.05), HEAT, LOCAL)):
-            rows0 = [sample_initial(step_ic(), p, grid.zgrid()) for p in ps]
-            batch = march(rows0, ps, grid, stencil, closure, {})
-            for row0, p, ser in zip(rows0, ps, batch):
-                (one,) = march([row0], [p], grid, stencil, closure, {})
-                assert ser.params == p
-                assert ser.sigma.tobytes() == one.sigma.tobytes()
-                assert ser.rows.tobytes() == one.rows.tobytes()
-            assert (batch[0].sigma.tobytes() != batch[1].sigma.tobytes()) == (stencil == WAVE)
+        grid = Grid.from_lambda(16, 0.05, 0.01)
+        rows0 = [sample_initial(step_ic(), p, grid.zgrid()) for p in ps]
+        batch = march(rows0, ps, grid, {})
+        for row0, p, ser in zip(rows0, ps, batch):
+            (one,) = march([row0], [p], grid, {})
+            assert ser.params == p
+            assert ser.sigma.tobytes() == one.sigma.tobytes()
+            assert ser.rows.tobytes() == one.rows.tobytes()
+        assert batch[0].sigma.tobytes() != batch[1].sigma.tobytes()
 
     def test_wave_regime_required(self):
         p = Params(A=0.01, B=0.0, L=1.0, N0=3.0)
         with pytest.raises(ConfigError):
             run_fdm(p, step_ic(), Grid.from_lambda(16, 1.0, 0.02))
 
-    @pytest.mark.parametrize("stencil, closure", [("Wave", NONLOCAL), (WAVE, "Nonlocal"), ("", "")])
-    def test_march_refuses_unknown_names(self, wavefront_params, stencil, closure):
-        grid = Grid.from_lambda(16, 0.01, 0.02)
-        with pytest.raises(InvalidInput, match="march needs stencil 'wave' or 'heat'"):
-            march([np.full(17, 3.0)], [wavefront_params], grid, stencil, closure, {})
-
-    def test_record_bound_admits_the_oracle_march(self):
-        # the heat march that acceptance criterion 7 takes as its reference, n_z = 100, T = 2
-        oracle = Grid.for_parabolic(100, 2.0, 0.4)
-        assert oracle.n_t + 1 == 200_001
-        check_grid(oracle, HEAT, 0.0)
+    def test_record_bound_admits_the_largest_march_in_use(self):
+        # the B = 1 point of the README's B sweep and of scripts/landmarks.py: n_z = 200, T = 10
+        largest = Grid.from_lambda(200, 10.0, default_lambda(1.0))
+        assert largest.n_t + 1 == 160_001
+        check_grid(largest, 1.0)
         h = 0.5 / 16
-        at = Grid(n_z=16, n_t=MAX_RECORD // 2 - 1, h=h, k=h * h / 4, lam=h / 4, T=1.0)
-        check_grid(at, HEAT, 0.0, n_points=2)
+        at = Grid(n_z=16, n_t=MAX_RECORD // 2 - 1, h=h, k=h / 40, lam=1 / 40, T=1.0)
+        check_grid(at, 0.1, n_points=2)
         with pytest.raises(ConfigError, match="record bound"):
-            check_grid(at, HEAT, 0.0, n_points=3)
+            check_grid(at, 0.1, n_points=3)
 
     def test_record_bound_counts_the_row_buffers(self):
         # a march holds RING + STORED_ROWS rows of n_z + 1 nodes a point: n_z <= 21,504 for one
@@ -348,17 +334,16 @@ class TestRunFdm:
             return Grid(n_z=n_z, n_t=8000, h=h, k=0.02 * h, lam=0.02, T=8000 * 0.02 * h)
 
         assert (RING + fdm.STORED_ROWS) * 21_505 <= MAX_RECORD < (RING + fdm.STORED_ROWS) * 21_506
-        check_grid(grid(21_504), WAVE, 0.1)
+        check_grid(grid(21_504), 0.1)
         with pytest.raises(ConfigError, match="rows of 21506 nodes x 1 point.* record bound"):
-            check_grid(grid(21_505), WAVE, 0.1)
-        check_grid(grid(10_751), WAVE, 0.1, n_points=2)
+            check_grid(grid(21_505), 0.1)
+        check_grid(grid(10_751), 0.1, n_points=2)
         with pytest.raises(ConfigError, match="rows of 10753 nodes x 2 point"):
-            check_grid(grid(10_752), WAVE, 0.1, n_points=2)
+            check_grid(grid(10_752), 0.1, n_points=2)
 
     @pytest.mark.parametrize("make", [
         lambda: Grid.from_lambda(16, 1e300, 1e-10),
         lambda: Grid.from_lambda(16, 1.0, 5e-324),  # k = lam h underflows to 0
-        lambda: Grid.for_parabolic(16, 1e300, 1e-10),
     ])
     def test_step_count_past_any_float_refused(self, make):
         with pytest.raises(ConfigError, match="exceeds the march record bound"):
@@ -383,7 +368,7 @@ class TestConstantState:
         p = Params(A=0.25, B=0.25, L=0.0, N0=3.0)
         grid = Grid.from_lambda(128, 1.0, 0.25)
         row0 = np.full(grid.n_z + 1, 3.0)
-        (ser,) = march([row0], [p], grid, WAVE, NONLOCAL, {}, max_rows=grid.n_t + 1)
+        (ser,) = march([row0], [p], grid, {}, max_rows=grid.n_t + 1)
         assert np.all(ser.sigma == 0.0)
         assert np.all(ser.rows == 3.0)
 
@@ -391,6 +376,6 @@ class TestConstantState:
         p = Params(A=0.013, B=0.07, L=0.0, N0=3.0)
         grid = Grid.from_lambda(100, 1.0, 0.02)
         row0 = np.full(grid.n_z + 1, 3.0)
-        (ser,) = march([row0], [p], grid, WAVE, NONLOCAL, {}, max_rows=grid.n_t + 1)
+        (ser,) = march([row0], [p], grid, {}, max_rows=grid.n_t + 1)
         worst = max(float(np.max(np.abs(ser.rows - 3.0))), float(np.max(np.abs(ser.sigma))))
         assert worst < 1e-13 * 3.0

@@ -615,7 +615,6 @@ class TestCli:
 
         monkeypatch.setattr(poles, "to_series", counting)
         monkeypatch.setattr(fdm, "march", no_march)
-        monkeypatch.setattr(validate, "march", no_march)
         common = ["--A", "0.01", "--L", "1", "--N0", "3", "--n-z", "8", *T]
         assert main(["sweep", "--engine", "parabolic", "--axis", "B", "--values", values,
                      *common, "--outdir", str(tmp_path), "--name", "w"]) == 0
@@ -702,6 +701,22 @@ class TestCli:
         assert (tmp_path / "x_parabolic.csv").exists()
         assert "RESULT: PASS" in (tmp_path / "x_report.txt").read_text()
 
+    @pytest.mark.parametrize("pair, flags", [
+        ("parabolic,fdm", ("--B", "1e-3", "--T", "2", "--n-z", "100")),
+        ("fdm,spectral", ("--B", "0.1", "--T", "0.5", "--n-z", "32", "--modes", "20")),
+    ])
+    def test_report_is_the_same_at_any_samples(self, tmp_path, pair, flags):
+        # a sum engine is evaluated at the report's own times, not read between its samples
+        reports = []
+        for samples in ("11", "801"):
+            out = tmp_path / samples
+            assert main(["compare", "--pair", pair, "--A", "0.01", "--L", "1", "--N0", "3", *flags,
+                         "--samples", samples, "--outdir", str(out), "--name", "x"]) == 0
+            report = json.loads((out / "x_report.json").read_text())
+            assert report.pop("config")["samples"] == int(samples)
+            reports.append((report, (out / "x_report.txt").read_bytes()))
+        assert reports[0] == reports[1]
+
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERSORB_OUTDIR", str(tmp_path / "envout"))
         rc = main([
@@ -747,7 +762,6 @@ class TestCli:
             raise AssertionError("a march started")
 
         monkeypatch.setattr(cli.fdm, "march", no_march)
-        monkeypatch.setattr(cli.validate, "march", no_march)
         monkeypatch.setattr(cli.poles, "to_series", no_march)
         args = [*command, "--A", "0.01", "--B", "1e-3", "--N0", "3", "--n-z", "16",
                 "--outdir", str(tmp_path)]
@@ -867,6 +881,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: samples x roots must be at most {cli.MAX_MODAL_TERMS},"
                               f" got {terms}")
+        assert not (tmp_path / "out").exists()
+
+    def test_parabolic_report_times_bounded(self, tmp_path, capsys, monkeypatch):
+        # 2 samples at T = 1e-12 keep 2 x 1,006,585 terms, within the bound, but a
+        # comparison also sums the pole series at its report's 401 times from t = 5e-14
+        def no_work(*args, **kwargs):
+            raise AssertionError("an engine started")
+
+        for module, name in ((cli.poles, "roots"), (cli.poles, "to_series"), (cli.fdm, "march")):
+            monkeypatch.setattr(module, name, no_work)
+        assert main(["compare", "--pair", "fdm,parabolic", "--A", "0.01", "--B", "0.1", "--L", "1",
+                     "--N0", "3", "--n-z", "16", "--T", "1e-12", "--samples", "2",
+                     "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: report times x roots must be at most"
+                              f" {cli.MAX_MODAL_TERMS}, got 401 x 4501582")
         assert not (tmp_path / "out").exists()
 
     def test_parabolic_sum_bound_is_inclusive(self):
@@ -1003,7 +1033,8 @@ class TestWrittenSamples:
         assert read_series_csv(tmp_path / "x.csv").t.size == full.t.size - 1
 
     # fdm's JSON comes from its full march whatever --samples is; the pole sum has no march,
-    # so its full series is the --samples times it evaluates, and 10^7 of them are refused
+    # so a run's full series is the --samples times it evaluates, and 10^7 of them are
+    # refused; a comparison's report sums it at the report's own times
     @pytest.mark.parametrize("command, json_name", [
         (("run", "--engine", "fdm"), "x.json"),
         (("run", "--engine", "parabolic"), "x.json"),
@@ -1031,7 +1062,9 @@ class TestWrittenSamples:
         else:
             grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
             march = fdm.run_fdm(self.P, step_ic(), grid, probes=self.PROBES)
-            expected = validate.compare_engines(ser, march, np.linspace(0.025, 0.5, 401)).to_dict()
+            tgrid = np.linspace(0.025, 0.5, 401)
+            at_report = poles.to_series(self.P, step_ic(), tgrid, probes=self.PROBES)
+            expected = validate.compare_engines(at_report, march, tgrid).to_dict()
         assert payloads == [json.loads(json.dumps(expected))]
 
     def test_spectral_series_written_as_sampled(self, tmp_path):

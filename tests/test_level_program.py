@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from hypersorb import fdm
-from hypersorb.fdm import (
-    HEAT, LOCAL, NONLOCAL, RING, WAVE, Grid, default_lambda, march, step_interior,
-)
+from hypersorb.fdm import RING, Grid, default_lambda, march, step_interior
 from hypersorb.params import Params
 
 POINTS = [
@@ -30,7 +28,7 @@ def first_level(rows0, ps, grid):
     """Level 1 of a one-level march from rows0, one row or a batch (nodes on the last axis)."""
     one = Grid(n_z=grid.n_z, n_t=1, h=grid.h, k=grid.k, lam=grid.lam, T=grid.k)
     batch = np.reshape(rows0, (len(ps), -1))
-    series = march(batch, ps, one, WAVE, NONLOCAL, {}, max_rows=one.n_t + 1)
+    series = march(batch, ps, one, {}, max_rows=one.n_t + 1)
     return np.stack([ser.rows[1] for ser in series]).reshape(np.shape(rows0))
 
 
@@ -44,7 +42,7 @@ def test_march_levels_are_step_first_and_step_interior(n_batch):
     n_t = RING + 5
     grid = Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=n_t * k)
     rows0 = np.random.default_rng(3).uniform(0.5, 1.5, (n_batch, n_z + 1)) * [[p.N0] for p in ps]
-    series = march(rows0, ps, grid, WAVE, NONLOCAL, {}, max_rows=n_t + 1)
+    series = march(rows0, ps, grid, {}, max_rows=n_t + 1)
     # levels, batch, nodes
     levels = np.stack([ser.rows for ser in series], axis=1)
     assert levels.shape == (n_t + 1, n_batch, n_z + 1)
@@ -65,9 +63,8 @@ def test_step_functions_copy_the_boundary_nodes():
     assert np.array_equal(out[..., [0, -1]], rows[0][..., [0, -1]])
 
 
-@pytest.mark.parametrize("stencil", [WAVE, HEAT])
 @pytest.mark.parametrize("n_t", [1, 10])
-def test_short_march_builds_programs_for_its_levels_only(monkeypatch, stencil, n_t):
+def test_short_march_builds_programs_for_its_levels_only(monkeypatch, n_t):
     built = []
 
     def counted(*args):
@@ -79,9 +76,8 @@ def test_short_march_builds_programs_for_its_levels_only(monkeypatch, stencil, n
     p = POINTS[0]
     n_z = 16
     h = 0.5 / n_z
-    k = default_lambda(p.B) * h if stencil == WAVE else 0.4 * h * h
+    k = default_lambda(p.B) * h
     grid = Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=n_t * k)
-    closure = NONLOCAL if stencil == WAVE else LOCAL
-    march([np.full(n_z + 1, p.N0)], [p], grid, stencil, closure, {})
-    # one program per ring slot, and the wave march's start-up program
+    march([np.full(n_z + 1, p.N0)], [p], grid, {})
+    # one program per ring slot, and the start-up program
     assert len(built) <= n_t + 2

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 
 from hypersorb import spectral
-from hypersorb.fdm import HEAT, LOCAL, Grid, march
+from hypersorb.fdm import Grid, default_lambda, march
 from hypersorb.params import Params, step_ic
 
 
@@ -27,13 +27,13 @@ def peak_bytes(call) -> int:
 def test_march_record_peak_per_level():
     # one row, three probes: the series keep t, sigma, surface, the residual
     # and three probes at 8 bytes a level each; the rest is transient
+    p = Params(A=0.01, B=1e-3, L=1.0, N0=3.0)
     n_z, n_t = 16, 100_000
     h = 0.5 / n_z
-    k = 0.4 * h * h
+    k = default_lambda(p.B) * h
     grid = Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=n_t * k)
-    p = Params(A=0.01, B=1e-3, L=1.0, N0=3.0)
     rows0 = [np.full(n_z + 1, p.N0)]
-    peak = peak_bytes(lambda: march(rows0, [p], grid, HEAT, LOCAL, {}, (0.0, 0.25, 0.45)))
+    peak = peak_bytes(lambda: march(rows0, [p], grid, {}, (0.0, 0.25, 0.45)))
     assert peak <= 96 * (n_t + 1)
 
 

@@ -1,25 +1,15 @@
-"""Parabolic reference solver, engine comparison and series audits."""
+"""Engine comparison against the exact diffusive reference, and series audits."""
 
 import numpy as np
 import pytest
 
-from hypersorb.errors import ConfigError, InvalidInput
-from hypersorb.fdm import HEAT, LOCAL, NONLOCAL, Grid, default_lambda, march, run_fdm
-from hypersorb.params import Params, equilibrium, parabolic_ic, sample_initial, step_ic
+from hypersorb import poles
+from hypersorb.errors import InvalidInput
+from hypersorb.fdm import Grid, default_lambda, march, run_fdm
+from hypersorb.params import Params, equilibrium, sample_initial, step_ic
 from hypersorb.series import thin_indices
 from hypersorb.spectral import solve_spectral, to_series
-from hypersorb.validate import (
-    audit_conservation,
-    audit_kinetics,
-    compare_engines,
-    run_parabolic,
-)
-
-
-def run_parabolic_nonlocal(p, ic, grid, probes=()):
-    """The parabolic stencil under the conservation closure, stored as the runners store."""
-    (ser,) = march([sample_initial(ic, p, grid.zgrid())], [p], grid, HEAT, NONLOCAL, {}, probes)
-    return ser
+from hypersorb.validate import audit_conservation, audit_kinetics, compare_engines
 
 
 @pytest.fixture(scope="module")
@@ -29,72 +19,8 @@ def diffusive_params():
 
 @pytest.fixture(scope="module")
 def parabolic_reference(diffusive_params):
-    grid = Grid.for_parabolic(100, 2.0, 0.4)
-    return run_parabolic(diffusive_params, step_ic(), grid)
-
-
-class TestRunParabolic:
-    def test_monotonic_for_step_data(self, parabolic_reference):
-        assert np.all(np.diff(parabolic_reference.sigma) >= -1e-12)
-
-    def test_approaches_equilibrium(self, parabolic_reference, diffusive_params):
-        _, sigma_eq = equilibrium(diffusive_params)
-        assert parabolic_reference.sigma[-1] > 0.9 * sigma_eq
-
-    def test_equilibrium_value_conservative_closure(self, diffusive_params):
-        # the conservation-based closure pins the final state exactly
-        grid = Grid.for_parabolic(50, 10.0, 0.4)
-        ser = run_parabolic_nonlocal(diffusive_params, step_ic(), grid)
-        _, sigma_eq = equilibrium(diffusive_params)
-        assert abs(ser.sigma[-1] - sigma_eq) < 0.005 * sigma_eq
-        assert np.max(ser.conservation) < 1e-12 * 3.0
-
-    def test_local_closure_first_order_drift(self, diffusive_params):
-        # the flux closure leaks mass at O(h); halving h halves the defect
-        _, sigma_eq = equilibrium(diffusive_params)
-        devs = {}
-        for n_z in (50, 100):
-            grid = Grid.for_parabolic(n_z, 3.0, 0.4)
-            ser = run_parabolic(diffusive_params, parabolic_ic(), grid)
-            devs[n_z] = abs(ser.sigma[-1] - sigma_eq)
-        assert devs[100] < 0.01 * sigma_eq
-        assert devs[100] == pytest.approx(0.5 * devs[50], rel=0.2)
-
-    def test_closure_variants_agree_and_converge(self, diffusive_params):
-        # the local flux condition and the conservation closure are the same
-        # boundary physics; their gap is discretization and shrinks with h
-        _, sigma_eq = equilibrium(diffusive_params)
-        gaps = {}
-        for n_z in (64, 128):
-            grid = Grid.for_parabolic(n_z, 1.0, 0.4)
-            loc = run_parabolic(diffusive_params, step_ic(), grid)
-            non = run_parabolic_nonlocal(diffusive_params, step_ic(), grid)
-            gaps[n_z] = np.max(np.abs(loc.sigma - non.sigma))
-        assert gaps[64] < 0.02 * sigma_eq
-        assert gaps[128] < 0.7 * gaps[64]
-
-    def test_inert_walls_adsorb_nothing(self):
-        # L = 0: the surface never accumulates particles and the bulk relaxes
-        # to the uniform state carrying the full mass
-        p = Params(A=0.01, B=1e-4, L=0.0, N0=3.0)
-        grid = Grid.for_parabolic(32, 1.0, 0.4)
-        for run in (run_parabolic, run_parabolic_nonlocal):
-            ser = run(p, step_ic(), grid, probes=[0.25])
-            # sigma stays within the startup quadrature artifact and decays away
-            assert np.max(np.abs(ser.sigma)) <= grid.h * 3.0
-            assert abs(ser.sigma[-1]) < 1e-6
-            assert ser.probes[0.25][-1] == pytest.approx(3.0, abs=2 * grid.h * 3.0)
-
-    def test_stability_guard(self, diffusive_params):
-        grid = Grid(n_z=32, n_t=10, h=0.5 / 32, k=0.01, lam=0.64, T=0.1)
-        with pytest.raises(ConfigError):
-            run_parabolic(diffusive_params, step_ic(), grid)
-
-    def test_unknown_closure(self, diffusive_params):
-        grid = Grid.for_parabolic(16, 0.1, 0.4)
-        row0 = sample_initial(step_ic(), diffusive_params, grid.zgrid())
-        with pytest.raises(InvalidInput):
-            march([row0], [diffusive_params], grid, HEAT, "mystery", {})
+    # the exact B = 0 solution (the sum ignores B)
+    return poles.to_series(diffusive_params, step_ic(), np.linspace(0.0, 2.0, 801))
 
 
 class TestCompareEngines:
@@ -135,6 +61,15 @@ class TestCompareEngines:
     def test_non_overlapping_ranges_rejected(self, parabolic_reference):
         with pytest.raises(InvalidInput):
             compare_engines(parabolic_reference, parabolic_reference, np.linspace(0, 5, 11))
+
+    @pytest.mark.parametrize("tgrid", [
+        pytest.param(np.array([]), id="empty"),
+        pytest.param(np.linspace(0.1, 1.0, 10).reshape(2, 5), id="2-d"),
+        pytest.param(np.array([0.1, np.nan, 1.0]), id="nan"),
+    ])
+    def test_bad_grid_refused(self, parabolic_reference, tgrid):
+        with pytest.raises(InvalidInput, match="non-empty 1-d array of finite times"):
+            compare_engines(parabolic_reference, parabolic_reference, tgrid)
 
     def test_report_serializes(self, parabolic_reference):
         rep = compare_engines(parabolic_reference, parabolic_reference,
@@ -194,10 +129,10 @@ class TestAudits:
         with pytest.raises(InvalidInput, match="max_rows must be at least 2"):
             thin_indices(10, max_rows)
         p = Params(A=0.01, B=1e-3, L=1.0, N0=3.0)
-        grid = Grid.for_parabolic(10, 0.01)
+        grid = Grid.from_lambda(10, 0.01, default_lambda(p.B))
         row0 = sample_initial(step_ic(), p, grid.zgrid())
         with pytest.raises(InvalidInput, match="max_rows must be at least 2"):
-            march([row0], [p], grid, HEAT, LOCAL, {}, max_rows=max_rows)
+            march([row0], [p], grid, {}, max_rows=max_rows)
 
     def test_two_stored_rows_are_the_endpoints(self):
         assert thin_indices(10, 2).tolist() == [0, 9]
