@@ -140,7 +140,9 @@ RING_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("n_t", [1, RING - 2, RING - 1, RING, RING + 1, 3 * RING + 5])
+# "fdm" in the case ids names the scheme: the wave stencil under the conservation closure
+@pytest.mark.parametrize("n_t", [1, RING - 2, RING - 1, RING, RING + 1, 3 * RING + 5],
+                         ids=lambda n_t: f"fdm-{n_t}")
 @pytest.mark.parametrize("n_batch", [1, 3])
 def test_ring_pass_boundaries_match_reference(n_t, n_batch):
     # every level stored, and a thinned set whose stride crosses the passes
@@ -162,8 +164,9 @@ WIDE_BATCH = [
 ]
 
 
-def test_wide_batch_rows_match_single_runs_and_reference():
-    grid = grid_with_levels(RING + 5, n_z=16)
+@pytest.mark.parametrize("n_z", [16], ids=["fdm"])
+def test_wide_batch_rows_match_single_runs_and_reference(n_z):
+    grid = grid_with_levels(RING + 5, n_z=n_z)
     batch, single = march_family(WIDE_BATCH, step_ic(), grid)
     assert len(batch) == 16
     for p, ser, one in zip(WIDE_BATCH, batch, single):

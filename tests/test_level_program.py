@@ -63,7 +63,7 @@ def test_step_functions_copy_the_boundary_nodes():
     assert np.array_equal(out[..., [0, -1]], rows[0][..., [0, -1]])
 
 
-@pytest.mark.parametrize("n_t", [1, 10])
+@pytest.mark.parametrize("n_t", [1, 10], ids=lambda n_t: f"{n_t}-wave")
 def test_short_march_builds_programs_for_its_levels_only(monkeypatch, n_t):
     built = []
 

@@ -1,6 +1,7 @@
-"""The exact B = 0 solution: poles of sigma_hat(s) and their roots."""
+"""The exact B = 0 solution: poles of sigma_hat(s), their roots, and the heat march's limit."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -38,9 +39,50 @@ def sigma_de_hoog(p, t):
     return float(mp.invertlaplace(sigma_hat, t, method="dehoog"))
 
 
+def heat_march(p, ic, n_z, T, probes=(), r=0.4):
+    """The explicit heat march at k/h^2 <= r, written out level by level.
+
+    The wall is closed with the flux condition -dN/dz = dsigma/dt (a
+    second-order one-sided gradient) plus backward-Euler kinetics; sigma
+    starts at 0.  Every level is recorded.
+    """
+    h = 0.5 / n_z
+    n_t = math.ceil(T / (r * h * h))
+    k = T / n_t
+    zgrid = np.linspace(0.0, 0.5, n_z + 1)
+    row = sample_initial(ic, p, zgrid)
+    s = 0.0
+    sigma, rows = [s], [row]
+    for _ in range(n_t):
+        new = row.copy()
+        new[1:-1] = row[1:-1] + k / (h * h) * (row[2:] - 2.0 * row[1:-1] + row[:-2])
+        new[0] = new[1]
+        w = ((p.A + k) * (4.0 * new[-2] - new[-3]) + 2.0 * h * s) / (
+            2.0 * h * p.L + 3.0 * (p.A + k)
+        )
+        s = (p.A * s + k * p.L * w) / (p.A + k)
+        new[-1] = w
+        sigma.append(s)
+        rows.append(new)
+        row = new
+    rows = np.array(rows)
+    return SimpleNamespace(
+        t=np.arange(n_t + 1) * k, sigma=np.array(sigma), surface=rows[:, -1],
+        probes={z: _interp_rows(rows, zgrid, abs(z)) for z in probes},
+    )
+
+
+def _interp_rows(rows, zgrid, z):
+    """Each row's linear interpolant at z."""
+    i = min(int(z / (zgrid[1] - zgrid[0])), zgrid.size - 2)
+    frac = (z - zgrid[i]) / (zgrid[i + 1] - zgrid[i])
+    return (1.0 - frac) * rows[:, i] + frac * rows[:, i + 1]
+
+
 def max_dev(series, exact, t):
-    """Largest |series - exact| on t of sigma and of the wall value, in that order."""
+    """Largest |series - exact| on t of sigma, the wall value and each probe, in that order."""
     quantities = [(series.sigma, exact.sigma), (series.surface, exact.surface)]
+    quantities += [(series.probes[z], exact.probes[z]) for z in series.probes]
     return np.array([np.max(np.abs(np.interp(t, series.t, a) - b)) for a, b in quantities])
 
 
@@ -52,6 +94,27 @@ def test_agrees_with_de_hoog(A, L):
     reference = [sigma_de_hoog(p, tq) for tq in t[1:]]
     _, sigma_eq = equilibrium(p)
     assert np.max(np.abs(series.sigma[1:] - reference)) <= 1e-12 * sigma_eq
+
+
+@pytest.mark.parametrize("ic", [
+    pytest.param(parabolic_ic(), id="parabolic"),
+    # full-slab data with no node at z* = 0; mass 2 (0.3 + 0.1) 3.75 = 3
+    pytest.param(sampled_ic([-0.5, -0.3, 0.3, 0.5], [0.0, 3.75, 3.75, 0.0]), id="sampled"),
+    pytest.param(step_ic(), id="step"),
+])
+@pytest.mark.parametrize("A, L", [(0.01, 1.0), (0.5, 0.1), (0.01, 0.0)])
+def test_is_the_limit_of_the_heat_march(ic, A, L):
+    # sigma, the wall value and each probe: within 5 % of N0 at n_z = 64, and the
+    # distance halves from n_z = 32 (sigma is exactly 0 in both at L = 0)
+    p = params(A, L)
+    t = np.linspace(0.0, 1.0, 201)
+    exact = poles.to_series(p, ic, t, probes=PROBES)
+    coarse, fine = (max_dev(heat_march(p, ic, n_z, 1.0, probes=PROBES), exact, t)
+                    for n_z in (32, 64))
+    assert np.all(fine <= 0.05 * p.N0)
+    moving = coarse > 0
+    assert np.all(coarse[moving] / fine[moving] >= 1.8)
+    assert moving[1:].all() and moving[0] == (L > 0)
 
 
 @pytest.mark.parametrize("ic", [

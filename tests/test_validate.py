@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from hypersorb import poles
 from hypersorb.errors import InvalidInput
 from hypersorb.fdm import Grid, default_lambda, march, run_fdm
 from hypersorb.params import Params, equilibrium, sample_initial, step_ic
 from hypersorb.series import thin_indices
 from hypersorb.spectral import solve_spectral, to_series
-from hypersorb.validate import audit_conservation, audit_kinetics, compare_engines
+from hypersorb.validate import audit_conservation, audit_kinetics, compare_engines, run_parabolic
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +19,26 @@ def diffusive_params():
 @pytest.fixture(scope="module")
 def parabolic_reference(diffusive_params):
     # the exact B = 0 solution (the sum ignores B)
-    return poles.to_series(diffusive_params, step_ic(), np.linspace(0.0, 2.0, 801))
+    return run_parabolic(diffusive_params, step_ic(), np.linspace(0.0, 2.0, 801))
+
+
+class TestRunParabolic:
+    """validate.run_parabolic, the name the exact B = 0 sum keeps in this module."""
+
+    def test_monotonic_for_step_data(self, parabolic_reference):
+        assert np.all(np.diff(parabolic_reference.sigma) >= -1e-12)
+
+    def test_approaches_equilibrium(self, parabolic_reference, diffusive_params):
+        _, sigma_eq = equilibrium(diffusive_params)
+        assert parabolic_reference.sigma[-1] > 0.9 * sigma_eq
+
+    def test_inert_walls_adsorb_nothing(self):
+        # L = 0: the surface never accumulates particles and the bulk keeps
+        # the uniform state carrying the full mass
+        p = Params(A=0.01, B=1e-4, L=0.0, N0=3.0)
+        ser = run_parabolic(p, step_ic(), np.linspace(0.0, 1.0, 201), probes=[0.25])
+        assert np.all(ser.sigma == 0.0)
+        assert ser.probes[0.25][-1] == pytest.approx(3.0, abs=1e-12)
 
 
 class TestCompareEngines:
