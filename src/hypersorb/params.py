@@ -204,7 +204,7 @@ def sample_initial(ic: InitialCondition, p: Params, zgrid) -> np.ndarray:
     sampled data is validated and interpolated.
     """
     zgrid = np.asarray(zgrid, dtype=float)
-    if np.any(np.abs(zgrid) > 0.5 + 1e-12):
+    if not np.all(np.abs(zgrid) <= 0.5 + 1e-12):
         raise InvalidInput("zgrid points must lie within [-1/2, 1/2]")
     az = np.abs(zgrid)
     if ic.kind == "step":
@@ -228,30 +228,34 @@ def initial_mass(ic: InitialCondition, p: Params) -> float:
     return 2.0 * float(np.trapezoid(vh, zh))
 
 
-def _segment_cosine_integral(z0, z1, f0, f1, alpha):
-    """Exact integral of a linear segment times cos(alpha z) over [z0, z1]."""
-    slope = (f1 - f0) / (z1 - z0)
-    s1, s0 = np.sin(alpha * z1), np.sin(alpha * z0)
-    c1, c0 = np.cos(alpha * z1), np.cos(alpha * z0)
-    return (f1 * s1 - f0 * s0) / alpha + slope * (c1 - c0) / alpha**2
+def _segment_cosine_integral(z, f, alpha):
+    """Exact integrals of piecewise-linear f(z) times cos(alpha z), one per segment of z."""
+    az = alpha * z
+    s, c = np.sin(az), np.cos(az)
+    slope = np.diff(f) / np.diff(z)
+    return ((f[1:] * s[..., 1:] - f[:-1] * s[..., :-1]) / alpha
+            + slope * (c[..., 1:] - c[..., :-1]) / np.float_power(alpha, 2))
 
 
-def cosine_moment(ic: InitialCondition, p: Params, alpha: float) -> float:
-    """Integral of N(z*, 0) cos(alpha z*) over the full slab [-1/2, 1/2].
+def cosine_moment(ic: InitialCondition, p: Params, alpha):
+    """Integral of N(z*, 0) cos(alpha z*) over the full slab [-1/2, 1/2], for each alpha.
 
-    Closed forms for the step and parabolic profiles; the sampled profile is
-    integrated exactly segment by segment (piecewise-linear times cosine).
+    Closed forms for the step and parabolic profiles; sampled data is
+    validated once and integrated exactly segment by segment.  Powers use
+    float_power, the C library's pow, so that an array of alpha gives the
+    bits of scalar calls (numpy's power may take a SIMD path).
     """
-    if not alpha > 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(alpha > 0):
         raise InvalidInput("alpha must be strictly positive")
     half = 0.5 * alpha
     if ic.kind == "step":
-        return 2.0 * p.N0 * math.sin(half) / alpha
+        return 2.0 * p.N0 * np.sin(half) / alpha
     if ic.kind == "parabolic":
-        return 1.5 * p.N0 * (16.0 * math.sin(half) - 8.0 * alpha * math.cos(half)) / alpha**3
+        return 1.5 * p.N0 * (16.0 * np.sin(half) - 8.0 * alpha * np.cos(half)) / np.float_power(alpha, 3)
     if ic.kind == "sampled":
         _validate_sampled(ic, p)
         zh, vh = _half_profile(ic)
-        parts = _segment_cosine_integral(zh[:-1], zh[1:], vh[:-1], vh[1:], alpha)
-        return 2.0 * float(np.sum(parts))
+        parts = _segment_cosine_integral(zh, vh, alpha[..., None])
+        return 2.0 * np.sum(parts, axis=-1)
     raise InvalidInput(f"unknown initial condition kind {ic.kind!r}")

@@ -6,19 +6,22 @@ surface density is real, at s = -beta^2, where beta is a root of
 
     g(beta) = (1 - A beta^2) sin(beta/2)/beta + L cos(beta/2).
 
-The mode of root beta is (N, sigma) = (cos beta z, c) e^(-beta^2 t), with
-c = -sin(beta/2)/beta.  The modes are orthogonal under
+The mode of root beta is (N, sigma) = (cos beta z, -w) e^(-beta^2 t), with
+wall share w = sin(beta/2)/beta.  The modes are orthogonal under
 <(N, sigma), (M, rho)> = int_0^1/2 N M dz + sigma rho / L, and so is the
 equilibrium (N_eq, sigma_eq), so each coefficient is one projection of the
 initial bulk (the walls start empty), with no Gram solve:
 
-    a = (cosine_moment(beta)/2) / (1/4 + sin(beta)/(4 beta) + c^2/L),
-    sigma(t) = sigma_eq + sum a c e^(-beta^2 t),
+    a = (cosine_moment(beta)/2) / (1/4 + sin(beta)/(4 beta) + w^2/L),
+    sigma(t) = sigma_eq - sum a w e^(-beta^2 t),
     N(z, t) = N_eq + sum a cos(beta z) e^(-beta^2 t).
 
-A mode carries no mass (its cos(beta z) integrates to -2c over the slab),
-so conservation holds to rounding.  Inert walls (L = 0) keep sigma = 0 and
-leave the Neumann series of the bulk: beta = 2 k pi, c = 0, norm 1/4.
+spectral.modal_sums evaluates these over the real table e^(-beta^2 t) with
+amplitudes a; this module assembles the roots, a, w and the t = 0 row.  A
+mode carries no mass (its cos(beta z) integrates to 2w over the slab), so
+conservation holds to rounding.  Inert walls (L = 0) keep sigma = 0 and
+leave the Neumann series of the bulk: beta = 2 k pi, norm 1/4 and w = 0,
+set exactly since sin(k pi) does not round to 0.
 
 Roots.  g(2 k pi) = L (-1)^k.  Where cos(beta/2) and 1 - A beta^2 do not
 vanish, g = 0 reads tan(beta/2) = L beta/(A beta^2 - 1): the left side
@@ -40,10 +43,10 @@ import math
 import numpy as np
 
 from .eigen import bisect
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError
 from .params import InitialCondition, Params, cosine_moment, equilibrium, initial_mass, sample_initial
 from .series import TimeSeries
-from .spectral import phi_integral
+from .spectral import modal_sums, phi_integral, sample_times
 
 # terms with beta^2 t_1 above this are dropped (see the module docstring)
 DROP_EXPONENT = 40.0
@@ -90,40 +93,31 @@ def to_series(p: Params, ic: InitialCondition, tgrid, probes=()) -> TimeSeries:
     pole sum at every t > 0 and from the initial data at t = 0;
     conservation holds |mass + 2 sigma - N0| with the mass in closed form.
     """
-    t = np.asarray(tgrid, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0):
-        raise InvalidInput("the pole sum needs a 1-d array of finite times t >= 0")
-    later = t > 0
-    t_first = t[later].min() if later.any() else math.inf
-    beta = roots(p, t_first)
+    t = sample_times(tgrid)
+    later = t[t > 0]
+    beta = roots(p, later.min() if later.size else math.inf)
     n_eq, sigma_eq = equilibrium(p)
-    moments = np.array([cosine_moment(ic, p, b) for b in beta])
-    # the slab integral of cos(beta z) is -2c: a mode carries no mass
-    phi = phi_integral(beta)
+    moments = cosine_moment(ic, p, beta)
     if p.L > 0:
-        c = -0.5 * phi
-        a = 0.5 * moments / (0.25 + np.sin(beta) / (4.0 * beta) + c * c / p.L)
+        wall = 0.5 * phi_integral(beta)
+        a = 0.5 * moments / (0.25 + np.sin(beta) / (4.0 * beta) + wall * wall / p.L)
     else:
-        c, a = np.zeros_like(beta), 2.0 * moments
-    decay = np.multiply.outer(-t[later], beta * beta)
-    np.exp(decay, out=decay)
-
-    def field(level, modal, at_zero):
-        # level + decay @ modal at t > 0, at_zero at t = 0
-        out = np.empty(t.shape)
-        out[later] = level + decay @ modal
-        out[~later] = at_zero
-        return out
-
-    start = sample_initial(ic, p, np.r_[0.5, probes])
-    sigma = field(sigma_eq, a * c, 0.0)
-    mass = field(n_eq, a * phi, initial_mass(ic, p))
+        wall, a = np.zeros_like(beta), 2.0 * moments
+    decay = np.exp(np.multiply.outer(-later, beta * beta))
+    points = np.concatenate(([0.5], probes))
+    sigma, columns, cons = modal_sums(decay, beta, wall, n_eq, sigma_eq, p.N0, points, amp=a)
+    if later.size < t.size:
+        # t = 0 leads the ascending times: the initial data, walls empty
+        start = sample_initial(ic, p, points)
+        sigma = np.concatenate(([0.0], sigma))
+        columns = [np.concatenate(([v], column)) for v, column in zip(start, columns)]
+        cons = np.concatenate(([abs(initial_mass(ic, p) - p.N0)], cons))
     return TimeSeries(
         t=t,
         sigma=sigma,
-        surface=field(n_eq, a * np.cos(0.5 * beta), start[0]),
-        probes={float(z): field(n_eq, a * np.cos(beta * z), v) for z, v in zip(probes, start[1:])},
-        conservation=np.abs(mass + 2.0 * sigma - p.N0),
+        surface=columns[0],
+        probes={float(z): column for z, column in zip(probes, columns[1:])},
+        conservation=cons,
         params=p,
         meta={"engine": "parabolic", "roots": int(beta.size)},
     )

@@ -6,6 +6,10 @@ companion basis read off the Cholesky factor of the mode Gram matrix.  Each
 mode then evolves with its two temporal exponents and amplitudes fixed by
 the zero-initial-velocity condition, giving bulk and surface densities
 evaluable at any (z*, t*).
+
+modal_sums evaluates this series and the exact sum of hypersorb.poles alike;
+this module assembles the complex time table S1 e^{mu1 t} + S2 e^{mu2 t}
+(or its rate) and the stored rows of to_series.
 """
 
 from __future__ import annotations
@@ -49,6 +53,38 @@ def phi_integral(alphas) -> np.ndarray:
     """Integral of cos(alpha z*) over the full slab: 2 sin(alpha/2) / alpha."""
     a = np.asarray(alphas, dtype=float)
     return 2.0 * np.sin(0.5 * a) / a
+
+
+def sample_times(tgrid) -> np.ndarray:
+    """The sample times of a series: a 1-d array of finite t >= 0."""
+    t = np.asarray(tgrid, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0):
+        raise InvalidInput("a series needs a 1-d array of finite times t >= 0")
+    return t
+
+
+def modal_sums(table, freq, wall, n_eq, sigma_eq, N0, probes=(), amp=1.0):
+    """sigma, the bulk density at each probe, and conservation of a modal series.
+
+    Term k has an amplitude amp, a frequency freq, a share wall of the surface
+    density and the time factors table[..., k].  With S(f) = Re(sum over the
+    terms of amp f table): sigma = sigma_eq - S(wall), the density at a probe
+    z (a point or an array) is n_eq + S(cos(freq z)), and the closed-form
+    mass n_eq + S(2 wall) leaves a conservation residual of rounding only.
+    Each S contracts the term axes of table and f, time axes first: a
+    matrix-vector product unless both a time and a probe axis are present.
+    """
+    z = [np.asarray(zi, dtype=float) for zi in probes]
+    if not all(np.all(np.abs(zi) <= 0.5 + 1e-12) for zi in z):
+        raise InvalidInput("z* must lie within [-1/2, 1/2]")
+
+    def total(factor):
+        return np.real(np.inner(table, amp * factor))
+
+    sigma = sigma_eq - total(wall)
+    columns = [n_eq + total(np.cos(np.multiply.outer(zi, freq))) for zi in z]
+    mass = n_eq + total(2.0 * wall)
+    return sigma, columns, np.abs(mass + 2.0 * sigma - N0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +154,7 @@ def project_initial(ic: InitialCondition, basis: OrthoBasis, p: Params) -> np.nd
     the cosine modes through the triangular coefficient table.
     """
     n_eq, _ = equilibrium(p)
-    moments = np.array([cosine_moment(ic, p, a) for a in basis.alphas])
-    b = moments - n_eq * phi_integral(basis.alphas)
+    b = cosine_moment(ic, p, basis.alphas) - n_eq * phi_integral(basis.alphas)
     r = (basis.coeffs.T @ b) / basis.norms
     return basis.coeffs @ r
 
@@ -163,6 +198,11 @@ class SpectralSolution:
     def alphas(self) -> np.ndarray:
         return self.basis.alphas
 
+    @property
+    def wall(self) -> np.ndarray:
+        """sin(alpha/2)/alpha: each mode's share of the surface density."""
+        return 0.5 * phi_integral(self.alphas)
+
 
 def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
     """Complex modal weights S1 e^{mu1 t} + S2 e^{mu2 t} (or their t-derivative).
@@ -193,71 +233,40 @@ def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
     return np.add(w1, w2, out=w1)
 
 
-def _modal_sum(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Sum over modes of weights (n_modes or n_t x n_modes) times basis rows."""
-    if weights.ndim > 1:
-        return weights @ basis.T
-    return basis @ weights
-
-
-def _cosines(sol: SpectralSolution, zstar) -> np.ndarray:
-    """cos(alpha z*) for every mode, after checking z* lies in the slab."""
-    z = np.asarray(zstar, dtype=float)
-    if not np.all(np.abs(z) <= 0.5 + 1e-12):
-        raise InvalidInput("z* must lie within [-1/2, 1/2]")
-    return np.cos(np.multiply.outer(z, sol.alphas))
-
-
-def _wall_factors(sol: SpectralSolution) -> np.ndarray:
-    """sin(alpha/2)/alpha: each mode's share of the surface density."""
-    return np.sin(0.5 * sol.alphas) / sol.alphas
-
-
-def _density(sol: SpectralSolution, weights: np.ndarray, zstar) -> np.ndarray:
-    return sol.n_eq + np.real(_modal_sum(weights, _cosines(sol, zstar)))
-
-
-def _sigma(sol: SpectralSolution, weights: np.ndarray) -> np.ndarray:
-    return sol.sigma_eq - np.real(_modal_sum(weights, _wall_factors(sol)))
-
-
 def eval_density(sol: SpectralSolution, zstar, tstar):
-    """Bulk density N(z*, t*); broadcasts over array z* and t*."""
-    value = _density(sol, _time_weights(sol, tstar), zstar)
-    if np.isscalar(zstar) and np.isscalar(tstar):
-        return float(value)
-    return value
+    """Bulk density N(z*, t*); broadcasts over array z* and t*, t* axes first."""
+    _, (value,), _ = modal_sums(_time_weights(sol, tstar), sol.alphas, sol.wall, sol.n_eq,
+                                sol.sigma_eq, sol.params.N0, [zstar])
+    return float(value) if np.isscalar(zstar) and np.isscalar(tstar) else value
 
 
 def density_rate(sol: SpectralSolution, zstar, tstar):
     """Time derivative of the bulk density; zero at t* = 0 by construction."""
-    weights = _time_weights(sol, tstar, rate=True)
-    return np.real(_modal_sum(weights, _cosines(sol, zstar)))
+    _, (value,), _ = modal_sums(_time_weights(sol, tstar, rate=True), sol.alphas, sol.wall,
+                                0.0, 0.0, 0.0, [zstar])
+    return value
 
 
 def eval_sigma(sol: SpectralSolution, tstar):
     """Surface density sigma(t*) from the modewise conservation balance."""
-    value = _sigma(sol, _time_weights(sol, tstar))
-    if np.isscalar(tstar):
-        return float(value)
-    return value
+    value, _, _ = modal_sums(_time_weights(sol, tstar), sol.alphas, sol.wall, sol.n_eq,
+                             sol.sigma_eq, sol.params.N0)
+    return float(value) if np.isscalar(tstar) else value
 
 
 def sigma_rate(sol: SpectralSolution, tstar):
     """Time derivative of sigma(t*); vanishes identically at t* = 0."""
-    weights = _time_weights(sol, tstar, rate=True)
-    value = -np.real(_modal_sum(weights, _wall_factors(sol)))
-    if np.isscalar(tstar):
-        return float(value)
-    return value
+    value, _, _ = modal_sums(_time_weights(sol, tstar, rate=True), sol.alphas, sol.wall,
+                             0.0, 0.0, 0.0)
+    return float(value) if np.isscalar(tstar) else value
 
 
 def imag_residue(sol: SpectralSolution, zgrid, tgrid) -> float:
     """Largest imaginary leak of the complex evaluation over a probe grid."""
-    weights = _time_weights(sol, np.asarray(tgrid, dtype=float))
-    bulk = np.max(np.abs(np.imag(_modal_sum(weights, _cosines(sol, zgrid)))))
-    surf = np.max(np.abs(np.imag(_modal_sum(weights, _wall_factors(sol)))))
-    return float(max(bulk, surf))
+    # Im(w) = Re(-i w): the sums of the turned table are the leaks
+    weights = -1j * _time_weights(sol, np.asarray(tgrid, dtype=float))
+    surf, (bulk,), _ = modal_sums(weights, sol.alphas, sol.wall, 0.0, 0.0, 0.0, [zgrid])
+    return float(max(np.max(np.abs(bulk)), np.max(np.abs(surf))))
 
 
 def solve_spectral(
@@ -268,10 +277,9 @@ def solve_spectral(
     Truncation diagnostics are stored on the returned solution: the
     reconstruction error of the initial profile on 37 probe points, and
     the conservation residual |mass + 2 sigma - N0| at t* = 0.  The mass is
-    the exact slab integral n_eq + Re(sum of phi_integral times the t* = 0
-    weights), so the residual is rounding only: sigma is defined by the
-    modewise balance, which makes conservation an identity of the modal
-    series at any mode count.
+    the exact slab integral, so the residual is rounding only: sigma is
+    defined by the modewise balance, which makes conservation an identity
+    of the modal series at any mode count.
     """
     if not p.B > 0:
         raise InvalidInput("the modal engine requires B > 0; use the parabolic solver")
@@ -295,18 +303,16 @@ def solve_spectral(
         mu1=mu1,
         mu2=mu2,
     )
-    weights0 = _time_weights(sol, 0.0)
     zprobe = np.linspace(-0.45, 0.45, 37)
-    recon = _density(sol, weights0, zprobe)
+    sigma0, (recon,), cons0 = modal_sums(_time_weights(sol, 0.0), alphas, sol.wall, n_eq,
+                                         sigma_eq, p.N0, [zprobe])
     target = sample_initial(ic, p, zprobe)
-    mass0 = n_eq + np.real(phi_integral(alphas) @ weights0)
-    sigma0 = float(_sigma(sol, weights0))
     sol.diagnostics = {
         "mode_count": mode_count,
         "reconstruction_max_error": float(np.max(np.abs(recon - target))),
         "reconstruction_error_at_center": float(abs(recon[18] - target[18])),
-        "sigma_at_zero": sigma0,
-        "conservation_residual_t0": float(abs(mass0 + 2.0 * sigma0 - p.N0)),
+        "sigma_at_zero": float(sigma0),
+        "conservation_residual_t0": float(cons0),
         "orthogonality_residual": orthogonality_residual(basis),
     }
     return sol
@@ -318,23 +324,18 @@ def to_series(sol: SpectralSolution, tgrid, probes=()) -> TimeSeries:
     conservation holds |mass + 2 sigma - N0| at every sample, the mass being
     the exact slab integral of the modal series.
     """
-    t = np.asarray(tgrid, dtype=float)
+    t = sample_times(tgrid)
     weights = _time_weights(sol, t)
-    sigma = _sigma(sol, weights)
-    surface = _density(sol, weights, 0.5)
-    probe_map = {float(z): _density(sol, weights, float(z)) for z in probes}
+    sigma, columns, cons = modal_sums(weights, sol.alphas, sol.wall, sol.n_eq, sol.sigma_eq,
+                                      sol.params.N0, np.concatenate(([0.5], probes)))
     row_z = np.linspace(0.0, 0.5, ROW_Z_COUNT)
     idx = thin_indices(t.size, MAX_ROWS)
-    rows = _density(sol, weights[idx], row_z)
-    # the slab mass in closed form at every sample, as solve_spectral takes it
-    # at t* = 0: the residual is rounding only (the rows stay for audits)
-    mass = sol.n_eq + np.real(weights @ phi_integral(sol.alphas))
-    cons = np.abs(mass + 2.0 * sigma - sol.params.N0)
+    rows = sol.n_eq + np.real(weights[idx] @ np.cos(np.multiply.outer(row_z, sol.alphas)).T)
     return TimeSeries(
         t=t,
-        sigma=np.asarray(sigma),
-        surface=np.asarray(surface),
-        probes=probe_map,
+        sigma=sigma,
+        surface=columns[0],
+        probes={float(z): column for z, column in zip(probes, columns[1:])},
         rows=rows,
         row_times=t[idx],
         row_z=row_z,

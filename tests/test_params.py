@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hypersorb import poles
+from hypersorb.eigen import find_eigenvalues
 from hypersorb.errors import InvalidInput
 from hypersorb.params import (
     InitialCondition,
@@ -24,6 +26,10 @@ from hypersorb.params import (
     step_ic,
     wave_speed,
 )
+
+# a 401-point parabolic profile on the half slab, normalized to mass 3 below
+SAMPLED_Z = np.linspace(0.0, 0.5, 401)
+SAMPLED_V = 1.0 - 4.0 * SAMPLED_Z**2
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -261,6 +267,24 @@ class TestCosineMoment:
         fine = np.linspace(0, 0.5, 200001)
         oracle = 2 * np.trapezoid(np.interp(fine, z, v) * np.cos(alpha * fine), fine)
         assert cosine_moment(ic, self.p, alpha) == pytest.approx(oracle, abs=1e-8)
+
+
+    @pytest.mark.parametrize("ic", [
+        pytest.param(step_ic(), id="step"),
+        pytest.param(parabolic_ic(), id="parabolic"),
+        pytest.param(sampled_ic(SAMPLED_Z, SAMPLED_V * 3.0 / (2.0 * np.trapezoid(SAMPLED_V, SAMPLED_Z))),
+                     id="sampled"),
+    ])
+    def test_array_form_is_the_scalar_form(self, ic):
+        # the frequencies of both sum engines: paper modes and B = 0 roots
+        p = Params(A=1e-3, B=0.1, L=1.0, N0=3.0)
+        alphas = np.r_[[m.alpha for m in find_eigenvalues(p, 200)], poles.roots(p, 1e-4)]
+        moments = cosine_moment(ic, p, alphas)
+        assert moments.shape == alphas.shape
+        assert moments.tobytes() == np.array([cosine_moment(ic, p, a) for a in alphas]).tobytes()
+        assert cosine_moment(ic, p, alphas[:0]).shape == (0,)
+        with pytest.raises(InvalidInput):
+            cosine_moment(ic, p, np.r_[alphas[:3], math.nan])
 
 
 class TestParamsValidation:

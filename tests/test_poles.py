@@ -7,10 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from hypersorb import poles
+from hypersorb import poles, spectral
 from hypersorb.errors import ConfigError, InvalidInput
 from hypersorb.fdm import Grid, default_lambda, run_fdm
 from hypersorb.params import Params, equilibrium, parabolic_ic, sample_initial, sampled_ic, step_ic
+from hypersorb.spectral import solve_spectral
 
 # (A, L) sets: a fast wall, a slow strong wall, a slow weak wall
 DE_HOOG_SETS = [(0.01, 1.0), (1.0, 100.0), (0.5, 0.1)]
@@ -230,3 +231,22 @@ def test_B_is_ignored_and_probes_are_even():
 def test_bad_times_refused(tgrid):
     with pytest.raises(InvalidInput, match="finite times"):
         poles.to_series(params(0.01, 1.0), step_ic(), tgrid)
+
+
+@pytest.mark.parametrize("tgrid", [0.5, [[0.0, 0.5]], [0.0, math.inf]])
+def test_bad_times_refused_by_the_modal_series(tgrid):
+    # the spectral engine shares the pole sum's time check
+    sol = solve_spectral(params(0.01, 1.0, B=0.1), step_ic(), 8)
+    with pytest.raises(InvalidInput, match="finite times"):
+        spectral.to_series(sol, tgrid)
+    with pytest.raises(InvalidInput, match="finite times"):
+        poles.to_series(params(0.01, 1.0), step_ic(), tgrid)
+
+
+def test_nan_probe_refused():
+    p = params(0.01, 1.0)
+    with pytest.raises(InvalidInput):
+        sample_initial(step_ic(), p, np.array([math.nan]))
+    for t in ([0.0, 0.5], [0.5, 1.0]):
+        with pytest.raises(InvalidInput):
+            poles.to_series(p, step_ic(), t, probes=[math.nan])

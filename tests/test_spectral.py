@@ -32,6 +32,7 @@ from hypersorb.spectral import (
     density_rate,
     gram_matrix,
     imag_residue,
+    modal_sums,
     orthogonality_residual,
     orthogonalize,
     phi_integral,
@@ -306,6 +307,15 @@ class TestEvaluation:
         with pytest.raises(InvalidInput):
             to_series(spectral_oscillatory_50, [0.0, 0.1], probes=[math.nan])
 
+    def test_density_axes_are_times_then_positions(self, spectral_oscillatory_50):
+        sol = spectral_oscillatory_50
+        z = np.array([[0.0, 0.1, 0.2], [0.3, 0.4, 0.5]])
+        at_one = eval_density(sol, z, 0.3)
+        both = eval_density(sol, z, np.array([0.0, 0.3]))
+        assert at_one.shape == (2, 3) and both.shape == (2, 2, 3)
+        assert both[1] == pytest.approx(at_one, abs=1e-12)
+        assert at_one[1, 2] == pytest.approx(eval_density(sol, 0.5, 0.3), abs=1e-12)
+
 
 class TestSolveSpectral:
     def test_requires_wave_regime(self):
@@ -368,6 +378,10 @@ class TestModeRegimes:
             expected = sol.mu1 * w1 + sol.mu2 * w2 if rate else w1 + w2
             assert spectral._time_weights(sol, t, rate=rate).tobytes() == expected.tobytes()
 
+    def test_wall_share_bit_exact(self, regime_solution):
+        a = regime_solution.alphas
+        assert regime_solution.wall.tobytes() == (np.sin(0.5 * a) / a).tobytes()
+
     def test_conservation_residual_closed_form(self, regime_solution):
         N0 = regime_solution.params.N0
         assert regime_solution.diagnostics["conservation_residual_t0"] <= 1e-14 * N0
@@ -390,3 +404,19 @@ class TestModeRegimes:
             residuals.append(abs(mass + 2.0 * sigma0 - sol.params.N0))
         assert residuals[0] > 1e-6
         assert np.divide(residuals[:-1], residuals[1:]) == pytest.approx(4.0, rel=0.01)
+
+
+def test_modal_sums_fields():
+    # three terms on a real table with amplitudes, as the pole sum hands them over
+    freq = np.array([3.0, 7.5, 11.0])
+    wall = np.sin(0.5 * freq) / freq
+    amp = np.array([0.4, -0.2, 0.1])
+    table = np.exp(np.multiply.outer(-np.array([0.01, 0.1, 0.3]), freq**2))
+    z = np.array([0.0, 0.25, 0.5])
+    sigma, (centre, grid), cons = modal_sums(table, freq, wall, 1.0, 0.5, 2.0, [0.0, z], amp=amp)
+    assert sigma == pytest.approx(0.5 - table @ (amp * wall), abs=1e-15)
+    assert centre == pytest.approx(1.0 + table @ amp, abs=1e-15)
+    direct = 1.0 + table @ (amp * np.cos(np.multiply.outer(z, freq))).T
+    assert grid.shape == (3, 3) and grid == pytest.approx(direct, abs=1e-15)
+    # the mass 1 + S(2 wall) and 2 sigma = 1 - 2 S(wall) cancel against N0 = 2
+    assert np.max(cons) <= 1e-15
