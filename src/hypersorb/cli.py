@@ -27,8 +27,8 @@ OUTDIR_ENV = "HYPERSORB_OUTDIR"
 SWEEP_AXES = ("A", "B", "L", "N0")
 ENGINES = ("fdm", "spectral", "parabolic", "compare")
 
-# ten times the largest mode count in use; the root scan holds
-# eigen.SCAN_POINTS points per mode and the Gram matrix modes^2 doubles
+# ten times the largest mode count in use; the Gram matrix holds modes^2
+# doubles, and its orthogonality check costs two modes^3 products
 MAX_MODES = 2000
 
 # 250 times the default eigen-dump grid; the table costs ~85 bytes a point
@@ -153,8 +153,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite and strictly positive, got {value!r}")
         if not 1 <= self.modes <= MAX_MODES:
             raise ConfigError(
-                f"modes must be between 1 and {MAX_MODES}, got {self.modes}: the root scan"
-                f" holds {eigen.SCAN_POINTS} points per mode and the Gram matrix modes^2 doubles"
+                f"modes must be between 1 and {MAX_MODES}, got {self.modes}: the Gram matrix"
+                " holds modes^2 doubles and its orthogonality check costs two modes^3 products"
             )
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
@@ -310,8 +310,9 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.engine == "spectral":
         diag["eigenvalues"] = [m.alpha for m in sol.modes]
         diag["anchors"] = [m.index for m in sol.modes]
-        diag["amplitudes_S1"] = [complex(v) for v in sol.S1]
-        diag["amplitudes_S2"] = [complex(v) for v in sol.S2]
+        # [re, im] pairs, as write_json encodes a complex, built without its hook
+        diag["amplitudes_S1"] = np.column_stack((sol.S1.real, sol.S1.imag)).tolist()
+        diag["amplitudes_S2"] = np.column_stack((sol.S2.real, sol.S2.imag)).tolist()
     write_json(diag, os.path.join(outdir, f"{cfg.name}.json"))
     print(csv_path)
     return 0

@@ -16,9 +16,17 @@ The rates and the secular equation are each written once, as the array
 functions ``_rates`` and ``secular``; the real part of the continued
 equation is ``_real_part``, which ``secular`` builds on.  ``eigen_grid`` is
 the public evaluator of the secular functions: it masks their undefined
-entries with NaN rather than raising.  ``find_eigenvalues`` scans the first
-``count`` anchor intervals as one flat grid and bisects every bracket
-together, one evaluation of the real part per step.
+entries with NaN rather than raising.
+
+``find_eigenvalues`` searches the first ``count`` anchor intervals, each
+between the tan poles around 2 m pi.  Most hold exactly one root, and a
+slope certificate proves it: between the seeds lo, hi the tan(alpha/2)/alpha
+term rises at least (1 - 1/hi^2)/(2 hi), while, where den > 0 at lo, the
+kinetic term changes at most |L 2B(2B - A)| 8 A^2 B hi / den(lo)^2.  Where
+the rise wins and re changes sign from lo to hi, [lo, hi] is the root's
+bracket (``_rising``).  The remaining intervals, the one holding the kinetic
+pole among them, are scanned on SCAN_POINTS points (``_scan``).  Every
+bracket is bisected together, one evaluation of the real part per step.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ SEED_MARGIN = 1e-6
 # bisection stops once the bracket is narrower than this or its ends are
 # adjacent floats
 BRACKET_TOL = 1e-12
-# points per anchor interval in the root scan
+# points per anchor interval in the root scan of the intervals the slope
+# certificate leaves uncertified
 SCAN_POINTS = 601
 # roots this close to alpha_c are nudged off the degenerate point
 CRITICAL_NUDGE = 1e-9
@@ -129,8 +138,9 @@ def secular(alpha: np.ndarray, p: Params) -> Secular:
 def _real_part(alpha: np.ndarray, p: Params):
     """re of the secular equation, with the terms tan(alpha/2)/alpha, q and den it shares.
 
-    The root scan and the bisection read re alone; ``secular`` builds its
-    other parts from the shared terms.
+    The certificate, the root scan and the bisection read re (the
+    certificate den too); ``secular`` builds its other parts from the
+    shared terms.
     """
     A, B, L = p.A, p.B, p.L
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -153,19 +163,40 @@ def kinetic_pole(p: Params) -> float | None:
     return None
 
 
-def _scan(p: Params, count: int) -> np.ndarray:
-    """Ascending scan points of the first ``count`` anchor intervals.
-
-    Interval m runs between the tan poles around 2 m pi, each moved in by
-    SEED_MARGIN pi: SCAN_POINTS even points, plus geometric refinement on
-    both sides of the kinetic pole in the interval holding it.
-    """
-    m = np.arange(1, count + 1)
+def _anchor_seeds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket seeds lo, hi of anchor intervals m: the tan poles around 2 m pi,
+    each moved in by SEED_MARGIN pi."""
     lo = (2 * m - 1) * math.pi + SEED_MARGIN * math.pi
     hi = (2 * m + 1) * math.pi - SEED_MARGIN * math.pi
+    return lo, hi
+
+
+def _rising(p: Params, hi: np.ndarray, den_lo: np.ndarray) -> np.ndarray:
+    """True where re provably increases on the anchor interval [lo, hi].
+
+    Between its tan poles re is tan(alpha/2)/alpha + K(alpha).  The first
+    term rises at least (1 - 1/alpha^2)/(2 alpha), the minimum of its slope
+    over tan(alpha/2), which for alpha > sqrt(3) is smallest at hi.  Where
+    den(lo) > 0, den grows across the interval and the kinetic term
+    K = L 2B(2B - A)/den changes at most |L 2B(2B - A)| 8 A^2 B hi / den(lo)^2.
+    """
+    A, B, L = p.A, p.B, p.L
+    rise = (1.0 - 1.0 / (hi * hi)) / (2.0 * hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        drift = abs(L * 2.0 * B * (2.0 * B - A)) * 8.0 * A**2 * B * hi / (den_lo * den_lo)
+    return (den_lo > 0.0) & (rise > drift)
+
+
+def _scan(p: Params, m: np.ndarray) -> np.ndarray:
+    """Ascending scan points of the anchor intervals m, an ascending array.
+
+    SCAN_POINTS even points from lo to hi of each, plus geometric refinement
+    on both sides of the kinetic pole in the interval holding it.
+    """
+    lo, hi = _anchor_seeds(m)
     alpha = np.linspace(lo, hi, SCAN_POINTS, axis=1).ravel()
     pole = kinetic_pole(p)
-    host = (lo < pole) & (pole < hi) if pole is not None else np.zeros(count, bool)
+    host = (lo < pole) & (pole < hi) if pole is not None else np.zeros(m.size, bool)
     if host.any():
         offsets = np.geomspace(1e-9, 0.5, 24)
         extra = np.concatenate([pole - offsets, pole + offsets])
@@ -201,21 +232,16 @@ def bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float = BRACKET
         fa = np.where(left, fa, fm)
 
 
-def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
-    """First ``count`` roots of the continued secular equation, ascending.
+def _scanned_cells(p: Params, m: np.ndarray):
+    """Sign-change cells of the scan over anchor intervals m.
 
-    Each anchor interval yields a root or raises, so the first ``count`` are
-    scanned together; the one holding the kinetic pole may yield two.  Sign
-    changes across an interval boundary or the kinetic pole are blow-ups,
-    not roots.  Roots within CRITICAL_NUDGE of alpha_c are pushed off the
-    degenerate point so both exponents stay distinct.
+    Returns the left ends a, right ends b, values at a, interval ordinals
+    and whether each cell needs bisection (False: re is exactly 0 at a).
+    Sign changes across an interval boundary or the kinetic pole are
+    blow-ups, not roots.
     """
-    if count < 1:
-        raise InvalidInput("count must be at least 1")
-    if not p.B > 0:
-        raise InvalidInput("the eigenvalue set requires B > 0")
-    alpha = _scan(p, count)
-    # the anchor interval m of a scan point is the one around the nearest 2 m pi
+    alpha = _scan(p, m)
+    # the anchor interval of a scan point is the one around the nearest 2 m pi
     index = np.rint(alpha / (2.0 * math.pi)).astype(int)
     values = _real_part(alpha, p)[0]
     fa, fb = values[:-1], values[1:]
@@ -225,25 +251,53 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
         usable &= ~((alpha[:-1] < pole) & (pole < alpha[1:]))
     change = usable & (fa * fb < 0.0)
     cells = np.flatnonzero(change | (usable & (fa == 0.0)))
-    found = np.bincount(index[cells], minlength=count + 1)[1:]
+    return alpha[cells], alpha[cells + 1], fa[cells], index[cells], change[cells]
+
+
+def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
+    """First ``count`` roots of the continued secular equation, ascending.
+
+    Each anchor interval yields a root or raises, so the first ``count`` are
+    searched together.  An interval on which ``_rising`` proves re increasing,
+    and whose seeds straddle a sign change, holds one root and is bracketed
+    by its seeds.  The others, the one holding the kinetic pole among them
+    (it may yield two roots), are scanned.  Every bracket is then bisected
+    in one call.  Roots within CRITICAL_NUDGE of alpha_c are pushed off the
+    degenerate point so both exponents stay distinct.
+    """
+    if count < 1:
+        raise InvalidInput("count must be at least 1")
+    if not p.B > 0:
+        raise InvalidInput("the eigenvalue set requires B > 0")
+    m = np.arange(1, count + 1)
+    lo, hi = _anchor_seeds(m)
+    f_lo, _, _, den_lo = _real_part(lo, p)
+    # a rising re that changes sign between the seeds has one root there
+    sure = _rising(p, hi, den_lo) & (f_lo < 0.0) & (_real_part(hi, p)[0] > 0.0)
+    a, b, fa, index, bisected = _scanned_cells(p, m[~sure])
+    found = np.bincount(index, minlength=count + 1)[1:] + sure
     empty = (found == 0) & (np.cumsum(found) - found < count)
     if empty.any():
-        m = int(np.argmax(empty)) + 1
+        bad = int(np.argmax(empty)) + 1
         raise BracketingError(
-            f"no sign change of the secular equation inside anchor interval m={m}"
-            f" (({2 * m - 1}pi, {2 * m + 1}pi)) for {p}"
+            f"no sign change of the secular equation inside anchor interval m={bad}"
+            f" (({2 * bad - 1}pi, {2 * bad + 1}pi)) for {p}"
         )
-    cells = cells[:count]
-    roots, bisected = alpha[cells], change[cells]
-    left = cells[bisected]
-    roots[bisected] = bisect(lambda x: _real_part(x, p)[0], alpha[left], alpha[left + 1],
-                             fa[left])
+    # each interval is either certified or scanned, so ordering by left end
+    # orders the brackets by interval and, within one, by position
+    a, b, fa = (np.concatenate((x, y[sure])) for x, y in ((a, lo), (b, hi), (fa, f_lo)))
+    index = np.concatenate((index, m[sure]))
+    bisected = np.concatenate((bisected, np.ones(sure.sum(), bool)))
+    order = np.argsort(a, kind="stable")[:count]
+    roots, bisected, index = a[order], bisected[order], index[order]
+    left = order[bisected]
+    roots[bisected] = bisect(lambda x: _real_part(x, p)[0], a[left], b[left], fa[left])
     a_c = alpha_critical(p)
     roots = np.where(np.abs(roots - a_c) < CRITICAL_NUDGE, a_c + CRITICAL_NUDGE, roots)
     rates = zip(*(mu.tolist() for mu in _rates(roots, p.B)))
     return [
         Mode(a, Exponents(*mu), index=m)
-        for a, mu, m in zip(roots.tolist(), rates, index[cells].tolist())
+        for a, mu, m in zip(roots.tolist(), rates, index.tolist())
     ]
 
 

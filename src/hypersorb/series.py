@@ -46,13 +46,16 @@ class TimeSeries:
 
 
 def thin_indices(n_levels: int, max_rows: int) -> np.ndarray:
-    """Evenly spaced level indices including both endpoints."""
+    """Evenly spaced level indices including both endpoints, strictly increasing.
+
+    Below n_levels rows the spacing (n_levels - 1)/(max_rows - 1) exceeds 1,
+    so the rounded points never repeat.
+    """
     if max_rows < 2:
         raise InvalidInput(f"max_rows must be at least 2 to hold both endpoints, got {max_rows}")
     if max_rows >= n_levels:
         return np.arange(n_levels)
-    idx = np.linspace(0, n_levels - 1, max_rows).round().astype(int)
-    return np.unique(idx)
+    return np.linspace(0, n_levels - 1, max_rows).round().astype(int)
 
 
 def thin_series(series: TimeSeries, samples: int) -> TimeSeries:

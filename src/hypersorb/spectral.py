@@ -23,8 +23,10 @@ from .errors import DegenerateBasisError, DegenerateModeError, InvalidInput
 from .params import InitialCondition, Params, cosine_moment, equilibrium, sample_initial
 from .series import TimeSeries, thin_indices
 
-# Gram matrices with a condition estimate beyond this are rejected
+# Gram matrices whose condition bound exceeds this are rejected
 MAX_GRAM_CONDITION = 1e12
+# unit_upper_inverse inverts blocks of at most this many rows directly
+INVERSE_BLOCK = 32
 
 # to_series stores rows on ROW_Z_COUNT even points of the half slab, at no
 # more than MAX_ROWS time levels
@@ -102,6 +104,24 @@ class OrthoBasis:
     gram: np.ndarray
 
 
+def unit_upper_inverse(u: np.ndarray) -> np.ndarray:
+    """Inverse of a unit upper triangular matrix by recursive 2 x 2 blocks.
+
+    inv([[A, B], [0, C]]) = [[A^-1, -A^-1 B C^-1], [0, C^-1]]: the work is
+    matrix products, and the inverse keeps exact zeros below its diagonal.
+    Blocks of at most INVERSE_BLOCK rows are inverted directly.
+    """
+    n = u.shape[0]
+    if n <= INVERSE_BLOCK:
+        return np.linalg.inv(u)
+    k = n // 2
+    top, bottom = unit_upper_inverse(u[:k, :k]), unit_upper_inverse(u[k:, k:])
+    inv = np.zeros_like(u)
+    inv[:k, :k], inv[k:, k:] = top, bottom
+    inv[:k, k:] = -(top @ u[:k, k:]) @ bottom
+    return inv
+
+
 def orthogonalize(alphas) -> OrthoBasis:
     """Orthogonal companions from the Cholesky factor G = R^T R of the Gram matrix.
 
@@ -109,6 +129,12 @@ def orthogonalize(alphas) -> OrthoBasis:
     columns of R^-1 diag(R) with squared norms diag(R)^2.  Only exact Gram
     entries enter (no quadrature); the flags spanned are those of the
     classical cofactor-of-Gram construction.
+
+    The unit triangle is inverted by unit_upper_inverse.  The guard needs no
+    eigenvalues: gram_condition_bound reads ||G^-1||_1 <= ||R^-1||_1
+    ||R^-T||_1 off that inverse, so it is at least kappa_1(G), which for a
+    symmetric G is at least the 2-norm condition.  A Gram matrix that
+    Cholesky cannot factor is refused as singular.
     """
     alphas = np.asarray(alphas, dtype=float)
     gram = gram_matrix(alphas)
@@ -117,24 +143,36 @@ def orthogonalize(alphas) -> OrthoBasis:
         raise DegenerateBasisError(
             "Gram matrix is not finite; the mode frequencies must be distinct"
         )
-    # 2-norm condition of the symmetric Gram matrix from its eigenvalues; an
-    # exactly singular one gives inf (or nan when zero), refused below
-    spectrum = np.abs(np.linalg.eigvalsh(gram))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = spectrum.max() / spectrum.min()
-    if not np.isfinite(cond) or cond > MAX_GRAM_CONDITION:
-        raise DegenerateBasisError(
-            f"Gram matrix condition {cond:.3g} exceeds {MAX_GRAM_CONDITION:.0e};"
-            " reduce the mode count"
-        )
     try:
         upper = np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError as exc:
-        raise DegenerateBasisError(f"Gram matrix is not positive definite: {exc}") from exc
+        raise DegenerateBasisError(
+            f"Gram matrix is not positive definite, so its condition is unbounded: {exc};"
+            " reduce the mode count"
+        ) from exc
     diag = np.diag(upper)
     # R^-1 diag(R) is the inverse of the unit triangle diag(R)^-1 R
-    coeffs = np.linalg.inv(upper / diag[:, None])
-    return OrthoBasis(alphas=alphas, coeffs=coeffs, norms=diag**2, gram=gram)
+    basis = OrthoBasis(alphas=alphas, coeffs=unit_upper_inverse(upper / diag[:, None]),
+                       norms=diag**2, gram=gram)
+    cond = gram_condition_bound(basis)
+    if not cond <= MAX_GRAM_CONDITION:
+        raise DegenerateBasisError(
+            f"Gram matrix condition bound {cond:.3g} exceeds {MAX_GRAM_CONDITION:.0e};"
+            " reduce the mode count"
+        )
+    return basis
+
+
+def gram_condition_bound(basis: OrthoBasis) -> float:
+    """||G||_1 ||R^-1||_1 ||R^-1||_inf, an upper bound on the condition of G.
+
+    R^-1 is coeffs / diag(R), diag(R) being the square root of norms; an
+    overflow gives inf.  O(n^2): the inverse is already in coeffs.
+    """
+    with np.errstate(over="ignore"):
+        inv = np.abs(basis.coeffs / np.sqrt(basis.norms))
+        return float(np.abs(basis.gram).sum(axis=0).max() * inv.sum(axis=0).max()
+                     * inv.sum(axis=1).max())
 
 
 def orthogonality_residual(basis: OrthoBasis) -> float:

@@ -15,6 +15,18 @@ MODE_REGIMES = [
     pytest.param((Params(A=0.5, B=1e-3, L=0.1, N0=3.0), 50, 2), id="two-real-pole"),
 ]
 
+# the (A, B, L) sets of the acceptance fixtures, criterion 4's B = 1e-2 and
+# the weak-wall wave set (L = 0.1), on which the root certificate and the
+# Gram guard are checked
+ACCEPTANCE_SETS = [
+    Params(A=1e-3, B=0.1, L=1.0, N0=3.0),
+    Params(A=0.01, B=0.1, L=1.0, N0=3.0),
+    Params(A=0.5, B=1e-3, L=0.1, N0=3.0),
+    Params(A=0.01, B=1e-3, L=1.0, N0=3.0),
+    Params(A=0.01, B=1e-2, L=1.0, N0=3.0),
+    Params(A=0.01, B=0.1, L=0.1, N0=3.0),
+]
+
 
 @pytest.fixture(scope="session")
 def secular_landmark_params():

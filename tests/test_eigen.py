@@ -226,69 +226,98 @@ class TestFindEigenvalues:
         assert np.all(np.diff(alphas) > 0)
 
     def test_bracketing_failure_reported(self, oscillatory_params, monkeypatch):
-        # a scan that misses anchor interval 2 leaves it without a root
-        scan = eigen._scan
+        # anchor interval 2 left uncertified, and a scan that misses it, leave
+        # it without a root
+        scan, rising = eigen._scan, eigen._rising
 
-        def without_second_interval(p, count):
-            alpha = scan(p, count)
+        def without_second_interval(p, m):
+            alpha = scan(p, m)
             return alpha[np.abs(alpha - 4 * math.pi) > math.pi]
 
+        def second_uncertified(p, hi, den_lo):
+            return rising(p, hi, den_lo) & (np.abs(hi - 5 * math.pi) > 1e-3)
+
         monkeypatch.setattr(eigen, "_scan", without_second_interval)
+        monkeypatch.setattr(eigen, "_rising", second_uncertified)
         with pytest.raises(BracketingError, match="m=2"):
             find_eigenvalues(oscillatory_params, 3)
 
 
-def reference_roots(p, count):
-    """(alpha, m) of the first ``count`` roots, one anchor interval at a time.
-
-    The scan-and-bisect algorithm written out in scalar form: 601 points per
-    interval plus refinement around the kinetic pole, then plain bisection
-    of each bracket to 1e-12 with a Python-float loop.
-    """
+def _secular_re(p, a):
+    """re of the secular equation and its den, evaluated as numpy arrays."""
     A, B, L = p.A, p.B, p.L
+    a = np.asarray(a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = 4.0 * a**2 * B - 1.0
+        den = (2.0 * B - A) ** 2 + A**2 * q
+        return np.tan(0.5 * a) / a + L * 2.0 * B * (2.0 * B - A) / den, den
 
-    def re_E(a):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = 4.0 * a**2 * B - 1.0
-            den = (2.0 * B - A) ** 2 + A**2 * q
-            return np.tan(0.5 * a) / a + L * 2.0 * B * (2.0 * B - A) / den
 
-    def bisect(a, b, fa):
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            fm = re_E(np.asarray(mid)).item()
-            if fm == 0.0:
-                return mid
-            if (fa < 0.0) != (fm < 0.0):
-                b = mid
-            else:
-                a, fa = mid, fm
-        return 0.5 * (a + b)
+def _seeds(m):
+    return (2 * m - 1) * math.pi + 1e-6 * math.pi, (2 * m + 1) * math.pi - 1e-6 * math.pi
 
+
+def _scalar_bisect(p, a, b, fa):
+    """Plain bisection of [a, b] to 1e-12 with a Python-float loop."""
+    while b - a > 1e-12:
+        mid = 0.5 * (a + b)
+        fm = _secular_re(p, mid)[0].item()
+        if fm == 0.0:
+            return mid
+        if (fa < 0.0) != (fm < 0.0):
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def _scanned_interval(p, m):
+    """Roots of anchor interval m by the scan: 601 points plus refinement
+    around the kinetic pole, each sign change bisected."""
+    A, B = p.A, p.B
     pole = math.sqrt(A - B) / A if A > B else None
-    a_c = 0.5 / math.sqrt(B)
+    lo, hi = _seeds(m)
+    grid = np.linspace(lo, hi, 601)
+    if pole is not None and lo < pole < hi:
+        offsets = np.geomspace(1e-9, 0.5, 24)
+        extra = np.concatenate([pole - offsets, pole + offsets])
+        grid = np.sort(np.concatenate([grid, extra[(extra > lo) & (extra < hi)]]))
+    values = _secular_re(p, grid)[0]
+    roots = []
+    for i in range(grid.size - 1):
+        a, b, fa, fb = (float(v) for v in (grid[i], grid[i + 1], values[i], values[i + 1]))
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            continue
+        if pole is not None and a < pole < b:
+            continue
+        if fa == 0.0:
+            roots.append(a)
+        elif fa * fb < 0.0:
+            roots.append(_scalar_bisect(p, a, b, fa))
+    return roots
+
+
+def _certified_interval(p, m):
+    """The root of anchor interval m bisected from its seeds, or None when the
+    slope bounds do not prove re rising there or the seeds share a sign."""
+    A, B, L = p.A, p.B, p.L
+    lo, hi = _seeds(m)
+    f_lo, den_lo = (v.item() for v in _secular_re(p, lo))
+    f_hi = _secular_re(p, hi)[0].item()
+    if not (den_lo > 0.0 and f_lo < 0.0 < f_hi):
+        return None
+    rise = (1.0 - 1.0 / (hi * hi)) / (2.0 * hi)
+    drift = abs(L * 2.0 * B * (2.0 * B - A)) * 8.0 * A**2 * B * hi / (den_lo * den_lo)
+    return _scalar_bisect(p, lo, hi, f_lo) if rise > drift else None
+
+
+def _first_roots(p, count, interval_roots):
+    """(alpha, m) of the first ``count`` roots, one anchor interval at a time."""
+    a_c = 0.5 / math.sqrt(p.B)
     found, m = [], 0
     while len(found) < count:
         m += 1
-        lo = (2 * m - 1) * math.pi + 1e-6 * math.pi
-        hi = (2 * m + 1) * math.pi - 1e-6 * math.pi
-        grid = np.linspace(lo, hi, 601)
-        if pole is not None and lo < pole < hi:
-            offsets = np.geomspace(1e-9, 0.5, 24)
-            extra = np.concatenate([pole - offsets, pole + offsets])
-            grid = np.sort(np.concatenate([grid, extra[(extra > lo) & (extra < hi)]]))
-        values = re_E(grid)
-        roots = []
-        for i in range(grid.size - 1):
-            a, b, fa, fb = (float(v) for v in (grid[i], grid[i + 1], values[i], values[i + 1]))
-            if not (math.isfinite(fa) and math.isfinite(fb)):
-                continue
-            if pole is not None and a < pole < b:
-                continue
-            if fa == 0.0:
-                roots.append(a)
-            elif fa * fb < 0.0:
-                roots.append(bisect(a, b, fa))
+        roots = interval_roots(p, m)
         if not roots:
             raise BracketingError(f"anchor interval m={m} holds no root")
         for alpha in sorted(roots):
@@ -298,13 +327,32 @@ def reference_roots(p, count):
     return found[:count]
 
 
+def reference_roots(p, count):
+    """Certify-then-bisect in scalar form: an interval the slope bounds
+    certify is bisected from its seeds, any other is scanned."""
+
+    def roots(p, m):
+        root = _certified_interval(p, m)
+        return _scanned_interval(p, m) if root is None else [root]
+
+    return _first_roots(p, count, roots)
+
+
+def scan_reference_roots(p, count):
+    """The root scan alone: every interval scanned, as before certification."""
+    return _first_roots(p, count, _scanned_interval)
+
+
+ROOT_DOMAIN = dict(
+    A=st.floats(min_value=1e-4, max_value=10.0),
+    B=st.floats(min_value=1e-3, max_value=1.0),
+    L=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=100.0)),
+    count=st.integers(min_value=5, max_value=120),
+)
+
+
 class TestBatchedRootFinder:
-    @given(
-        A=st.floats(min_value=1e-4, max_value=10.0),
-        B=st.floats(min_value=1e-3, max_value=1.0),
-        L=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=100.0)),
-        count=st.integers(min_value=5, max_value=120),
-    )
+    @given(**ROOT_DOMAIN)
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_reference(self, A, B, L, count):
         p = Params(A=A, B=B, L=L, N0=3.0)
@@ -319,6 +367,24 @@ class TestBatchedRootFinder:
         assert [(mode.alpha, mode.index) for mode in modes] == expected
         for mode in modes:
             assert mode.exponents == exponents(mode.alpha, B)
+
+    @given(**ROOT_DOMAIN)
+    @settings(max_examples=40, deadline=None)
+    def test_certified_brackets_keep_the_scan_roots(self, A, B, L, count):
+        # certification changes only the bracket each root is bisected from:
+        # the same anchor intervals, and every root within BRACKET_TOL
+        p = Params(A=A, B=B, L=L, N0=3.0)
+        try:
+            expected = scan_reference_roots(p, count)
+        except BracketingError as exc:
+            m = str(exc).split("m=")[1].split()[0]
+            with pytest.raises(BracketingError, match=f"m={m} "):
+                find_eigenvalues(p, count)
+            return
+        modes = find_eigenvalues(p, count)
+        assert [mode.index for mode in modes] == [m for _, m in expected]
+        moved = [abs(mode.alpha - alpha) for mode, (alpha, _) in zip(modes, expected)]
+        assert max(moved) <= eigen.BRACKET_TOL
 
 
 class TestEigenGrid:
@@ -342,7 +408,7 @@ class TestEigenGrid:
 def test_real_part_is_secular_re_on_the_scan(regime):
     # the root scan and the bisection read re through _real_part alone
     p, count, _ = regime
-    alpha = eigen._scan(p, count)
+    alpha = eigen._scan(p, np.arange(1, count + 1))
     re, expected = eigen._real_part(alpha, p)[0], eigen.secular(alpha, p).re
     for where in (np.isnan, np.isposinf, np.isneginf):
         assert np.array_equal(where(re), where(expected))

@@ -932,6 +932,32 @@ class TestCli:
                              text=True, timeout=60, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_amplitude_pairs_are_the_complex_encoding(self, tmp_path):
+        # the run's JSON holds [re, im] lists; encoding the solution's complex
+        # amplitudes through write_json's hook gives the same bytes
+        assert main(["run", "--engine", "spectral", "--modes", "200", "--A", "1e-3", "--B", "0.1",
+                     "--L", "1", "--N0", "3", "--outdir", str(tmp_path), "--name", "m"]) == 0
+        written = (tmp_path / "m.json").read_bytes()
+        payload = json.loads(written)
+        sol = spectral.solve_spectral(Params(A=1e-3, B=0.1, L=1.0, N0=3.0), step_ic(), 200)
+        payload["amplitudes_S1"] = [complex(v) for v in sol.S1]
+        payload["amplitudes_S2"] = [complex(v) for v in sol.S2]
+        write_json(payload, tmp_path / "hooked.json")
+        assert (tmp_path / "hooked.json").read_bytes() == written
+
+    def test_spectral_run_imports_no_masked_arrays(self, tmp_path):
+        # numpy.ma costs a fresh interpreter ~10 ms to import; np.unique pulls it
+        # in, so a run that thins its rows must not reach for it
+        argv = ["run", "--engine", "spectral", "--modes", "8", "--A", "1e-3", "--B", "0.1",
+                "--L", "1", "--N0", "3", "--outdir", str(tmp_path)]
+        code = f"import sys, hypersorb.cli as cli; print(cli.main({argv!r}), 'numpy.ma' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert cli.RunConfig().samples == 801
+        assert out.stdout.splitlines()[-1] == "0 False"
+
     def test_documented_zero_slope_recipe(self, tmp_path):
         # README recipe: zoomed series of the oscillatory landmark shows a
         # continuous (zero) initial slope in the emitted sigma column
@@ -983,6 +1009,14 @@ class TestWrittenSamples:
         # the pole sum has no levels: its series at as many times as fdm has levels
         return poles.to_series(self.P, step_ic(), np.linspace(0.0, 0.5, grid.n_t + 1),
                                probes=self.PROBES)
+
+    def test_thin_indices_strictly_increase_between_the_ends(self):
+        for n in (1, 2, 3, 10, 201, 801, 2999, 32001, 10**7):
+            for max_rows in (2, 3, 11, 200, 201, 202, 599, 801, 2998, 5000):
+                idx = thin_indices(n, max_rows)
+                assert idx.size == min(n, max_rows)
+                assert idx[0] == 0 and idx[-1] == n - 1
+                assert np.all(np.diff(idx) > 0)
 
     def test_thin_series_thins_the_levels_and_keeps_the_rest(self):
         full = self.full_series("fdm")

@@ -30,6 +30,7 @@ from hypersorb.spectral import (
     eval_density,
     eval_sigma,
     density_rate,
+    gram_condition_bound,
     gram_matrix,
     imag_residue,
     modal_sums,
@@ -40,8 +41,9 @@ from hypersorb.spectral import (
     sigma_rate,
     solve_spectral,
     to_series,
+    unit_upper_inverse,
 )
-from conftest import MODE_REGIMES, first_local_max
+from conftest import ACCEPTANCE_SETS, MODE_REGIMES, first_local_max
 
 
 def minor_formula_coefficients(gram: np.ndarray, q: int) -> np.ndarray:
@@ -94,6 +96,14 @@ class TestGram:
             gram_matrix([math.nan, 2.0])
 
 
+BASIS_DOMAIN = dict(
+    A=st.floats(min_value=1e-4, max_value=10.0),
+    B=st.floats(min_value=1e-3, max_value=1.0),
+    L=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=100.0)),
+    count=st.integers(min_value=5, max_value=120),
+)
+
+
 class TestOrthogonalize:
     def test_two_mode_projection_formula(self):
         alphas = np.array([3.7, 9.6])
@@ -132,9 +142,11 @@ class TestOrthogonalize:
 
     @pytest.mark.parametrize("count", [50, 200])
     def test_condition_matches_singular_values(self, oscillatory_params, count, monkeypatch):
-        # the refusal bound brackets the guard's condition number within 1e-9
+        # the refusal bound brackets the guard's own bound within 1e-9, and
+        # that bound is at least the singular-value condition
         alphas = [m.alpha for m in find_eigenvalues(oscillatory_params, count)]
-        cond = np.linalg.cond(gram_matrix(alphas))
+        cond = gram_condition_bound(orthogonalize(alphas))
+        assert cond >= np.linalg.cond(gram_matrix(alphas))
         monkeypatch.setattr(spectral, "MAX_GRAM_CONDITION", cond * (1.0 + 1e-9))
         orthogonalize(alphas)
         monkeypatch.setattr(spectral, "MAX_GRAM_CONDITION", cond * (1.0 - 1e-9))
@@ -149,12 +161,34 @@ class TestOrthogonalize:
             with pytest.raises(DegenerateBasisError, match="condition"):
                 orthogonalize([3.7, 9.6])
 
-    @given(
-        A=st.floats(min_value=1e-4, max_value=10.0),
-        B=st.floats(min_value=1e-3, max_value=1.0),
-        L=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=100.0)),
-        count=st.integers(min_value=5, max_value=120),
-    )
+    @pytest.mark.parametrize("count", [50, 200, 2000])
+    @pytest.mark.parametrize("p", ACCEPTANCE_SETS, ids=lambda p: f"A{p.A:g}-B{p.B:g}-L{p.L:g}")
+    def test_guard_bounds_the_condition(self, p, count):
+        basis = orthogonalize([m.alpha for m in find_eigenvalues(p, count)])
+        assert gram_condition_bound(basis) >= np.linalg.cond(basis.gram)
+
+    @given(**BASIS_DOMAIN)
+    @settings(max_examples=40, deadline=None)
+    def test_guard_bounds_the_condition_on_the_domain(self, A, B, L, count):
+        try:
+            modes = find_eigenvalues(Params(A=A, B=B, L=L, N0=3.0), count)
+        except BracketingError:
+            reject()
+        basis = orthogonalize([m.alpha for m in modes])
+        assert gram_condition_bound(basis) >= np.linalg.cond(basis.gram)
+
+    @pytest.mark.parametrize("n", [1, 2, spectral.INVERSE_BLOCK, spectral.INVERSE_BLOCK + 1,
+                                   2 * spectral.INVERSE_BLOCK + 1, 200, 333])
+    def test_block_inverse_inverts_the_unit_triangle(self, oscillatory_params, n):
+        # sizes around the directly inverted block, and uneven splits
+        gram = gram_matrix([m.alpha for m in find_eigenvalues(oscillatory_params, n)])
+        upper = np.linalg.cholesky(gram).T
+        unit = upper / np.diag(upper)[:, None]
+        inv = unit_upper_inverse(unit)
+        assert np.all(np.tril(inv, -1) == 0.0) and np.all(np.diag(inv) == 1.0)
+        assert np.max(np.abs(inv @ unit - np.eye(n))) <= 1e-13
+
+    @given(**BASIS_DOMAIN)
     @settings(max_examples=40, deadline=None)
     def test_companion_basis_inverts_gram(self, A, B, L, count):
         p = Params(A=A, B=B, L=L, N0=3.0)
