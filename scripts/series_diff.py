@@ -13,12 +13,22 @@ printed: the path, then for sigma and for each probe column the largest
 either tree (0 when the columns are equal).  A last line gives the
 largest of these over every file.
 
-The exit code is 1 if a series CSV is in one tree only, or if two series
-differ in their header, their row count or their t column (bit for bit);
-each such file gets a line that says so.  Other files, and CSVs that are
+For every JSON artifact at the same relative path in both trees one line
+is printed too: the path, the largest relative change over its numeric
+leaves (largest=...), then that change for each leaf path that moved, list
+indices folded into [] so that an array reads as one path.  String leaves
+are skipped (the config echo holds the outdir); the last line covers the
+series alone.
+
+The exit code is 1 if a series CSV is in one tree only, if two series
+differ in their header, their row count or their t column (bit for bit),
+or if two JSON artifacts differ in their keys, their list lengths or a leaf
+that is neither a number nor a string; each such file gets a line that
+says so.  Other files, JSON artifacts in one tree only, and CSVs that are
 no series, are skipped.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -69,14 +79,66 @@ def compare(name: str, a, b) -> tuple[str, float | None]:
     return f"{name} {line}", float(np.max(list(changes.values())))
 
 
+def json_artifacts(tree: Path) -> dict:
+    """The parsed JSON artifacts under tree, by their path relative to it."""
+    return {path.relative_to(tree).as_posix(): json.loads(path.read_text())
+            for path in sorted(tree.rglob("*.json"))}
+
+
+def json_leaves(node, path: str = ""):
+    """(path, value) for each leaf of a JSON document, list indices written []."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for value in node:
+            yield from json_leaves(value, path + "[]")
+    else:
+        yield path, node
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare_json(name: str, a, b) -> tuple[str, float | None]:
+    """One line for JSON documents a and b of file name, and their largest relative change.
+
+    The change is None when the two differ in their keys, list lengths or a
+    leaf that is neither a number nor a string.
+    """
+    leaves_a, leaves_b = list(json_leaves(a)), list(json_leaves(b))
+    if len(leaves_a) != len(leaves_b):
+        return f"{name}: structure differs: {len(leaves_a)} against {len(leaves_b)} leaves", None
+    changes = {}
+    for (path, x), (path_b, y) in zip(leaves_a, leaves_b):
+        if path != path_b:
+            return f"{name}: structure differs: {path} against {path_b}", None
+        if is_number(x) and is_number(y):
+            change = relative_change(np.array([x], dtype=float), np.array([y], dtype=float))
+            if change != 0.0:  # NaN included
+                changes[path] = float(np.maximum(changes.get(path, 0.0), change))
+        elif not (isinstance(x, str) and isinstance(y, str)) and x != y:
+            return f"{name}: {path} differs: {x!r} against {y!r}", None
+    largest = float(np.max(list(changes.values()), initial=0.0))
+    line = " ".join([f"largest={largest:.3g}"] + [f"{path}={c:.3g}" for path, c in changes.items()])
+    return f"{name} {line}", largest
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
         print("usage: series_diff.py OUT_A OUT_B", file=sys.stderr)
         return 2
     trees = [series_csvs(Path(arg)) for arg in argv]
+    documents = [json_artifacts(Path(arg)) for arg in argv]
     failed, largest = False, 0.0
-    for name in sorted(set(trees[0]) | set(trees[1])):
+    for name in sorted(set(trees[0]) | set(trees[1]) | (set(documents[0]) & set(documents[1]))):
+        if name in documents[0]:
+            line, change = compare_json(name, documents[0][name], documents[1][name])
+            print(line)
+            failed = failed or change is None
+            continue
         if name not in trees[0] or name not in trees[1]:
             print(f"{name}: only in {argv[0] if name in trees[0] else argv[1]}")
             failed = True

@@ -35,10 +35,10 @@ MAX_MODES = 2000
 MAX_GRID_POINTS = 10**6
 
 # most samples x modes of a modal time evaluation; the (samples, modes)
-# table of complex weights is built in one piece, at 16 bytes an entry and
-# one buffer of the same size.  The largest in use is 801 x 2000.  It also
-# bounds samples x roots of the parabolic pole sum, whose table holds one
-# real exponential per sample and root (801 x 21 at T = 2).
+# table of real weights is built in one piece, at 8 bytes an entry and one
+# buffer of cosines of the same size.  The largest in use is 801 x 2000.
+# It also bounds samples x roots of the parabolic pole sum, whose table
+# holds one real exponential per sample and root (801 x 21 at T = 2).
 MAX_MODAL_TERMS = 10**7
 
 # a comparison report's times, evenly spread over [REPORT_START T, T]
@@ -171,7 +171,7 @@ class RunConfig:
         if modal and self.samples * self.modes > MAX_MODAL_TERMS:
             raise ConfigError(
                 f"samples x modes must be at most {MAX_MODAL_TERMS}, got {self.samples} x"
-                f" {self.modes}: the modal time table holds one complex weight per sample and mode"
+                f" {self.modes}: the modal time table holds one weight per sample and mode"
             )
 
 

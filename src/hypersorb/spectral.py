@@ -8,8 +8,9 @@ the zero-initial-velocity condition, giving bulk and surface densities
 evaluable at any (z*, t*).
 
 modal_sums evaluates this series and the exact sum of hypersorb.poles alike;
-this module assembles the complex time table S1 e^{mu1 t} + S2 e^{mu2 t}
-(or its rate) and the stored rows of to_series.
+this module assembles the real time table Re(S1 e^{mu1 t} + S2 e^{mu2 t})
+(or its rate), one damped cosine per oscillating mode, and the stored rows
+of to_series.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ INVERSE_BLOCK = 32
 # more than MAX_ROWS time levels
 ROW_Z_COUNT = 201
 MAX_ROWS = 201
+
+# e^x underflows to zero in double precision below x = -745.2, so past
+# UNDERFLOW_EXPONENT / |slowest rate| every term of the time table is zero
+UNDERFLOW_EXPONENT = 746.0
 
 
 def gram_matrix(alphas) -> np.ndarray:
@@ -242,33 +247,47 @@ class SpectralSolution:
         return 0.5 * phi_integral(self.alphas)
 
 
-def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
-    """Complex modal weights S1 e^{mu1 t} + S2 e^{mu2 t} (or their t-derivative).
-
-    Shape (n_t, n_modes) for array t, (n_modes,) for scalar t.  The table is
-    built in two buffers, the e^{mu1 t} and e^{mu2 t} terms, each updated in
-    place in the order of the expression above: S e, then mu (S e).
-    """
+def _times(t) -> np.ndarray:
+    """t as a float array, refused unless every entry is t >= 0 (NaN is refused)."""
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise InvalidInput("t* must be non-negative")
-    tt = t[..., None]
-    w1 = np.multiply(sol.mu1, tt)
-    np.exp(w1, out=w1)
-    # an oscillating mode has mu2 = conj(mu1), and for real t
-    # e^{conj(mu1) t} = conj(e^{mu1 t}) bit for bit, so only the modes with
-    # two real rates need a second exponential
+    return t
+
+
+def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
+    """Real modal weights Re(S1 e^{mu1 t} + S2 e^{mu2 t}) (or their t-derivative).
+
+    Shape (n_t, n_modes) for array t, (n_modes,) for scalar t.  An oscillating
+    mode (mu2 = conj(mu1)) sums to Re(P e^{mu1 t}) with P = S1 + conj(S2),
+    that is |P| e^{Re(mu1) t} cos(Im(mu1) t + arg P), P being 2 S1 when
+    S2 = conj(S1).  Every such mode decays at Re(mu1) = -1/(2B), so the table
+    is one cosine per entry and one real exponential per time.  The columns
+    of a mode with two real rates are S1 e^{mu1 t} + S2 e^{mu2 t}.  The rate
+    puts mu1 S1 and mu2 S2 in place of S1 and S2.
+
+    The table is built in two buffers, the cosines and the damped
+    amplitudes.  Times past the underflow of the slowest mode are evaluated
+    at that point, where every entry is zero, so t = inf needs no cos(inf).
+    """
+    t = _times(t)
     pair = sol.mu2 == np.conj(sol.mu1)
-    w2 = np.conj(w1)
+    s1, s2 = (sol.mu1 * sol.S1, sol.mu2 * sol.S2) if rate else (sol.S1, sol.S2)
+    p = s1 + np.conj(s2)
+    slowest = max(np.max(sol.mu1.real), np.max(sol.mu2.real))
+    tt = np.minimum(t, UNDERFLOW_EXPONENT / -slowest)[..., None]
+    wave = np.multiply(sol.mu1.imag, tt)
+    np.add(wave, np.angle(p), out=wave)
+    np.cos(wave, out=wave)
+    # -0.5 / B is eigen's Re(mu1) of an oscillating mode, bit for bit
+    table = np.multiply(np.exp(np.multiply(-0.5 / sol.params.B, tt)), np.abs(p))
+    np.multiply(table, wave, out=table)
+    del wave
     if not pair.all():
-        real = np.multiply(sol.mu2[~pair], tt)
-        w2[..., ~pair] = np.exp(real, out=real)
-    np.multiply(sol.S1, w1, out=w1)
-    np.multiply(sol.S2, w2, out=w2)
-    if rate:
-        np.multiply(sol.mu1, w1, out=w1)
-        np.multiply(sol.mu2, w2, out=w2)
-    return np.add(w1, w2, out=w1)
+        real = ~pair
+        table[..., real] = (s1.real[real] * np.exp(sol.mu1.real[real] * tt)
+                            + s2.real[real] * np.exp(sol.mu2.real[real] * tt))
+    return table
 
 
 def eval_density(sol: SpectralSolution, zstar, tstar):
@@ -300,10 +319,15 @@ def sigma_rate(sol: SpectralSolution, tstar):
 
 
 def imag_residue(sol: SpectralSolution, zgrid, tgrid) -> float:
-    """Largest imaginary leak of the complex evaluation over a probe grid."""
-    # Im(w) = Re(-i w): the sums of the turned table are the leaks
-    weights = -1j * _time_weights(sol, np.asarray(tgrid, dtype=float))
-    surf, (bulk,), _ = modal_sums(weights, sol.alphas, sol.wall, 0.0, 0.0, 0.0, [zgrid])
+    """Largest imaginary leak of the complex evaluation over a probe grid.
+
+    The complex table S1 e^{mu1 t} + S2 e^{mu2 t} is evaluated here, term by
+    term: its leak certifies the conjugate amplitudes the real table of
+    _time_weights keeps only the real part of.
+    """
+    tt = _times(tgrid)[..., None]
+    table = sol.S1 * np.exp(sol.mu1 * tt) + sol.S2 * np.exp(sol.mu2 * tt)
+    surf, (bulk,), _ = modal_sums(table.imag, sol.alphas, sol.wall, 0.0, 0.0, 0.0, [zgrid])
     return float(max(np.max(np.abs(bulk)), np.max(np.abs(surf))))
 
 
@@ -368,7 +392,7 @@ def to_series(sol: SpectralSolution, tgrid, probes=()) -> TimeSeries:
                                       sol.params.N0, np.concatenate(([0.5], probes)))
     row_z = np.linspace(0.0, 0.5, ROW_Z_COUNT)
     idx = thin_indices(t.size, MAX_ROWS)
-    rows = sol.n_eq + np.real(weights[idx] @ np.cos(np.multiply.outer(row_z, sol.alphas)).T)
+    rows = sol.n_eq + weights[idx] @ np.cos(np.multiply.outer(row_z, sol.alphas)).T
     return TimeSeries(
         t=t,
         sigma=sigma,

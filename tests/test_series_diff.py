@@ -1,6 +1,7 @@
 """scripts/series_diff.py: how far the series of two artifact trees lie apart."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -68,3 +69,50 @@ def test_series_in_one_tree_only_fails(series_diff, tmp_path, capsys):
     assert series_diff.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert f"w/y.csv: only in {b}" in out and "w/x.csv sigma=0 N_at_0=0" in out
+
+
+def write_json(tree, name, document):
+    path = tree / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document))
+
+
+def report(outdir, sigma0, errors, passed=True):
+    return {"config": {"outdir": outdir, "modes": 200, "pair": ["spectral", "fdm"], "D": None},
+            "meta": {"diagnostics": {"sigma_at_zero": sigma0, "errors": errors}},
+            "passed": passed}
+
+
+def test_json_numeric_leaves(series_diff, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_json(a, "w/x.json", report("a/w", 0.25, [1.0, 2.0, 4.0]))
+    # the outdir echo is a string leaf: skipped; the array reads as one path
+    write_json(b, "w/x.json", report("b/w", 0.25 - 7.5e-13, [1.0, 2.0 + 2e-15, 4.0 - 4e-12]))
+    write_json(b, "w/y.json", report("b/w", 0.0, []))  # in one tree only: skipped
+    assert series_diff.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "w/x.json largest=3e-12 meta.diagnostics.sigma_at_zero=3e-12"
+        " meta.diagnostics.errors[]=1e-12",
+        "largest relative change: 0"]
+
+
+def test_json_equal_numbers(series_diff, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_json(a, "w/x.json", report("a/w", 0.25, [1.0]))
+    write_json(b, "w/x.json", report("b/w", 0.25, [1.0]))
+    assert series_diff.main([str(a), str(b)]) == 0
+    assert "w/x.json largest=0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("document, message", [
+    (report("b/w", 0.25, [1.0, 2.0]), "structure differs: 8 against 9 leaves"),
+    ({**report("b/w", 0.25, [1.0]), "meta": {"diagnostics": {"sigma_at_0": 0.25, "errors": [1.0]}}},
+     "structure differs: meta.diagnostics.sigma_at_zero against meta.diagnostics.sigma_at_0"),
+    (report("b/w", 0.25, [1.0], passed=False), "passed differs: True against False"),
+])
+def test_json_structural_difference_fails(series_diff, tmp_path, capsys, document, message):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_json(a, "w/x.json", report("a/w", 0.25, [1.0]))
+    write_json(b, "w/x.json", document)
+    assert series_diff.main([str(a), str(b)]) == 1
+    assert f"w/x.json: {message}" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Modal engine: Gram entries, orthogonalization, projection, evaluation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -405,12 +406,57 @@ def regime_solution(request):
 class TestModeRegimes:
     @pytest.mark.parametrize("rate", [False, True])
     def test_time_weights_bit_exact(self, regime_solution, rate):
+        # an oscillating mode is |P| e^{Re(mu1) t} cos(Im(mu1) t + arg P) with
+        # P = S1 + conj(S2), each exponential taken per entry here; a real-rate
+        # mode is S1 e^{mu1 t} + S2 e^{mu2 t}; the rate has mu S in place of S
         sol = regime_solution
+        pair = sol.mu2 == np.conj(sol.mu1)
+        s1, s2 = (sol.mu1 * sol.S1, sol.mu2 * sol.S2) if rate else (sol.S1, sol.S2)
+        p = s1 + np.conj(s2)
+        # the rate vanishes at t = 0, so the bound takes its scale from the grid
+        scale = np.max(np.abs(spectral._time_weights(sol, np.linspace(0.0, 2.0, 801), rate=rate)))
         for t in (np.linspace(0.0, 2.0, 801), 0.0, 0.7):
-            w1 = sol.S1 * np.exp(sol.mu1 * np.asarray(t)[..., None])
-            w2 = sol.S2 * np.exp(sol.mu2 * np.asarray(t)[..., None])
-            expected = sol.mu1 * w1 + sol.mu2 * w2 if rate else w1 + w2
-            assert spectral._time_weights(sol, t, rate=rate).tobytes() == expected.tobytes()
+            tt = np.asarray(t)[..., None]
+            expected = np.exp(sol.mu1.real * tt) * np.abs(p) * np.cos(sol.mu1.imag * tt + np.angle(p))
+            two_real = s1.real * np.exp(sol.mu1.real * tt) + s2.real * np.exp(sol.mu2.real * tt)
+            expected[..., ~pair] = two_real[..., ~pair]
+            table = spectral._time_weights(sol, t, rate=rate)
+            assert table.dtype == float and table.tobytes() == expected.tobytes()
+            # the real part of the complex table, to rounding
+            w1 = sol.S1 * np.exp(sol.mu1 * tt)
+            w2 = sol.S2 * np.exp(sol.mu2 * tt)
+            complex_table = sol.mu1 * w1 + sol.mu2 * w2 if rate else w1 + w2
+            assert np.max(np.abs(table - complex_table.real)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("regime", ["oscillating", "two-real-pole"])
+    def test_infinite_time_is_equilibrium_without_warnings(self, regime):
+        p = {"oscillating": Params(A=1e-3, B=0.1, L=1.0, N0=3.0),
+             "two-real-pole": Params(A=0.5, B=1e-3, L=0.1, N0=3.0)}[regime]
+        sol = solve_spectral(p, step_ic(), 50)
+        z = np.linspace(-0.5, 0.5, 5)
+        t = np.array([0.0, 0.5, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_sigma(sol, np.inf) == sol.sigma_eq
+            assert sigma_rate(sol, np.inf) == 0.0
+            assert np.all(eval_density(sol, z, np.inf) == sol.n_eq)
+            assert np.all(density_rate(sol, z, np.inf) == 0.0)
+            sigma = eval_sigma(sol, t)
+            density = eval_density(sol, z, t)
+        assert sigma[2] == sol.sigma_eq and sigma[:2].tobytes() == eval_sigma(sol, t[:2]).tobytes()
+        assert np.all(density[2] == sol.n_eq) and np.all(np.isfinite(density))
+
+    def test_imag_residue_sees_broken_conjugate_pair(self, spectral_oscillatory_50):
+        # the real table drops the imaginary part; imag_residue evaluates the
+        # complex one and must flag amplitudes that are not conjugate
+        sol = spectral_oscillatory_50
+        z = np.linspace(-0.5, 0.5, 21)
+        t = np.linspace(0.0, 2.0, 21)
+        assert imag_residue(sol, z, t) < 1e-8 * 3.0
+        s2 = sol.S2.copy()
+        s2[3] += 1e-6
+        broken = dataclasses.replace(sol, S2=s2)
+        assert imag_residue(broken, z, t) > 1e-8 * 3.0
 
     def test_wall_share_bit_exact(self, regime_solution):
         a = regime_solution.alphas
