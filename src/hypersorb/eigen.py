@@ -18,15 +18,32 @@ equation is ``_real_part``, which ``secular`` builds on.  ``eigen_grid`` is
 the public evaluator of the secular functions: it masks their undefined
 entries with NaN rather than raising.
 
-``find_eigenvalues`` searches the first ``count`` anchor intervals, each
-between the tan poles around 2 m pi.  Most hold exactly one root, and a
-slope certificate proves it: between the seeds lo, hi the tan(alpha/2)/alpha
-term rises at least (1 - 1/hi^2)/(2 hi), while, where den > 0 at lo, the
-kinetic term changes at most |L 2B(2B - A)| 8 A^2 B hi / den(lo)^2.  Where
-the rise wins and re changes sign from lo to hi, [lo, hi] is the root's
-bracket (``_rising``).  The remaining intervals, the one holding the kinetic
-pole among them, are scanned on SCAN_POINTS points (``_scan``).  Every
-bracket is bisected together, one evaluation of the real part per step.
+``find_eigenvalues`` searches the first ``count`` anchor intervals
+((2m - 1) pi, (2m + 1) pi), m = 1, 2, ..., each split at breakpoints found
+in closed form.  With c = L(2B - A)/2 and d = B - A, den = 4B(d + A^2 alpha^2),
+so re = 0 reads tan(alpha/2) = R(alpha) with R = -c alpha/(d + A^2 alpha^2).
+On interval m, where alpha/2 - m pi lies in (-pi/2, pi/2), that is
+
+    G(alpha) = alpha/2 - m pi - arctan R(alpha) = 0,
+
+and re has the sign of G.  G' = 1/2 - R'/(1 + R^2) has the sign of
+
+    P(x) = A^4 x^2 + (2 d A^2 + c^2 - 2 c A^2) x + d (d + 2c),   x = alpha^2,
+
+a quadratic, so G' changes sign at no more than two points, sqrt(x1) and
+sqrt(x2).  The breakpoints of interval m are
+
+* its tan poles, where re tends to -inf (right of (2m - 1) pi) and +inf
+  (left of (2m + 1) pi);
+* the kinetic pole sqrt(-d)/A, only when d < 0 and c != 0, where re tends
+  to -inf times the sign of c on its left and +inf times it on its right;
+* sqrt(x1) and sqrt(x2), where they fall inside the interval.
+
+G is continuous and monotone on each piece between breakpoints, so a piece
+holds a root exactly when re (or its one-sided limit) has opposite signs at
+its two ends.  An interval with no inner breakpoint holds exactly one root.
+Every such piece is bisected together, one evaluation of the real part per
+step.
 """
 
 from __future__ import annotations
@@ -42,15 +59,9 @@ from .params import Params, alpha_critical
 
 # eigen_grid masks alpha this close to a pole of tan(alpha/2)
 TAN_POLE_GUARD = 1e-8
-# bracket seeds sit at 2 m pi +- pi (1 - SEED_MARGIN), i.e. just inside the
-# two neighbouring tan poles
-SEED_MARGIN = 1e-6
 # bisection stops once the bracket is narrower than this or its ends are
 # adjacent floats
 BRACKET_TOL = 1e-12
-# points per anchor interval in the root scan of the intervals the slope
-# certificate leaves uncertified
-SCAN_POINTS = 601
 # roots this close to alpha_c are nudged off the degenerate point
 CRITICAL_NUDGE = 1e-9
 
@@ -138,9 +149,8 @@ def secular(alpha: np.ndarray, p: Params) -> Secular:
 def _real_part(alpha: np.ndarray, p: Params):
     """re of the secular equation, with the terms tan(alpha/2)/alpha, q and den it shares.
 
-    The certificate, the root scan and the bisection read re (the
-    certificate den too); ``secular`` builds its other parts from the
-    shared terms.
+    The breakpoint signs and the bisection read re; ``secular`` builds its
+    other parts from the shared terms.
     """
     A, B, L = p.A, p.B, p.L
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -157,51 +167,44 @@ def _in_guard_band(alpha):
 
 
 def kinetic_pole(p: Params) -> float | None:
-    """Location of the kinetic-term pole, or None when it does not exist."""
-    if p.A > p.B:
+    """Location of the kinetic-term pole, or None when it does not exist.
+
+    den vanishes at sqrt(A - B)/A when A > B, but at L = 0 or A = 2B the
+    kinetic term L 2B(2B - A)/den is identically 0 and has no pole.
+    """
+    if p.A > p.B and p.L != 0.0 and p.A != 2.0 * p.B:
         return math.sqrt(p.A - p.B) / p.A
     return None
 
 
-def _anchor_seeds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket seeds lo, hi of anchor intervals m: the tan poles around 2 m pi,
-    each moved in by SEED_MARGIN pi."""
-    lo = (2 * m - 1) * math.pi + SEED_MARGIN * math.pi
-    hi = (2 * m + 1) * math.pi - SEED_MARGIN * math.pi
-    return lo, hi
+def _breakpoints(p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inner breakpoints alpha > 0 and re just left and just right of each.
 
-
-def _rising(p: Params, hi: np.ndarray, den_lo: np.ndarray) -> np.ndarray:
-    """True where re provably increases on the anchor interval [lo, hi].
-
-    Between its tan poles re is tan(alpha/2)/alpha + K(alpha).  The first
-    term rises at least (1 - 1/alpha^2)/(2 alpha), the minimum of its slope
-    over tan(alpha/2), which for alpha > sqrt(3) is smallest at hi.  Where
-    den(lo) > 0, den grows across the interval and the kinetic term
-    K = L 2B(2B - A)/den changes at most |L 2B(2B - A)| 8 A^2 B hi / den(lo)^2.
+    They are the kinetic pole, with re's one-sided limits -+inf, and the
+    positive roots of P, with re's value there on both sides (see the
+    module docstring); none at c = 0, where G is alpha/2 - m pi.
     """
     A, B, L = p.A, p.B, p.L
-    rise = (1.0 - 1.0 / (hi * hi)) / (2.0 * hi)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        drift = abs(L * 2.0 * B * (2.0 * B - A)) * 8.0 * A**2 * B * hi / (den_lo * den_lo)
-    return (den_lo > 0.0) & (rise > drift)
-
-
-def _scan(p: Params, m: np.ndarray) -> np.ndarray:
-    """Ascending scan points of the anchor intervals m, an ascending array.
-
-    SCAN_POINTS even points from lo to hi of each, plus geometric refinement
-    on both sides of the kinetic pole in the interval holding it.
-    """
-    lo, hi = _anchor_seeds(m)
-    alpha = np.linspace(lo, hi, SCAN_POINTS, axis=1).ravel()
+    c, d = 0.5 * L * (2.0 * B - A), B - A
+    if c == 0.0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    a4 = (A * A) ** 2
+    b = 2.0 * d * A * A + c * c - 2.0 * c * A * A
+    e = d * (d + 2.0 * c)
+    disc = b * b - 4.0 * a4 * e
+    x = []
+    if disc > 0.0:
+        # the stable pair of roots; e/q stays finite where A^4 underflows to 0
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        x = [e / q, q / a4] if a4 else [e / q]
+    at = np.array([math.sqrt(v) for v in x if v > 0.0])
+    left = right = _real_part(at, p)[0]
     pole = kinetic_pole(p)
-    host = (lo < pole) & (pole < hi) if pole is not None else np.zeros(m.size, bool)
-    if host.any():
-        offsets = np.geomspace(1e-9, 0.5, 24)
-        extra = np.concatenate([pole - offsets, pole + offsets])
-        alpha = np.sort(np.concatenate([alpha, extra[(extra > lo[host]) & (extra < hi[host])]]))
-    return alpha
+    if pole is not None:
+        at = np.append(at, pole)
+        left = np.append(left, -math.copysign(math.inf, c))
+        right = np.append(right, math.copysign(math.inf, c))
+    return at, left, right
 
 
 def bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float = BRACKET_TOL) -> np.ndarray:
@@ -232,50 +235,37 @@ def bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float = BRACKET
         fa = np.where(left, fa, fm)
 
 
-def _scanned_cells(p: Params, m: np.ndarray):
-    """Sign-change cells of the scan over anchor intervals m.
-
-    Returns the left ends a, right ends b, values at a, interval ordinals
-    and whether each cell needs bisection (False: re is exactly 0 at a).
-    Sign changes across an interval boundary or the kinetic pole are
-    blow-ups, not roots.
-    """
-    alpha = _scan(p, m)
-    # the anchor interval of a scan point is the one around the nearest 2 m pi
-    index = np.rint(alpha / (2.0 * math.pi)).astype(int)
-    values = _real_part(alpha, p)[0]
-    fa, fb = values[:-1], values[1:]
-    usable = (index[:-1] == index[1:]) & np.isfinite(fa) & np.isfinite(fb)
-    pole = kinetic_pole(p)
-    if pole is not None:
-        usable &= ~((alpha[:-1] < pole) & (pole < alpha[1:]))
-    change = usable & (fa * fb < 0.0)
-    cells = np.flatnonzero(change | (usable & (fa == 0.0)))
-    return alpha[cells], alpha[cells + 1], fa[cells], index[cells], change[cells]
-
-
 def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
     """First ``count`` roots of the continued secular equation, ascending.
 
-    Each anchor interval yields a root or raises, so the first ``count`` are
-    searched together.  An interval on which ``_rising`` proves re increasing,
-    and whose seeds straddle a sign change, holds one root and is bracketed
-    by its seeds.  The others, the one holding the kinetic pole among them
-    (it may yield two roots), are scanned.  Every bracket is then bisected
-    in one call.  Roots within CRITICAL_NUDGE of alpha_c are pushed off the
-    degenerate point so both exponents stay distinct.
+    Anchor intervals m = 1, ..., count are split at their breakpoints (see
+    the module docstring); a piece whose ends carry opposite signs of re
+    holds one root, and every such piece is bisected in one call.  Each
+    interval yields at least one root (the one holding the kinetic pole may
+    yield two) or raises BracketingError.  Roots within CRITICAL_NUDGE of
+    alpha_c are pushed off the degenerate point so both exponents stay
+    distinct.
     """
     if count < 1:
         raise InvalidInput("count must be at least 1")
     if not p.B > 0:
         raise InvalidInput("the eigenvalue set requires B > 0")
     m = np.arange(1, count + 1)
-    lo, hi = _anchor_seeds(m)
-    f_lo, _, _, den_lo = _real_part(lo, p)
-    # a rising re that changes sign between the seeds has one root there
-    sure = _rising(p, hi, den_lo) & (f_lo < 0.0) & (_real_part(hi, p)[0] > 0.0)
-    a, b, fa, index, bisected = _scanned_cells(p, m[~sure])
-    found = np.bincount(index, minlength=count + 1)[1:] + sure
+    lo, hi = (2 * m - 1) * math.pi, (2 * m + 1) * math.pi
+    at, left, right = _breakpoints(p)
+    host = np.minimum(np.searchsorted(hi, at), count - 1)
+    inner = (lo[host] < at) & (at < hi[host])
+    # every breakpoint with its interval, ordered by interval, then position;
+    # the float (2m + 1) pi ends interval m and starts m + 1, so the interval
+    # is carried, not derived from alpha
+    owner = np.concatenate((m, m[host[inner]], m))
+    ends = np.concatenate((lo, at[inner], hi))
+    order = np.lexsort((ends, owner))
+    inf = np.full(count, np.inf)
+    before, after = (np.concatenate((-inf, f[inner], inf))[order] for f in (left, right))
+    owner, ends = owner[order], ends[order]
+    holds = (owner[:-1] == owner[1:]) & ((after[:-1] < 0.0) != (before[1:] < 0.0))
+    found = np.bincount(owner[:-1][holds], minlength=count + 1)[1:]
     empty = (found == 0) & (np.cumsum(found) - found < count)
     if empty.any():
         bad = int(np.argmax(empty)) + 1
@@ -283,21 +273,14 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
             f"no sign change of the secular equation inside anchor interval m={bad}"
             f" (({2 * bad - 1}pi, {2 * bad + 1}pi)) for {p}"
         )
-    # each interval is either certified or scanned, so ordering by left end
-    # orders the brackets by interval and, within one, by position
-    a, b, fa = (np.concatenate((x, y[sure])) for x, y in ((a, lo), (b, hi), (fa, f_lo)))
-    index = np.concatenate((index, m[sure]))
-    bisected = np.concatenate((bisected, np.ones(sure.sum(), bool)))
-    order = np.argsort(a, kind="stable")[:count]
-    roots, bisected, index = a[order], bisected[order], index[order]
-    left = order[bisected]
-    roots[bisected] = bisect(lambda x: _real_part(x, p)[0], a[left], b[left], fa[left])
+    piece = np.flatnonzero(holds)[:count]
+    roots = bisect(lambda x: _real_part(x, p)[0], ends[piece], ends[piece + 1], after[piece])
     a_c = alpha_critical(p)
     roots = np.where(np.abs(roots - a_c) < CRITICAL_NUDGE, a_c + CRITICAL_NUDGE, roots)
     rates = zip(*(mu.tolist() for mu in _rates(roots, p.B)))
     return [
         Mode(a, Exponents(*mu), index=m)
-        for a, mu, m in zip(roots.tolist(), rates, index.tolist())
+        for a, mu, m in zip(roots.tolist(), rates, owner[piece].tolist())
     ]
 
 

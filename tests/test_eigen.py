@@ -6,7 +6,7 @@ import signal
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypersorb.eigen as eigen
@@ -225,22 +225,57 @@ class TestFindEigenvalues:
         assert alphas.size == MAX_MODES and alphas[-1] > 2.0**13
         assert np.all(np.diff(alphas) > 0)
 
-    def test_bracketing_failure_reported(self, oscillatory_params, monkeypatch):
-        # anchor interval 2 left uncertified, and a scan that misses it, leave
-        # it without a root
-        scan, rising = eigen._scan, eigen._rising
+    def test_bracketing_failure_reported(self):
+        # A < 2B puts re at -inf left of the kinetic pole (13.38, in anchor
+        # interval 2) and at +inf right of it, and nothing in between turns
+        # re back: the interval holds no root
+        p = Params(A=0.00103, B=0.00084, L=9.67, N0=3.0)
+        assert 3 * math.pi < kinetic_pole(p) < 5 * math.pi
+        with pytest.raises(BracketingError, match="m=2 "):
+            find_eigenvalues(p, 3)
 
-        def without_second_interval(p, m):
-            alpha = scan(p, m)
-            return alpha[np.abs(alpha - 4 * math.pi) > math.pi]
+    @pytest.mark.parametrize("A, B, L", [(0.02, 0.01, 0.0), (0.02, 0.01, 1.0), (0.5, 1e-3, 0.0)])
+    def test_no_kinetic_pole_without_a_kinetic_term(self, A, B, L):
+        # A > B, but L = 0 or A = 2B zeroes the kinetic term: re is
+        # tan(alpha/2)/alpha, with its roots at 2 m pi, one an interval
+        p = Params(A=A, B=B, L=L, N0=3.0)
+        assert kinetic_pole(p) is None
+        modes = find_eigenvalues(p, 6)
+        assert [m.index for m in modes] == [1, 2, 3, 4, 5, 6]
+        for m in modes:
+            assert abs(m.alpha - 2 * m.index * math.pi) <= eigen.BRACKET_TOL
 
-        def second_uncertified(p, hi, den_lo):
-            return rising(p, hi, den_lo) & (np.abs(hi - 5 * math.pi) > 1e-3)
+    def test_root_next_to_a_tan_pole(self):
+        # the root of anchor interval 103 lies 3.1e-6 right of the tan pole
+        # 205 pi, closer than the 1e-6 pi by which bracket seeds once sat
+        # inside the poles; a 30-digit evaluation shows re changing sign
+        # across it
+        p = Params(A=1e-4, B=1.0, L=1000.0, N0=3.0)
+        (alpha,) = [m.alpha for m in find_eigenvalues(p, 200) if m.index == 103]
+        assert 0.0 < alpha - 205 * math.pi < 1e-6 * math.pi
+        with mpmath.workdps(30):
+            A, B, L = (mpmath.mpf(v) for v in (p.A, p.B, p.L))
 
-        monkeypatch.setattr(eigen, "_scan", without_second_interval)
-        monkeypatch.setattr(eigen, "_rising", second_uncertified)
-        with pytest.raises(BracketingError, match="m=2"):
-            find_eigenvalues(oscillatory_params, 3)
+            def re(a):
+                a = mpmath.mpf(a)
+                den = (2 * B - A) ** 2 + A**2 * (4 * a**2 * B - 1)
+                return mpmath.tan(a / 2) / a + L * 2 * B * (2 * B - A) / den
+
+            assert re(alpha - 1e-11) < 0 < re(alpha + 1e-11)
+
+    def test_breakpoints_of_the_slope_split_an_interval(self):
+        # G' changes sign twice right of the kinetic pole (4.154): G falls
+        # from +inf to a negative minimum and rises to +inf again, so anchor
+        # interval 1 holds two roots, and only a split at the roots of P
+        # finds them
+        p = Params(A=0.0218, B=0.0136, L=0.0145, N0=3.0)
+        modes = find_eigenvalues(p, 4)
+        assert [m.index for m in modes] == [1, 1, 2, 3]
+        assert modes[0].alpha == pytest.approx(4.1774, abs=1e-4)
+        assert modes[1].alpha == pytest.approx(6.2357, abs=1e-4)
+        for m in modes:
+            lo, hi = eigen_grid(p, [m.alpha - 1e-8, m.alpha + 1e-8])["re_E"]
+            assert lo * hi < 0
 
 
 def _secular_re(p, a):
@@ -297,18 +332,42 @@ def _scanned_interval(p, m):
     return roots
 
 
-def _certified_interval(p, m):
-    """The root of anchor interval m bisected from its seeds, or None when the
-    slope bounds do not prove re rising there or the seeds share a sign."""
+def _inner_breakpoints(p):
+    """(alpha, re just left, re just right) of each inner breakpoint: the
+    positive roots of P and the kinetic pole, in scalar form."""
     A, B, L = p.A, p.B, p.L
-    lo, hi = _seeds(m)
-    f_lo, den_lo = (v.item() for v in _secular_re(p, lo))
-    f_hi = _secular_re(p, hi)[0].item()
-    if not (den_lo > 0.0 and f_lo < 0.0 < f_hi):
-        return None
-    rise = (1.0 - 1.0 / (hi * hi)) / (2.0 * hi)
-    drift = abs(L * 2.0 * B * (2.0 * B - A)) * 8.0 * A**2 * B * hi / (den_lo * den_lo)
-    return _scalar_bisect(p, lo, hi, f_lo) if rise > drift else None
+    c, d = 0.5 * L * (2.0 * B - A), B - A
+    if c == 0.0:
+        return []
+    a4 = (A * A) ** 2
+    b = 2.0 * d * A * A + c * c - 2.0 * c * A * A
+    e = d * (d + 2.0 * c)
+    disc = b * b - 4.0 * a4 * e
+    cuts = []
+    if disc > 0.0:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        for x in [e / q, q / a4] if a4 else [e / q]:
+            if x > 0.0:
+                f = _secular_re(p, math.sqrt(x))[0].item()
+                cuts.append((math.sqrt(x), f, f))
+    if A > B and L != 0.0 and A != 2.0 * B:
+        inf = math.copysign(math.inf, c)
+        cuts.append((math.sqrt(A - B) / A, -inf, inf))
+    return cuts
+
+
+def _split_interval(p, m):
+    """Roots of anchor interval m: the interval is cut at its inner
+    breakpoints, and each piece whose ends carry opposite signs of re is
+    bisected."""
+    lo, hi = (2 * m - 1) * math.pi, (2 * m + 1) * math.pi
+    cuts = sorted(cut for cut in _inner_breakpoints(p) if lo < cut[0] < hi)
+    ends = [(lo, -math.inf, -math.inf), *cuts, (hi, math.inf, math.inf)]
+    return [
+        _scalar_bisect(p, a, b, fa)
+        for (a, _, fa), (b, fb, _) in zip(ends, ends[1:])
+        if (fa < 0.0) != (fb < 0.0)
+    ]
 
 
 def _first_roots(p, count, interval_roots):
@@ -328,18 +387,12 @@ def _first_roots(p, count, interval_roots):
 
 
 def reference_roots(p, count):
-    """Certify-then-bisect in scalar form: an interval the slope bounds
-    certify is bisected from its seeds, any other is scanned."""
-
-    def roots(p, m):
-        root = _certified_interval(p, m)
-        return _scanned_interval(p, m) if root is None else [root]
-
-    return _first_roots(p, count, roots)
+    """Split-then-bisect in scalar form, one anchor interval at a time."""
+    return _first_roots(p, count, _split_interval)
 
 
 def scan_reference_roots(p, count):
-    """The root scan alone: every interval scanned, as before certification."""
+    """The 601-point root scan between seeds 1e-6 pi inside the tan poles."""
     return _first_roots(p, count, _scanned_interval)
 
 
@@ -369,17 +422,31 @@ class TestBatchedRootFinder:
             assert mode.exponents == exponents(mode.alpha, B)
 
     @given(**ROOT_DOMAIN)
+    # the root of interval 103 lies 3.1e-6 right of its tan pole, between
+    # the pole and the scan's seed
+    @example(A=1e-4, B=1.0, L=1000.0, count=110)
     @settings(max_examples=40, deadline=None)
     def test_certified_brackets_keep_the_scan_roots(self, A, B, L, count):
-        # certification changes only the bracket each root is bisected from:
+        # the breakpoints change only the bracket each root is bisected from:
         # the same anchor intervals, and every root within BRACKET_TOL
         p = Params(A=A, B=B, L=L, N0=3.0)
         try:
             expected = scan_reference_roots(p, count)
         except BracketingError as exc:
-            m = str(exc).split("m=")[1].split()[0]
-            with pytest.raises(BracketingError, match=f"m={m} "):
-                find_eigenvalues(p, count)
+            m = int(str(exc).split("m=")[1].split()[0])
+            try:
+                modes = find_eigenvalues(p, count)
+            except BracketingError as refused:
+                assert f"m={m} " in str(refused)
+                return
+            # the scan refused only because its seeds miss the roots of m:
+            # each lies between a tan pole and its seed, a sign change of re
+            missed = [mode.alpha for mode in modes if mode.index == m]
+            assert missed
+            for alpha in missed:
+                assert abs(alpha - 2 * m * math.pi) > (1 - 1e-6) * math.pi
+                lo, hi = _secular_re(p, [alpha - 1e-11, alpha + 1e-11])[0]
+                assert lo * hi < 0
             return
         modes = find_eigenvalues(p, count)
         assert [mode.index for mode in modes] == [m for _, m in expected]
@@ -406,10 +473,45 @@ class TestEigenGrid:
 
 @pytest.mark.parametrize("regime", MODE_REGIMES)
 def test_real_part_is_secular_re_on_the_scan(regime):
-    # the root scan and the bisection read re through _real_part alone
+    # the breakpoint signs and the bisection read re through _real_part
+    # alone: compared on a dense scan of the searched intervals, their tan
+    # poles and their inner breakpoints
     p, count, _ = regime
-    alpha = eigen._scan(p, np.arange(1, count + 1))
+    poles = (2 * np.arange(count + 1) + 1) * math.pi
+    dense = np.linspace(poles[0], poles[-1], 600 * count + 1)
+    alpha = np.concatenate((dense, poles, eigen._breakpoints(p)[0]))
     re, expected = eigen._real_part(alpha, p)[0], eigen.secular(alpha, p).re
     for where in (np.isnan, np.isposinf, np.isneginf):
         assert np.array_equal(where(re), where(expected))
     assert re.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("A, B, L", [
+    (0.0218, 0.0136, 0.0145), (0.00729, 0.00678, 0.0101), (0.01, 1e-3, 1.0), (0.5, 1e-3, 0.1),
+    (1e-3, 0.1, 1.0), (2.0, 0.1, 30.0),
+])
+def test_slope_of_G_has_the_sign_of_P(A, B, L):
+    # G = alpha/2 - m pi - arctan R, differentiated at 30 digits: its slope
+    # has the sign of the quadratic P, and it changes sign exactly at the
+    # breakpoints other than the kinetic pole
+    p = Params(A=A, B=B, L=L, N0=3.0)
+    c, d = 0.5 * L * (2.0 * B - A), B - A
+    b, e = 2 * d * A**2 + c * c - 2 * c * A**2, d * (d + 2 * c)
+
+    def G(a):
+        return a / 2 - mpmath.atan(-c * a / (d + A**2 * a**2))
+
+    grid = np.linspace(math.pi, 21 * math.pi, 1001)
+    with mpmath.workdps(30):
+        rising = np.array([mpmath.diff(G, mpmath.mpf(alpha)) > 0 for alpha in grid])
+    x = grid * grid
+    P = A**4 * x * x + b * x + e
+    # away from the roots of P, where its sign is not rounding
+    clear = np.abs(P) > 1e-9 * (A**4 * x * x + abs(b) * x + abs(e))
+    assert np.array_equal(rising[clear], P[clear] > 0)
+    flips = np.flatnonzero(rising[1:] != rising[:-1])
+    pole = kinetic_pole(p)
+    cuts = sorted(a for a in eigen._breakpoints(p)[0] if a != pole and grid[0] < a < grid[-1])
+    assert len(cuts) == flips.size
+    for alpha, i in zip(cuts, flips):
+        assert grid[i] < alpha < grid[i + 1]

@@ -421,6 +421,17 @@ class TestCli:
         assert payload["meta"]["diagnostics"]["conservation_residual_t0"] < 1e-12
         assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.csv", "spec.json"]
 
+    def test_spectral_run_with_a_root_next_to_a_tan_pole(self, tmp_path):
+        # anchor interval 103 has its root 3.1e-6 right of the tan pole 205 pi
+        rc = main([
+            "run", "--engine", "spectral", "--A", "1e-4", "--B", "1", "--L", "1000",
+            "--N0", "3", "--modes", "200", "--outdir", str(tmp_path), "--name", "spec",
+        ])
+        assert rc == 0
+        payload = json.loads((tmp_path / "spec.json").read_text())
+        assert payload["anchors"] == list(range(1, 201))
+        assert 0.0 < payload["eigenvalues"][102] - 205 * math.pi < 1e-6 * math.pi
+
     def test_eigen_dump(self, tmp_path):
         rc = main([
             "eigen-dump", "--A", "0.5", "--B", "1e-3", "--L", "0.1", "--N0", "3",
