@@ -35,8 +35,10 @@ MAX_MODES = 2000
 MAX_GRID_POINTS = 10**6
 
 # most samples x modes of a modal time evaluation; the (samples, modes)
-# table of real weights is built in one piece, at 8 bytes an entry and one
-# buffer of cosines of the same size.  The largest in use is 801 x 2000.
+# table of real weights is built in one piece, at 8 bytes an entry, beside
+# one buffer of cosines of the same size (on an even time grid about
+# sqrt(samples) rows longer, and paired with a second such buffer while
+# angle addition forms it).  The largest in use is 801 x 2000.
 # It also bounds samples x roots of the parabolic pole sum, whose table
 # holds one real exponential per sample and root (801 x 21 at T = 2).
 MAX_MODAL_TERMS = 10**7
@@ -454,25 +456,27 @@ def make_parser() -> argparse.ArgumentParser:
         " finite-difference solvers with CSV/JSON artifacts",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # the flags every command shares, built once and copied into each command
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
 
-    run = subs.add_parser("run", help="single solve with one engine")
-    _add_common(run)
+    run = subs.add_parser("run", help="single solve with one engine", parents=[common])
     run.add_argument("--engine", choices=ENGINES)
     run.add_argument("--pair", help="engines for --engine compare, e.g. spectral,fdm")
 
-    sweep = subs.add_parser("sweep", help="repeat a run along one parameter axis")
-    _add_common(sweep)
+    sweep = subs.add_parser("sweep", help="repeat a run along one parameter axis",
+                            parents=[common])
     sweep.add_argument("--engine", choices=("fdm", "spectral", "parabolic"))
     sweep.add_argument("--axis", choices=SWEEP_AXES)
     sweep.add_argument("--values")
     sweep.add_argument("--workers")
 
-    comp = subs.add_parser("compare", help="run two engines and report deviations")
-    _add_common(comp)
+    comp = subs.add_parser("compare", help="run two engines and report deviations",
+                           parents=[common])
     comp.add_argument("--pair", help="two of fdm, spectral, parabolic (default spectral,fdm)")
 
-    dump = subs.add_parser("eigen-dump", help="tabulate the secular equations on an alpha grid")
-    _add_common(dump)
+    dump = subs.add_parser("eigen-dump", help="tabulate the secular equations on an alpha grid",
+                           parents=[common])
     dump.add_argument("--alpha-min", type=float, default=ALPHA_MIN)
     dump.add_argument("--alpha-max", type=float, default=ALPHA_MAX)
     dump.add_argument("--points", type=int, default=GRID_POINTS)

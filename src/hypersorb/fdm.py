@@ -26,7 +26,9 @@ the stencil's ufunc calls on the slot's views with 0-d weights (seven for
 a wave level, four for the start-up: the Laplacian is the difference of
 one gradient, and the weights are folded once per march), and the wall
 closure bound to the slot's memoryviews, which also mirrors the
-symmetry node and writes the slot's sigma; a march shorter than RING
+symmetry node, writes the slot's sigma and leaves the sum of each row's
+interior in the slot's row of a sums buffer, from which the record takes
+the inner mass; a march shorter than RING
 builds programs for its own levels only.  A level is its program and
 nothing else: the divergence check and the record run once per pass
 around the ring.  The record is row-major, one full-length array per
@@ -240,15 +242,6 @@ def step_interior(prev: np.ndarray, prev2: np.ndarray, grid: Grid, B: float) -> 
     return row
 
 
-def trapezoid_interior(rows: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoidal mass of the half row excluding the wall-node contribution.
-
-    rows may be one row or any stack of rows (space on the last axis); the
-    result has one entry per row.
-    """
-    return h * (0.5 * rows[..., 0] + np.add.reduce(rows[..., 1:-1], axis=-1))
-
-
 def _wall_constants(p: Params, grid: Grid) -> tuple:
     """The wall closure's constants for one parameter set (see _bind_wall)."""
     h, k = grid.h, grid.k
@@ -258,13 +251,20 @@ def _wall_constants(p: Params, grid: Grid) -> tuple:
     return 0.5 * p.N0, p.A + k, p.A, den, h
 
 
-def _start_sigma(row: _Row, constants: list) -> list:
-    """sigma at level 0, fixed by the conservation identity."""
-    inner = trapezoid_interior(row.full, constants[0][4]).tolist()
+def _start_sigma(row: _Row, constants: list, totals: np.ndarray) -> list:
+    """sigma at level 0, fixed by the conservation identity; totals gets the interior sums.
+
+    The inner mass, the trapezoidal mass of a row without the wall node's
+    share, is h (node 0 / 2 + the interior sum), as in _bind_wall.
+    """
+    np.add.reduce(row.interior, 1, None, totals)
+    h = constants[0][4]
+    inner = (h * (0.5 * row.full[..., 0] + totals)).tolist()
     return [c[0] - (mass + 0.5 * c[4] * w) for mass, w, c in zip(inner, row.wall, constants)]
 
 
-def _bind_wall(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: list):
+def _bind_wall(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: list,
+               totals: np.ndarray):
     """row's wall closure as a zero-argument call: mirror, close, write sigma.
 
     The closure joins global conservation to backward-Euler kinetics: with I
@@ -273,11 +273,11 @@ def _bind_wall(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: l
     in the single unknown N_wall, and its closed-form solve keeps the
     conservation identity exact.  Each row's symmetry node takes node 1's
     value, its wall value is solved from sigma_old, and its sigma written to
-    sigma, one entry per row.  The inner mass is trapezoid_interior's, in
-    Python floats: the pairwise reduce writes into a buffer bound here.
+    sigma, one entry per row.  The inner mass h (node 0 / 2 + the interior
+    sum) is taken in Python floats: the pairwise reduce writes each row's
+    interior sum into totals, where it stays for the march's record.
     """
     wall, heads, necks = row.wall, row.heads, row.necks
-    totals = np.empty(len(constants))
     inner_sum, sums = partial(np.add.reduce, row.interior, 1, None, totals), memoryview(totals)
     indexed = [(b, *c) for b, c in enumerate(constants)]
 
@@ -305,7 +305,8 @@ def apply_surface(row: np.ndarray, sigma_prev: float, grid: Grid, p: Params) -> 
     views = _views(row[np.newaxis])
     sigma = memoryview(np.array([sigma_prev]))
     # node 0 mirrors itself, so the closure reads the row's own symmetry node
-    close = _bind_wall(views._replace(necks=views.heads), sigma, sigma, [_wall_constants(p, grid)])
+    close = _bind_wall(views._replace(necks=views.heads), sigma, sigma, [_wall_constants(p, grid)],
+                       np.empty(1))
     close()
     return float(row[-1]), sigma[0]
 
@@ -370,18 +371,20 @@ def march(rows0, ps, grid: Grid, meta: dict, probes=(),
     stencils = _probe_weights(probes, zgrid)
     nodes = sorted({n for _, i, _ in stencils for n in (i, i + 1)})
 
-    # level j in slot j % RING: its rows in ring, its sigma in sig_ring
-    ring, sig_ring = np.empty((n_slots, n_batch, n_nodes)), np.empty((n_slots, n_batch))
+    # level j in slot j % RING: its rows in ring, its sigma in sig_ring and the
+    # sums of its rows' interior nodes, left by its closure, in sums
+    ring = np.empty((n_slots, n_batch, n_nodes))
+    sig_ring, sums = np.empty((n_slots, n_batch)), np.empty((n_slots, n_batch))
     slots, sigmas = [_views(row) for row in ring], [memoryview(s) for s in sig_ring]
     grad, lap = np.empty_like(slots[0].upper), np.empty_like(slots[0].mid)
     np.copyto(ring[0], rows0)
-    sig_ring[0] = _start_sigma(slots[0], constants)
+    sig_ring[0] = _start_sigma(slots[0], constants, sums[0])
 
     def program(i: int, older: _Row | None, weights) -> tuple:
         # slot i's level: stencil from slots i-1 and older, then the closure,
         # which mirrors node 0 and writes sigma from slot i-1's into slot i's
         return (*_stencil(slots[i], slots[i - 1], older, weights, grad, lap),
-                _bind_wall(slots[i], sigmas[i - 1], sigmas[i], constants))
+                _bind_wall(slots[i], sigmas[i - 1], sigmas[i], constants, sums[i]))
 
     # each row's B on its n_z + 1 nodes, trimmed as mid is
     B = np.repeat([p.B for p in ps], n_nodes)[1:-1]
@@ -439,7 +442,8 @@ def march(rows0, ps, grid: Grid, meta: dict, probes=(),
             done = slice(c, c + n)
             sig_c[done] = sig_ring[:n]
             wall_c[done] = block[..., -1]
-            inner_c[done] = trapezoid_interior(block, h)
+            # the inner mass, from the interior sums the closures left
+            inner_c[done] = h * (0.5 * block[..., 0] + sums[:n])
             node_c[done] = block[..., nodes]
             if c + n == n_chunk or first + n == n_levels:
                 flush(first - c, c + n)

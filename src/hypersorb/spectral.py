@@ -11,10 +11,18 @@ modal_sums evaluates this series and the exact sum of hypersorb.poles alike;
 this module assembles the real time table Re(S1 e^{mu1 t} + S2 e^{mu2 t})
 (or its rate), one damped cosine per oscillating mode, and the stored rows
 of to_series.
+
+The trig tables of n x k entries are built from O(n + k) sines and cosines
+by angle addition, sin(a +- b) and cos(a + b) in terms of sin and cos of a
+and of b: the Gram matrix's sines of (alpha_i +- alpha_j)/2, and the
+cosines of the value table on an even time grid and of the stored rows on
+their even z grid (_grid_cosines).  Entries move from the per-entry forms
+at rounding level only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,15 +50,18 @@ UNDERFLOW_EXPONENT = 746.0
 def gram_matrix(alphas) -> np.ndarray:
     """Pairwise inner products of the cosine modes over [-1/2, 1/2].
 
-    Symmetric with nonzero off-diagonal entries; the alphas must be distinct.
+    Off the diagonal, sin((a_i - a_j)/2)/(a_i - a_j) + sin((a_i + a_j)/2)/(a_i
+    + a_j).  With H = outer(sin(a/2), cos(a/2)) the two sines are H - H^T and
+    H + H^T by angle addition: 2n sines and cosines in place of 2n^2 sines,
+    and no rounded a_i -+ a_j inside a sine.  Symmetric (exactly) with
+    nonzero off-diagonal entries; the alphas must be distinct.
     """
     a = np.asarray(alphas, dtype=float)
     if not np.all(a > 0):
         raise InvalidInput("mode frequencies must be strictly positive")
-    diff = a[:, None] - a[None, :]
-    total = a[:, None] + a[None, :]
+    half = np.multiply.outer(np.sin(0.5 * a), np.cos(0.5 * a))
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = np.sin(0.5 * diff) / diff + np.sin(0.5 * total) / total
+        off = (half - half.T) / np.subtract.outer(a, a) + (half + half.T) / np.add.outer(a, a)
     diag = 0.5 + np.sin(a) / (2.0 * a)
     np.fill_diagonal(off, diag)
     return off
@@ -255,6 +266,26 @@ def _times(t) -> np.ndarray:
     return t
 
 
+def _grid_cosines(x: np.ndarray, freq, phase) -> np.ndarray:
+    """cos(freq x + phase), shape (x.size, freq.size), for x = np.linspace(x[0], x[-1], x.size).
+
+    Point n = qM + r of the grid (at least two points), M the ceiling of
+    sqrt(x.size), sits at a coarse point x[qM] plus a fine offset r dx, so
+    by angle addition the table takes sines and cosines of the (x.size/M +
+    M) x freq.size coarse phases freq x[qM] + phase and fine phases freq r
+    dx only, and three passes over the table.  The coarse rows are the
+    per-entry phases bit for bit; a fine offset adds a phase rounding of
+    about freq ulp(x).
+    """
+    step = (x[-1] - x[0]) / (x.size - 1)
+    fine_count = math.ceil(math.sqrt(x.size))
+    coarse = np.add(np.multiply.outer(x[::fine_count], freq), phase)
+    fine = np.multiply.outer(np.arange(fine_count) * step, freq)
+    table = np.multiply(np.cos(coarse)[:, None], np.cos(fine))
+    table -= np.multiply(np.sin(coarse)[:, None], np.sin(fine))
+    return table.reshape(-1, table.shape[-1])[: x.size]
+
+
 def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
     """Real modal weights Re(S1 e^{mu1 t} + S2 e^{mu2 t}) (or their t-derivative).
 
@@ -262,23 +293,35 @@ def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
     mode (mu2 = conj(mu1)) sums to Re(P e^{mu1 t}) with P = S1 + conj(S2),
     that is |P| e^{Re(mu1) t} cos(Im(mu1) t + arg P), P being 2 S1 when
     S2 = conj(S1).  Every such mode decays at Re(mu1) = -1/(2B), so the table
-    is one cosine per entry and one real exponential per time.  The columns
-    of a mode with two real rates are S1 e^{mu1 t} + S2 e^{mu2 t}.  The rate
-    puts mu1 S1 and mu2 S2 in place of S1 and S2.
+    is one cosine factor per entry and one real exponential per time.  The
+    columns of a mode with two real rates are S1 e^{mu1 t} + S2 e^{mu2 t}.
+    The rate puts mu1 S1 and mu2 S2 in place of S1 and S2.
 
-    The table is built in two buffers, the cosines and the damped
-    amplitudes.  Times past the underflow of the slowest mode are evaluated
-    at that point, where every entry is zero, so t = inf needs no cos(inf).
+    The value table on an even grid, t equal to np.linspace(t[0], t[-1],
+    t.size), takes its cosines from _grid_cosines by angle addition; that
+    stays within rounding (~1e-16 of the table's largest entry) of one
+    cosine per entry.  Any other t, and the rate table, take one cosine per
+    entry: the rate's scale comes from the fastest modes, where the phase
+    rounding of angle addition, about Im(mu1) ulp(t), would show.  The table
+    is built in two buffers, the cosines and the damped amplitudes.  Times
+    past the underflow of the slowest mode are evaluated at that point,
+    where every entry is zero, so t = inf needs no cos(inf); a grid reaching
+    past it takes one cosine per entry.
     """
     t = _times(t)
     pair = sol.mu2 == np.conj(sol.mu1)
     s1, s2 = (sol.mu1 * sol.S1, sol.mu2 * sol.S2) if rate else (sol.S1, sol.S2)
     p = s1 + np.conj(s2)
     slowest = max(np.max(sol.mu1.real), np.max(sol.mu2.real))
-    tt = np.minimum(t, UNDERFLOW_EXPONENT / -slowest)[..., None]
-    wave = np.multiply(sol.mu1.imag, tt)
-    np.add(wave, np.angle(p), out=wave)
-    np.cos(wave, out=wave)
+    limit = UNDERFLOW_EXPONENT / -slowest
+    tt = np.minimum(t, limit)[..., None]
+    if not rate and t.ndim == 1 and t.size > 1 and max(t[0], t[-1]) <= limit \
+            and np.array_equal(t, np.linspace(t[0], t[-1], t.size)):
+        wave = _grid_cosines(t, sol.mu1.imag, np.angle(p))
+    else:
+        wave = np.multiply(sol.mu1.imag, tt)
+        np.add(wave, np.angle(p), out=wave)
+        np.cos(wave, out=wave)
     # -0.5 / B is eigen's Re(mu1) of an oscillating mode, bit for bit
     table = np.multiply(np.exp(np.multiply(-0.5 / sol.params.B, tt)), np.abs(p))
     np.multiply(table, wave, out=table)
@@ -392,7 +435,7 @@ def to_series(sol: SpectralSolution, tgrid, probes=()) -> TimeSeries:
                                       sol.params.N0, np.concatenate(([0.5], probes)))
     row_z = np.linspace(0.0, 0.5, ROW_Z_COUNT)
     idx = thin_indices(t.size, MAX_ROWS)
-    rows = sol.n_eq + weights[idx] @ np.cos(np.multiply.outer(row_z, sol.alphas)).T
+    rows = sol.n_eq + weights[idx] @ _grid_cosines(row_z, sol.alphas, 0.0).T
     return TimeSeries(
         t=t,
         sigma=sigma,

@@ -934,6 +934,23 @@ class TestCli:
         with pytest.raises(cli.ConfigError, match="samples x modes"):
             build_config(parser.parse_args(["compare", "--pair", "fdm,spectral", *past]))
 
+    def test_subcommand_options_pinned(self):
+        # each command's flags, in order: help, the shared ones, then its own
+        common = ["--config", "--A", "--B", "--L", "--N0", "--d", "--D", "--tau-r", "--tau-a",
+                  "--k-a", "--n0", "--ic", "--ic-file", "--T", "--n-z", "--lam", "--modes",
+                  "--samples", "--probes", "--outdir", "--name"]
+        own = {
+            "run": ["--engine", "--pair"],
+            "sweep": ["--engine", "--axis", "--values", "--workers"],
+            "compare": ["--pair"],
+            "eigen-dump": ["--alpha-min", "--alpha-max", "--points"],
+        }
+        commands = make_parser()._subparsers._group_actions[0].choices
+        assert list(commands) == list(own)
+        for name, sub in commands.items():
+            flags = [action.option_strings for action in sub._actions]
+            assert flags == [["-h", "--help"], *([f] for f in common + own[name])], name
+
     def test_import_starts_no_process_pool_machinery(self):
         # only a sweep of two or more grid groups, on several workers, starts a pool
         code = "import sys, hypersorb.cli; print('concurrent.futures.process' in sys.modules)"

@@ -90,6 +90,20 @@ class TestGram:
         assert np.all(np.linalg.eigvalsh(g) > 0)
         assert np.all(np.diag(g) > 0) and np.all(np.diag(g) <= 1.0)
 
+    @pytest.mark.parametrize("count", [200, 2000])
+    @pytest.mark.parametrize("p", ACCEPTANCE_SETS, ids=lambda p: f"A{p.A:g}-B{p.B:g}-L{p.L:g}")
+    def test_angle_addition_matches_two_sines(self, p, count):
+        # sin((a -+ b)/2) by angle addition against the sines of the rounded
+        # a -+ b themselves: the same entries to rounding, the same diagonal
+        a = np.array([m.alpha for m in find_eigenvalues(p, count)])
+        diff, total = np.subtract.outer(a, a), np.add.outer(a, a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direct = np.sin(0.5 * diff) / diff + np.sin(0.5 * total) / total
+        np.fill_diagonal(direct, 0.5 + np.sin(a) / (2.0 * a))
+        g = gram_matrix(a)
+        assert np.array_equal(g, g.T) and np.array_equal(np.diag(g), np.diag(direct))
+        assert np.max(np.abs(g - direct)) <= 2.2e-16 * np.max(np.abs(direct))
+
     def test_invalid_frequency(self):
         with pytest.raises(InvalidInput):
             gram_matrix([-1.0, 2.0])
@@ -403,30 +417,79 @@ def regime_solution(request):
     return sol
 
 
+def per_entry_cosines(tt, freq, phase):
+    """cos(freq t + phase), one cosine per entry."""
+    return np.cos(freq * tt + phase)
+
+
+def angle_addition_cosines(tt, freq, phase):
+    """cos(freq t + phase) on a linspace t: coarse points t[qM] plus fine offsets r dt.
+
+    M is the ceiling of sqrt(t.size); cos(a + b) = cos a cos b - sin a sin b.
+    """
+    t = tt[:, 0]
+    m = math.ceil(math.sqrt(t.size))
+    coarse = t[::m, None] * freq + phase
+    fine = (np.arange(m) * ((t[-1] - t[0]) / (t.size - 1)))[:, None] * freq
+    table = np.cos(coarse)[:, None] * np.cos(fine) - np.sin(coarse)[:, None] * np.sin(fine)
+    return table.reshape(-1, freq.size)[: t.size]
+
+
+def modal_weights(sol, t, rate, cosines):
+    """The real time table with cosines(tt, Im(mu1), arg P) as its cosine factor.
+
+    An oscillating mode is |P| e^{Re(mu1) t} cos(Im(mu1) t + arg P) with
+    P = S1 + conj(S2), each exponential taken per entry here; a real-rate
+    mode is S1 e^{mu1 t} + S2 e^{mu2 t}; the rate has mu S in place of S.
+    """
+    pair = sol.mu2 == np.conj(sol.mu1)
+    s1, s2 = (sol.mu1 * sol.S1, sol.mu2 * sol.S2) if rate else (sol.S1, sol.S2)
+    p = s1 + np.conj(s2)
+    tt = np.asarray(t)[..., None]
+    table = np.exp(sol.mu1.real * tt) * np.abs(p) * cosines(tt, sol.mu1.imag, np.angle(p))
+    two_real = s1.real * np.exp(sol.mu1.real * tt) + s2.real * np.exp(sol.mu2.real * tt)
+    table[..., ~pair] = two_real[..., ~pair]
+    return table
+
+
 class TestModeRegimes:
     @pytest.mark.parametrize("rate", [False, True])
     def test_time_weights_bit_exact(self, regime_solution, rate):
-        # an oscillating mode is |P| e^{Re(mu1) t} cos(Im(mu1) t + arg P) with
-        # P = S1 + conj(S2), each exponential taken per entry here; a real-rate
-        # mode is S1 e^{mu1 t} + S2 e^{mu2 t}; the rate has mu S in place of S
+        # the value table on a linspace takes its cosines by angle addition and
+        # stays within 1e-15 of one cosine per entry; the rate table, scalar
+        # t and any other grid take one cosine per entry
         sol = regime_solution
-        pair = sol.mu2 == np.conj(sol.mu1)
-        s1, s2 = (sol.mu1 * sol.S1, sol.mu2 * sol.S2) if rate else (sol.S1, sol.S2)
-        p = s1 + np.conj(s2)
-        # the rate vanishes at t = 0, so the bound takes its scale from the grid
-        scale = np.max(np.abs(spectral._time_weights(sol, np.linspace(0.0, 2.0, 801), rate=rate)))
-        for t in (np.linspace(0.0, 2.0, 801), 0.0, 0.7):
-            tt = np.asarray(t)[..., None]
-            expected = np.exp(sol.mu1.real * tt) * np.abs(p) * np.cos(sol.mu1.imag * tt + np.angle(p))
-            two_real = s1.real * np.exp(sol.mu1.real * tt) + s2.real * np.exp(sol.mu2.real * tt)
-            expected[..., ~pair] = two_real[..., ~pair]
+        grid = np.linspace(0.0, 2.0, 801)
+        nudged = grid.copy()
+        nudged[400] = np.nextafter(nudged[400], 3.0)
+        # the rate vanishes at t = 0, so the bounds take their scale from the grid
+        scale = np.max(np.abs(spectral._time_weights(sol, grid, rate=rate)))
+        for t in (grid, nudged, 0.0, 0.7):
             table = spectral._time_weights(sol, t, rate=rate)
+            expected = modal_weights(sol, t, rate, per_entry_cosines)
+            if t is grid and not rate:
+                assert np.max(np.abs(table - expected)) <= 1e-15 * scale
+                expected = modal_weights(sol, t, rate, angle_addition_cosines)
             assert table.dtype == float and table.tobytes() == expected.tobytes()
             # the real part of the complex table, to rounding
+            tt = np.asarray(t)[..., None]
             w1 = sol.S1 * np.exp(sol.mu1 * tt)
             w2 = sol.S2 * np.exp(sol.mu2 * tt)
             complex_table = sol.mu1 * w1 + sol.mu2 * w2 if rate else w1 + w2
             assert np.max(np.abs(table - complex_table.real)) <= 1e-13 * scale
+
+    def test_stored_rows_by_angle_addition(self, regime_solution):
+        # the stored rows' cosines on the row_z linspace, bit for bit, and
+        # within rounding of the phase alpha z of one cosine per entry
+        sol = regime_solution
+        t = np.linspace(0.0, 2.0, 801)
+        ser = to_series(sol, t)
+        zz = ser.row_z[:, None]
+        cosines = angle_addition_cosines(zz, sol.alphas, 0.0)
+        weights = spectral._time_weights(sol, t)[np.searchsorted(t, ser.row_times)]
+        assert ser.rows.tobytes() == (sol.n_eq + weights @ cosines.T).tobytes()
+        direct = per_entry_cosines(zz, sol.alphas, 0.0)
+        assert np.max(np.abs(cosines - direct)) <= 4.0 * np.max(sol.alphas) * np.spacing(0.5)
 
     @pytest.mark.parametrize("regime", ["oscillating", "two-real-pole"])
     def test_infinite_time_is_equilibrium_without_warnings(self, regime):
