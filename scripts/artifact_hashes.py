@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every artifact the four benchmark commands write.
+"""Print the sha256 of every artifact the four benchmark commands and one eigen-dump write.
 
 Usage, from the root of a checkout:
 
@@ -7,9 +7,12 @@ Usage, from the root of a checkout:
 
 Each workload of perfbench runs once through ``hypersorb.cli.main``, with
 the argv the benchmark builds for it (``WORKLOADS``, ``resolve_inputs`` and
-``command_argv`` of perfbench/harness.py, SEED 1 by default).  Workload w
-writes into OUTDIR/w (default out/artifact_hashes/w), which is emptied
-first.  One line ``w/file sha256`` is printed per artifact, in sorted order.
+``command_argv`` of perfbench/harness.py, SEED 1 by default).  Then
+``eigen-dump`` tabulates the secular functions on its default alpha grid at
+the secular-landmark set A = 0.5, B = 1e-3, L = 0.1 (``EIGEN_DUMP``).
+Command w writes into OUTDIR/w (default out/artifact_hashes/w), which is
+emptied first.  One line ``w/file sha256`` is printed per artifact, in
+sorted order; the benchmark's lines come first.
 
 The CLI echoes its outdir into each artifact's config header, so two
 checkouts compare byte for byte when each runs this with the same relative
@@ -40,16 +43,28 @@ from harness import WORKLOADS, command_argv, resolve_inputs  # noqa: E402
 
 from hypersorb import cli  # noqa: E402
 
+# the secular-equation table at the secular-landmark set; it does not read SEED
+EIGEN_DUMP = ["eigen-dump", "--A", "0.5", "--B", "1e-3", "--L", "0.1", "--N0", "3",
+              "--name", "landmark"]
+
+
+def command(name, target, seed):
+    """The argv of command name, writing into target."""
+    if name == "eigen_dump":
+        return [*EIGEN_DUMP, "--outdir", str(target)]
+    workload = WORKLOADS[name]
+    return command_argv(workload, resolve_inputs(workload, seed), target)
+
 
 def main():
     outdir = Path(sys.argv[1] if len(sys.argv) > 1 else os.path.join("out", "artifact_hashes"))
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     failed = False
-    for name, workload in WORKLOADS.items():
+    for name in [*WORKLOADS, "eigen_dump"]:
         target = outdir / name
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
-        argv = command_argv(workload, resolve_inputs(workload, seed), target)
+        argv = command(name, target, seed)
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(argv)
         if rc != 0:

@@ -9,7 +9,7 @@ surface density's Laplace transform, and the comparison tooling of
 hypersorb.validate cross-validate the two.
 """
 
-from .eigen import Exponents, Mode, exponents, find_eigenvalues
+from .eigen import find_eigenvalues
 from .errors import HypersorbError
 from .fdm import Grid, default_lambda, run_fdm
 from .params import (
@@ -31,11 +31,9 @@ from .validate import ComparisonReport, audit_conservation, audit_kinetics, comp
 
 __all__ = [
     "ComparisonReport",
-    "Exponents",
     "Grid",
     "HypersorbError",
     "InitialCondition",
-    "Mode",
     "Params",
     "PhysicalInputs",
     "SpectralSolution",
@@ -48,7 +46,6 @@ __all__ = [
     "equilibrium",
     "eval_density",
     "eval_sigma",
-    "exponents",
     "find_eigenvalues",
     "from_physical",
     "parabolic_ic",

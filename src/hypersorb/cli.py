@@ -310,8 +310,8 @@ def cmd_run(cfg: RunConfig) -> int:
     write_series_csv(thin_series(series, cfg.samples), csv_path, config=echo)
     diag = _series_diagnostics(series, echo)
     if cfg.engine == "spectral":
-        diag["eigenvalues"] = [m.alpha for m in sol.modes]
-        diag["anchors"] = [m.index for m in sol.modes]
+        diag["eigenvalues"] = sol.alphas.tolist()
+        diag["anchors"] = sol.anchors.tolist()
         # [re, im] pairs, as write_json encodes a complex, built without its hook
         diag["amplitudes_S1"] = np.column_stack((sol.S1.real, sol.S1.imag)).tolist()
         diag["amplitudes_S2"] = np.column_stack((sol.S2.real, sol.S2.imag)).tolist()

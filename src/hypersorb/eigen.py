@@ -12,11 +12,12 @@ from the wall kinetics; the production set uses the real part of its
 analytic continuation for all alpha, which reduces to the average of the
 two real-branch equations below alpha_c.
 
-The rates and the secular equation are each written once, as the array
-functions ``_rates`` and ``secular``; the real part of the continued
-equation is ``_real_part``, which ``secular`` builds on.  ``eigen_grid`` is
-the public evaluator of the secular functions: it masks their undefined
-entries with NaN rather than raising.
+The rates and the secular equation are each written once, as array
+functions: ``_rates`` gives mu1 and mu2 of every alpha, and ``_real_part``
+gives the real part of the continued equation with the terms it shares.
+The bisection reads ``_real_part`` alone; ``eigen_grid``, the one public
+evaluator of the secular functions, builds the other parts from the shared
+terms and masks their undefined entries with NaN rather than raising.
 
 ``find_eigenvalues`` searches the first ``count`` anchor intervals
 ((2m - 1) pi, (2m + 1) pi), m = 1, 2, ..., each split at breakpoints found
@@ -49,8 +50,7 @@ step.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -68,29 +68,17 @@ CRITICAL_NUDGE = 1e-9
 DEFAULT_MODE_COUNT = 50
 
 
-@dataclass(frozen=True)
-class Exponents:
-    """Pair of temporal rates for one mode; mu1 carries the + discriminant sign."""
+class Roots(np.recarray):
+    """The roots as one record of arrays: columns alpha, index, mu1 and mu2.
 
-    mu1: complex
-    mu2: complex
-
-    @property
-    def is_real(self) -> bool:
-        return self.mu1.imag == 0.0 and self.mu2.imag == 0.0
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One admissible eigenvalue with its temporal exponents.
-
-    index is the ordinal m of the 2 m pi anchor interval the root was
-    bracketed in.
+    index is the ordinal m of the anchor interval each root was bracketed
+    in; mu1 and mu2 are its rates from ``_rates``.  A row reads as a record
+    (roots[-1].index), and the record is true when it holds a root, as a
+    sequence is.
     """
 
-    alpha: float
-    exponents: Exponents
-    index: int = 0
+    def __bool__(self) -> bool:
+        return self.size > 0
 
 
 def _rates(alpha: np.ndarray, B: float) -> tuple[np.ndarray, np.ndarray]:
@@ -108,49 +96,11 @@ def _rates(alpha: np.ndarray, B: float) -> tuple[np.ndarray, np.ndarray]:
     return mu1, mu2
 
 
-def exponents(alpha: float, B: float) -> Exponents:
-    """Temporal rates mu1, mu2 for a mode of spatial frequency alpha.
-
-    B = 0 is the degenerate parabolic branch: mu1 diverges to -inf and
-    mu2 -> -alpha^2 (the classical diffusive decay rate).
-    """
-    if not alpha > 0:
-        raise InvalidInput("alpha must be strictly positive")
-    if B < 0:
-        raise InvalidInput("B must be non-negative")
-    return Exponents(*(complex(mu) for mu in _rates(np.asarray(alpha, dtype=float), B)))
-
-
-# the parts of the secular equation at each alpha, NaN outside their domain
-Secular = namedtuple("Secular", "re im f1 f2")
-
-
-def secular(alpha: np.ndarray, p: Params) -> Secular:
-    """The secular equation on an array of alpha > 0, with no pole guard.
-
-    With q = 4 alpha^2 B - 1 and den = (2B - A)^2 + A^2 q:
-
-    * re = tan(alpha/2)/alpha + L 2B(2B - A)/den continues the real part to
-      every alpha; the kinetic term is +-inf at kinetic_pole(p).
-    * im = 2BA sqrt(q)/den above alpha_c (+ sign convention), NaN below.
-    * f1, f2 = tan(alpha/2)/alpha + L/(1 + mu A), with the real rate mu1 or
-      mu2, below alpha_c; NaN above.
-    """
-    A, B, L = p.A, p.B, p.L
-    re, tan_term, q, den = _real_part(alpha, p)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        below = q <= 0.0
-        f1, f2 = np.full(q.shape, np.nan), np.full(q.shape, np.nan)
-        for f, mu in zip((f1, f2), _rates(alpha[below], B)):
-            f[below] = tan_term[below] + L / (1.0 + mu.real * A)
-        return Secular(re, 2.0 * B * A * np.sqrt(q) / den, f1, f2)
-
-
 def _real_part(alpha: np.ndarray, p: Params):
     """re of the secular equation, with the terms tan(alpha/2)/alpha, q and den it shares.
 
-    The breakpoint signs and the bisection read re; ``secular`` builds its
-    other parts from the shared terms.
+    The breakpoint signs and the bisection read re; ``eigen_grid`` builds
+    the other parts of the secular equation from the shared terms.
     """
     A, B, L = p.A, p.B, p.L
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -235,8 +185,11 @@ def bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float = BRACKET
         fa = np.where(left, fa, fm)
 
 
-def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
+def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> Roots:
     """First ``count`` roots of the continued secular equation, ascending.
+
+    Returns one record of ``count`` rows (see ``Roots``): each root alpha,
+    the index m of its anchor interval, and its rates mu1 and mu2.
 
     Anchor intervals m = 1, ..., count are split at their breakpoints (see
     the module docstring); a piece whose ends carry opposite signs of re
@@ -246,8 +199,8 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
     alpha_c are pushed off the degenerate point so both exponents stay
     distinct.
     """
-    if count < 1:
-        raise InvalidInput("count must be at least 1")
+    if not isinstance(count, Integral) or count < 1:
+        raise InvalidInput(f"count must be an integer of at least 1, got {count!r}")
     if not p.B > 0:
         raise InvalidInput("the eigenvalue set requires B > 0")
     m = np.arange(1, count + 1)
@@ -277,30 +230,40 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> list[Mode]:
     roots = bisect(lambda x: _real_part(x, p)[0], ends[piece], ends[piece + 1], after[piece])
     a_c = alpha_critical(p)
     roots = np.where(np.abs(roots - a_c) < CRITICAL_NUDGE, a_c + CRITICAL_NUDGE, roots)
-    rates = zip(*(mu.tolist() for mu in _rates(roots, p.B)))
-    return [
-        Mode(a, Exponents(*mu), index=m)
-        for a, mu, m in zip(roots.tolist(), rates, owner[piece].tolist())
-    ]
+    columns = (roots, owner[piece], *_rates(roots, p.B))
+    return np.rec.fromarrays(columns, names="alpha,index,mu1,mu2").view(Roots)
 
 
 def eigen_grid(p: Params, alphas) -> dict[str, np.ndarray]:
     """The secular functions on an array of alpha, one column each.
 
-    Returns columns alpha, f1, f2, re_E, im_E.  re_E and im_E are the real
-    and imaginary parts of the continued equation (im_E with the + sign
-    convention, 0 up to alpha_c); f1 and f2 are the real-branch equations,
-    NaN above alpha_c.  Every column is NaN for alpha <= 0 and inside the
-    tan-pole guard band.
+    Returns columns alpha, f1, f2, re_E, im_E.  With q = 4 alpha^2 B - 1 and
+    den = (2B - A)^2 + A^2 q:
+
+    * re_E = tan(alpha/2)/alpha + L 2B(2B - A)/den, from ``_real_part``,
+      continues the real part to every alpha; the kinetic term is +-inf at
+      kinetic_pole(p).
+    * im_E = 2BA sqrt(q)/den above alpha_c (+ sign convention), 0 up to it.
+    * f1, f2 = tan(alpha/2)/alpha + L/(1 + mu A), with the real rate mu1 or
+      mu2, are the real-branch equations below alpha_c; NaN above.
+
+    Every column is NaN for alpha <= 0 and inside the tan-pole guard band.
     """
     alphas = np.asarray(alphas, dtype=float)
-    at = secular(alphas, p)
+    A, B, L = p.A, p.B, p.L
+    re, tan_term, q, den = _real_part(alphas, p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        below = q <= 0.0
+        f1, f2 = np.full(q.shape, np.nan), np.full(q.shape, np.nan)
+        for f, mu in zip((f1, f2), _rates(alphas[below], B)):
+            f[below] = tan_term[below] + L / (1.0 + mu.real * A)
+        im = 2.0 * B * A * np.sqrt(q) / den
     a_c = alpha_critical(p)
     defined = (alphas > 0) & ~_in_guard_band(alphas)
     return {
         "alpha": alphas,
-        "f1": np.where(defined, at.f1, np.nan),
-        "f2": np.where(defined, at.f2, np.nan),
-        "re_E": np.where(defined, at.re, np.nan),
-        "im_E": np.where(defined, np.where(alphas <= a_c, 0.0, at.im), np.nan),
+        "f1": np.where(defined, f1, np.nan),
+        "f2": np.where(defined, f2, np.nan),
+        "re_E": np.where(defined, re, np.nan),
+        "im_E": np.where(defined, np.where(alphas <= a_c, 0.0, im), np.nan),
     }

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import DEFAULT_MODE_COUNT, Mode, find_eigenvalues
+from .eigen import DEFAULT_MODE_COUNT, find_eigenvalues
 from .errors import DegenerateBasisError, DegenerateModeError, InvalidInput
 from .params import InitialCondition, Params, cosine_moment, equilibrium, sample_initial
 from .series import TimeSeries, thin_indices
@@ -234,12 +234,18 @@ def amplitudes(C: np.ndarray, mu1: np.ndarray, mu2: np.ndarray) -> tuple[np.ndar
 
 @dataclass(eq=False)
 class SpectralSolution:
-    """Assembled modal solution, evaluable at any (z*, t*)."""
+    """Assembled modal solution, evaluable at any (z*, t*).
+
+    Per mode: alphas (the basis's), anchors (the index m of the anchor
+    interval each root was found in), the rates mu1 and mu2 of
+    find_eigenvalues, the expansion coefficients C and the amplitudes S1
+    and S2, each a contiguous array.
+    """
 
     params: Params
     n_eq: float
     sigma_eq: float
-    modes: list[Mode]
+    anchors: np.ndarray
     basis: OrthoBasis
     C: np.ndarray
     S1: np.ndarray
@@ -388,10 +394,9 @@ def solve_spectral(
     """
     if not p.B > 0:
         raise InvalidInput("the modal engine requires B > 0; use the parabolic solver")
-    modes = find_eigenvalues(p, mode_count)
-    alphas = np.array([m.alpha for m in modes])
-    mu1 = np.array([m.exponents.mu1 for m in modes])
-    mu2 = np.array([m.exponents.mu2 for m in modes])
+    roots = find_eigenvalues(p, mode_count)
+    # contiguous copies of the record's columns, which the modal tables read
+    alphas, anchors, mu1, mu2 = (roots[name].copy() for name in roots.dtype.names)
     basis = orthogonalize(alphas)
     C = project_initial(ic, basis, p)
     s1, s2 = amplitudes(C, mu1, mu2)
@@ -400,7 +405,7 @@ def solve_spectral(
         params=p,
         n_eq=n_eq,
         sigma_eq=sigma_eq,
-        modes=modes,
+        anchors=anchors,
         basis=basis,
         C=C,
         S1=s1,
@@ -448,7 +453,7 @@ def to_series(sol: SpectralSolution, tgrid, probes=()) -> TimeSeries:
         params=sol.params,
         meta={
             "engine": "spectral",
-            "mode_count": len(sol.modes),
+            "mode_count": sol.alphas.size,
             "diagnostics": dict(sol.diagnostics),
         },
     )

@@ -150,11 +150,10 @@ class TestAcceptance:
         # orthogonalization residual
         assert orthogonality_residual(spectral_oscillatory_50.basis) < 1e-8
         # exponent identities on the production mode set
-        p = oscillatory_params
-        for m in spectral_oscillatory_50.modes:
-            mu = m.exponents
-            assert abs(mu.mu1 * mu.mu2 - m.alpha**2 / p.B) <= 1e-10 * abs(mu.mu1 * mu.mu2)
-            assert abs(mu.mu1 + mu.mu2 + 1.0 / p.B) <= 1e-10 * abs(mu.mu1 + mu.mu2)
+        p, sol = oscillatory_params, spectral_oscillatory_50
+        for alpha, mu1, mu2 in zip(sol.alphas, sol.mu1, sol.mu2):
+            assert abs(mu1 * mu2 - alpha**2 / p.B) <= 1e-10 * abs(mu1 * mu2)
+            assert abs(mu1 + mu2 + 1.0 / p.B) <= 1e-10 * abs(mu1 + mu2)
         # closed-form Gram entries against adaptive quadrature
         alphas = spectral_oscillatory_50.alphas[:6]
         gram = gram_matrix(alphas)

@@ -41,6 +41,6 @@ def test_time_weights_peak_in_tables():
     # two real (samples x modes) buffers, the cosines and the table
     sol = spectral.solve_spectral(Params(A=1e-3, B=0.1, L=1.0, N0=3.0), step_ic(), 200)
     t = np.linspace(0.0, 2.0, 801)
-    table = t.size * len(sol.modes) * 8
+    table = t.size * sol.alphas.size * 8
     for rate in (False, True):
         assert peak_bytes(lambda: spectral._time_weights(sol, t, rate=rate)) <= 2.5 * table

@@ -34,3 +34,18 @@ def test_process_pool_binding_resolves():
     from hypersorb import cli
 
     assert callable(cli.ProcessPoolExecutor)
+
+
+@pytest.mark.parametrize("A, B, L, counted", [
+    (0.5, 1e-3, 0.1, (6, 6)),
+    # the kinetic pole's interval holds two roots: anchors 1, 2, 2, 3, 4, 5
+    (0.01, 1e-3, 1.0, (6, 5)),
+])
+def test_root_counts_read_from_the_record(spans, A, B, L, counted):
+    # the tracer reads the roots and the anchor of the last one from the
+    # returned record: len(roots) and roots[-1].index
+    from hypersorb.eigen import find_eigenvalues
+    from hypersorb.params import Params
+
+    roots = find_eigenvalues(Params(A=A, B=B, L=L, N0=3.0), 6)
+    assert spans._roots((), {}, roots) == counted
