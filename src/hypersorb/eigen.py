@@ -15,7 +15,7 @@ two real-branch equations below alpha_c.
 The rates and the secular equation are each written once, as array
 functions: ``_rates`` gives mu1 and mu2 of every alpha, and ``_real_part``
 gives the real part of the continued equation with the terms it shares.
-The bisection reads ``_real_part`` alone; ``eigen_grid``, the one public
+The root search reads ``_real_part`` alone; ``eigen_grid``, the one public
 evaluator of the secular functions, builds the other parts from the shared
 terms and masks their undefined entries with NaN rather than raising.
 
@@ -27,7 +27,11 @@ On interval m, where alpha/2 - m pi lies in (-pi/2, pi/2), that is
 
     G(alpha) = alpha/2 - m pi - arctan R(alpha) = 0,
 
-and re has the sign of G.  G' = 1/2 - R'/(1 + R^2) has the sign of
+and re has the sign of G.  Its slope,
+
+    G' = 1/2 - R'/(1 + R^2) = 1/2 + c (d - A^2 alpha^2)/((d + A^2 alpha^2)^2 + c^2 alpha^2),
+
+has the sign of
 
     P(x) = A^4 x^2 + (2 d A^2 + c^2 - 2 c A^2) x + d (d + 2c),   x = alpha^2,
 
@@ -43,8 +47,10 @@ sqrt(x2).  The breakpoints of interval m are
 G is continuous and monotone on each piece between breakpoints, so a piece
 holds a root exactly when re (or its one-sided limit) has opposite signs at
 its two ends.  An interval with no inner breakpoint holds exactly one root.
-Every such piece is bisected together, one evaluation of the real part per
-step.
+``rootfind.bracketed_roots`` solves every such piece together: Newton
+steps on G, which is smooth there, put each root within reach, and a sign
+change of re itself across a bracket of BRACKET_TOL certifies it.
+``poles`` finds the roots of its own secular equation with the same solver.
 """
 
 from __future__ import annotations
@@ -56,11 +62,12 @@ import numpy as np
 
 from .errors import BracketingError, InvalidInput
 from .params import Params, alpha_critical
+from .rootfind import bracketed_roots, half_turns
 
 # eigen_grid masks alpha this close to a pole of tan(alpha/2)
 TAN_POLE_GUARD = 1e-8
-# bisection stops once the bracket is narrower than this or its ends are
-# adjacent floats
+# a root is certified by a sign change of re across a bracket narrower
+# than this, or across two adjacent floats
 BRACKET_TOL = 1e-12
 # roots this close to alpha_c are nudged off the degenerate point
 CRITICAL_NUDGE = 1e-9
@@ -99,7 +106,7 @@ def _rates(alpha: np.ndarray, B: float) -> tuple[np.ndarray, np.ndarray]:
 def _real_part(alpha: np.ndarray, p: Params):
     """re of the secular equation, with the terms tan(alpha/2)/alpha, q and den it shares.
 
-    The breakpoint signs and the bisection read re; ``eigen_grid`` builds
+    The breakpoint signs and the root certificates read re; ``eigen_grid`` builds
     the other parts of the secular equation from the shared terms.
     """
     A, B, L = p.A, p.B, p.L
@@ -108,6 +115,17 @@ def _real_part(alpha: np.ndarray, p: Params):
         q = 4.0 * alpha**2 * B - 1.0
         den = (2.0 * B - A) ** 2 + A**2 * q
         return tan_term + L * 2.0 * B * (2.0 * B - A) / den, tan_term, q, den
+
+
+def _arctan_form(alpha: np.ndarray, m: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """G = alpha/2 - m pi - arctan R on anchor interval m, and its slope G' (module docstring)."""
+    A, B, L = p.A, p.B, p.L
+    c, d = 0.5 * L * (2.0 * B - A), B - A
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = (A * alpha) ** 2
+        den = d + y
+        G = half_turns(alpha, m) - np.arctan(-c * alpha / den)
+        return G, 0.5 + c * (d - y) / (den * den + (c * alpha) ** 2)
 
 
 def _in_guard_band(alpha):
@@ -157,34 +175,6 @@ def _breakpoints(p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return at, left, right
 
 
-def bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float = BRACKET_TOL) -> np.ndarray:
-    """Bisect every sign-change bracket [a, b] of the array function f together.
-
-    Unconditionally convergent: each bracket halves until narrower than tol,
-    or until its ends are adjacent floats, and returns its midpoint, or
-    returns the first midpoint where f is exactly 0.  Only the sign of fa,
-    f at a, is read.
-    """
-    roots = np.empty_like(a)
-    live = np.arange(a.size)
-    while True:
-        mid = 0.5 * (a + b)
-        # where the float spacing exceeds tol (above 2^13 for BRACKET_TOL) a
-        # bracket of two adjacent floats has its midpoint on one of its ends
-        wide = (b - a > tol) & (mid != a) & (mid != b)
-        roots[live[~wide]] = mid[~wide]
-        live, a, b, fa, mid = live[wide], a[wide], b[wide], fa[wide], mid[wide]
-        if not live.size:
-            return roots
-        fm = f(mid)
-        # an exact zero closes its bracket on mid, whose midpoint is mid again
-        hit = fm == 0.0
-        left = (fa < 0.0) != (fm < 0.0)
-        a = np.where(left & ~hit, a, mid)
-        b = np.where(left | hit, mid, b)
-        fa = np.where(left, fa, fm)
-
-
 def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> Roots:
     """First ``count`` roots of the continued secular equation, ascending.
 
@@ -193,11 +183,12 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> Roots:
 
     Anchor intervals m = 1, ..., count are split at their breakpoints (see
     the module docstring); a piece whose ends carry opposite signs of re
-    holds one root, and every such piece is bisected in one call.  Each
-    interval yields at least one root (the one holding the kinetic pole may
-    yield two) or raises BracketingError.  Roots within CRITICAL_NUDGE of
-    alpha_c are pushed off the degenerate point so both exponents stay
-    distinct.
+    holds one root, and ``rootfind.bracketed_roots`` solves every such
+    piece in one call: Newton on the arctan form G, then a sign change of re
+    within BRACKET_TOL.  Each interval yields at least one root (the one
+    holding the kinetic pole may yield two) or raises BracketingError.
+    Roots within CRITICAL_NUDGE of alpha_c are pushed off the degenerate
+    point so both exponents stay distinct.
     """
     if not isinstance(count, Integral) or count < 1:
         raise InvalidInput(f"count must be an integer of at least 1, got {count!r}")
@@ -227,10 +218,12 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> Roots:
             f" (({2 * bad - 1}pi, {2 * bad + 1}pi)) for {p}"
         )
     piece = np.flatnonzero(holds)[:count]
-    roots = bisect(lambda x: _real_part(x, p)[0], ends[piece], ends[piece + 1], after[piece])
+    index = owner[piece]
+    roots = bracketed_roots(lambda x: _real_part(x, p)[0], lambda x, i: _arctan_form(x, index[i], p),
+                            ends[piece], ends[piece + 1], after[piece], BRACKET_TOL)
     a_c = alpha_critical(p)
     roots = np.where(np.abs(roots - a_c) < CRITICAL_NUDGE, a_c + CRITICAL_NUDGE, roots)
-    columns = (roots, owner[piece], *_rates(roots, p.B))
+    columns = (roots, index, *_rates(roots, p.B))
     return np.rec.fromarrays(columns, names="alpha,index,mu1,mu2").view(Roots)
 
 

@@ -23,12 +23,17 @@ conservation holds to rounding.  Inert walls (L = 0) keep sigma = 0 and
 leave the Neumann series of the bulk: beta = 2 k pi, norm 1/4 and w = 0,
 set exactly since sin(k pi) does not round to 0.
 
-Roots.  g(2 k pi) = L (-1)^k.  Where cos(beta/2) and 1 - A beta^2 do not
-vanish, g = 0 reads tan(beta/2) = L beta/(A beta^2 - 1): the left side
-increases along each branch of the tangent, the right side decreases on
-each side of 1/sqrt(A), and the two have opposite signs on all but one
-piece of each interval (2 k pi, 2(k+1) pi).  So each interval holds exactly
-one root, bracketed by its ends, and all of them are bisected together.
+Roots.  With u = A beta^2 - 1, v = L beta > 0 and theta = atan2(v, u) in
+(0, pi), g beta = -hypot(u, v) sin(beta/2 - theta).  On the interval
+(2 k pi, 2(k+1) pi) that is g = -(-1)^k hypot(u, v) sin(H)/beta with
+
+    H(beta) = beta/2 - k pi - theta(beta),   H' = 1/2 + L (u + 2)/(u^2 + v^2) > 0.
+
+H lies in (-pi, pi), is negative at the interval's left end and positive
+at its right end, and increases, so each interval holds exactly one root,
+where H = 0, and g's sign at the left end is (-1)^k.
+``rootfind.bracketed_roots`` finds all of them together: Newton steps on H,
+then a sign change of g itself between adjacent floats.
 
 A term whose exponent beta^2 t_1 exceeds DROP_EXPONENT at the first positive
 sample t_1 is below e^-40 of its amplitude at every positive sample and is
@@ -42,9 +47,9 @@ import math
 
 import numpy as np
 
-from .eigen import bisect
 from .errors import ConfigError
 from .params import InitialCondition, Params, cosine_moment, equilibrium, initial_mass, sample_initial
+from .rootfind import bracketed_roots, half_turns
 from .series import TimeSeries
 from .spectral import modal_sums, phi_integral, sample_times
 
@@ -56,6 +61,14 @@ def secular(beta, p: Params) -> np.ndarray:
     """g(beta) = (1 - A beta^2) sin(beta/2)/beta + L cos(beta/2) on an array of beta > 0."""
     half = 0.5 * beta
     return (1.0 - p.A * beta * beta) * np.sin(half) / beta + p.L * np.cos(half)
+
+
+def _phase_form(beta, k, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """-(-1)^k H on interval k, which has the sign of g, and its slope (module docstring)."""
+    u, v = p.A * beta * beta - 1.0, p.L * beta
+    sign = 2.0 * (k % 2) - 1.0
+    H = half_turns(beta, k) - np.arctan2(v, u)
+    return sign * H, sign * (0.5 + p.L * (u + 2.0) / (u * u + v * v))
 
 
 def interval_count(t_first: float) -> int:
@@ -79,8 +92,9 @@ def roots(p: Params, t_first: float) -> np.ndarray:
     k = np.arange(interval_count(t_first), dtype=float)
     if p.L > 0:
         # one root in each interval, g's sign at its left end being (-1)^k
-        beta = bisect(lambda x: secular(x, p), 2.0 * math.pi * k, 2.0 * math.pi * (k + 1.0),
-                      1.0 - 2.0 * (k % 2), tol=0.0)
+        beta = bracketed_roots(lambda x: secular(x, p), lambda x, i: _phase_form(x, k[i], p),
+                               2.0 * math.pi * k, 2.0 * math.pi * (k + 1.0), 1.0 - 2.0 * (k % 2),
+                               tol=0.0)
     else:
         beta = 2.0 * math.pi * (k + 1.0)
     return beta[beta * beta * t_first <= DROP_EXPONENT]

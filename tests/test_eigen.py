@@ -11,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypersorb.eigen as eigen
+import hypersorb.rootfind as rootfind
 from hypersorb.cli import MAX_MODES
 from hypersorb.eigen import eigen_grid, find_eigenvalues, kinetic_pole
 from hypersorb.errors import BracketingError, InvalidInput
 from hypersorb.params import Params, alpha_critical
-from conftest import MODE_REGIMES
+from conftest import ACCEPTANCE_SETS, MODE_REGIMES
 
 Rates = namedtuple("Rates", "mu1 mu2")
 
@@ -221,8 +222,8 @@ class TestFindEigenvalues:
 
     def test_most_modes_the_cli_accepts(self):
         # past alpha = 2^13 the float spacing exceeds the bracket tolerance,
-        # so brackets close on adjacent floats; the alarm turns a bisection
-        # that never closes into a failure instead of a hung suite
+        # so brackets close on adjacent floats; the alarm turns a root
+        # search that never closes into a failure instead of a hung suite
         def hung(signum, frame):
             raise TimeoutError(f"find_eigenvalues(p, {MAX_MODES}) still running after 20 s")
 
@@ -369,17 +370,69 @@ def _inner_breakpoints(p):
 
 
 def _split_interval(p, m):
-    """Roots of anchor interval m: the interval is cut at its inner
-    breakpoints, and each piece whose ends carry opposite signs of re is
-    bisected."""
+    """(a, b, re at a) of each piece of anchor interval m, cut at its inner
+    breakpoints, whose ends carry opposite signs of re."""
     lo, hi = (2 * m - 1) * math.pi, (2 * m + 1) * math.pi
     cuts = sorted(cut for cut in _inner_breakpoints(p) if lo < cut[0] < hi)
     ends = [(lo, -math.inf, -math.inf), *cuts, (hi, math.inf, math.inf)]
-    return [
-        _scalar_bisect(p, a, b, fa)
-        for (a, _, fa), (b, fb, _) in zip(ends, ends[1:])
-        if (fa < 0.0) != (fb < 0.0)
-    ]
+    return [(a, b, fa) for (a, _, fa), (b, fb, _) in zip(ends, ends[1:]) if (fa < 0.0) != (fb < 0.0)]
+
+
+def _scalar_G(p, m, alpha):
+    """G = alpha/2 - m pi - arctan R and its slope at one alpha, in numpy scalars."""
+    A, B, L = p.A, p.B, p.L
+    c, d = 0.5 * L * (2.0 * B - A), B - A
+    y = A * alpha
+    y = y * y
+    den = d + y
+    G = (0.5 * alpha - m * rootfind._PI_HI) - m * rootfind._PI_LO - np.arctan(-c * alpha / den)
+    return G, 0.5 + c * (d - y) / (den * den + (c * alpha) * (c * alpha))
+
+
+def _scalar_newton(p, m, a, b, fa):
+    """Safeguarded Newton on G from the midpoint of [a, b], one float at a time."""
+    tol, neg = eigen.BRACKET_TOL, fa < 0.0
+    x = 0.5 * (a + b)
+    last = before = b - a
+    while True:
+        g, slope = _scalar_G(p, m, x)
+        if (g < 0.0) != neg:
+            b = x
+        else:
+            a = x
+        new = x - g / slope
+        step = abs(new - x)
+        newton = (a < new < b or step == 0.0) and step <= 0.5 * before
+        if not newton:
+            new = 0.5 * (a + b)
+            step = abs(new - x)
+        if step <= 0.25 * tol or (newton and step * step <= 0.25 * tol * last):
+            return new
+        x, last, before = new, step, last
+
+
+def _scalar_close(p, x, a, b, fa):
+    """Cuts at x, then 4 times further out on the root's side, then halvings,
+    until re changes sign across a bracket within 1e-12 or two adjacent floats."""
+    tol = eigen.BRACKET_TOL
+    cut, galloping = x, True
+    first = max(0.25 * tol, np.spacing(x))
+    while True:
+        mid = 0.5 * (a + b)
+        if not (b - a > tol and mid != a and mid != b):
+            return mid
+        fc = _secular_re(p, cut)[0].item()
+        right = (fc < 0.0) == (fa < 0.0)
+        if fc == 0.0:
+            a = b = cut
+        elif right:
+            a, fa = cut, fc
+        else:
+            b = cut
+        galloping = galloping and (cut == x or right == (cut > x))
+        ahead = x + ((first if right else -first) if cut == x else 4.0 * (cut - x))
+        galloping = galloping and a < ahead < b
+        cut = ahead if galloping else 0.5 * (a + b)
 
 
 def _first_roots(p, count, interval_roots):
@@ -399,8 +452,18 @@ def _first_roots(p, count, interval_roots):
 
 
 def reference_roots(p, count):
+    """Split-then-solve in scalar form, one anchor interval at a time: the
+    algorithm of find_eigenvalues, one float at a time."""
+    def solve(p, m):
+        return [float(_scalar_close(p, _scalar_newton(p, m, a, b, fa), a, b, fa))
+                for a, b, fa in _split_interval(p, m)]
+
+    return _first_roots(p, count, solve)
+
+
+def bisected_reference_roots(p, count):
     """Split-then-bisect in scalar form, one anchor interval at a time."""
-    return _first_roots(p, count, _split_interval)
+    return _first_roots(p, count, lambda p, m: [_scalar_bisect(p, *piece) for piece in _split_interval(p, m)])
 
 
 def scan_reference_roots(p, count):
@@ -432,6 +495,11 @@ class TestBatchedRootFinder:
         assert [(mode.alpha, mode.index) for mode in modes] == expected
         mu1, mu2 = eigen._rates(modes.alpha, B)
         assert modes.mu1.tobytes() == mu1.tobytes() and modes.mu2.tobytes() == mu2.tobytes()
+        # plain bisection of the same pieces: the same intervals, every
+        # root within the bracket tolerance
+        bisected = bisected_reference_roots(p, count)
+        assert [m for _, m in bisected] == [m for _, m in expected]
+        assert max(abs(mode.alpha - alpha) for mode, (alpha, _) in zip(modes, bisected)) <= eigen.BRACKET_TOL
 
     @given(**ROOT_DOMAIN)
     # the root of interval 103 lies 3.1e-6 right of its tan pole, between
@@ -439,7 +507,7 @@ class TestBatchedRootFinder:
     @example(A=1e-4, B=1.0, L=1000.0, count=110)
     @settings(max_examples=40, deadline=None)
     def test_certified_brackets_keep_the_scan_roots(self, A, B, L, count):
-        # the breakpoints change only the bracket each root is bisected from:
+        # the breakpoints change only the bracket each root is solved from:
         # the same anchor intervals, and every root within BRACKET_TOL
         p = Params(A=A, B=B, L=L, N0=3.0)
         try:
@@ -466,6 +534,123 @@ class TestBatchedRootFinder:
         assert max(moved) <= eigen.BRACKET_TOL
 
 
+def _bisect(f, a, b, fa, tol=eigen.BRACKET_TOL):
+    """The root search of find_eigenvalues before its Newton solver: every
+    bracket halved together, 43 times across a 2 pi wide piece."""
+    roots = np.empty_like(a)
+    live = np.arange(a.size)
+    while True:
+        mid = 0.5 * (a + b)
+        wide = (b - a > tol) & (mid != a) & (mid != b)
+        roots[live[~wide]] = mid[~wide]
+        live, a, b, fa, mid = live[wide], a[wide], b[wide], fa[wide], mid[wide]
+        if not live.size:
+            return roots
+        fm = f(mid)
+        hit = fm == 0.0
+        left = (fa < 0.0) != (fm < 0.0)
+        a = np.where(left & ~hit, a, mid)
+        b = np.where(left | hit, mid, b)
+        fa = np.where(left, fa, fm)
+
+
+def bisected_roots(p, count):
+    """(alpha, index) of find_eigenvalues before its Newton solver: the same
+    pieces of the anchor intervals, each bisected, and the same refusals."""
+    m = np.arange(1, count + 1)
+    lo, hi = (2 * m - 1) * math.pi, (2 * m + 1) * math.pi
+    at, left, right = eigen._breakpoints(p)
+    host = np.minimum(np.searchsorted(hi, at), count - 1)
+    inner = (lo[host] < at) & (at < hi[host])
+    owner = np.concatenate((m, m[host[inner]], m))
+    ends = np.concatenate((lo, at[inner], hi))
+    order = np.lexsort((ends, owner))
+    inf = np.full(count, np.inf)
+    before, after = (np.concatenate((-inf, f[inner], inf))[order] for f in (left, right))
+    owner, ends = owner[order], ends[order]
+    holds = (owner[:-1] == owner[1:]) & ((after[:-1] < 0.0) != (before[1:] < 0.0))
+    found = np.bincount(owner[:-1][holds], minlength=count + 1)[1:]
+    empty = (found == 0) & (np.cumsum(found) - found < count)
+    if empty.any():
+        bad = int(np.argmax(empty)) + 1
+        raise BracketingError(
+            f"no sign change of the secular equation inside anchor interval m={bad}"
+            f" (({2 * bad - 1}pi, {2 * bad + 1}pi)) for {p}"
+        )
+    piece = np.flatnonzero(holds)[:count]
+    roots = _bisect(lambda x: eigen._real_part(x, p)[0], ends[piece], ends[piece + 1], after[piece])
+    a_c = alpha_critical(p)
+    roots = np.where(np.abs(roots - a_c) < eigen.CRITICAL_NUDGE, a_c + eigen.CRITICAL_NUDGE, roots)
+    return roots, owner[piece]
+
+
+def _contract_sets():
+    """336 (A, B, L) on a grid, none refused, and 64 seeded sets with
+    B < A < 2B, most of them refused at some anchor interval."""
+    grid = [(A, B, L) for A in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0)
+            for B in (1e-3, 1e-2, 0.03, 0.1, 0.3, 1.0)
+            for L in (0.1, 1.0, 3.0, 10.0, 100.0, 300.0, 1000.0)]
+    rng = np.random.default_rng(27)
+    B = 10.0 ** rng.uniform(-4.0, 0.0, 64)
+    near = zip(B * rng.uniform(1.0, 2.0, 64), B, 10.0 ** rng.uniform(-2.0, 3.0, 64))
+    return grid + [tuple(map(float, abc)) for abc in near]
+
+
+CONTRACT_SETS = _contract_sets()
+
+
+def _count_evaluations(monkeypatch):
+    """A list that gains an entry at each vectorized evaluation of re or G."""
+    calls = []
+    for name in ("_real_part", "_arctan_form"):
+        original = getattr(eigen, name)
+        monkeypatch.setattr(eigen, name, lambda *args, f=original: calls.append(f) or f(*args))
+    return calls
+
+
+@pytest.mark.parametrize("count", [60, 200, 2000])
+def test_newton_keeps_the_bisected_roots(monkeypatch, count):
+    # the solver changes how a piece's root is reached, not what it is: the
+    # same anchor intervals, the same refusals, every root within the
+    # bracket tolerance (one float spacing past 2^13) of the bisected one
+    # and at a sign change of re, in at most 16 evaluations a call
+    calls = _count_evaluations(monkeypatch)
+    refused = 0
+    for A, B, L in CONTRACT_SETS:
+        p = Params(A=A, B=B, L=L, N0=3.0)
+        try:
+            alpha, index = bisected_roots(p, count)
+        except BracketingError as exc:
+            with pytest.raises(BracketingError) as refusal:
+                find_eigenvalues(p, count)
+            assert str(refusal.value) == str(exc)
+            refused += 1
+            continue
+        calls.clear()
+        roots = find_eigenvalues(p, count)
+        assert len(calls) <= 16, p
+        assert np.array_equal(roots.index, index), p
+        bound = np.maximum(eigen.BRACKET_TOL, np.spacing(alpha))
+        assert np.all(np.abs(roots.alpha - alpha) <= bound), p
+        # a root nudged off alpha_c is not a sign change
+        kept = roots.alpha[roots.alpha != alpha_critical(p) + eigen.CRITICAL_NUDGE]
+        reach = np.maximum(0.5 * eigen.BRACKET_TOL, np.spacing(kept))
+        below, above = _secular_re(p, kept - reach)[0], _secular_re(p, kept + reach)[0]
+        assert np.all((below < 0.0) != (above < 0.0)), p
+    assert refused >= 30
+
+
+@pytest.mark.parametrize("count", [200, 2000])
+def test_a_handful_of_evaluations(monkeypatch, count):
+    # vectorized evaluations of re and of G per call, the breakpoints'
+    # included; bisecting the ~2 pi wide pieces to 1e-12 took 44 of re
+    calls = _count_evaluations(monkeypatch)
+    for p in ACCEPTANCE_SETS:
+        calls.clear()
+        find_eigenvalues(p, count)
+        assert len(calls) <= 16, p
+
+
 class TestEigenGrid:
     def test_columns_and_domains(self, secular_landmark_params):
         p = secular_landmark_params
@@ -485,7 +670,7 @@ class TestEigenGrid:
 
 @pytest.mark.parametrize("regime", MODE_REGIMES)
 def test_real_part_is_secular_re_on_the_scan(regime):
-    # the breakpoint signs and the bisection read re through _real_part
+    # the breakpoint signs and the root certificates read re through _real_part
     # alone: compared with this file's own evaluation of re on a dense scan
     # of the searched intervals, their tan poles and their inner breakpoints
     p, count, _ = regime
@@ -527,3 +712,4 @@ def test_slope_of_G_has_the_sign_of_P(A, B, L):
     assert len(cuts) == flips.size
     for alpha, i in zip(cuts, flips):
         assert grid[i] < alpha < grid[i + 1]
+

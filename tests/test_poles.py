@@ -250,3 +250,17 @@ def test_nan_probe_refused():
     for t in ([0.0, 0.5], [0.5, 1.0]):
         with pytest.raises(InvalidInput):
             poles.to_series(p, step_ic(), t, probes=[math.nan])
+
+
+@pytest.mark.parametrize("A, L", DE_HOOG_SETS)
+@pytest.mark.parametrize("t_first", [2.0 / 800, 1e-6])
+def test_a_handful_of_evaluations(monkeypatch, A, L, t_first):
+    # vectorized evaluations of g and of its phase form per call, for the
+    # 20 or 21 roots of 801 samples over T = 2 and for 1,007; bisecting the
+    # intervals to adjacent floats took 54 or 55 of g
+    calls = []
+    for name in ("secular", "_phase_form"):
+        original = getattr(poles, name)
+        monkeypatch.setattr(poles, name, lambda *args, f=original: calls.append(f) or f(*args))
+    assert poles.roots(params(A, L), t_first).size >= 20
+    assert len(calls) <= 16
