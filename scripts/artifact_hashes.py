@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every artifact the four benchmark commands and one eigen-dump write.
+"""Print the sha256 of every artifact of the benchmark commands, one eigen-dump and one compare.
 
 Usage, from the root of a checkout:
 
@@ -9,7 +9,10 @@ Each workload of perfbench runs once through ``hypersorb.cli.main``, with
 the argv the benchmark builds for it (``WORKLOADS``, ``resolve_inputs`` and
 ``command_argv`` of perfbench/harness.py, SEED 1 by default).  Then
 ``eigen-dump`` tabulates the secular functions on its default alpha grid at
-the secular-landmark set A = 0.5, B = 1e-3, L = 0.1 (``EIGEN_DUMP``).
+the secular-landmark set A = 0.5, B = 1e-3, L = 0.1, and the README's
+``compare --pair spectral,fdm`` runs: the one command that evaluates the
+modal series twice, at ``--samples`` and at the report's times.  These two
+are ``EXTRA``, and neither reads SEED.
 Command w writes into OUTDIR/w (default out/artifact_hashes/w), which is
 emptied first.  One line ``w/file sha256`` is printed per artifact, in
 sorted order; the benchmark's lines come first.
@@ -43,15 +46,20 @@ from harness import WORKLOADS, command_argv, resolve_inputs  # noqa: E402
 
 from hypersorb import cli  # noqa: E402
 
-# the secular-equation table at the secular-landmark set; it does not read SEED
-EIGEN_DUMP = ["eigen-dump", "--A", "0.5", "--B", "1e-3", "--L", "0.1", "--N0", "3",
-              "--name", "landmark"]
+# the commands beside the benchmark's, by name: the secular-equation table at
+# the secular-landmark set, and the README's cross-validation of two engines
+EXTRA = {
+    "eigen_dump": ["eigen-dump", "--A", "0.5", "--B", "1e-3", "--L", "0.1", "--N0", "3",
+                   "--name", "landmark"],
+    "compare": ["compare", "--pair", "spectral,fdm", "--A", "1e-3", "--B", "0.1", "--L", "1",
+                "--N0", "3", "--T", "2"],
+}
 
 
 def command(name, target, seed):
     """The argv of command name, writing into target."""
-    if name == "eigen_dump":
-        return [*EIGEN_DUMP, "--outdir", str(target)]
+    if name in EXTRA:
+        return [*EXTRA[name], "--outdir", str(target)]
     workload = WORKLOADS[name]
     return command_argv(workload, resolve_inputs(workload, seed), target)
 
@@ -60,7 +68,7 @@ def main():
     outdir = Path(sys.argv[1] if len(sys.argv) > 1 else os.path.join("out", "artifact_hashes"))
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     failed = False
-    for name in [*WORKLOADS, "eigen_dump"]:
+    for name in [*WORKLOADS, *EXTRA]:
         target = outdir / name
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)

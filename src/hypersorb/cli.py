@@ -240,15 +240,24 @@ def _outdir(cfg: RunConfig) -> str:
     return ensure_outdir(path)
 
 
+def _require_relaxation(p: Params, what: str) -> None:
+    """Refuse B = 0 for what, which needs B > 0; the parabolic engine solves that limit."""
+    if not p.B > 0:
+        raise ConfigError(f"{what} requires B > 0; B = 0 is classical diffusion, which the"
+                          " parabolic engine solves exactly")
+
+
 def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1):
     """What engine evaluates p on, checked before any engine runs.
 
-    fdm marches a Grid, checked for a march of n_points rows; spectral and
-    parabolic evaluate --samples times over the horizon, and the parabolic
-    pole sum's table of samples x roots, and under compare that of the
-    report's times, is held to MAX_MODAL_TERMS (the spectral one is checked
-    with the configuration).
+    fdm and spectral refuse B = 0.  fdm marches a Grid, checked for a march
+    of n_points rows; spectral and parabolic evaluate --samples times over
+    the horizon, and the parabolic pole sum's table of samples x roots, and
+    under compare that of the report's times, is held to MAX_MODAL_TERMS
+    (the spectral one is checked with the configuration).
     """
+    if engine != "parabolic":
+        _require_relaxation(p, f"the {engine} engine")
     T = cfg.horizon(p)
     if engine == "fdm":
         lam = cfg.lam if cfg.lam is not None else fdm.default_lambda(p.B)
@@ -421,6 +430,7 @@ def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: i
             f" points = {points}, alpha-min = {alpha_min!r}, alpha-max = {alpha_max!r}"
         )
     p = cfg.resolved_params()
+    _require_relaxation(p, "eigen-dump")
     outdir = _outdir(cfg)
     path = os.path.join(outdir, f"{cfg.name}_eigen_grid.csv")
     table = eigen.eigen_grid(p, np.linspace(alpha_min, alpha_max, points))

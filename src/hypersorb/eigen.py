@@ -110,11 +110,13 @@ def _real_part(alpha: np.ndarray, p: Params):
     the other parts of the secular equation from the shared terms.
     """
     A, B, L = p.A, p.B, p.L
+    # products, not float **, which raises OverflowError where * gives inf
+    k = 2.0 * B - A
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tan_term = np.tan(0.5 * alpha) / alpha
         q = 4.0 * alpha**2 * B - 1.0
-        den = (2.0 * B - A) ** 2 + A**2 * q
-        return tan_term + L * 2.0 * B * (2.0 * B - A) / den, tan_term, q, den
+        den = k * k + A * A * q
+        return tan_term + L * 2.0 * B * k / den, tan_term, q, den
 
 
 def _arctan_form(alpha: np.ndarray, m: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +158,7 @@ def _breakpoints(p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c, d = 0.5 * L * (2.0 * B - A), B - A
     if c == 0.0:
         return np.empty(0), np.empty(0), np.empty(0)
-    a4 = (A * A) ** 2
+    a4 = (A * A) * (A * A)
     b = 2.0 * d * A * A + c * c - 2.0 * c * A * A
     e = d * (d + 2.0 * c)
     disc = b * b - 4.0 * a4 * e
@@ -188,12 +190,16 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> Roots:
     within BRACKET_TOL.  Each interval yields at least one root (the one
     holding the kinetic pole may yield two) or raises BracketingError.
     Roots within CRITICAL_NUDGE of alpha_c are pushed off the degenerate
-    point so both exponents stay distinct.
+    point so both exponents stay distinct.  B = 0, and an A whose square
+    overflows, are refused with InvalidInput.
     """
     if not isinstance(count, Integral) or count < 1:
         raise InvalidInput(f"count must be an integer of at least 1, got {count!r}")
     if not p.B > 0:
         raise InvalidInput("the eigenvalue set requires B > 0")
+    if p.A * p.A == math.inf:
+        # den = (2B - A)^2 + A^2 q is then inf - inf wherever q < 0
+        raise InvalidInput(f"the eigenvalue set requires a finite A^2, got A = {p.A!r}")
     m = np.arange(1, count + 1)
     lo, hi = (2 * m - 1) * math.pi, (2 * m + 1) * math.pi
     at, left, right = _breakpoints(p)

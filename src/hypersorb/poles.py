@@ -60,15 +60,19 @@ DROP_EXPONENT = 40.0
 def secular(beta, p: Params) -> np.ndarray:
     """g(beta) = (1 - A beta^2) sin(beta/2)/beta + L cos(beta/2) on an array of beta > 0."""
     half = 0.5 * beta
-    return (1.0 - p.A * beta * beta) * np.sin(half) / beta + p.L * np.cos(half)
+    # A beta^2 overflows to inf at a huge A, where g keeps its sign
+    with np.errstate(over="ignore"):
+        return (1.0 - p.A * beta * beta) * np.sin(half) / beta + p.L * np.cos(half)
 
 
 def _phase_form(beta, k, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """-(-1)^k H on interval k, which has the sign of g, and its slope (module docstring)."""
-    u, v = p.A * beta * beta - 1.0, p.L * beta
     sign = 2.0 * (k % 2) - 1.0
-    H = half_turns(beta, k) - np.arctan2(v, u)
-    return sign * H, sign * (0.5 + p.L * (u + 2.0) / (u * u + v * v))
+    # u overflows to inf at a huge A, where H is still beta/2 - k pi
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = p.A * beta * beta - 1.0, p.L * beta
+        H = half_turns(beta, k) - np.arctan2(v, u)
+        return sign * H, sign * (0.5 + p.L * (u + 2.0) / (u * u + v * v))
 
 
 def interval_count(t_first: float) -> int:

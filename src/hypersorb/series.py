@@ -15,9 +15,11 @@ class TimeSeries:
     """Surface and bulk densities sampled over a run.
 
     t, sigma and surface cover every time level an engine computed; probes
-    maps a z* position to the bulk density history there.  Full spatial rows
-    are stored only at row_times (thinned to keep memory bounded) on the
-    half-domain grid row_z in [0, 1/2].  conservation holds the residual
+    maps a z* position to the bulk density history there.  An fdm series
+    also stores full spatial rows at row_times (thinned to keep memory
+    bounded) on the half-domain grid row_z in [0, 1/2], its only view of the
+    field; a sum engine's series has none, since its field is evaluated on
+    demand (spectral.eval_density).  conservation holds the residual
     |integral(N) + 2 sigma - N0| at every level, for every engine (a series
     read back from CSV has none).  The CLI writes each series through
     thin_series: samples evenly spread levels including both ends, or every

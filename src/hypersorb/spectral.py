@@ -9,15 +9,15 @@ evaluable at any (z*, t*).
 
 modal_sums evaluates this series and the exact sum of hypersorb.poles alike;
 this module assembles the real time table Re(S1 e^{mu1 t} + S2 e^{mu2 t})
-(or its rate), one damped cosine per oscillating mode, and the stored rows
-of to_series.
+(or its rate), one damped cosine per oscillating mode.  The field is
+evaluated on demand (eval_density); a series holds sigma, the wall density
+and its probes, and no stored rows.
 
 The trig tables of n x k entries are built from O(n + k) sines and cosines
 by angle addition, sin(a +- b) and cos(a + b) in terms of sin and cos of a
 and of b: the Gram matrix's sines of (alpha_i +- alpha_j)/2, and the
-cosines of the value table on an even time grid and of the stored rows on
-their even z grid (_grid_cosines).  Entries move from the per-entry forms
-at rounding level only.
+cosines of the value table on an even time grid (_grid_cosines).  Entries
+move from the per-entry forms at rounding level only.
 """
 
 from __future__ import annotations
@@ -30,17 +30,12 @@ import numpy as np
 from .eigen import DEFAULT_MODE_COUNT, find_eigenvalues
 from .errors import DegenerateBasisError, DegenerateModeError, InvalidInput
 from .params import InitialCondition, Params, cosine_moment, equilibrium, sample_initial
-from .series import TimeSeries, thin_indices
+from .series import TimeSeries
 
 # Gram matrices whose condition bound exceeds this are rejected
 MAX_GRAM_CONDITION = 1e12
 # unit_upper_inverse inverts blocks of at most this many rows directly
 INVERSE_BLOCK = 32
-
-# to_series stores rows on ROW_Z_COUNT even points of the half slab, at no
-# more than MAX_ROWS time levels
-ROW_Z_COUNT = 201
-MAX_ROWS = 201
 
 # e^x underflows to zero in double precision below x = -745.2, so past
 # UNDERFLOW_EXPONENT / |slowest rate| every term of the time table is zero
@@ -88,9 +83,11 @@ def modal_sums(table, freq, wall, n_eq, sigma_eq, N0, probes=(), amp=1.0):
     density and the time factors table[..., k].  With S(f) = Re(sum over the
     terms of amp f table): sigma = sigma_eq - S(wall), the density at a probe
     z (a point or an array) is n_eq + S(cos(freq z)), and the closed-form
-    mass n_eq + S(2 wall) leaves a conservation residual of rounding only.
-    Each S contracts the term axes of table and f, time axes first: a
-    matrix-vector product unless both a time and a probe axis are present.
+    mass n_eq + 2 S(wall) leaves a conservation residual of rounding only.
+    S(wall) is summed once for both: 2 S(wall) is S(2 wall) bit for bit,
+    since scaling by 2 is exact short of subnormals.  Each S contracts the
+    term axes of table and f, time axes first: a matrix-vector product
+    unless both a time and a probe axis are present.
     """
     z = [np.asarray(zi, dtype=float) for zi in probes]
     if not all(np.all(np.abs(zi) <= 0.5 + 1e-12) for zi in z):
@@ -99,9 +96,10 @@ def modal_sums(table, freq, wall, n_eq, sigma_eq, N0, probes=(), amp=1.0):
     def total(factor):
         return np.real(np.inner(table, amp * factor))
 
-    sigma = sigma_eq - total(wall)
+    share = total(wall)
+    sigma = sigma_eq - share
     columns = [n_eq + total(np.cos(np.multiply.outer(zi, freq))) for zi in z]
-    mass = n_eq + total(2.0 * wall)
+    mass = n_eq + 2.0 * share
     return sigma, columns, np.abs(mass + 2.0 * sigma - N0)
 
 
@@ -432,23 +430,17 @@ def to_series(sol: SpectralSolution, tgrid, probes=()) -> TimeSeries:
     """Sample the modal solution onto the common TimeSeries layout.
 
     conservation holds |mass + 2 sigma - N0| at every sample, the mass being
-    the exact slab integral of the modal series.
+    the exact slab integral of the modal series.  The series stores no
+    spatial rows: eval_density evaluates the field at any (z*, t*).
     """
     t = sample_times(tgrid)
-    weights = _time_weights(sol, t)
-    sigma, columns, cons = modal_sums(weights, sol.alphas, sol.wall, sol.n_eq, sol.sigma_eq,
-                                      sol.params.N0, np.concatenate(([0.5], probes)))
-    row_z = np.linspace(0.0, 0.5, ROW_Z_COUNT)
-    idx = thin_indices(t.size, MAX_ROWS)
-    rows = sol.n_eq + weights[idx] @ _grid_cosines(row_z, sol.alphas, 0.0).T
+    sigma, columns, cons = modal_sums(_time_weights(sol, t), sol.alphas, sol.wall, sol.n_eq,
+                                      sol.sigma_eq, sol.params.N0, np.concatenate(([0.5], probes)))
     return TimeSeries(
         t=t,
         sigma=sigma,
         surface=columns[0],
         probes={float(z): column for z, column in zip(probes, columns[1:])},
-        rows=rows,
-        row_times=t[idx],
-        row_z=row_z,
         conservation=cons,
         params=sol.params,
         meta={

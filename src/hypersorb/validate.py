@@ -138,7 +138,11 @@ def audit_kinetics(series: TimeSeries, p: Params) -> np.ndarray:
 
 
 def audit_conservation(series: TimeSeries, p: Params) -> np.ndarray:
-    """Residual |integral(N) + 2 sigma - N0| recomputed from the stored rows."""
+    """Residual |integral(N) + 2 sigma - N0| recomputed from the stored rows.
+
+    Only an fdm series stores rows; a sum engine's series carries its
+    closed-form residual in series.conservation instead, and is refused here.
+    """
     if series.rows is None or series.row_z is None:
         raise InvalidInput("series carries no spatial rows to audit")
     mass = 2.0 * np.trapezoid(series.rows, series.row_z, axis=1)

@@ -5,6 +5,7 @@ import pytest
 
 from hypersorb import Params, solve_spectral, step_ic, run_fdm
 from hypersorb.fdm import Grid, default_lambda
+from hypersorb.spectral import modal_sums
 
 # (A, B, L) sets, each with its mode count and how many of those modes have
 # two real rates: every mode oscillating; three real modes; two real modes
@@ -97,3 +98,35 @@ def interior_maxima(t, values, prominence):
         if v[i] > v[i - 1] and v[i] >= v[i + 1] and v[i] - v[i:].min() > prominence:
             hits.append(float(t[i]))
     return hits
+
+
+def three_sum_conservation(table, freq, wall, n_eq, sigma_eq, N0, probes=(), amp=1.0):
+    """sigma and the conservation residual as three separate sums give them.
+
+    The mass is the sum S(2 wall) of its own, beside S(wall) for sigma:
+    the expression the single sum of spectral.modal_sums must match bit for bit.
+    """
+    def total(factor):
+        return np.real(np.inner(table, amp * factor))
+
+    sigma = sigma_eq - total(wall)
+    mass = n_eq + total(2.0 * wall)
+    return sigma, np.abs(mass + 2.0 * sigma - N0)
+
+
+def assert_conservation_is_three_sums(monkeypatch, module, run):
+    """Run run() with module.modal_sums recorded; each call must match the three sums' bits."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        out = modal_sums(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(module, "modal_sums", recorded)
+    run()
+    assert calls
+    for args, kwargs, (sigma, _, cons) in calls:
+        want_sigma, want_cons = three_sum_conservation(*args, **kwargs)
+        assert np.asarray(sigma).tobytes() == np.asarray(want_sigma).tobytes()
+        assert np.asarray(cons).tobytes() == np.asarray(want_cons).tobytes()

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import hypersorb.eigen as eigen
 import hypersorb.rootfind as rootfind
+from hypersorb import poles
 from hypersorb.cli import MAX_MODES
 from hypersorb.eigen import eigen_grid, find_eigenvalues, kinetic_pole
 from hypersorb.errors import BracketingError, InvalidInput
-from hypersorb.params import Params, alpha_critical
+from hypersorb.params import Params, alpha_critical, step_ic
 from conftest import ACCEPTANCE_SETS, MODE_REGIMES
 
 Rates = namedtuple("Rates", "mu1 mu2")
@@ -209,6 +210,26 @@ class TestFindEigenvalues:
             find_eigenvalues(oscillatory_params, 0)
         with pytest.raises(InvalidInput):
             find_eigenvalues(Params(A=1, B=0.0, L=1, N0=1), 5)
+
+    @pytest.mark.parametrize("B", [0.1, 1e-3])
+    @pytest.mark.parametrize("A", [1e100, 1e300, 1.7e308])
+    def test_extreme_A_returns_or_refuses(self, A, B):
+        # float ** raises OverflowError where * gives inf, and the suite turns
+        # numpy's overflow warnings into errors.  At A = 1e100 the walls are
+        # all but inert and the roots are tan(alpha/2) = 0's; past the
+        # overflow of A^2 the kinetic term is inf - inf below alpha_c.  At
+        # 1.7e308 even A beta^2 overflows in the pole sum
+        p = Params(A=A, B=B, L=1.0, N0=3.0)
+        if A * A < math.inf:
+            roots = find_eigenvalues(p, 50)
+            assert np.max(np.abs(roots.alpha - 2.0 * math.pi * np.arange(1, 51))) < 1e-9
+        else:
+            with pytest.raises(InvalidInput, match="finite A\\^2"):
+                find_eigenvalues(p, 50)
+        # the exact B = 0 sum: walls that adsorb nothing within the horizon
+        series = poles.to_series(p, step_ic(), np.linspace(0.0, 2.0, 801), probes=[0.0])
+        assert np.all(series.sigma == 0.0)
+        assert np.max(np.abs(series.probes[0.0] - p.N0)) <= 1e-15 * p.N0
 
     @pytest.mark.parametrize("count", [2.5, math.nan])
     def test_non_integer_count_is_refused(self, oscillatory_params, count):

@@ -803,6 +803,34 @@ class TestCli:
         assert "march record bound" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, what", [
+        pytest.param(("run", "--engine", "spectral", "--B", "0"), "the spectral engine",
+                     id="run-spectral"),
+        pytest.param(("run", "--engine", "fdm", "--B", "0"), "the fdm engine", id="run-fdm"),
+        pytest.param(("compare", "--pair", "parabolic,spectral", "--B", "0"),
+                     "the spectral engine", id="compare"),
+        pytest.param(("sweep", "--engine", "spectral", "--axis", "B", "--values", "0.1,0"),
+                     "the spectral engine", id="sweep"),
+        pytest.param(("eigen-dump", "--B", "0"), "eigen-dump", id="eigen-dump"),
+    ])
+    def test_zero_relaxation_time_refused_before_the_outdir(self, tmp_path, capsys, monkeypatch,
+                                                            command, what):
+        # B = 0 is the parabolic engine's: refused before any engine runs
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for module, name in ((cli.spectral, "solve_spectral"), (cli.fdm, "march"),
+                             (cli.poles, "to_series"), (cli.eigen, "eigen_grid")):
+            monkeypatch.setattr(module, name, no_engine)
+        out = tmp_path / "out"
+        args = [*command, "--A", "0.01", "--L", "1", "--N0", "3", "--T", "0.05",
+                "--outdir", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {what} requires B > 0")
+        assert "parabolic engine" in err
+        assert not out.exists()
+
     def test_mode_count_bounded(self, tmp_path, capsys):
         # refused at the boundary, before any root scan starts
         args = self.run_args(tmp_path, extra=("--modes", str(cli.MAX_MODES + 1)))

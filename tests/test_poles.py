@@ -13,6 +13,8 @@ from hypersorb.fdm import Grid, default_lambda, run_fdm
 from hypersorb.params import Params, equilibrium, parabolic_ic, sample_initial, sampled_ic, step_ic
 from hypersorb.spectral import solve_spectral
 
+from conftest import assert_conservation_is_three_sums
+
 # (A, L) sets: a fast wall, a slow strong wall, a slow weak wall
 DE_HOOG_SETS = [(0.01, 1.0), (1.0, 100.0), (0.5, 0.1)]
 PROBES = [0.0, 0.25, 0.45]
@@ -143,6 +145,14 @@ def test_conservation_is_rounding_only(A, L):
     series = poles.to_series(p, parabolic_ic(), np.linspace(0.0, 2.0, 801))
     assert series.conservation.size == 801
     assert np.max(series.conservation) <= 1e-14 * p.N0
+
+
+@pytest.mark.parametrize("A, L", DE_HOOG_SETS)
+def test_conservation_is_three_sums_bit_for_bit(monkeypatch, A, L):
+    # the pole sum's residual through the single sum of the wall shares
+    p = params(A, L)
+    assert_conservation_is_three_sums(monkeypatch, poles, lambda: poles.to_series(
+        p, parabolic_ic(), np.linspace(0.0, 2.0, 801), probes=PROBES))
 
 
 def test_settles_at_sigma_eq():

@@ -128,17 +128,17 @@ class TestAudits:
         res = audit_kinetics(ser, oscillatory_params)
         assert np.max(np.abs(res)) < 1e-10
 
-    def test_spectral_conservation_bounded(self, spectral_oscillatory_50,
-                                           oscillatory_params):
-        ser = to_series(spectral_oscillatory_50, np.linspace(0, 2, 401))
-        res = audit_conservation(ser, oscillatory_params)
-        assert np.max(res) < 1e-2 * 3.0
-
-    def test_conservation_requires_rows(self, parabolic_reference, diffusive_params):
+    def test_conservation_requires_rows(self, parabolic_reference, diffusive_params,
+                                        spectral_oscillatory_50, oscillatory_params):
+        # only an fdm series stores rows: a bare series and both sum engines'
+        # series are refused
         ser = parabolic_reference
         bare = type(ser)(t=ser.t, sigma=ser.sigma, surface=ser.surface)
-        with pytest.raises(InvalidInput):
-            audit_conservation(bare, diffusive_params)
+        modal = to_series(spectral_oscillatory_50, np.linspace(0, 2, 401))
+        for series, p in ((bare, diffusive_params), (ser, diffusive_params),
+                          (modal, oscillatory_params)):
+            with pytest.raises(InvalidInput, match="no spatial rows"):
+                audit_conservation(series, p)
 
     @pytest.mark.parametrize("max_rows", [1, 0, -1])
     def test_stored_rows_hold_both_endpoints(self, max_rows):
