@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import eigen, fdm, poles, spectral, validate
-from .errors import ConfigError, HypersorbError
+from . import eigen, fdm, params, poles, spectral, validate
+from .errors import ConfigError, HypersorbError, InvalidInput
 from .params import InitialCondition, Params, PhysicalInputs, from_physical, parabolic_ic, sampled_ic, step_ic
 from .series import thin_series
-from .seriesio import ensure_outdir, probe_column, write_csv, write_json, write_series_csv
+from .seriesio import probe_column, write_csv, write_json, write_series_csv, write_text
 
 OUTDIR_ENV = "HYPERSORB_OUTDIR"
 
@@ -107,7 +107,8 @@ class RunConfig:
             " physical set d,D,tau_r,tau_a,k_a,n0"
         )
 
-    def resolved_ic(self) -> InitialCondition:
+    def resolved_ic(self, points: list[Params]) -> InitialCondition:
+        """The initial condition, sampled data checked against each of points (ConfigError)."""
         if self.ic == "step":
             return step_ic()
         if self.ic == "parabolic":
@@ -123,7 +124,13 @@ class RunConfig:
                 raise ConfigError(
                     f"ic_file {self.ic_file!r} has {data.shape[1]} column(s); it needs two: z,value"
                 )
-            return sampled_ic(data[:, 0], data[:, 1])
+            try:
+                ic = sampled_ic(data[:, 0], data[:, 1])
+                for p in points:
+                    params._validate_sampled(ic, p)
+            except InvalidInput as exc:
+                raise ConfigError(f"ic_file {self.ic_file!r}: {exc}") from exc
+            return ic
         raise ConfigError(f"ic must be step, parabolic or sampled, got {self.ic!r}")
 
     def horizon(self, p: Params) -> float:
@@ -237,27 +244,34 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def _outdir(cfg: RunConfig) -> str:
     path = cfg.outdir or os.environ.get(OUTDIR_ENV) or "."
-    return ensure_outdir(path)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make outdir {path!r}: {exc}") from exc
+    return path
 
 
-def _require_relaxation(p: Params, what: str) -> None:
-    """Refuse B = 0 for what, which needs B > 0; the parabolic engine solves that limit."""
+def _require_relaxation(p: Params, what: str, modal: bool) -> None:
+    """Refuse B = 0 for what (the parabolic engine's limit), and for modal roots an A^2 that overflows."""
     if not p.B > 0:
         raise ConfigError(f"{what} requires B > 0; B = 0 is classical diffusion, which the"
                           " parabolic engine solves exactly")
+    if modal and p.A * p.A == math.inf:
+        raise ConfigError(f"{what} requires a finite A^2, got A = {p.A!r}")
 
 
 def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1):
     """What engine evaluates p on, checked before any engine runs.
 
-    fdm and spectral refuse B = 0.  fdm marches a Grid, checked for a march
-    of n_points rows; spectral and parabolic evaluate --samples times over
-    the horizon, and the parabolic pole sum's table of samples x roots, and
-    under compare that of the report's times, is held to MAX_MODAL_TERMS
-    (the spectral one is checked with the configuration).
+    fdm and spectral refuse B = 0, spectral also an A whose square overflows.
+    fdm marches a Grid, checked for a march of n_points rows; spectral and
+    parabolic evaluate --samples times over the horizon, and the parabolic
+    pole sum's table of samples x roots, and under compare that of the
+    report's times, is held to MAX_MODAL_TERMS (the spectral one is checked
+    with the configuration).
     """
     if engine != "parabolic":
-        _require_relaxation(p, f"the {engine} engine")
+        _require_relaxation(p, f"the {engine} engine", engine == "spectral")
     T = cfg.horizon(p)
     if engine == "fdm":
         lam = cfg.lam if cfg.lam is not None else fdm.default_lambda(p.B)
@@ -290,25 +304,12 @@ def _solve_one(cfg: RunConfig, engine: str, p: Params, ic: InitialCondition, gri
     return spectral.to_series(sol, grid, probes=cfg.probes)
 
 
-def _series_diagnostics(series, cfg_echo: dict) -> dict:
-    payload = {
-        "config": cfg_echo,
-        "engine": series.engine,
-        "max_conservation_residual": validate._max_conservation(series),
-        "sigma_final": float(series.sigma[-1]),
-        "meta": series.meta,
-    }
-    if series.params is not None:
-        payload["params"] = asdict(series.params)
-    return payload
-
-
 def cmd_run(cfg: RunConfig) -> int:
     p = cfg.resolved_params()
     # every grid is refused here if it is bad, before any engine runs
     engines = cfg.pair if cfg.engine == "compare" else [cfg.engine]
     grids = {e: _grid(cfg, e, p) for e in engines}
-    ic = cfg.resolved_ic()
+    ic = cfg.resolved_ic([p])
     outdir = _outdir(cfg)
     echo = asdict(cfg)
     sol = spectral.solve_spectral(p, ic, cfg.modes) if "spectral" in engines else None
@@ -317,11 +318,19 @@ def cmd_run(cfg: RunConfig) -> int:
     series = _solve_one(cfg, cfg.engine, p, ic, grids[cfg.engine], sol)
     csv_path = os.path.join(outdir, f"{cfg.name}.csv")
     write_series_csv(thin_series(series, cfg.samples), csv_path, config=echo)
-    diag = _series_diagnostics(series, echo)
+    diag = {
+        "config": echo,
+        "engine": series.engine,
+        "max_conservation_residual": validate._max_conservation(series),
+        "sigma_final": float(series.sigma[-1]),
+        "meta": series.meta,
+    }
+    if series.params is not None:
+        diag["params"] = asdict(series.params)
     if cfg.engine == "spectral":
         diag["eigenvalues"] = sol.alphas.tolist()
         diag["anchors"] = sol.anchors.tolist()
-        # [re, im] pairs, as write_json encodes a complex, built without its hook
+        # a complex amplitude is written as its [re, im] pair
         diag["amplitudes_S1"] = np.column_stack((sol.S1.real, sol.S1.imag)).tolist()
         diag["amplitudes_S2"] = np.column_stack((sol.S2.real, sol.S2.imag)).tolist()
     write_json(diag, os.path.join(outdir, f"{cfg.name}.json"))
@@ -346,9 +355,7 @@ def _emit_comparison(
     payload = report.to_dict()
     payload["config"] = echo
     write_json(payload, os.path.join(outdir, f"{cfg.name}_report.json"))
-    txt_path = os.path.join(outdir, f"{cfg.name}_report.txt")
-    with open(txt_path, "w", newline="") as fh:
-        fh.write(report.summary() + "\n")
+    write_text(report.summary() + "\n", os.path.join(outdir, f"{cfg.name}_report.txt"), "report")
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -382,7 +389,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for i, p in enumerate(points):
         grid = _grid(cfg, cfg.engine, p, len(points))
         groups.setdefault(grid if cfg.engine == "fdm" else i, (grid, []))[1].append(i)
-    ic = cfg.resolved_ic()
+    ic = cfg.resolved_ic(points)
     outdir = _outdir(cfg)
     echo = asdict(cfg)
     tasks = [(cfg, [points[i] for i in members], ic, grid) for grid, members in groups.values()]
@@ -430,7 +437,7 @@ def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: i
             f" points = {points}, alpha-min = {alpha_min!r}, alpha-max = {alpha_max!r}"
         )
     p = cfg.resolved_params()
-    _require_relaxation(p, "eigen-dump")
+    _require_relaxation(p, "eigen-dump", True)
     outdir = _outdir(cfg)
     path = os.path.join(outdir, f"{cfg.name}_eigen_grid.csv")
     table = eigen.eigen_grid(p, np.linspace(alpha_min, alpha_max, points))

@@ -77,8 +77,11 @@ class Params:
 
 
 def from_physical(p: PhysicalInputs) -> Params:
-    """Map laboratory inputs onto the dimensionless groups."""
-    tau_d_inv = p.D / p.d**2
+    """Map laboratory inputs onto the dimensionless groups; refuse a d whose square overflows or is 0."""
+    try:
+        tau_d_inv = p.D / p.d**2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"d^2 is no finite positive float at d = {p.d!r}") from exc
     return Params(
         A=p.tau_a * tau_d_inv,
         B=p.tau_r * tau_d_inv,

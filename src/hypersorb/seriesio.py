@@ -1,5 +1,9 @@
 """CSV and JSON emission with a bit-exact round trip.
 
+Artifacts hold plain values: a JSON payload of anything else (numpy
+integers, complex numbers, arrays) raises TypeError before its file is
+opened.  write_text writes a whole file; write_csv streams blocks of rows.
+
 Series CSV contract: optional leading comment lines starting with '#'
 (one of which echoes the resolved run configuration), then the header
 ``t_star,sigma,N_at_<z1>,...`` and one row per time level of the series
@@ -13,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -22,10 +25,6 @@ from .series import TimeSeries
 
 
 FLOAT_FORMAT = "%.17g"
-
-
-def format_float(x: float) -> str:
-    return FLOAT_FORMAT % x
 
 
 def probe_column(z: float) -> str:
@@ -119,27 +118,14 @@ def read_series_csv(path) -> TimeSeries:
 
 
 def write_json(payload: dict, path) -> None:
-    """Deterministic JSON artifact (sorted keys, trailing newline)."""
+    """Deterministic JSON artifact (sorted keys, trailing newline) of plain values."""
+    write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path, "JSON")
+
+
+def write_text(text: str, path, kind: str) -> None:
+    """Write text as the whole file at path; an OSError becomes InvalidInput naming kind."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2, default=_encode))
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
-        raise InvalidInput(f"cannot write JSON to {path!r}: {exc}") from exc
-
-
-def _encode(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.complexfloating):
-        return [obj.real.item(), obj.imag.item()]
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def ensure_outdir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return str(path)
+        raise InvalidInput(f"cannot write {kind} to {path!r}: {exc}") from exc

@@ -17,7 +17,7 @@ from hypersorb.errors import InvalidInput
 from hypersorb.params import Params, step_ic
 from hypersorb.series import TimeSeries, thin_indices, thin_series
 from hypersorb.seriesio import (
-    CSV_BLOCK_ROWS, format_float, read_series_csv, write_json, write_series_csv,
+    CSV_BLOCK_ROWS, FLOAT_FORMAT, read_series_csv, write_json, write_series_csv,
 )
 
 
@@ -80,8 +80,8 @@ class TestSeriesCsv:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_seventeen_digit_format(self):
-        assert format_float(math.pi) == "3.1415926535897931"
-        assert float(format_float(0.1 + 0.2)) == 0.1 + 0.2
+        assert FLOAT_FORMAT % math.pi == "3.1415926535897931"
+        assert float(FLOAT_FORMAT % (0.1 + 0.2)) == 0.1 + 0.2
 
     def test_strictly_increasing_time_required(self):
         with pytest.raises(ValueError):
@@ -148,17 +148,18 @@ class TestSeriesCsv:
         with pytest.raises(InvalidInput, match="cannot write JSON to"):
             write_json({"a": 1}, tmp_path)
 
-    def test_json_encodes_numpy_and_complex_values(self, tmp_path):
+    def test_json_holds_plain_values_only(self, tmp_path):
+        plain = {"f": 0.1, "i": -3, "a": [[1.0, 2.5]], "s": "x", "b": True, "n": None}
         path = tmp_path / "v.json"
-        write_json({
-            "f": np.float64(0.1), "i": np.int32(-3), "a": np.array([[1.0, 2.5]]),
-            "c": 1 - 2j, "z": np.complex128(0.5 + 0.25j),
-        }, path)
-        assert json.loads(path.read_text()) == {
-            "f": 0.1, "i": -3, "a": [[1.0, 2.5]], "c": [1.0, -2.0], "z": [0.5, 0.25],
-        }
-        with pytest.raises(TypeError, match="cannot serialize"):
-            write_json({"s": {1, 2}}, tmp_path / "set.json")
+        write_json(plain, path)
+        assert json.loads(path.read_text()) == plain
+        # np.float64 is a float, and prints as one
+        write_json({"f": np.float64(0.1)}, path)
+        assert path.read_text() == '{\n  "f": 0.1\n}\n'
+        for value in (np.int64(3), 1 - 2j, np.array([1.0]), {1, 2}):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                write_json({"v": value}, tmp_path / "bad.json")
+            assert not (tmp_path / "bad.json").exists()
 
 
 class TestConfigFile:
@@ -314,15 +315,49 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"configuration error: bad value for {key}")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", [("run",), ("sweep", "--axis", "L", "--values", "1,2")])
-    @pytest.mark.parametrize("ic_flags", [("--ic", "sampled"), ("--ic", "sampled", "--ic-file", "absent.csv")])
-    def test_bad_initial_condition_refused_before_the_outdir(self, tmp_path, capsys, command,
-                                                              ic_flags):
-        args = self.run_args(tmp_path / "out", extra=ic_flags)
-        args[:1] = command
-        assert main(args) == 2
-        assert capsys.readouterr().err.startswith("configuration error:")
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("command", [
+        pytest.param(("run", "--engine", "fdm"), id="command0"),
+        pytest.param(("sweep", "--axis", "L", "--values", "1,2"), id="command1"),
+        pytest.param(("run", "--engine", "spectral"), id="run-spectral"),
+        pytest.param(("run", "--engine", "parabolic"), id="run-parabolic"),
+        pytest.param(("compare",), id="compare"),
+    ])
+    @pytest.mark.parametrize("ic, message", [
+        pytest.param(None, "ic = sampled requires ic_file", id="ic_flags0"),
+        pytest.param("absent.csv", "cannot read ic_file", id="ic_flags1"),
+        pytest.param("0,1\n0.25,1\n0.5,0\n", "carries mass 0.75, expected N0 = 3", id="mass"),
+        pytest.param("-0.5,0\n-0.25,2\n0,6\n0.25,4\n0.5,0\n", "must be even in z*", id="odd"),
+        pytest.param("0,6\n0.25,3\n0.5,1\n", "must vanish at z* = +-1/2", id="wall"),
+        pytest.param("0,6\n0.25,nan\n0.5,0\n", "values must be finite", id="non-finite"),
+    ])
+    def test_bad_initial_condition_refused_before_the_outdir(self, tmp_path, capsys, command, ic,
+                                                              message):
+        # every engine of a run or comparison, and every sweep point, is checked before any runs
+        self.refuse_sampled(tmp_path, capsys, command, ic, message)
+
+    def test_sampled_data_checked_at_every_sweep_point(self, tmp_path, capsys):
+        # a triangle of mass 3: the second point is refused before the first is solved
+        self.refuse_sampled(
+            tmp_path, capsys,
+            ("sweep", "--engine", "spectral", "--axis", "N0", "--values", "3,4"),
+            "0,6\n0.25,3\n0.5,0\n", "carries mass 3, expected N0 = 4",
+        )
+
+    def refuse_sampled(self, tmp_path, capsys, command, ic, message):
+        """Exit 2 with message for sampled data ic (file text, a path, or None), and no outdir."""
+        ic_flags = ["--ic", "sampled"]
+        if ic is not None and "\n" in ic:
+            (tmp_path / "ic.csv").write_text(ic)
+            ic = str(tmp_path / "ic.csv")
+        if ic is not None:
+            ic_flags += ["--ic-file", ic]
+        out = tmp_path / "out"
+        assert main([*command, "--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--T", "0.2",
+                     "--n-z", "32", "--modes", "8", "--samples", "11", "--outdir", str(out),
+                     *ic_flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+        assert not out.exists()
 
     def test_spectral_run_solves_once(self, tmp_path, monkeypatch):
         calls = []
@@ -394,6 +429,13 @@ class TestCli:
             "--ic-file", str(ic_file), "--outdir", str(tmp_path), "--name", "ic",
         ]) == 0
         assert len(reads) == 1
+
+    def test_physical_d_whose_square_overflows_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--engine", "fdm", "--d", "1e200", "--D", "1", "--tau-r", "1",
+                     "--tau-a", "1", "--k-a", "1", "--n0", "1", "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: d^2 is no finite positive float")
+        assert not out.exists()
 
     def test_physical_parameter_route(self, tmp_path):
         rc = main([
@@ -712,6 +754,16 @@ class TestCli:
         assert (tmp_path / "x_parabolic.csv").exists()
         assert "RESULT: PASS" in (tmp_path / "x_report.txt").read_text()
 
+    def test_unwritable_report_exit_code(self, tmp_path, capsys):
+        (tmp_path / "x_report.txt").mkdir()
+        rc = main([
+            "compare", "--pair", "fdm,parabolic", "--A", "0.01", "--B", "1e-4",
+            "--L", "1", "--N0", "3", "--T", "0.5", "--n-z", "48",
+            "--outdir", str(tmp_path), "--name", "x",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cannot write report to")
+
     @pytest.mark.parametrize("pair, flags", [
         ("parabolic,fdm", ("--B", "1e-3", "--T", "2", "--n-z", "100")),
         ("fdm,spectral", ("--B", "0.1", "--T", "0.5", "--n-z", "32", "--modes", "20")),
@@ -830,6 +882,48 @@ class TestCli:
         assert err.startswith(f"configuration error: {what} requires B > 0")
         assert "parabolic engine" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, what", [
+        pytest.param(("run", "--engine", "spectral", "--A", "1e300"), "the spectral engine",
+                     id="run-spectral"),
+        pytest.param(("compare", "--pair", "parabolic,spectral", "--A", "1e300"),
+                     "the spectral engine", id="compare"),
+        pytest.param(("sweep", "--engine", "spectral", "--axis", "A", "--values", "0.01,1e300"),
+                     "the spectral engine", id="sweep"),
+        pytest.param(("eigen-dump", "--A", "1e300"), "eigen-dump", id="eigen-dump"),
+    ])
+    def test_overflowing_A_squared_refused_before_the_outdir(self, tmp_path, capsys, monkeypatch,
+                                                             command, what):
+        # the secular equations' denominator is inf - inf once A^2 overflows
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for module, name in ((cli.spectral, "solve_spectral"), (cli.fdm, "march"),
+                             (cli.poles, "to_series"), (cli.eigen, "eigen_grid")):
+            monkeypatch.setattr(module, name, no_engine)
+        out = tmp_path / "out"
+        args = [*command, "--B", "0.1", "--L", "1", "--N0", "3", "--T", "0.05",
+                "--outdir", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {what} requires a finite A^2, got A = 1e+300")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_outdir_that_cannot_be_made_exit_code(self, tmp_path, capsys, monkeypatch, under,
+                                                  from_env):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = str(blocker / "sub" if under else blocker)
+        args = self.run_args(path)
+        if from_env:
+            del args[args.index("--outdir"):args.index("--outdir") + 2]
+            monkeypatch.setenv(cli.OUTDIR_ENV, path)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot make outdir {path!r}")
+        assert blocker.read_text() == ""
 
     def test_mode_count_bounded(self, tmp_path, capsys):
         # refused at the boundary, before any root scan starts
@@ -989,17 +1083,15 @@ class TestCli:
         assert out.stdout.strip() == "False"
 
     def test_amplitude_pairs_are_the_complex_encoding(self, tmp_path):
-        # the run's JSON holds [re, im] lists; encoding the solution's complex
-        # amplitudes through write_json's hook gives the same bytes
+        # the run's JSON holds each complex amplitude as its [re, im] pair, bit for bit
         assert main(["run", "--engine", "spectral", "--modes", "200", "--A", "1e-3", "--B", "0.1",
                      "--L", "1", "--N0", "3", "--outdir", str(tmp_path), "--name", "m"]) == 0
-        written = (tmp_path / "m.json").read_bytes()
-        payload = json.loads(written)
+        payload = json.loads((tmp_path / "m.json").read_bytes())
         sol = spectral.solve_spectral(Params(A=1e-3, B=0.1, L=1.0, N0=3.0), step_ic(), 200)
-        payload["amplitudes_S1"] = [complex(v) for v in sol.S1]
-        payload["amplitudes_S2"] = [complex(v) for v in sol.S2]
-        write_json(payload, tmp_path / "hooked.json")
-        assert (tmp_path / "hooked.json").read_bytes() == written
+        for key, amplitudes in (("amplitudes_S1", sol.S1), ("amplitudes_S2", sol.S2)):
+            pairs = [[v.real, v.imag] for v in amplitudes.tolist()]
+            assert np.array(payload[key]).view(np.int64).tolist() == \
+                np.array(pairs).view(np.int64).tolist()
 
     def test_spectral_run_imports_no_masked_arrays(self, tmp_path):
         # numpy.ma costs a fresh interpreter ~10 ms to import; np.unique pulls it

@@ -1,6 +1,7 @@
 """Parameter mapping, equilibrium state and initial-condition handling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,12 @@ class TestFromPhysical:
         values[field] = math.inf
         with pytest.raises(InvalidInput, match=f"{field} must be finite"):
             PhysicalInputs(**values)
+
+    @pytest.mark.parametrize("d", [1e200, 1e-200])
+    def test_d_whose_square_leaves_the_floats_rejected(self, d):
+        # d**2 overflows at 1e200 and underflows to 0 at 1e-200
+        with pytest.raises(InvalidInput, match=re.escape(f"at d = {d!r}")):
+            from_physical(PhysicalInputs(d=d, D=1, tau_r=1, tau_a=1, k_a=1, n0=1))
 
     @given(
         d=positive, D=positive, tau_r=positive, tau_a=positive,
