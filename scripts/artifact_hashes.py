@@ -25,6 +25,7 @@ OUTDIR from its own root: diff the two listings.  The exit code is 1 if a
 command fails.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -70,8 +71,15 @@ def command(name, target, seed):
 
 
 def main():
-    outdir = Path(sys.argv[1] if len(sys.argv) > 1 else os.path.join("out", "artifact_hashes"))
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("outdir", nargs="?", type=Path,
+                        default=Path("out", "artifact_hashes"),
+                        help="directory of one subdirectory per command (default"
+                        " out/artifact_hashes)")
+    parser.add_argument("seed", nargs="?", type=int, default=1,
+                        help="seed of the benchmark's inputs (default 1)")
+    args = parser.parse_args()
+    outdir, seed = args.outdir, args.seed
     failed = False
     for name in [*WORKLOADS, *EXTRA]:
         target = outdir / name

@@ -16,8 +16,8 @@ Writes into out/landmarks (or the directory given as the first argument):
 Run time is a couple of minutes on a laptop; every file is deterministic.
 """
 
+import argparse
 import os
-import sys
 
 import numpy as np
 
@@ -34,7 +34,10 @@ def fdm_series(p, ic, T=2.0, n_z=200, probes=()):
 
 
 def main():
-    outdir = sys.argv[1] if len(sys.argv) > 1 else os.path.join("out", "landmarks")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("outdir", nargs="?", default=os.path.join("out", "landmarks"),
+                        help="directory of the CSV files (default out/landmarks)")
+    outdir = parser.parse_args().outdir
     os.makedirs(outdir, exist_ok=True)
 
     def emit(name, series, config):

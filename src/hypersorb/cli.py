@@ -25,6 +25,8 @@ from .seriesio import probe_column, write_csv, write_json, write_series_csv, wri
 OUTDIR_ENV = "HYPERSORB_OUTDIR"
 
 SWEEP_AXES = ("A", "B", "L", "N0")
+# the laboratory inputs, in the order of params.PhysicalInputs: the other parameter route
+_PHYSICAL = ("d", "D", "tau_r", "tau_a", "k_a", "n0")
 ENGINES = ("fdm", "spectral", "parabolic", "compare")
 
 # ten times the largest mode count in use; the Gram matrix holds modes^2
@@ -91,16 +93,14 @@ class RunConfig:
 
     def resolved_params(self) -> Params:
         dimensionless = [self.A, self.B, self.L, self.N0]
-        physical = [self.d, self.D, self.tau_r, self.tau_a, self.k_a, self.n0]
+        physical = [getattr(self, key) for key in _PHYSICAL]
+        if any(v is not None for v in dimensionless) and any(v is not None for v in physical):
+            raise ConfigError("give the dimensionless set A,B,L,N0 or the physical set"
+                              " d,D,tau_r,tau_a,k_a,n0, not parts of both")
         if all(v is not None for v in dimensionless):
             return Params(A=self.A, B=self.B, L=self.L, N0=self.N0)
         if all(v is not None for v in physical):
-            return from_physical(
-                PhysicalInputs(
-                    d=self.d, D=self.D, tau_r=self.tau_r,
-                    tau_a=self.tau_a, k_a=self.k_a, n0=self.n0,
-                )
-            )
+            return from_physical(PhysicalInputs(*physical))
         missing = [n for n, v in zip("A B L N0".split(), dimensionless) if v is None]
         raise ConfigError(
             f"incomplete parameters: provide A,B,L,N0 (missing {missing}) or the full"
@@ -380,8 +380,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f"sweep values {cfg.values[stems.index(stem)]!r} and {cfg.values[i]!r} both"
                 f" name {stem}.csv; give values that differ in 6 significant digits"
             )
-    # the axis value completes the dimensionless set when it is the one left out
-    base = replace(cfg, **{cfg.axis: cfg.values[0]}).resolved_params()
+    # the axis value replaces the resolved group point by point, and completes
+    # the dimensionless set when it is the one left out
+    physical = any(getattr(cfg, key) is not None for key in _PHYSICAL)
+    base = (cfg if physical else replace(cfg, **{cfg.axis: cfg.values[0]})).resolved_params()
     points = [replace(base, **{cfg.axis: v}) for v in cfg.values]
     # fdm points on one grid march as one batch whatever their B, any other point alone.
     # Every grid is checked before any engine runs, for all points: a sweep holds all their series
@@ -501,26 +503,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.command == "run":
+        if args.command in ("run", "compare"):
             return cmd_run(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg)
-        if args.command == "compare":
-            return cmd_run(cfg)
-        if args.command == "eigen-dump":
-            return cmd_eigen_dump(cfg, args.alpha_min, args.alpha_max, args.points)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_eigen_dump(cfg, args.alpha_min, args.alpha_max, args.points)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except HypersorbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ swing up to twofold with its load).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -92,32 +92,36 @@ LAMBDA_CAP = 2.5e-2
 
 @dataclass(frozen=True)
 class Grid:
-    """Space-time discretization of the half slab.
+    """Space-time discretization of the half slab: n_z segments, n_t steps over [0, T].
 
-    lam = k/h controls stability of the explicit scheme; it must stay under
-    sqrt(B), the bound of the interior stencil, which the symmetry node and
-    the nonlocal wall closure keep.  default_lambda's smaller value is set
-    on accuracy (see LAMBDA_CAP).
+    h = 0.5/n_z, k = T/n_t and lam = k/h are derived, never given.  lam
+    controls stability of the explicit scheme; it must stay under sqrt(B),
+    the bound of the interior stencil, which the symmetry node and the
+    nonlocal wall closure keep.  default_lambda's smaller value is set on
+    accuracy (see LAMBDA_CAP).
     """
 
     n_z: int
     n_t: int
-    h: float
-    k: float
-    lam: float
     T: float
+    h: float = field(init=False)
+    k: float = field(init=False)
+    lam: float = field(init=False)
 
     def __post_init__(self):
         if self.n_z < MIN_N_Z:
             raise InvalidInput(f"n_z must be at least {MIN_N_Z}, got {self.n_z}")
         if self.n_t < 1:
             raise InvalidInput("n_t must be at least 1")
-        if not (self.h > 0 and self.k > 0):
-            raise InvalidInput("grid steps must be positive")
+        h, k = 0.5 / self.n_z, self.T / self.n_t
+        if not 0 < k < math.inf:
+            raise InvalidInput(f"T / n_t must be finite and positive, got {self.T!r} / {self.n_t}")
+        for name, value in (("h", h), ("k", k), ("lam", k / h)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_lambda(n_z: int, T: float, lam: float) -> "Grid":
-        """Grid with spacing h = 0.5/n_z and step count chosen so k/h <= lam."""
+        """Grid of n_z segments over [0, T] with the fewest steps that keep k/h <= lam."""
         if not (0 < T < math.inf and lam > 0):
             raise InvalidInput("T must be finite and positive, and lambda positive")
         if n_z < MIN_N_Z:
@@ -126,9 +130,7 @@ class Grid:
         if not step > 0 or T / step == math.inf:
             raise ConfigError(f"T = {T:.4g} in steps of {step:.4g} exceeds the march record bound"
                               f" {MAX_RECORD}: shorten T or lengthen the step")
-        n_t = max(1, math.ceil(T / step))
-        h, k = 0.5 / n_z, T / n_t
-        return Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=T)
+        return Grid(n_z, max(1, math.ceil(T / step)), T)
 
     def zgrid(self) -> np.ndarray:
         return np.linspace(0.0, 0.5, self.n_z + 1)
@@ -326,8 +328,7 @@ def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
     return out
 
 
-def march(rows0, ps, grid: Grid, meta: dict, probes=(),
-          max_rows: int = STORED_ROWS) -> list[TimeSeries]:
+def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list[TimeSeries]:
     """March start row rows0[b] with parameter set ps[b], all as one batch on grid.
 
     The engine's only time loop; one series per point.  The march itself
@@ -353,7 +354,7 @@ def march(rows0, ps, grid: Grid, meta: dict, probes=(),
     each probe, the probes and the residual derived on the way; series b
     holds row b of each.  Row b only ever sees parameter set b, so each row
     of a batch matches a march of its point alone bit for bit.  Each series
-    gets its own time grid and a copy of meta plus the grid.
+    gets its own time grid and meta {"engine": "fdm", "grid": grid.__dict__}.
     """
     ps = list(ps)
     rows0 = np.asarray(rows0, dtype=float)
@@ -463,7 +464,7 @@ def march(rows0, ps, grid: Grid, meta: dict, probes=(),
             row_z=zgrid,
             conservation=cons[b],
             params=p,
-            meta=dict(meta, grid=grid.__dict__.copy()),
+            meta={"engine": "fdm", "grid": grid.__dict__.copy()},
         ))
     return out
 
@@ -492,8 +493,7 @@ def run_fdm_batch(ps, ic: InitialCondition, grid: Grid, probes=()) -> list[TimeS
     # an empty batch is left to march, which refuses it
     check_grid(grid, min((p.B for p in ps), default=math.inf), len(ps))
     zgrid = grid.zgrid()
-    rows0 = [sample_initial(ic, p, zgrid) for p in ps]
-    return march(rows0, ps, grid, {"engine": "fdm"}, probes)
+    return march([sample_initial(ic, p, zgrid) for p in ps], ps, grid, probes)
 
 
 def run_fdm(p: Params, ic: InitialCondition, grid: Grid, probes=()) -> TimeSeries:

@@ -166,6 +166,6 @@ class TestAcceptance:
         dyadic = Params(A=0.25, B=0.25, L=0.0, N0=3.0)
         grid = Grid.from_lambda(128, 1.0, 0.25)
         row0 = np.full(grid.n_z + 1, 3.0)
-        (ser,) = march([row0], [dyadic], grid, {}, max_rows=grid.n_t + 1)
+        (ser,) = march([row0], [dyadic], grid, max_rows=grid.n_t + 1)
         assert np.all(ser.sigma == 0.0) and np.all(ser.rows == 3.0)
         report(9, "property suite")

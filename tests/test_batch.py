@@ -119,7 +119,7 @@ def step_march(ps, grid, max_rows=RUNNER_ROWS):
     """fdm.march from the step profile, without the runners' step-ratio check."""
     zgrid = grid.zgrid()
     rows0 = [sample_initial(step_ic(), p, zgrid) for p in ps]
-    return march(rows0, ps, grid, {}, PROBES, max_rows)
+    return march(rows0, ps, grid, PROBES, max_rows)
 
 
 point = st.tuples(
@@ -156,7 +156,7 @@ def grid_with_levels(n_t, n_z=10, B=0.1):
     """A grid of exactly n_t steps at the default step ratio."""
     h = 0.5 / n_z
     k = default_lambda(B) * h
-    return Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=n_t * k)
+    return Grid(n_z=n_z, n_t=n_t, T=n_t * k)
 
 
 RING_POINTS = [

@@ -6,6 +6,8 @@ from either breaks them before any work starts.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import pytest
 
 import hypersorb
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_every_public_name_resolves():
@@ -28,3 +31,15 @@ def test_script_imports(script, monkeypatch):
     spec = importlib.util.spec_from_file_location(Path(script).stem, SCRIPTS / script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+
+
+@pytest.mark.parametrize("script", ["landmarks.py", "artifact_hashes.py"])
+def test_script_help_writes_nothing(script, tmp_path):
+    # --help is not an outdir: usage on stdout, exit 0, no file made in the cwd
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage")
+    assert list(tmp_path.iterdir()) == []

@@ -59,6 +59,33 @@ class TestGrid:
         with pytest.raises(InvalidInput):
             Grid.from_lambda(16, math.inf, 0.02)
 
+    @pytest.mark.parametrize("n_z", [8, 201])
+    @pytest.mark.parametrize("T", [1e-3, 0.3, 10.0])
+    @pytest.mark.parametrize("lam", [1e-3, 0.0158113883008419, 0.3])
+    def test_grid_derives_its_steps(self, n_z, T, lam):
+        g = Grid.from_lambda(n_z, T, lam)
+        # the values from_lambda stored before the grid derived them
+        n_t = max(1, math.ceil(T / (lam * (0.5 / n_z))))
+        h, k = 0.5 / n_z, T / n_t
+        assert g.__dict__ == {"n_z": n_z, "n_t": n_t, "T": T, "h": h, "k": k, "lam": k / h}
+        assert g.k == g.T / g.n_t and g.lam == g.k / g.h
+        assert Grid(n_z, n_t, T) == g
+
+    @pytest.mark.parametrize("derived", [{"h": 0.005}, {"k": 0.005}, {"lam": 0.025},
+                                         {"h": 0.005, "k": 0.005, "lam": 0.025}])
+    def test_grid_takes_no_derived_step(self, derived):
+        # the grid of a march to t = 2 at k/h = 1: only its n_z, n_t and T can be given
+        with pytest.raises(TypeError):
+            Grid(n_z=100, n_t=16000, T=2.0, **derived)
+        g = Grid(n_z=100, n_t=16000, T=2.0)
+        assert (g.h, g.k, g.lam) == (0.005, 2.0 / 16000, 0.025)
+
+    @pytest.mark.parametrize("n_t, T", [(0, 1.0), (1, 0.0), (2, -1.0), (1, math.inf),
+                                        (1, math.nan), (2, 5e-324)])
+    def test_grid_refuses_a_step_that_is_no_positive_float(self, n_t, T):
+        with pytest.raises(InvalidInput):
+            Grid(16, n_t, T)
+
     @pytest.mark.parametrize("n_z", [0, -5, 7])
     def test_builders_refuse_a_coarse_grid_before_dividing(self, n_z):
         # no ZeroDivisionError at 0, no step-count message at a negative n_z
@@ -81,9 +108,9 @@ class TestStencils:
     def first_level(self, row):
         """Level 1 of a one-level wave march from row: the start-up stencil."""
         g = self.grid
-        one = Grid(n_z=g.n_z, n_t=1, h=g.h, k=g.k, lam=g.lam, T=g.k)
+        one = Grid(n_z=g.n_z, n_t=1, T=g.k)
         p = Params(A=0.25, B=self.B, L=1.0, N0=3.0)
-        (ser,) = march([row], [p], one, {}, max_rows=one.n_t + 1)
+        (ser,) = march([row], [p], one, max_rows=one.n_t + 1)
         return ser.rows[1]
 
     def test_first_step_preserves_constants_exactly(self):
@@ -186,10 +213,13 @@ class TestBoundaries:
         assert row[:-1].tobytes() == before[:-1].tobytes()
 
     def test_degenerate_closure_rejected(self):
-        p = Params(A=1e-10, B=0.1, L=0.0, N0=3.0)
-        g = Grid(n_z=8, n_t=1, h=1e-15, k=1.0, lam=1e15, T=1.0)
-        with pytest.raises(ConfigError):
+        # one step of k = 5e-324 at L = 0: den = (A + k) h/2 underflows to 0
+        p = Params(A=5e-324, B=0.1, L=0.0, N0=3.0)
+        g = Grid.from_lambda(8, 5e-324, 0.02)
+        with pytest.raises(ConfigError, match="degenerate wall closure"):
             apply_surface(np.full(9, 1.0), 0.0, g, p)
+        with pytest.raises(ConfigError, match="degenerate wall closure"):
+            run_fdm(p, step_ic(), g)
 
 
 class TestRunFdm:
@@ -266,7 +296,7 @@ class TestRunFdm:
             run_fdm(p, step_ic(), grid)
         row0 = sample_initial(step_ic(), p, grid.zgrid())
         with pytest.raises(StabilityError) as err:
-            march([row0], [p], grid, {})
+            march([row0], [p], grid)
         assert "lambda" in str(err.value)
 
     def test_divergence_and_overflow_in_one_ring_pass(self, monkeypatch):
@@ -278,16 +308,16 @@ class TestRunFdm:
         h = 0.5 / n_z
 
         def grid(n_t):
-            return Grid(n_z=n_z, n_t=n_t, h=h, k=lam * h, lam=lam, T=n_t * lam * h)
+            return Grid(n_z=n_z, n_t=n_t, T=n_t * lam * h)
 
         row0 = sample_initial(step_ic(), p, grid(1).zgrid())
         with pytest.raises(StabilityError) as err:
-            march([row0], [p], grid(100), {})
+            march([row0], [p], grid(100))
         assert str(err.value) == (
             "density diverging at level j=21, node i=3 (lambda=347.9, B=0.1); reduce lambda"
         )
         # level 21 from the two levels before it: node 3 is the first past the ceiling
-        (ser,) = march([row0], [p], grid(20), {}, max_rows=21)
+        (ser,) = march([row0], [p], grid(20), max_rows=21)
         assert np.max(np.abs(ser.rows)) < 1e100 * p.N0
         level = step_interior(ser.rows[20], ser.rows[19], grid(20), p.B)
         level[0] = level[1]
@@ -295,7 +325,7 @@ class TestRunFdm:
         # unchecked, the first pass (levels 0 .. RING - 1) overflows
         monkeypatch.setattr(fdm, "_check_divergence", lambda *args: None)
         with np.errstate(over="ignore", invalid="ignore"):
-            (ser,) = march([row0], [p], grid(RING - 1), {}, max_rows=RING)
+            (ser,) = march([row0], [p], grid(RING - 1), max_rows=RING)
         assert not np.all(np.isfinite(ser.rows))
 
     def test_wave_batch_mixes_B(self):
@@ -303,9 +333,9 @@ class TestRunFdm:
         ps = [Params(A=0.01, B=0.1, L=1.0, N0=3.0), Params(A=0.01, B=0.5, L=1.0, N0=3.0)]
         grid = Grid.from_lambda(16, 0.05, 0.01)
         rows0 = [sample_initial(step_ic(), p, grid.zgrid()) for p in ps]
-        batch = march(rows0, ps, grid, {})
+        batch = march(rows0, ps, grid)
         for row0, p, ser in zip(rows0, ps, batch):
-            (one,) = march([row0], [p], grid, {})
+            (one,) = march([row0], [p], grid)
             assert ser.params == p
             assert ser.sigma.tobytes() == one.sigma.tobytes()
             assert ser.rows.tobytes() == one.rows.tobytes()
@@ -316,13 +346,22 @@ class TestRunFdm:
         with pytest.raises(ConfigError):
             run_fdm(p, step_ic(), Grid.from_lambda(16, 1.0, 0.02))
 
+    @pytest.mark.parametrize("Bs", [(0.0,), (0.1, 0.0)])
+    def test_march_refuses_the_diffusive_limit(self, Bs):
+        # B = 0 is the exact pole sum's, also for one row of a batch
+        ps = [Params(A=0.01, B=B, L=1.0, N0=3.0) for B in Bs]
+        grid = Grid.from_lambda(16, 0.05, 0.02)
+        rows0 = [sample_initial(step_ic(), p, grid.zgrid()) for p in ps]
+        with pytest.raises(ConfigError, match="requires B > 0"):
+            march(rows0, ps, grid)
+
     def test_record_bound_admits_the_largest_march_in_use(self):
         # the B = 1 point of the README's B sweep and of scripts/landmarks.py: n_z = 200, T = 10
         largest = Grid.from_lambda(200, 10.0, default_lambda(1.0))
         assert largest.n_t + 1 == 160_001
         check_grid(largest, 1.0)
         h = 0.5 / 16
-        at = Grid(n_z=16, n_t=MAX_RECORD // 2 - 1, h=h, k=h / 40, lam=1 / 40, T=1.0)
+        at = Grid(n_z=16, n_t=MAX_RECORD // 2 - 1, T=(MAX_RECORD // 2 - 1) * h / 40)
         check_grid(at, 0.1, n_points=2)
         with pytest.raises(ConfigError, match="record bound"):
             check_grid(at, 0.1, n_points=3)
@@ -331,7 +370,7 @@ class TestRunFdm:
         # a march holds RING + STORED_ROWS rows of n_z + 1 nodes a point: n_z <= 21,504 for one
         def grid(n_z):
             h = 0.5 / n_z
-            return Grid(n_z=n_z, n_t=8000, h=h, k=0.02 * h, lam=0.02, T=8000 * 0.02 * h)
+            return Grid(n_z=n_z, n_t=8000, T=8000 * 0.02 * h)
 
         assert (RING + fdm.STORED_ROWS) * 21_505 <= MAX_RECORD < (RING + fdm.STORED_ROWS) * 21_506
         check_grid(grid(21_504), 0.1)
@@ -370,7 +409,7 @@ class TestConstantState:
         for Bs in [(0.25,), (0.25, 0.5, 1.0)]:
             ps = [Params(A=0.25, B=B, L=0.0, N0=3.0) for B in Bs]
             rows0 = np.full((len(ps), grid.n_z + 1), 3.0)
-            batch = march(rows0, ps, grid, {}, max_rows=grid.n_t + 1)
+            batch = march(rows0, ps, grid, max_rows=grid.n_t + 1)
             assert len(batch) == len(ps)
             for ser in batch:
                 assert np.all(ser.sigma == 0.0)
@@ -380,6 +419,6 @@ class TestConstantState:
         p = Params(A=0.013, B=0.07, L=0.0, N0=3.0)
         grid = Grid.from_lambda(100, 1.0, 0.02)
         row0 = np.full(grid.n_z + 1, 3.0)
-        (ser,) = march([row0], [p], grid, {}, max_rows=grid.n_t + 1)
+        (ser,) = march([row0], [p], grid, max_rows=grid.n_t + 1)
         worst = max(float(np.max(np.abs(ser.rows - 3.0))), float(np.max(np.abs(ser.sigma))))
         assert worst < 1e-13 * 3.0

@@ -329,6 +329,9 @@ class TestCli:
         pytest.param("-0.5,0\n-0.25,2\n0,6\n0.25,4\n0.5,0\n", "must be even in z*", id="odd"),
         pytest.param("0,6\n0.25,3\n0.5,1\n", "must vanish at z* = +-1/2", id="wall"),
         pytest.param("0,6\n0.25,nan\n0.5,0\n", "values must be finite", id="non-finite"),
+        pytest.param("0.5,0\n0.25,3\n0,6\n", "must be strictly increasing", id="decreasing"),
+        pytest.param("0,6\n", "needs matching 1-d z and value arrays", id="one-row"),
+        pytest.param("0,6\n0.25,3\n0.4,0\n", "must cover [0, 1/2] or [-1/2, 1/2]", id="short"),
     ])
     def test_bad_initial_condition_refused_before_the_outdir(self, tmp_path, capsys, command, ic,
                                                               message):
@@ -435,6 +438,56 @@ class TestCli:
         assert main(["run", "--engine", "fdm", "--d", "1e200", "--D", "1", "--tau-r", "1",
                      "--tau-a", "1", "--k-a", "1", "--n0", "1", "--outdir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: d^2 is no finite positive float")
+        assert not out.exists()
+
+    PHYSICAL = ("--d", "1", "--D", "1", "--tau-r", "0.1", "--tau-a", "0.01", "--k-a", "100",
+                "--n0", "3")
+
+    @pytest.mark.parametrize("command, flags, lines", [
+        pytest.param(("run", "--engine", "fdm"), ("--A", "0.5", *PHYSICAL), "",
+                     id="A-with-physical"),
+        pytest.param(("run", "--engine", "fdm"), ("--n0", "3"),
+                     "A = 0.01\nB = 0.1\nL = 1\nN0 = 3\n", id="file-groups-with-n0"),
+        pytest.param(("run", "--engine", "spectral"), PHYSICAL, "N0 = 3\n", id="file-N0"),
+        # the swept group may replace the resolved one, but not be given beside it
+        pytest.param(("sweep", "--engine", "fdm", "--axis", "L", "--values", "0.5,2"),
+                     ("--L", "1", *PHYSICAL), "", id="sweep-L"),
+        pytest.param(("eigen-dump",), ("--B", "1e-3", *PHYSICAL), "", id="eigen-dump"),
+    ])
+    def test_mixed_parameter_routes_refused_before_the_outdir(self, tmp_path, capsys, command,
+                                                               flags, lines):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(lines)
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg_file), *flags, "--T", "0.1", "--n-z", "16",
+                     "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: give the dimensionless set A,B,L,N0 or the"
+                              " physical set")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, line, message", [
+        pytest.param(("run", "--samples", "1"), "", "samples must be at least 2", id="samples"),
+        pytest.param(("sweep", "--values", "1,2"), "", "sweep requires --axis and --values",
+                     id="sweep-no-axis"),
+        pytest.param(("sweep", "--axis", "L"), "", "sweep requires --axis and --values",
+                     id="sweep-no-values"),
+        pytest.param(("run",), "engine = heat", "engine must be one of", id="file-engine"),
+        pytest.param(("run",), "axis = C", "sweep axis must be one of", id="file-axis"),
+        pytest.param(("run",), "ic = gaussian", "ic must be step, parabolic or sampled",
+                     id="file-ic"),
+        pytest.param(("sweep", "--axis", "L", "--values", "1,2"), "engine = compare",
+                     "sweep does not support the compare engine", id="sweep-compare"),
+    ])
+    def test_value_outside_its_set_refused_before_the_outdir(self, tmp_path, capsys, command,
+                                                              line, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg_file), "--A", "0.01", "--B", "0.1", "--L", "1",
+                     "--N0", "3", "--T", "0.1", "--n-z", "16", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
         assert not out.exists()
 
     def test_physical_parameter_route(self, tmp_path):

@@ -26,9 +26,9 @@ def interior_bits(rows):
 
 def first_level(rows0, ps, grid):
     """Level 1 of a one-level march from rows0, one row or a batch (nodes on the last axis)."""
-    one = Grid(n_z=grid.n_z, n_t=1, h=grid.h, k=grid.k, lam=grid.lam, T=grid.k)
+    one = Grid(n_z=grid.n_z, n_t=1, T=grid.k)
     batch = np.reshape(rows0, (len(ps), -1))
-    series = march(batch, ps, one, {}, max_rows=one.n_t + 1)
+    series = march(batch, ps, one, max_rows=one.n_t + 1)
     return np.stack([ser.rows[1] for ser in series]).reshape(np.shape(rows0))
 
 
@@ -40,9 +40,9 @@ def test_march_levels_are_step_first_and_step_interior(n_batch):
     k = default_lambda(B) * h
     # a second ring pass, so the level programs of every slot take part
     n_t = RING + 5
-    grid = Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=n_t * k)
+    grid = Grid(n_z=n_z, n_t=n_t, T=n_t * k)
     rows0 = np.random.default_rng(3).uniform(0.5, 1.5, (n_batch, n_z + 1)) * [[p.N0] for p in ps]
-    series = march(rows0, ps, grid, {}, max_rows=n_t + 1)
+    series = march(rows0, ps, grid, max_rows=n_t + 1)
     # levels, batch, nodes
     levels = np.stack([ser.rows for ser in series], axis=1)
     assert levels.shape == (n_t + 1, n_batch, n_z + 1)
@@ -77,7 +77,7 @@ def test_short_march_builds_programs_for_its_levels_only(monkeypatch, n_t):
     n_z = 16
     h = 0.5 / n_z
     k = default_lambda(p.B) * h
-    grid = Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=n_t * k)
-    march([np.full(n_z + 1, p.N0)], [p], grid, {})
+    grid = Grid(n_z=n_z, n_t=n_t, T=n_t * k)
+    march([np.full(n_z + 1, p.N0)], [p], grid)
     # one program per ring slot, and the start-up program
     assert len(built) <= n_t + 2

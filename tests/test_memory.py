@@ -31,9 +31,9 @@ def test_march_record_peak_per_level():
     n_z, n_t = 16, 100_000
     h = 0.5 / n_z
     k = default_lambda(p.B) * h
-    grid = Grid(n_z=n_z, n_t=n_t, h=h, k=k, lam=k / h, T=n_t * k)
+    grid = Grid(n_z=n_z, n_t=n_t, T=n_t * k)
     rows0 = [np.full(n_z + 1, p.N0)]
-    peak = peak_bytes(lambda: march(rows0, [p], grid, {}, (0.0, 0.25, 0.45)))
+    peak = peak_bytes(lambda: march(rows0, [p], grid, (0.0, 0.25, 0.45)))
     assert peak <= 96 * (n_t + 1)
 
 

@@ -1,5 +1,7 @@
 """Engine comparison against the exact diffusive reference, and series audits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,14 @@ class TestCompareEngines:
         with pytest.raises(InvalidInput, match="non-empty 1-d array of finite times"):
             compare_engines(parabolic_reference, parabolic_reference, tgrid)
 
+    def test_tolerance_needs_parameters(self, parabolic_reference):
+        # the default tolerance is 5 % of the parameter set's sigma_eq
+        bare = replace(parabolic_reference, params=None)
+        tgrid = np.linspace(0.1, 1.0, 11)
+        with pytest.raises(InvalidInput, match="sigma_tol required"):
+            compare_engines(bare, bare, tgrid)
+        assert compare_engines(bare, bare, tgrid, sigma_tol=0.1).passed
+
     def test_report_serializes(self, parabolic_reference):
         rep = compare_engines(parabolic_reference, parabolic_reference,
                               np.linspace(0.1, 1.0, 11))
@@ -150,7 +160,7 @@ class TestAudits:
         grid = Grid.from_lambda(10, 0.01, default_lambda(p.B))
         row0 = sample_initial(step_ic(), p, grid.zgrid())
         with pytest.raises(InvalidInput, match="max_rows must be at least 2"):
-            march([row0], [p], grid, {}, max_rows=max_rows)
+            march([row0], [p], grid, max_rows=max_rows)
 
     def test_two_stored_rows_are_the_endpoints(self):
         assert thin_indices(10, 2).tolist() == [0, 9]
