@@ -6,6 +6,8 @@ the fdm engine's distance from the exact B = 0 sum of hypersorb.poles as B
 falls, which is how the hyperbolic model meets its diffusive limit.
 """
 
+import argparse
+
 import numpy as np
 
 from hypersorb import Params, equilibrium, eval_sigma, poles, run_fdm, solve_spectral, step_ic
@@ -71,6 +73,7 @@ def diffusive_limit():
 
 
 if __name__ == "__main__":
+    argparse.ArgumentParser(description=__doc__.split("\n", 1)[0]).parse_args()
     grid_refinement()
     mode_doubling()
     engine_agreement()

@@ -22,24 +22,25 @@ such as one with every level stored, call march directly.  The diffusive
 
 At the sizes in use numpy's per-call cost outweighs the arithmetic, so
 each ring slot gets a pre-bound level program once per march: partials of
-the stencil's ufunc calls on the slot's views with 0-d weights (seven for
-a wave level, four for the start-up: the Laplacian is the difference of
-one gradient, and the weights are folded once per march), and the wall
-closure bound to the slot's memoryviews, which also mirrors the
-symmetry node, writes the slot's sigma and leaves the sum of each row's
-interior in the slot's row of a sums buffer, from which the record takes
-the inner mass; a march shorter than RING
-builds programs for its own levels only.  A level is its program and
-nothing else: the divergence check and the record run once per pass
-around the ring.  The record is row-major, one full-length array per
-quantity with a row per point, so each series is a row of it; a pass
-leaves its raw values (sigma, wall values, inner mass, probe nodes) in a
-level-major chunk of CHUNK_PASSES passes, from which the probes and the
-conservation residual are derived a chunk at a time.  With one row of 101
-nodes a level costs ~6.2 us of CPU time, of which the seven stencil calls
-take ~3.5 us and the closure most of the rest (best of five 10^5-level
-marches on one core of a shared Xeon host with numpy 2.4, whose timings
-swing up to twofold with its load).
+the stencil's ufunc calls on the slot's views (six for a wave level, four
+for the start-up: the Laplacian is the difference of one gradient, the
+weights are folded once per march, and a wave level's Laplacian and rate
+fill the two halves of one work buffer that a single multiply scales by
+the paired weights [a ... a | r ... r]), and the wall closure bound to
+the slot's memoryviews, which also mirrors the symmetry node, writes the
+slot's sigma and leaves the sum of each row's interior in the slot's row
+of a sums buffer, from which the record takes the inner mass; a march
+shorter than RING builds programs for its own levels only.  A level is
+its program and nothing else: the divergence check and the record run
+once per pass around the ring.  The record is row-major, one full-length
+array per quantity with a row per point, so each series is a row of it;
+a pass leaves its raw values (sigma, wall values, inner mass, probe
+nodes) in a level-major chunk of CHUNK_PASSES passes, from which the
+probes and the conservation residual are derived a chunk at a time.
+With one row of 101 nodes a level costs ~3.9 us of CPU time, of which
+the six stencil calls take ~2.2 us and the closure most of the rest
+(best of five 10^5-level marches on one core of a shared 2-vCPU Xeon
+host with numpy 2.4 and Python 3.11, whose timings swing with its load).
 """
 
 from __future__ import annotations
@@ -189,56 +190,61 @@ def _views(row: np.ndarray) -> _Row:
     )
 
 
-def _stencil(new: _Row, old: _Row, older: _Row | None, weights, grad, lap) -> list:
+def _stencil(new: _Row, old: _Row, older: _Row | None, weights, grad, work) -> list:
     """One level's interior update as zero-argument ufunc calls, in this order.
 
     lap = (right - mid) - (mid - left) of old, the difference of one
     gradient buffer grad = upper - lower (two calls; both differences are
-    exact zeros on a constant row).  With older, the three-level wave
-    update in increment form, new = old + a lap + r (old - older), with the
-    weights folded once per march, a = 2 lam^2/(2B + k) and r = (2B - k)/(2B
-    + k): seven calls.  Without, the start-up level of a bulk at rest, new =
-    old + (lam^2/2B) lap, weights (lam^2/2B,): four calls.  grad and lap
-    are work buffers over the flattened rows and over mid; old - older
-    reuses grad, which the Laplacian has consumed.  A float weight is bound
-    as a 0-d array, which a ufunc takes with no conversion on each call; an
-    array spans mid, one B a row.
+    exact zeros on a constant row).  lap and, for a wave level, the rate
+    old - older fill the two halves of the work buffer, of twice mid's
+    nodes.  With older, the three-level wave update in increment form,
+    new = old + a lap + r (old - older): one multiply scales both halves by
+    the paired weights [a ... a | r ... r] of _wave_weights, folded once per
+    march, then lap += rate and new = old + lap: six calls.  Without, the
+    start-up level of a bulk at rest, new = old + (lam^2/2B) lap, its
+    weights over mid: four calls.  A weight array's entries follow mid's
+    nodes, one B a row.
     """
-    weights = [np.asarray(w) for w in weights]
+    lap, rate = work[:new.mid.size], work[new.mid.size:]
     ops = [
         partial(np.subtract, old.upper, old.lower, grad),
         partial(np.subtract, grad[1:], grad[:-1], lap),
-        partial(np.multiply, lap, weights[0], lap),
     ]
-    if older is not None:
-        rate = grad[1:]
+    if older is None:
+        ops.append(partial(np.multiply, lap, weights, lap))
+    else:
         ops += [
             partial(np.subtract, old.mid, older.mid, rate),
-            partial(np.multiply, rate, weights[1], rate),
+            partial(np.multiply, work, weights, work),
             partial(np.add, lap, rate, lap),
         ]
     return ops + [partial(np.add, old.mid, lap, new.mid)]
 
 
-def _wave_weights(grid: Grid, B):
-    """The wave level's folded weights (a, r) = (2 lam^2, 2B - k) / (2B + k)."""
+def _wave_weights(grid: Grid, B, n_mid: int) -> np.ndarray:
+    """The wave level's folded weights paired for one multiply: [a ... a | r ... r].
+
+    (a, r) = (2 lam^2, 2B - k) / (2B + k), each over n_mid nodes; B is a
+    float or an array of n_mid entries.
+    """
     den = 2.0 * B + grid.k
-    return 2.0 * grid.lam**2 / den, (2.0 * B - grid.k) / den
+    return np.concatenate([np.broadcast_to(w, n_mid)
+                           for w in (2.0 * grid.lam**2 / den, (2.0 * B - grid.k) / den)])
 
 
 def step_interior(prev: np.ndarray, prev2: np.ndarray, grid: Grid, B: float) -> np.ndarray:
     """Advance the interior one level using the two previous complete rows.
 
-    The march's own seven ufunc calls (_stencil): the increment form of
-    the three-level stencil, with the folded weights (same algebra as the
-    direct three-point weights, exact on constant rows); boundary nodes
-    copied.
+    The march's own six ufunc calls (_stencil): the increment form of the
+    three-level stencil, with the folded weights paired over a work buffer
+    (same algebra as the direct three-point weights, exact on constant
+    rows); boundary nodes copied.
     """
     row = prev.copy()
     new = _views(row)
     grad = np.empty_like(new.upper)
-    weights = _wave_weights(grid, B)
-    for op in _stencil(new, _views(prev), _views(prev2), weights, grad, np.empty_like(new.mid)):
+    weights = _wave_weights(grid, B, new.mid.size)
+    for op in _stencil(new, _views(prev), _views(prev2), weights, grad, np.empty_like(weights)):
         op()
     row[..., 0], row[..., -1] = prev[..., 0], prev[..., -1]
     return row
@@ -333,12 +339,13 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
 
     The engine's only time loop; one series per point.  The march itself
     does not check the grid (see check_grid).  A batch may mix B: the
-    weights, folded once per march (2 lam^2/(2B + k), (2B - k)/(2B + k) and
-    the start-up's lam^2/2B), are arrays over the mid span, each row's
-    entries its own B.  Level j lives in slot j % RING of a ring of
+    weights are folded once per march, the wave level's
+    a = 2 lam^2/(2B + k) and r = (2B - k)/(2B + k) paired over twice the
+    mid span (_wave_weights) and the start-up's lam^2/2B over it, each
+    row's entries its own B.  Level j lives in slot j % RING of a ring of
     min(RING, n_t + 1) level rows and sigmas, and each slot gets its level
     program once per march: zero-argument calls that advance every row's
-    interior from the two slots before it (_stencil's seven ufunc calls;
+    interior from the two slots before it (_stencil's six ufunc calls;
     the first level is the two-level start-up of a bulk at rest, four
     calls), then close the walls.  The closure is one Python loop over the
     rows, bound to the slot's memoryviews and the rows' constants: it
@@ -377,21 +384,21 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     ring = np.empty((n_slots, n_batch, n_nodes))
     sig_ring, sums = np.empty((n_slots, n_batch)), np.empty((n_slots, n_batch))
     slots, sigmas = [_views(row) for row in ring], [memoryview(s) for s in sig_ring]
-    grad, lap = np.empty_like(slots[0].upper), np.empty_like(slots[0].mid)
+    # each row's B on its n_z + 1 nodes, trimmed as mid is
+    B = np.repeat([p.B for p in ps], n_nodes)[1:-1]
+    weights = _wave_weights(grid, B, B.size)
+    grad, work = np.empty_like(slots[0].upper), np.empty_like(weights)
     np.copyto(ring[0], rows0)
     sig_ring[0] = _start_sigma(slots[0], constants, sums[0])
 
     def program(i: int, older: _Row | None, weights) -> tuple:
         # slot i's level: stencil from slots i-1 and older, then the closure,
         # which mirrors node 0 and writes sigma from slot i-1's into slot i's
-        return (*_stencil(slots[i], slots[i - 1], older, weights, grad, lap),
+        return (*_stencil(slots[i], slots[i - 1], older, weights, grad, work),
                 _bind_wall(slots[i], sigmas[i - 1], sigmas[i], constants, sums[i]))
 
-    # each row's B on its n_z + 1 nodes, trimmed as mid is
-    B = np.repeat([p.B for p in ps], n_nodes)[1:-1]
-    weights = _wave_weights(grid, B)
     programs = [program(i, slots[i - 2], weights) for i in range(n_slots)]
-    start = program(1, None, (grid.lam * grid.lam / (2.0 * B),))
+    start = program(1, None, grid.lam * grid.lam / (2.0 * B))
     # the ops of one pass around the ring, slot after slot.  The first pass
     # fills the ring (n_slots <= n_levels); the programs after it are equal
     # in length, so a shorter last pass runs a prefix of full_pass

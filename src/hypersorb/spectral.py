@@ -18,6 +18,12 @@ by angle addition, sin(a +- b) and cos(a + b) in terms of sin and cos of a
 and of b: the Gram matrix's sines of (alpha_i +- alpha_j)/2, and the
 cosines of the value table on an even time grid (_grid_cosines).  Entries
 move from the per-entry forms at rounding level only.
+
+The Cholesky factor (LAPACK), the basis products and modal_sums'
+matrix-vector product (BLAS) are the package's only BLAS and LAPACK calls;
+a threaded BLAS may order their sums by its thread count, so this engine's
+last bits, unlike those of fdm, can change with it.  The package sets no
+thread count.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ def test_script_imports(script, monkeypatch):
     spec.loader.exec_module(module)
 
 
-@pytest.mark.parametrize("script", ["landmarks.py", "artifact_hashes.py"])
+@pytest.mark.parametrize("script", ["landmarks.py", "artifact_hashes.py", "convergence.py"])
 def test_script_help_writes_nothing(script, tmp_path):
     # --help is not an outdir: usage on stdout, exit 0, no file made in the cwd
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]

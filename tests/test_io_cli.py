@@ -272,6 +272,31 @@ class TestCli:
         ja["config"].pop("outdir"), jb["config"].pop("outdir")
         assert ja == jb
 
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # fdm, parabolic and their comparison write the same bytes at one and two
+        # BLAS threads: each command in a fresh interpreter, whose thread settings
+        # replace any the environment has, into the same relative outdir; at
+        # B = 1e-3 the engines agree, so the comparison passes
+        common = ["--A", "0.01", "--B", "1e-3", "--L", "1", "--N0", "3", "--T", "0.2",
+                  "--n-z", "16", "--outdir", "out"]
+        commands = [["run", "--engine", "fdm", "--name", "f"],
+                    ["run", "--engine", "parabolic", "--name", "p"],
+                    ["compare", "--pair", "parabolic,fdm", "--name", "c"]]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        written = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                       **dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"],
+                                       threads))
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            for command in commands:
+                subprocess.run([sys.executable, "-m", "hypersorb.cli", *command, *common], cwd=cwd,
+                               env=env, capture_output=True, timeout=120, check=True)
+            written[threads] = {path.name: path.read_bytes() for path in (cwd / "out").iterdir()}
+        assert len(written["1"]) == 8
+        assert written["1"] == written["2"]
+
     def test_missing_parameters_exit_code(self, tmp_path, capsys):
         assert main(["run", "--engine", "fdm", "--outdir", str(tmp_path)]) == 2
         assert "incomplete parameters" in capsys.readouterr().err

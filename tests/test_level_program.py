@@ -56,6 +56,20 @@ def test_march_levels_are_step_first_and_step_interior(n_batch):
         assert interior_bits(step_interior(rows[1], rows[0], grid, B)) == interior_bits(rows[2])
 
 
+@pytest.mark.parametrize("shape", [(17,), (3, 17)], ids=["row", "batch"])
+def test_step_interior_is_the_folded_level_bit_for_bit(shape):
+    # a = 2 lam^2/(2B + k) scales the Laplacian and r = (2B - k)/(2B + k) the
+    # rate; march shares step_interior's weights, so their order is pinned here
+    grid, B = Grid.from_lambda(16, 0.1, 0.02), 0.1
+    prev, prev2 = np.random.default_rng(5).uniform(0.5, 1.5, (2, *shape))
+    grad = prev[..., 1:] - prev[..., :-1]
+    lap = grad[..., 1:] - grad[..., :-1]
+    rate = prev[..., 1:-1] - prev2[..., 1:-1]
+    den = 2.0 * B + grid.k
+    level = prev[..., 1:-1] + (lap * (2.0 * grid.lam**2 / den) + rate * ((2.0 * B - grid.k) / den))
+    assert interior_bits(step_interior(prev, prev2, grid, B)) == level.tobytes()
+
+
 def test_step_functions_copy_the_boundary_nodes():
     grid = Grid.from_lambda(16, 0.1, 0.02)
     rows = np.random.default_rng(4).uniform(0.0, 1.0, (2, 3, 17))
@@ -63,21 +77,42 @@ def test_step_functions_copy_the_boundary_nodes():
     assert np.array_equal(out[..., [0, -1]], rows[0][..., [0, -1]])
 
 
-@pytest.mark.parametrize("n_t", [1, 10], ids=lambda n_t: f"{n_t}-wave")
-def test_short_march_builds_programs_for_its_levels_only(monkeypatch, n_t):
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The programs fdm._stencil builds, as (wave level?, its ufunc calls), one per call."""
+    out = []
 
-    def counted(*args):
-        built.append(args)
-        return stencil_builder(*args)
+    def counted(new, old, older, *rest):
+        ops = stencil_builder(new, old, older, *rest)
+        out.append((older is not None, len(ops)))
+        return ops
 
     stencil_builder = fdm._stencil
     monkeypatch.setattr(fdm, "_stencil", counted)
+    return out
+
+
+def short_grid(p, n_t, n_z=16):
+    k = default_lambda(p.B) * (0.5 / n_z)
+    return Grid(n_z=n_z, n_t=n_t, T=n_t * k)
+
+
+@pytest.mark.parametrize("n_t", [1, 10], ids=lambda n_t: f"{n_t}-wave")
+def test_short_march_builds_programs_for_its_levels_only(built, n_t):
     p = POINTS[0]
-    n_z = 16
-    h = 0.5 / n_z
-    k = default_lambda(p.B) * h
-    grid = Grid(n_z=n_z, n_t=n_t, T=n_t * k)
-    march([np.full(n_z + 1, p.N0)], [p], grid)
+    grid = short_grid(p, n_t)
+    march([np.full(grid.n_z + 1, p.N0)], [p], grid)
     # one program per ring slot, and the start-up program
     assert len(built) <= n_t + 2
+
+
+def test_wave_level_is_six_stencil_calls_and_the_start_up_four(built):
+    # a level's cost is its call count, so a call more must be a choice, made here
+    grid = short_grid(POINTS[0], 10)
+    march(np.ones((3, grid.n_z + 1)), POINTS, grid)
+    assert sorted(set(built)) == [(False, 4), (True, 6)]
+    assert built.count((False, 4)) == 1
+    built.clear()
+    rows = np.ones((2, grid.n_z + 1))
+    step_interior(rows[0], rows[1], grid, POINTS[0].B)
+    assert built == [(True, 6)]
