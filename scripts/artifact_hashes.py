@@ -13,8 +13,9 @@ the secular-landmark set A = 0.5, B = 1e-3, L = 0.1, and the README's
 ``compare --pair spectral,fdm`` runs: the one command that evaluates the
 modal series twice, at ``--samples`` and at the report's times.  Last, an
 ``fdm`` run takes the wave-timing set in laboratory units (A = 0.01,
-B = 0.1, L = 1, N0 = 3 through ``params.from_physical``).  These three are
-``EXTRA``, and none reads SEED.
+B = 0.1, L = 1, N0 = 3 through ``params.from_physical``), and another
+marches that set from the parabolic initial profile (``--ic parabolic``).
+These four are ``EXTRA``, and none reads SEED.
 Command w writes into OUTDIR/w (default out/artifact_hashes/w), which is
 emptied first.  One line ``w/file sha256`` is printed per artifact, in
 sorted order; the benchmark's lines come first.
@@ -50,8 +51,8 @@ from harness import WORKLOADS, command_argv, resolve_inputs  # noqa: E402
 from hypersorb import cli  # noqa: E402
 
 # the commands beside the benchmark's, by name: the secular-equation table at
-# the secular-landmark set, the README's cross-validation of two engines, and
-# one run from physical inputs
+# the secular-landmark set, the README's cross-validation of two engines, one
+# run from physical inputs and one from the parabolic initial profile
 EXTRA = {
     "eigen_dump": ["eigen-dump", "--A", "0.5", "--B", "1e-3", "--L", "0.1", "--N0", "3",
                    "--name", "landmark"],
@@ -59,6 +60,8 @@ EXTRA = {
                 "--N0", "3", "--T", "2"],
     "physical": ["run", "--engine", "fdm", "--d", "1e-4", "--D", "1e-9", "--tau-r", "1",
                  "--tau-a", "0.1", "--k-a", "1e-3", "--n0", "3e4", "--T", "2"],
+    "parabolic_ic": ["run", "--engine", "fdm", "--ic", "parabolic", "--A", "0.01", "--B", "0.1",
+                     "--L", "1", "--N0", "3", "--T", "2"],
 }
 
 

@@ -21,6 +21,7 @@ from .errors import ConfigError, HypersorbError, InvalidInput
 from .params import InitialCondition, Params, PhysicalInputs, from_physical, parabolic_ic, sampled_ic, step_ic
 from .series import thin_series
 from .seriesio import probe_column, write_csv, write_json, write_series_csv, write_text
+from .spectral import MAX_MODAL_TERMS
 
 OUTDIR_ENV = "HYPERSORB_OUTDIR"
 
@@ -35,15 +36,6 @@ MAX_MODES = 2000
 
 # 250 times the default eigen-dump grid; the table costs ~85 bytes a point
 MAX_GRID_POINTS = 10**6
-
-# most samples x modes of a modal time evaluation; the (samples, modes)
-# table of real weights is built in one piece, at 8 bytes an entry, beside
-# one buffer of cosines of the same size (on an even time grid about
-# sqrt(samples) rows longer, and paired with a second such buffer while
-# angle addition forms it).  The largest in use is 801 x 2000.
-# It also bounds samples x roots of the parabolic pole sum, whose table
-# holds one real exponential per sample and root (801 x 21 at T = 2).
-MAX_MODAL_TERMS = 10**7
 
 # a comparison report's times, evenly spread over [REPORT_START T, T]
 REPORT_TIMES, REPORT_START = 401, 0.05
@@ -267,8 +259,8 @@ def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1):
     fdm marches a Grid, checked for a march of n_points rows; spectral and
     parabolic evaluate --samples times over the horizon, and the parabolic
     pole sum's table of samples x roots, and under compare that of the
-    report's times, is held to MAX_MODAL_TERMS (the spectral one is checked
-    with the configuration).
+    report's times, is held to MAX_MODAL_TERMS by poles.check_terms (the
+    spectral one is checked with the configuration).
     """
     if engine != "parabolic":
         _require_relaxation(p, f"the {engine} engine", engine == "spectral")
@@ -279,18 +271,9 @@ def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1):
         fdm.check_grid(grid, p.B, n_points)
         return grid
     if engine == "parabolic":
-        tables = [("samples", cfg.samples, T / (cfg.samples - 1))]
+        poles.check_terms(cfg.samples, T / (cfg.samples - 1), "samples")
         if cfg.engine == "compare":
-            tables.append(("report times", REPORT_TIMES, REPORT_START * T))
-        for what, times, t_first in tables:
-            roots = poles.interval_count(t_first)
-            if times * roots > MAX_MODAL_TERMS:
-                raise ConfigError(
-                    f"{what} x roots must be at most {MAX_MODAL_TERMS}, got {times} x {roots}:"
-                    f" the parabolic sum keeps every root beta with beta^2 t_1 <="
-                    f" {poles.DROP_EXPONENT:g} at its first positive time t_1, one exponential"
-                    f" per time and root"
-                )
+            poles.check_terms(REPORT_TIMES, REPORT_START * T, "report times")
     return np.linspace(0.0, T, cfg.samples)
 
 

@@ -22,17 +22,17 @@ such as one with every level stored, call march directly.  The diffusive
 
 At the sizes in use numpy's per-call cost outweighs the arithmetic, so
 each ring slot gets a pre-bound level program once per march: partials of
-the stencil's ufunc calls on the slot's views (six for a wave level, four
-for the start-up: the Laplacian is the difference of one gradient, the
-weights are folded once per march, and a wave level's Laplacian and rate
-fill the two halves of one work buffer that a single multiply scales by
-the paired weights [a ... a | r ... r]), and the wall closure bound to
-the slot's memoryviews, which also mirrors the symmetry node, writes the
-slot's sigma and leaves the sum of each row's interior in the slot's row
-of a sums buffer, from which the record takes the inner mass; a march
-shorter than RING builds programs for its own levels only.  A level is
-its program and nothing else: the divergence check and the record run
-once per pass around the ring.  The record is row-major, one full-length
+the stencil's six ufunc calls on the slot's views (the Laplacian is the
+difference of one gradient, the weights are folded once per march, and
+the Laplacian and rate fill the two halves of one work buffer that a
+single multiply scales by the paired weights [a ... a | r ... r]; the
+start-up level is the same program with weights [lam^2/2B ... | 0 ...]),
+and the wall closure bound to the slot's memoryviews, which also mirrors
+the symmetry node, writes the slot's sigma and leaves the sum of each
+row's interior in the slot's row of a sums buffer, from which the record
+takes the inner mass; a march shorter than RING builds programs for its
+own levels only.  A level is its program and nothing else: the
+divergence check and the record run once per pass around the ring.  The record is row-major, one full-length
 array per quantity with a row per point, so each series is a row of it;
 a pass leaves its raw values (sigma, wall values, inner mass, probe
 nodes) in a level-major chunk of CHUNK_PASSES passes, from which the
@@ -172,10 +172,9 @@ class _Row(NamedTuple):
     floats through the memoryviews, one entry per row.
     """
 
-    full: np.ndarray
-    lower: np.ndarray  # full flattened, [:-1]
-    upper: np.ndarray  # full flattened, [1:]
-    mid: np.ndarray  # full flattened, [1:-1]
+    lower: np.ndarray  # the row buffer flattened, [:-1]
+    upper: np.ndarray  # the row buffer flattened, [1:]
+    mid: np.ndarray  # the row buffer flattened, [1:-1]
     interior: np.ndarray  # interior nodes 1 .. n_z-1 of each row
     heads: memoryview  # symmetry node 0, mirrored from necks by the closure
     necks: memoryview  # node 1
@@ -185,40 +184,35 @@ class _Row(NamedTuple):
 def _views(row: np.ndarray) -> _Row:
     flat = row.reshape(-1)
     return _Row(
-        row, flat[:-1], flat[1:], flat[1:-1], row[..., 1:-1],
+        flat[:-1], flat[1:], flat[1:-1], row[..., 1:-1],
         *(memoryview(row[..., i]) for i in (0, 1, -1)),
     )
 
 
-def _stencil(new: _Row, old: _Row, older: _Row | None, weights, grad, work) -> list:
-    """One level's interior update as zero-argument ufunc calls, in this order.
+def _stencil(new: _Row, old: _Row, older: _Row, weights, grad, work) -> list:
+    """One level's interior update as six zero-argument ufunc calls, in this order.
 
     lap = (right - mid) - (mid - left) of old, the difference of one
     gradient buffer grad = upper - lower (two calls; both differences are
-    exact zeros on a constant row).  lap and, for a wave level, the rate
-    old - older fill the two halves of the work buffer, of twice mid's
-    nodes.  With older, the three-level wave update in increment form,
-    new = old + a lap + r (old - older): one multiply scales both halves by
-    the paired weights [a ... a | r ... r] of _wave_weights, folded once per
-    march, then lap += rate and new = old + lap: six calls.  Without, the
-    start-up level of a bulk at rest, new = old + (lam^2/2B) lap, its
-    weights over mid: four calls.  A weight array's entries follow mid's
-    nodes, one B a row.
+    exact zeros on a constant row).  lap and the rate old - older fill the
+    two halves of the work buffer, of twice mid's nodes.  The three-level
+    wave update in increment form, new = old + a lap + r (old - older): one
+    multiply scales both halves by the paired weights [a ... a | r ... r] of
+    _wave_weights, folded once per march, then lap += rate and
+    new = old + lap.  The start-up level of a bulk at rest is the same
+    program with older = old and weights [lam^2/2B ... | 0 ...]: its rate is
+    an exact +0, scaled by 0.  A weight array's entries follow mid's nodes,
+    one B a row, twice.
     """
     lap, rate = work[:new.mid.size], work[new.mid.size:]
-    ops = [
+    return [
         partial(np.subtract, old.upper, old.lower, grad),
         partial(np.subtract, grad[1:], grad[:-1], lap),
+        partial(np.subtract, old.mid, older.mid, rate),
+        partial(np.multiply, work, weights, work),
+        partial(np.add, lap, rate, lap),
+        partial(np.add, old.mid, lap, new.mid),
     ]
-    if older is None:
-        ops.append(partial(np.multiply, lap, weights, lap))
-    else:
-        ops += [
-            partial(np.subtract, old.mid, older.mid, rate),
-            partial(np.multiply, work, weights, work),
-            partial(np.add, lap, rate, lap),
-        ]
-    return ops + [partial(np.add, old.mid, lap, new.mid)]
 
 
 def _wave_weights(grid: Grid, B, n_mid: int) -> np.ndarray:
@@ -257,18 +251,6 @@ def _wall_constants(p: Params, grid: Grid) -> tuple:
     if abs(den / k) < 1e-14:
         raise ConfigError("degenerate wall closure: (A/k + 1) h/2 + L is numerically zero")
     return 0.5 * p.N0, p.A + k, p.A, den, h
-
-
-def _start_sigma(row: _Row, constants: list, totals: np.ndarray) -> list:
-    """sigma at level 0, fixed by the conservation identity; totals gets the interior sums.
-
-    The inner mass, the trapezoidal mass of a row without the wall node's
-    share, is h (node 0 / 2 + the interior sum), as in _bind_wall.
-    """
-    np.add.reduce(row.interior, 1, None, totals)
-    h = constants[0][4]
-    inner = (h * (0.5 * row.full[..., 0] + totals)).tolist()
-    return [c[0] - (mass + 0.5 * c[4] * w) for mass, w, c in zip(inner, row.wall, constants)]
 
 
 def _bind_wall(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: list,
@@ -341,17 +323,18 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     does not check the grid (see check_grid).  A batch may mix B: the
     weights are folded once per march, the wave level's
     a = 2 lam^2/(2B + k) and r = (2B - k)/(2B + k) paired over twice the
-    mid span (_wave_weights) and the start-up's lam^2/2B over it, each
-    row's entries its own B.  Level j lives in slot j % RING of a ring of
+    mid span (_wave_weights), and the start-up's lam^2/2B and 0 likewise,
+    each row's entries its own B.  sigma at level 0 is N0/2 less the start
+    row's trapezoidal mass.  Level j lives in slot j % RING of a ring of
     min(RING, n_t + 1) level rows and sigmas, and each slot gets its level
     program once per march: zero-argument calls that advance every row's
     interior from the two slots before it (_stencil's six ufunc calls;
-    the first level is the two-level start-up of a bulk at rest, four
-    calls), then close the walls.  The closure is one Python loop over the
-    rows, bound to the slot's memoryviews and the rows' constants: it
-    mirrors the symmetry node, solves the wall value and writes the row's
-    sigma from the slot before it.  A pass around the ring runs its levels'
-    programs back to back.  Then the march checks the pass
+    the first level, the start-up of a bulk at rest, advances slot 0 with
+    a zero rate weight), then close the walls.  The closure is one Python
+    loop over the rows, bound to the slot's memoryviews and the rows'
+    constants: it mirrors the symmetry node, solves the wall value and
+    writes the row's sigma from the slot before it.  A pass around the ring
+    runs its levels' programs back to back.  Then the march checks the pass
     for divergence (one max and one min of its levels), and the pass's raw
     record is read off the ring into a level-major chunk: sigma, the wall
     values, the inner trapezoidal mass and the probe nodes; the full rows,
@@ -389,19 +372,23 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     weights = _wave_weights(grid, B, B.size)
     grad, work = np.empty_like(slots[0].upper), np.empty_like(weights)
     np.copyto(ring[0], rows0)
-    sig_ring[0] = _start_sigma(slots[0], constants, sums[0])
+    # sigma at level 0 by the conservation identity, the inner mass being
+    # h (node 0 / 2 + the interior sum) as in _bind_wall
+    n0 = np.array([p.N0 for p in ps])
+    np.add.reduce(slots[0].interior, 1, None, sums[0])
+    sig_ring[0] = 0.5 * n0 - (h * (0.5 * ring[0][:, 0] + sums[0]) + 0.5 * h * ring[0][:, -1])
 
-    def program(i: int, older: _Row | None, weights) -> tuple:
+    def program(i: int, older: _Row, weights) -> tuple:
         # slot i's level: stencil from slots i-1 and older, then the closure,
         # which mirrors node 0 and writes sigma from slot i-1's into slot i's
         return (*_stencil(slots[i], slots[i - 1], older, weights, grad, work),
                 _bind_wall(slots[i], sigmas[i - 1], sigmas[i], constants, sums[i]))
 
     programs = [program(i, slots[i - 2], weights) for i in range(n_slots)]
-    start = program(1, None, grid.lam * grid.lam / (2.0 * B))
+    start = program(1, slots[0], np.concatenate([grid.lam * grid.lam / (2.0 * B), np.zeros_like(B)]))
     # the ops of one pass around the ring, slot after slot.  The first pass
-    # fills the ring (n_slots <= n_levels); the programs after it are equal
-    # in length, so a shorter last pass runs a prefix of full_pass
+    # fills the ring (n_slots <= n_levels); every program is equally long,
+    # so a shorter last pass runs a prefix of full_pass
     per_level = len(programs[0])
     full_pass = [op for prog in programs for op in prog]
     first_pass = [*start, *full_pass[2 * per_level:]]
@@ -414,7 +401,6 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     n_chunk = min(CHUNK_PASSES * n_slots, n_levels)
     sig_c, wall_c, inner_c = (np.empty((n_chunk, n_batch)) for _ in range(3))
     node_c = np.empty((n_chunk, n_batch, len(nodes)))
-    n0 = np.array([p.N0 for p in ps])
 
     def flush(lo: int, m: int) -> None:
         # the chunk's first m levels into the record as levels lo .. lo + m - 1

@@ -127,13 +127,34 @@ class InitialCondition:
     """Initial bulk profile N(z*, 0).
 
     kind is one of "step", "parabolic" or "sampled".  All kinds satisfy
-    N(+-1/2, 0) = 0, carry total mass N0 and are even in z*; sampled data is
-    checked against these constraints on use.
+    N(+-1/2, 0) = 0, carry total mass N0 and are even in z*; only sampled
+    data carries z and values: its arrays are checked here, its constraints on use.
     """
 
     kind: str
     z: np.ndarray | None = None
     values: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("step", "parabolic", "sampled"):
+            raise InvalidInput(f"unknown initial condition kind {self.kind!r}")
+        if self.kind != "sampled":
+            if self.z is not None or self.values is not None:
+                raise InvalidInput(f"a {self.kind} initial condition takes no z or values")
+            return
+        z = np.asarray(self.z, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if z.ndim != 1 or z.shape != values.shape or z.size < 2:
+            raise InvalidInput("sampled initial data needs matching 1-d z and value arrays")
+        if not np.all(np.diff(z) > 0):
+            raise InvalidInput("sampled z grid must be strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise InvalidInput("sampled initial values must be finite")
+        lo = 0.0 if z[0] >= -1e-12 else -0.5
+        if abs(z[0] - lo) > 1e-9 or abs(z[-1] - 0.5) > 1e-9:
+            raise InvalidInput("sampled z grid must cover [0, 1/2] or [-1/2, 1/2]")
+        for name, value in (("z", z), ("values", values)):
+            object.__setattr__(self, name, value)
 
 
 def step_ic() -> InitialCondition:
@@ -154,18 +175,6 @@ def sampled_ic(z, values) -> InitialCondition:
     unit N0 scaling of the caller (they are used as-is, constraints are
     checked in sample_initial).
     """
-    z = np.asarray(z, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if z.ndim != 1 or z.shape != values.shape or z.size < 2:
-        raise InvalidInput("sampled initial data needs matching 1-d z and value arrays")
-    if not np.all(np.diff(z) > 0):
-        raise InvalidInput("sampled z grid must be strictly increasing")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInput("sampled initial values must be finite")
-    half = z[0] >= -1e-12
-    lo = 0.0 if half else -0.5
-    if abs(z[0] - lo) > 1e-9 or abs(z[-1] - 0.5) > 1e-9:
-        raise InvalidInput("sampled z grid must cover [0, 1/2] or [-1/2, 1/2]")
     return InitialCondition("sampled", z, values)
 
 
@@ -216,11 +225,9 @@ def sample_initial(ic: InitialCondition, p: Params, zgrid) -> np.ndarray:
         return out
     if ic.kind == "parabolic":
         return 1.5 * p.N0 * (1.0 - 4.0 * zgrid**2)
-    if ic.kind == "sampled":
-        _validate_sampled(ic, p)
-        zh, vh = _half_profile(ic)
-        return np.interp(az, zh, vh)
-    raise InvalidInput(f"unknown initial condition kind {ic.kind!r}")
+    _validate_sampled(ic, p)
+    zh, vh = _half_profile(ic)
+    return np.interp(az, zh, vh)
 
 
 def initial_mass(ic: InitialCondition, p: Params) -> float:
@@ -256,9 +263,7 @@ def cosine_moment(ic: InitialCondition, p: Params, alpha):
         return 2.0 * p.N0 * np.sin(half) / alpha
     if ic.kind == "parabolic":
         return 1.5 * p.N0 * (16.0 * np.sin(half) - 8.0 * alpha * np.cos(half)) / np.float_power(alpha, 3)
-    if ic.kind == "sampled":
-        _validate_sampled(ic, p)
-        zh, vh = _half_profile(ic)
-        parts = _segment_cosine_integral(zh, vh, alpha[..., None])
-        return 2.0 * np.sum(parts, axis=-1)
-    raise InvalidInput(f"unknown initial condition kind {ic.kind!r}")
+    _validate_sampled(ic, p)
+    zh, vh = _half_profile(ic)
+    parts = _segment_cosine_integral(zh, vh, alpha[..., None])
+    return 2.0 * np.sum(parts, axis=-1)

@@ -51,7 +51,7 @@ from .errors import ConfigError
 from .params import InitialCondition, Params, cosine_moment, equilibrium, initial_mass, sample_initial
 from .rootfind import bracketed_roots, half_turns
 from .series import TimeSeries
-from .spectral import modal_sums, phi_integral, sample_times
+from .spectral import MAX_MODAL_TERMS, modal_sums, phi_integral, sample_times
 
 # terms with beta^2 t_1 above this are dropped (see the module docstring)
 DROP_EXPONENT = 40.0
@@ -80,12 +80,26 @@ def interval_count(t_first: float) -> int:
 
     Each holds one root, so the count bounds the roots kept and exceeds them
     by at most one; t_first = inf keeps none.  ConfigError if the count
-    overflows a float.
+    overflows a float, or if t_first has underflowed to 0.
     """
-    reach = math.sqrt(DROP_EXPONENT / t_first) / (2.0 * math.pi)
+    reach = math.sqrt(DROP_EXPONENT / t_first) / (2.0 * math.pi) if t_first > 0 else math.inf
     if reach == math.inf:
         raise ConfigError(f"a first positive sample at t = {t_first:.4g} keeps infinitely many roots")
     return math.ceil(reach)
+
+
+def check_terms(n_times: int, t_first: float, what: str = "times") -> None:
+    """ConfigError if n_times times, the first positive at t_first, pass MAX_MODAL_TERMS terms.
+
+    One exponential per time and root; interval_count(t_first) bounds the roots.
+    """
+    roots = interval_count(t_first)
+    if n_times * roots > MAX_MODAL_TERMS:
+        raise ConfigError(
+            f"{what} x roots must be at most {MAX_MODAL_TERMS}, got {n_times} x {roots}:"
+            f" the parabolic sum keeps every root beta with beta^2 t_1 <= {DROP_EXPONENT:g}"
+            f" at its first positive time t_1, one exponential per time and root"
+        )
 
 
 def roots(p: Params, t_first: float) -> np.ndarray:
@@ -110,10 +124,13 @@ def to_series(p: Params, ic: InitialCondition, tgrid, probes=()) -> TimeSeries:
     p.B is ignored.  sigma, the wall density and each probe come from the
     pole sum at every t > 0 and from the initial data at t = 0;
     conservation holds |mass + 2 sigma - N0| with the mass in closed form.
+    check_terms refuses too long a table before any root is sought.
     """
     t = sample_times(tgrid)
     later = t[t > 0]
-    beta = roots(p, later.min() if later.size else math.inf)
+    t_first = later.min() if later.size else math.inf
+    check_terms(t.size, t_first)
+    beta = roots(p, t_first)
     n_eq, sigma_eq = equilibrium(p)
     moments = cosine_moment(ic, p, beta)
     if p.L > 0:

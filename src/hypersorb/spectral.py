@@ -47,6 +47,15 @@ INVERSE_BLOCK = 32
 # UNDERFLOW_EXPONENT / |slowest rate| every term of the time table is zero
 UNDERFLOW_EXPONENT = 746.0
 
+# most samples x modes of a modal time evaluation; the (samples, modes)
+# table of real weights is built in one piece, at 8 bytes an entry, beside
+# one buffer of cosines of the same size (on an even time grid about
+# sqrt(samples) rows longer, and paired with a second such buffer while
+# angle addition forms it).  The largest in use is 801 x 2000.
+# It also bounds samples x roots of the parabolic pole sum, whose table
+# holds one real exponential per sample and root (801 x 21 at T = 2).
+MAX_MODAL_TERMS = 10**7
+
 
 def gram_matrix(alphas) -> np.ndarray:
     """Pairwise inner products of the cosine modes over [-1/2, 1/2].

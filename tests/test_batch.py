@@ -20,7 +20,7 @@ def _inner(row, h):
 
 
 def folded_level(prev, prev2, grid, B):
-    """The interior of a level as fdm._stencil computes it, operation for operation.
+    """The interior of a level as fdm._stencil computes it, bit for bit.
 
     The Laplacian is the difference of one gradient; the wave weights are
     folded, a = 2 lam^2/(2B + k) and r = (2B - k)/(2B + k); without prev2,

@@ -53,6 +53,8 @@ class TestGrid:
         with pytest.raises(InvalidInput):
             Grid.from_lambda(4, 1.0, 0.02)  # too coarse
         with pytest.raises(InvalidInput):
+            Grid(n_z=4, n_t=1, T=1.0)  # too coarse, built directly
+        with pytest.raises(InvalidInput):
             Grid.from_lambda(16, 0.0, 0.02)
         with pytest.raises(InvalidInput):
             Grid.from_lambda(16, 1.0, 0.0)
@@ -211,6 +213,17 @@ class TestBoundaries:
         assert wall == expected_wall and row[-1] == wall
         assert sigma == rhs_mass - 0.5 * h * expected_wall
         assert row[:-1].tobytes() == before[:-1].tobytes()
+
+    def test_start_sigma_is_half_n0_less_the_start_mass(self):
+        # sigma at level 0 written out, in this association, for start rows whose
+        # wall node is not zero (a step profile's is, which hides the wall's share);
+        # (N0/2 - inner) - (h/2) wall differs from it in the last bit for both rows
+        ps = [Params(A=0.01, B=0.1, L=1.0, N0=3.0), Params(A=0.5, B=0.2, L=0.0, N0=7.0)]
+        g = Grid.from_lambda(16, 0.01, 0.02)
+        rows0 = 10.0 * np.random.default_rng(0).random((2, g.n_z + 1))
+        for row, p, ser in zip(rows0, ps, march(rows0, ps, g)):
+            inner = g.h * (0.5 * row[0] + float(np.add.reduce(row[1:-1])))
+            assert ser.sigma[0] == 0.5 * p.N0 - (inner + 0.5 * g.h * row[-1])
 
     def test_degenerate_closure_rejected(self):
         # one step of k = 5e-324 at L = 0: den = (A + k) h/2 underflows to 0

@@ -14,7 +14,7 @@ import pytest
 from hypersorb import cli, fdm, poles, spectral, validate
 from hypersorb.cli import build_config, load_config_file, main, make_parser
 from hypersorb.errors import InvalidInput
-from hypersorb.params import Params, step_ic
+from hypersorb.params import Params, parabolic_ic, step_ic
 from hypersorb.series import TimeSeries, thin_indices, thin_series
 from hypersorb.seriesio import (
     CSV_BLOCK_ROWS, FLOAT_FORMAT, read_series_csv, write_json, write_series_csv,
@@ -1110,6 +1110,17 @@ class TestCli:
                               f" {cli.MAX_MODAL_TERMS}, got 401 x 4501582")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [("run", "--engine", "parabolic"),
+                                         ("compare", "--pair", "fdm,parabolic")])
+    def test_parabolic_sample_step_that_underflows_refused(self, tmp_path, capsys, command):
+        # T = 1e-322 over 800 steps: the first positive sample rounds to 0
+        assert main([*command, "--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3",
+                     "--n-z", "16", "--T", "1e-322", "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: a first positive sample at t = 0 keeps"
+                              " infinitely many roots")
+        assert not (tmp_path / "out").exists()
+
     def test_parabolic_sum_bound_is_inclusive(self):
         # 10^4 samples: T = 0.01014 takes 1000 intervals, T = 0.01013 takes 1001
         parser = make_parser()
@@ -1334,6 +1345,24 @@ class TestWrittenSamples:
                      "--outdir", str(tmp_path), "--name", "x"]) == 0
         sol = spectral.solve_spectral(self.P, step_ic(), 8)
         ser = spectral.to_series(sol, np.linspace(0.0, 0.5, 101), probes=self.PROBES)
+        write_series_csv(ser, tmp_path / "direct.csv")
+        assert data_bytes(tmp_path / "x.csv") == (tmp_path / "direct.csv").read_bytes()
+
+    @pytest.mark.parametrize("engine", ["fdm", "spectral", "parabolic"])
+    def test_parabolic_initial_condition_written_bit_for_bit(self, tmp_path, engine):
+        # --ic parabolic writes the series of the library's parabolic_ic()
+        args = [] if engine == "fdm" else ["--modes", "8", "--samples", "101"]
+        assert main(["run", "--engine", engine, "--ic", "parabolic", *self.COMMON, *args,
+                     "--outdir", str(tmp_path), "--name", "x"]) == 0
+        tgrid = np.linspace(0.0, 0.5, 101)
+        if engine == "fdm":
+            grid = fdm.Grid.from_lambda(32, 0.5, fdm.default_lambda(self.P.B))
+            ser = thin_series(fdm.run_fdm(self.P, parabolic_ic(), grid, probes=self.PROBES), 801)
+        elif engine == "spectral":
+            sol = spectral.solve_spectral(self.P, parabolic_ic(), 8)
+            ser = spectral.to_series(sol, tgrid, probes=self.PROBES)
+        else:
+            ser = poles.to_series(self.P, parabolic_ic(), tgrid, probes=self.PROBES)
         write_series_csv(ser, tmp_path / "direct.csv")
         assert data_bytes(tmp_path / "x.csv") == (tmp_path / "direct.csv").read_bytes()
 

@@ -199,6 +199,26 @@ class TestSampleInitial:
         with pytest.raises(InvalidInput, match="finite"):
             sampled_ic(z, v)
 
+    @pytest.mark.parametrize("kind, z, values, match", [
+        ("sampled", np.linspace(0, 0.5, 3), [math.nan, 1.0, 0.0], "finite"),
+        ("sampled", np.array([0.0, math.nan, 0.5]), [1.0, 1.0, 0.0], "increasing"),
+        ("sampled", None, None, "matching 1-d"),
+        ("sampled", np.linspace(0, 0.5, 3), None, "matching 1-d"),
+        ("step", np.linspace(0, 0.5, 3), [9.0, 9.0, 9.0], "takes no z or values"),
+        ("parabolic", None, [1.0], "takes no z or values"),
+        ("triangular", None, None, "unknown initial condition kind 'triangular'"),
+    ])
+    def test_malformed_data_refused_when_built(self, kind, z, values, match):
+        # the public constructor checks what sampled_ic checks, and refuses
+        # data that its kind does not read
+        with pytest.raises(InvalidInput, match=match):
+            InitialCondition(kind, z, values)
+
+    def test_built_data_is_float_arrays(self):
+        ic = InitialCondition("sampled", [0, 0.25, 0.5], [6, 6, 0])
+        assert ic.z.dtype == ic.values.dtype == np.float64
+        assert ic.values.tolist() == sampled_ic([0, 0.25, 0.5], [6, 6, 0]).values.tolist()
+
     def test_sampled_nonzero_wall(self):
         z = np.linspace(0, 0.5, 101)
         v = np.full(z.size, 3.0)

@@ -218,6 +218,18 @@ def test_interval_count():
         poles.interval_count(1e-320)
 
 
+@pytest.mark.parametrize("tgrid, terms", [([1e-300], "1 x 1006584242"), ([0.0, 1e-16], "2 x 100658425")])
+def test_sum_refuses_a_table_past_the_bound(monkeypatch, tgrid, terms):
+    # refused before any root is sought, with the CLI's message
+    def no_roots(*args, **kwargs):
+        raise AssertionError("roots sought")
+
+    monkeypatch.setattr(poles, "roots", no_roots)
+    with pytest.raises(ConfigError, match=f"times x roots must be at most {spectral.MAX_MODAL_TERMS},"
+                                          f" got {terms}"):
+        poles.to_series(params(0.01, 1.0), step_ic(), tgrid)
+
+
 def test_start_row_is_the_initial_data():
     p = params(0.5, 0.1)
     ic = sampled_ic([0.0, 0.3, 0.5], [3.75, 3.75, 0.0])
