@@ -196,8 +196,13 @@ def _coerce(key: str, text: str):
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value document of RunConfig fields, each value typed; '#' starts a comment."""
-    out: dict = {}
+    """Flat key = value document of RunConfig fields, each value typed; '#' starts a comment.
+
+    A key may be given once.  Refusals (ConfigError) come in this order: a
+    malformed line, unknown keys, then line by line a bad value or a key
+    given again, naming both of its lines.
+    """
+    entries = []  # (line number, key, value text)
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -209,12 +214,18 @@ def load_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
-    unknown = sorted(set(out) - set(RunConfig.__annotations__))
+        entries.append((lineno, *(part.strip() for part in line.split("=", 1))))
+    unknown = sorted({key for _, key, _ in entries} - set(RunConfig.__annotations__))
     if unknown:
         raise ConfigError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
-    return {key: _coerce(key, value) for key, value in out.items()}
+    out, first = {}, {}
+    for lineno, key, value in entries:
+        out[key] = _coerce(key, value)
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, on lines {first[key]}"
+                              f" and {lineno}")
+        first[key] = lineno
+    return out
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:

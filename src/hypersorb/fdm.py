@@ -27,20 +27,20 @@ difference of one gradient, the weights are folded once per march, and
 the Laplacian and rate fill the two halves of one work buffer that a
 single multiply scales by the paired weights [a ... a | r ... r]; the
 start-up level is the same program with weights [lam^2/2B ... | 0 ...]),
-and the wall closure bound to the slot's memoryviews, which also mirrors
-the symmetry node, writes the slot's sigma and leaves the sum of each
-row's interior in the slot's row of a sums buffer, from which the record
-takes the inner mass; a march shorter than RING builds programs for its
-own levels only.  A level is its program and nothing else: the
-divergence check and the record run once per pass around the ring.  The record is row-major, one full-length
-array per quantity with a row per point, so each series is a row of it;
-a pass leaves its raw values (sigma, wall values, inner mass, probe
-nodes) in a level-major chunk of CHUNK_PASSES passes, from which the
-probes and the conservation residual are derived a chunk at a time.
-With one row of 101 nodes a level costs ~3.9 us of CPU time, of which
-the six stencil calls take ~2.2 us and the closure most of the rest
-(best of five 10^5-level marches on one core of a shared 2-vCPU Xeon
-host with numpy 2.4 and Python 3.11, whose timings swing with its load).
+and the wall closure bound to the slot's memoryviews, which mirrors the
+symmetry node, writes the slot's sigma and leaves each row's interior sum
+in the slot's row of a sums buffer; one row is closed without a row loop,
+and a march shorter than RING builds programs for its own levels only.
+A level is its program and nothing else, and a pass around the ring ends
+in copies, bound with it, of its raw record (sigma, wall values, node 0,
+interior sums, probe nodes) into a level-major chunk of CHUNK_PASSES
+passes, from which the inner mass, the probes and the conservation
+residual are derived a chunk at a time into the row-major record, one
+full-length array per quantity with a row per point.  With one row of
+101 nodes a level costs ~3.3 us of CPU time, of which the six stencil
+calls take ~1.8 us and the closure most of the rest (best of five
+10^5-level marches on one core of a shared 2-vCPU Xeon host with numpy
+2.4 and Python 3.11, whose timings swing with its load).
 """
 
 from __future__ import annotations
@@ -265,10 +265,25 @@ def _bind_wall(row: _Row, sigma_old: memoryview, sigma: memoryview, constants: l
     value, its wall value is solved from sigma_old, and its sigma written to
     sigma, one entry per row.  The inner mass h (node 0 / 2 + the interior
     sum) is taken in Python floats: the pairwise reduce writes each row's
-    interior sum into totals, where it stays for the march's record.
+    interior sum into totals, where it stays for the march's record.  One
+    row is closed without the loop, its constants locals and its reduce 1-D
+    into a 0-d view of totals: the loop's float operations, in its order.
     """
-    wall, heads, necks = row.wall, row.heads, row.necks
-    inner_sum, sums = partial(np.add.reduce, row.interior, 1, None, totals), memoryview(totals)
+    wall, heads, necks, sums = row.wall, row.heads, row.necks, memoryview(totals)
+    if len(constants) == 1:
+        inner_one = partial(np.add.reduce, row.interior[0], 0, None, totals.reshape(()))
+        (half_n0, a_k, a, den, h), = constants
+
+        def close_one() -> None:
+            inner_one()
+            heads[0] = head = necks[0]
+            rhs_mass = half_n0 - h * (0.5 * head + sums[0])
+            w = (a_k * rhs_mass - a * sigma_old[0]) / den
+            wall[0] = w
+            sigma[0] = rhs_mass - 0.5 * h * w
+
+        return close_one
+    inner_sum = partial(np.add.reduce, row.interior, 1, None, totals)
     indexed = [(b, *c) for b, c in enumerate(constants)]
 
     def close() -> None:
@@ -330,21 +345,23 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     program once per march: zero-argument calls that advance every row's
     interior from the two slots before it (_stencil's six ufunc calls;
     the first level, the start-up of a bulk at rest, advances slot 0 with
-    a zero rate weight), then close the walls.  The closure is one Python
-    loop over the rows, bound to the slot's memoryviews and the rows'
-    constants: it mirrors the symmetry node, solves the wall value and
-    writes the row's sigma from the slot before it.  A pass around the ring
-    runs its levels' programs back to back.  Then the march checks the pass
-    for divergence (one max and one min of its levels), and the pass's raw
-    record is read off the ring into a level-major chunk: sigma, the wall
-    values, the inner trapezoidal mass and the probe nodes; the full rows,
-    at max_rows evenly spread levels, go straight to the series.  Every
-    CHUNK_PASSES passes, and after the last, the chunk is written into the
-    row-major (n_batch, n_levels) record of sigma, surface, conservation and
-    each probe, the probes and the residual derived on the way; series b
-    holds row b of each.  Row b only ever sees parameter set b, so each row
-    of a batch matches a march of its point alone bit for bit.  Each series
-    gets its own time grid and meta {"engine": "fdm", "grid": grid.__dict__}.
+    a zero rate weight), then close the walls.  The closure, bound to the
+    slot's memoryviews and the rows' constants (a Python loop over a
+    batch's rows, none for one row), mirrors the symmetry node, solves the
+    wall value and writes the row's sigma from the slot before it.  A pass
+    around the ring runs its levels' programs back to back, then copies its
+    raw record off the ring into its place in a level-major chunk (sigma,
+    the wall values, node 0, the interior sums and the probe nodes), all
+    bound once per place and pass length; then one bound max and min of its
+    new levels check it for divergence.  The full rows, at max_rows evenly
+    spread levels, go straight from the passes that hold one to the series.
+    Every CHUNK_PASSES passes, and after the last, the chunk is written into
+    the row-major (n_batch, n_levels) record of sigma, surface, conservation
+    and each probe, the inner mass, probes and residual derived on the way;
+    series b holds row b of each.  Row b only ever sees parameter set b, so
+    each row of a batch matches a march of its point alone bit for bit.
+    Each series gets its own time grid and meta {"engine": "fdm", "grid":
+    grid.__dict__}.
     """
     ps = list(ps)
     rows0 = np.asarray(rows0, dtype=float)
@@ -397,9 +414,9 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     probe_rec = [np.empty((n_batch, n_levels)) for _ in stencils]
     rows = np.empty((n_batch, stored.size, n_nodes))
     # the raw record of CHUNK_PASSES passes, level-major: sigma, the wall value,
-    # the inner trapezoidal mass and the probe nodes, one entry per row
+    # node 0, the interior sum and the probe nodes, one entry per row
     n_chunk = min(CHUNK_PASSES * n_slots, n_levels)
-    sig_c, wall_c, inner_c = (np.empty((n_chunk, n_batch)) for _ in range(3))
+    sig_c, wall_c, head_c, sum_c = (np.empty((n_chunk, n_batch)) for _ in range(4))
     node_c = np.empty((n_chunk, n_batch, len(nodes)))
 
     def flush(lo: int, m: int) -> None:
@@ -409,40 +426,52 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
         for (_, i, frac), rec in zip(stencils, probe_rec):
             left, right = node_c[:m, :, nodes.index(i)], node_c[:m, :, nodes.index(i + 1)]
             rec[:, span] = ((1.0 - frac) * left + frac * right).T
-        # |integral(N) + 2 sigma - N0|, the trapezoidal mass of the half row
-        # being the inner mass plus (h/2) N_wall
-        cons[:, span] = abs(2.0 * (inner_c[:m] + 0.5 * h * wall_c[:m]) + 2.0 * sig_c[:m] - n0).T
+        # |integral(N) + 2 sigma - N0|, the trapezoidal mass of the half row being
+        # the inner mass h (node 0 / 2 + the interior sum) plus (h/2) N_wall
+        inner = h * (0.5 * head_c[:m] + sum_c[:m])
+        cons[:, span] = abs(2.0 * (inner + 0.5 * h * wall_c[:m]) + 2.0 * sig_c[:m] - n0).T
+
+    def bind_pass(first: int, c: int, n: int) -> tuple:
+        # the pass of levels first .. first + n - 1: its levels' ops, then copies
+        # of its raw record into its place c in the chunk; and the max and min
+        # of its new levels (the start row is not one) for the divergence check
+        block, done = ring[:n], slice(c, c + n)
+        record = [partial(np.copyto, dst[done], src) for dst, src in (
+            (sig_c, sig_ring[:n]), (wall_c, block[..., -1]), (head_c, block[..., 0]), (sum_c, sums[:n]))]
+        take = partial(np.take, block, np.array(nodes, dtype=np.intp), 2, node_c[done], "clip")
+        new = block[0 if first else 1:]
+        return ([*(full_pass[: n * per_level] if first else first_pass), *record, take],
+                partial(np.maximum.reduce, new, None), partial(np.minimum.reduce, new, None))
 
     # the march checks its new levels once a pass: a node at or past the
-    # smallest ceiling (or NaN) fails the block's max or min test, and only
+    # smallest ceiling (or NaN) fails the pass's max or min test, and only
     # then are the pass's levels checked in order, each row against its own
     # ceiling, so the first level and node past it are named.  Levels after
     # that one may overflow before the pass ends; numpy stays quiet about it.
     ceilings = [1e100 * max(1.0, p.N0) for p in ps]
     ceiling = min(ceilings)
     # pass by pass around the ring: levels first .. first + n - 1 in slots 0 .. n - 1;
-    # the first pass starts from the start row in slot 0, with the start-up level
+    # the first pass starts from the start row in slot 0, with the start-up level.
+    # A pass is bound once per place in the chunk and length (the first: key None)
+    starts = range(0, n_levels, n_slots)
+    edges = np.searchsorted(stored, [*starts, n_levels]).tolist()
+    bound: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_levels, n_slots):
-            n = min(n_slots, n_levels - first)
-            i0 = 0 if first else 1  # the slot of the pass's first new level
-            for op in full_pass[: n * per_level] if first else first_pass:
+        for first, lo, hi in zip(starts, edges, edges[1:]):
+            n, c = min(n_slots, n_levels - first), first % n_chunk  # c: its place in the chunk
+            key = (c, n) if first else None
+            if key not in bound:
+                bound[key] = bind_pass(first, c, n)
+            ops, top, bottom = bound[key]
+            for op in ops:
                 op()
-            block = ring[:n]
-            if not (block[i0:].max() < ceiling and block[i0:].min() > -ceiling):
-                for i in range(i0, n):
+            if not (top() < ceiling and bottom() > -ceiling):
+                for i in range(0 if first else 1, n):
                     _check_divergence(first + i, ring[i], ceilings, ps, grid)
-            c = first % n_chunk  # the pass's place in the chunk
-            done = slice(c, c + n)
-            sig_c[done] = sig_ring[:n]
-            wall_c[done] = block[..., -1]
-            # the inner mass, from the interior sums the closures left
-            inner_c[done] = h * (0.5 * block[..., 0] + sums[:n])
-            node_c[done] = block[..., nodes]
             if c + n == n_chunk or first + n == n_levels:
                 flush(first - c, c + n)
-            lo, hi = np.searchsorted(stored, (first, first + n))
-            rows[:, lo:hi] = block[stored[lo:hi] - first].swapaxes(0, 1)
+            if lo < hi:
+                rows[:, lo:hi] = ring[stored[lo:hi] - first].swapaxes(0, 1)
 
     out = []
     for b, p in enumerate(ps):

@@ -201,6 +201,17 @@ def test_wide_batch_rows_match_single_runs_and_reference(n_z):
         assert_same_series(ser, reference_march(p, step_ic(), grid))
 
 
+@pytest.mark.parametrize("ic", [step_ic(), parabolic_ic()], ids=["step", "parabolic"])
+def test_rows_past_the_pairwise_block_match_single_runs_and_reference(ic):
+    # 199 interior nodes: numpy's pairwise sum splits each row's interior (its
+    # block is 128), so a one-row march's 1-D reduce meets the batch's axis-1 one
+    grid = grid_with_levels(RING + 5, n_z=200)
+    batch, single = march_family(RING_POINTS, ic, grid)
+    for p, ser, one in zip(RING_POINTS, batch, single):
+        assert_same_series(ser, one)
+        assert_same_series(ser, reference_march(p, ic, grid))
+
+
 @pytest.mark.parametrize("n_z, T, lam, p, message", [
     (40, 0.5, 0.04, Params(A=0.1, B=1e-3, L=5.0, N0=2.0),
      "density diverging at level j=198, node i=12 (lambda=0.04, B=0.001); reduce lambda"),

@@ -212,7 +212,18 @@ class TestConfigFile:
         assert err.startswith("configuration error:") and message in err
         assert not (tmp_path / "series.json").exists()
 
-    BASE = "A = 0.01\nB = 0.1\nL = 1\nN0 = 3\nT = 0.02\nn_z = 16\n"
+    def test_key_given_twice_refused_before_outdir(self, tmp_path, capsys):
+        # the last value does not silently win: both lines are named
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("A = 0.01\nB = 0.1\nL = 1\nN0 = 3\nT = 0.05\n# again\nA = 5\n")
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {cfg_file}:7: key 'A' given twice,"
+                              " on lines 1 and 7")
+        assert not outdir.exists()
+
+    BASE ="A = 0.01\nB = 0.1\nL = 1\nN0 = 3\nT = 0.02\nn_z = 16\n"
 
     def test_text_key_stored_as_its_flag_stores_it(self, tmp_path):
         # name = 123 and --name 123 are one configuration: the same bytes
