@@ -31,7 +31,7 @@ _PHYSICAL = ("d", "D", "tau_r", "tau_a", "k_a", "n0")
 ENGINES = ("fdm", "spectral", "parabolic", "compare")
 
 # ten times the largest mode count in use; the Gram matrix holds modes^2
-# doubles, and its orthogonality check costs two modes^3 products
+# doubles, and its Cholesky factor and triangular inverse cost modes^3 each
 MAX_MODES = 2000
 
 # 250 times the default eigen-dump grid; the table costs ~85 bytes a point
@@ -136,6 +136,10 @@ class RunConfig:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.axis is not None and self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+        # every artifact is <outdir>/<name>...: the name must be a nonempty file name
+        if not self.name or any(sep and sep in self.name for sep in (os.sep, os.altsep, "\0")):
+            raise ConfigError(f"name must be a nonempty file name without a path separator,"
+                              f" got {self.name!r}")
         # a series keys its probes by z*, which holds 0 and -0 as one
         columns = [probe_column(z + 0.0) for z in self.probes]
         for i, (z, column) in enumerate(zip(self.probes, columns)):
@@ -155,7 +159,8 @@ class RunConfig:
         if not 1 <= self.modes <= MAX_MODES:
             raise ConfigError(
                 f"modes must be between 1 and {MAX_MODES}, got {self.modes}: the Gram matrix"
-                " holds modes^2 doubles and its orthogonality check costs two modes^3 products"
+                " holds modes^2 doubles and its Cholesky factor and triangular inverse cost"
+                " modes^3 each"
             )
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")

@@ -74,6 +74,9 @@ class Params:
             raise InvalidInput(f"L must be finite and non-negative, got {self.L!r}")
         if not 0 < self.N0 < math.inf:
             raise InvalidInput(f"N0 must be finite and strictly positive, got {self.N0!r}")
+        # the equilibrium N0 L / (1 + 2 L) is inf/inf or 0 once either product overflows
+        if not math.isfinite(2.0 * self.L) or not math.isfinite(self.N0 * self.L):
+            raise InvalidInput(f"2 L and N0 L must be finite, got L = {self.L!r}, N0 = {self.N0!r}")
 
 
 def from_physical(p: PhysicalInputs) -> Params:

@@ -19,11 +19,13 @@ and of b: the Gram matrix's sines of (alpha_i +- alpha_j)/2, and the
 cosines of the value table on an even time grid (_grid_cosines).  Entries
 move from the per-entry forms at rounding level only.
 
-The Cholesky factor (LAPACK), the basis products and modal_sums'
-matrix-vector product (BLAS) are the package's only BLAS and LAPACK calls;
-a threaded BLAS may order their sums by its thread count, so this engine's
-last bits, unlike those of fdm, can change with it.  The package sets no
-thread count.
+The Cholesky factor and the small blocks of the triangular inverse
+(LAPACK), that inverse's block products, the projection's and the solve
+residual's matrix-vector products and modal_sums' contraction (BLAS) are
+the package's only BLAS and LAPACK calls in a run (orthogonality_residual,
+a library check, adds two matrix products); a threaded BLAS may order their
+sums by its thread count, so this engine's last bits, unlike those of fdm,
+can change with it.  The package sets no thread count.
 """
 
 from __future__ import annotations
@@ -213,6 +215,18 @@ def orthogonality_residual(basis: OrthoBasis) -> float:
     return float(np.max(off))
 
 
+def departure_moments(ic: InitialCondition, p: Params, alphas) -> np.ndarray:
+    """b of the Gram solve G C = b: the cosine moments of N(z*, 0) - N_eq."""
+    n_eq, _ = equilibrium(p)
+    return cosine_moment(ic, p, alphas) - n_eq * phi_integral(alphas)
+
+
+def solve_residual(basis: OrthoBasis, C: np.ndarray, b: np.ndarray) -> float:
+    """||G C - b||_2 / ||b||_2 by one matrix-vector product; 0 for b = 0, whose C is 0."""
+    scale = np.linalg.norm(b)
+    return float(np.linalg.norm(basis.gram @ C - b) / scale) if scale else 0.0
+
+
 def project_initial(ic: InitialCondition, basis: OrthoBasis, p: Params) -> np.ndarray:
     """Expansion coefficients of N(z*, 0) - N_eq in the cosine modes.
 
@@ -220,8 +234,7 @@ def project_initial(ic: InitialCondition, basis: OrthoBasis, p: Params) -> np.nd
     companions (closed-form integrals, no quadrature), then mapped back to
     the cosine modes through the triangular coefficient table.
     """
-    n_eq, _ = equilibrium(p)
-    b = cosine_moment(ic, p, basis.alphas) - n_eq * phi_integral(basis.alphas)
+    b = departure_moments(ic, p, basis.alphas)
     r = (basis.coeffs.T @ b) / basis.norms
     return basis.coeffs @ r
 
@@ -398,9 +411,10 @@ def solve_spectral(
 ) -> SpectralSolution:
     """Assemble the modal solution: eigenvalues, projection, amplitudes.
 
-    Truncation diagnostics are stored on the returned solution: the
-    reconstruction error of the initial profile on 37 probe points, and
-    the conservation residual |mass + 2 sigma - N0| at t* = 0.  The mass is
+    Diagnostics are stored on the returned solution: the reconstruction
+    error of the initial profile on 37 probe points, the solve residual
+    ||G C - b|| / ||b|| of the projection, and the conservation residual
+    |mass + 2 sigma - N0| at t* = 0.  The mass is
     the exact slab integral, so the residual is rounding only: sigma is
     defined by the modewise balance, which makes conservation an identity
     of the modal series at any mode count.
@@ -436,7 +450,7 @@ def solve_spectral(
         "reconstruction_error_at_center": float(abs(recon[18] - target[18])),
         "sigma_at_zero": float(sigma0),
         "conservation_residual_t0": float(cons0),
-        "orthogonality_residual": orthogonality_residual(basis),
+        "solve_residual": solve_residual(basis, C, departure_moments(ic, p, alphas)),
     }
     return sol
 

@@ -998,6 +998,58 @@ class TestCli:
         assert err.startswith(f"configuration error: {what} requires a finite A^2, got A = 1e+300")
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine", ["fdm", "spectral", "parabolic"])
+    @pytest.mark.parametrize("L, N0", [("1e308", "3"), ("1e308", "1"), ("5e307", "4")])
+    def test_overflowing_equilibrium_refused_before_the_outdir(self, tmp_path, capsys, monkeypatch,
+                                                              engine, L, N0):
+        # N0 L / (1 + 2 L) would be NaN (N0 = 3) or 0 in place of 1/2 (N0 = 1)
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for module, name in ((cli.spectral, "solve_spectral"), (cli.fdm, "march"),
+                             (cli.poles, "to_series")):
+            monkeypatch.setattr(module, name, no_engine)
+        out = tmp_path / "out"
+        args = ["run", "--engine", engine, "--A", "0.01", "--B", "0.1", "--L", L, "--N0", N0,
+                "--T", "0.05", "--outdir", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2 L and N0 L must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["", f"a{os.sep}b", "a\0b"], ids=["empty", "separator", "nul"])
+    @pytest.mark.parametrize("command", [
+        pytest.param(("run", "--engine", "fdm"), id="run"),
+        pytest.param(("sweep", "--engine", "fdm", "--axis", "B", "--values", "0.1,1"), id="sweep"),
+        pytest.param(("compare", "--pair", "spectral,fdm"), id="compare"),
+        pytest.param(("eigen-dump",), id="eigen-dump"),
+    ])
+    def test_bad_name_refused_before_the_outdir(self, tmp_path, capsys, monkeypatch, command,
+                                                name, source):
+        # every artifact is <outdir>/<name>...; "" would write hidden files and a/b
+        # would fail only after the whole run
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for module, attr in ((cli.spectral, "solve_spectral"), (cli.fdm, "march"),
+                             (cli.poles, "to_series"), (cli.eigen, "eigen_grid")):
+            monkeypatch.setattr(module, attr, no_engine)
+        out = tmp_path / "out"
+        args = [*command, "--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--T", "0.05",
+                "--outdir", str(out)]
+        if source == "flag":
+            args += ["--name", name]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"name = {name}\n")
+            args += ["--config", str(config)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: name must be a nonempty file name without a"
+                              f" path separator, got {name!r}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("under", [False, True])
     @pytest.mark.parametrize("from_env", [False, True])
     def test_outdir_that_cannot_be_made_exit_code(self, tmp_path, capsys, monkeypatch, under,

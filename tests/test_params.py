@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -334,3 +335,21 @@ class TestParamsValidation:
 
     def test_inert_walls_allowed(self):
         assert Params(A=1.0, B=0.1, L=0.0, N0=1.0).L == 0.0
+
+    @pytest.mark.parametrize("N0, L, sigma_eq", [
+        pytest.param(1.0, sys.float_info.max / 2, 0.5, id="2L"),
+        pytest.param(4.0, sys.float_info.max / 4, 2.0, id="N0L"),
+    ])
+    def test_largest_accepted_L_has_its_equilibrium(self, N0, L, sigma_eq):
+        # at this L, 2 L or N0 L is the largest float; one float up it overflows
+        n_eq, s_eq = equilibrium(Params(A=1.0, B=0.1, L=L, N0=N0))
+        assert s_eq == sigma_eq and 0 < n_eq < 1e-300
+        assert n_eq + 2 * s_eq == N0
+        with pytest.raises(InvalidInput, match="2 L and N0 L must be finite"):
+            Params(A=1.0, B=0.1, L=math.nextafter(L, math.inf), N0=N0)
+
+    @pytest.mark.parametrize("N0, L", [(3.0, 1e308), (1.0, 1e308), (4.0, 5e307)])
+    def test_overflowing_equilibrium_refused(self, N0, L):
+        # inf/inf = NaN at N0 = 3, sigma_eq = 0 in place of 1/2 at N0 = 1, N0 L alone at 5e307
+        with pytest.raises(InvalidInput, match="2 L and N0 L must be finite"):
+            Params(A=1.0, B=0.1, L=L, N0=N0)

@@ -379,7 +379,32 @@ class TestSolveSpectral:
         assert d["mode_count"] == 50
         assert d["reconstruction_max_error"] < 0.5
         assert d["conservation_residual_t0"] < 1e-3
-        assert d["orthogonality_residual"] < 1e-8
+        assert d["solve_residual"] < 1e-8
+
+    def test_solve_never_checks_orthogonality(self, oscillatory_params, monkeypatch):
+        # the library check costs two n^3 products; a run reports the solve residual instead
+        def no_check(basis):
+            raise AssertionError("orthogonality_residual called")
+
+        monkeypatch.setattr(spectral, "orthogonality_residual", no_check)
+        diagnostics = solve_spectral(oscillatory_params, step_ic(), 50).diagnostics
+        assert "orthogonality_residual" not in diagnostics
+
+    @pytest.mark.parametrize("count", [50, 200])
+    @pytest.mark.parametrize("p", ACCEPTANCE_SETS)
+    def test_solve_residual_on_acceptance_sets(self, p, count):
+        # measured 1.8e-16 to 9.9e-16; norms off by 1e-6 in the projection read 1e-6
+        sol = solve_spectral(p, step_ic(), count)
+        b = spectral.departure_moments(step_ic(), p, sol.alphas)
+        assert sol.diagnostics["solve_residual"] == spectral.solve_residual(sol.basis, sol.C, b)
+        assert sol.diagnostics["solve_residual"] <= 1e-12
+
+    def test_solve_residual_of_a_zero_right_side(self):
+        # inert walls at N0 = 1: the step's moments equal N_eq's bit for bit, so b = 0 and C = 0
+        p = Params(A=1e-3, B=0.1, L=0.0, N0=1.0)
+        sol = solve_spectral(p, step_ic(), 50)
+        assert not np.any(spectral.departure_moments(step_ic(), p, sol.alphas)) and not np.any(sol.C)
+        assert sol.diagnostics["solve_residual"] == 0.0
 
     def test_adsorption_strength_shifts_peak_value_not_position(self):
         # stronger adsorption raises the first maximum but barely moves it
