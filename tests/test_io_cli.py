@@ -10,6 +10,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hypersorb import cli, fdm, poles, spectral, validate
 from hypersorb.cli import build_config, load_config_file, main, make_parser
@@ -17,7 +19,7 @@ from hypersorb.errors import InvalidInput
 from hypersorb.params import Params, parabolic_ic, step_ic
 from hypersorb.series import TimeSeries, thin_indices, thin_series
 from hypersorb.seriesio import (
-    CSV_BLOCK_ROWS, FLOAT_FORMAT, read_series_csv, write_json, write_series_csv,
+    CSV_BLOCK_ROWS, FLOAT_FORMAT, read_series_csv, write_csv, write_json, write_series_csv,
 )
 
 
@@ -160,6 +162,113 @@ class TestSeriesCsv:
             with pytest.raises(TypeError, match="is not JSON serializable"):
                 write_json({"v": value}, tmp_path / "bad.json")
             assert not (tmp_path / "bad.json").exists()
+        # also inside a number list or a list of number rows, which the C encoder prints
+        for value in ([1.0, np.int64(3)], [[1.0, 2.0], [1.0, 1 - 2j]]):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                write_json({"v": value}, tmp_path / "bad.json")
+            assert not (tmp_path / "bad.json").exists()
+
+    def test_circular_json_payload_raises_before_the_file_exists(self, tmp_path):
+        looped_list, looped_dict = [1.0], {"x": 0.5}
+        looped_list.append(looped_list)
+        looped_dict["self"] = looped_dict
+        for payload in ({"v": looped_list}, looped_dict, {"v": [[1.0], looped_list]}):
+            with pytest.raises(ValueError, match="Circular reference detected"):
+                write_json(payload, tmp_path / "loop.json")
+            assert not (tmp_path / "loop.json").exists()
+
+    def test_config_echo_checked_before_the_csv_exists(self, tmp_path):
+        path = tmp_path / "c.csv"
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_csv(path, ["a"], [[1.0]], config={"x": np.int64(1)})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("names, columns, message", [
+        (["a", "b", "c"], [[1.0], [2.0]], "header of 3 names for 2 columns"),
+        (["a", "b"], [[1.0, 2.0], [3.0]], r"shapes \[\(1,\), \(2,\)\]"),
+        (["a"], [np.ones((2, 2))], r"shapes \[\(2, 2\)\]: each must be 1-D"),
+        (["a,b", "c"], [[1.0], [2.0]], "holds a comma or a line break"),
+        (["a", "b\nc"], [[1.0], [2.0]], "holds a comma or a line break"),
+        (["a\r", "b"], [[1.0], [2.0]], "holds a comma or a line break"),
+    ], ids=["names-over-columns", "unequal-columns", "2d-column", "comma-name", "newline-name", "cr-name"])
+    def test_csv_that_would_not_read_back_refused_before_the_file_exists(self, tmp_path, names,
+                                                                          columns, message):
+        path = tmp_path / "c.csv"
+        with pytest.raises(InvalidInput, match=message):
+            write_csv(path, names, columns)
+        assert not path.exists()
+
+
+# floats at the edges of the repr and of JSON's spelling, and a float subclass
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+json_floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.floats().map(np.float64))
+json_ints = st.one_of(st.integers(), st.integers(-2**200, 2**200))
+json_text = st.one_of(
+    st.text(),
+    st.text(st.characters(codec=None, categories=None), max_size=8),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "a,b", "],[", ": "]),
+)
+json_leaves = st.one_of(json_floats, json_ints, st.booleans(), st.none(), json_text)
+
+
+def rows_of(elements, equal_length):
+    """Lists of rows, each a list or a tuple, of one length or of any lengths."""
+    def rows(k):
+        row = st.lists(elements, min_size=k, max_size=k) if equal_length else st.lists(elements, max_size=4)
+        return st.lists(st.one_of(row, row.map(tuple)), max_size=5)
+    return st.integers(0, 3).flatmap(rows)
+
+
+def nested(depth):
+    """Plain payloads nested to depth: dicts (str keys, and now and then others), lists, tuples."""
+    if depth == 0:
+        return st.one_of(json_leaves, st.just([]), st.just({}), st.just(()))
+    children = nested(depth - 1)
+    keys = st.one_of(json_text, st.sampled_from([1, 2.5, True, None, math.nan]))
+    return st.one_of(
+        json_leaves,
+        st.lists(json_floats, max_size=6),
+        rows_of(json_floats, True),
+        rows_of(json_floats, False),
+        rows_of(st.one_of(json_floats, json_ints), True),
+        rows_of(st.one_of(json_floats, json_leaves, children), True),
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+        st.dictionaries(keys, children, max_size=3),
+    )
+
+
+def dumps_or_error(encode):
+    """encode()'s text, or the type and message of what it raised."""
+    try:
+        return encode()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestJsonLayout:
+    """write_json's bytes are json.dumps(payload, sort_keys=True, indent=2) + "\\n"."""
+
+    # one file, removed before each example
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=nested(4))
+    @example(payload={"rows": [[1.0, 2.0], [3.0, math.nan]], "f": [0.5, -math.inf],
+                      "mixed": [[1.0, 2], [1.0, "a,b"]], "nested": [1.0, [2.0, 3.0]]})
+    @example(payload={"a": {"b": [(1.0, -0.0), (5e-324, math.inf)], "c": [[1.0], [2.0, 3.0]]}})
+    @example(payload={"ints": [1, 2], "scalars": [math.nan, math.inf, -math.inf, True, None, "x"]})
+    def test_bytes_equal_the_stdlib_indented_form(self, tmp_path, payload):
+        path = tmp_path / "p.json"
+        path.unlink(missing_ok=True)
+        expected = dumps_or_error(lambda: json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+        def written():
+            write_json(payload, path)
+            return path.read_text()
+        got = dumps_or_error(written)
+        assert got == expected
+        assert path.exists() == isinstance(expected, str)
+
 
 
 class TestConfigFile:
@@ -680,6 +789,23 @@ class TestCli:
         assert index["files"] == ["fam_B0.001.csv", "fam_B0.01.csv"]
         for f in index["files"]:
             assert (tmp_path / f).exists()
+
+    def test_every_json_artifact_has_the_indented_layout(self, tmp_path):
+        # the run JSON of each engine, the comparison report and the sweep index
+        common = ["--A", "0.01", "--B", "1e-3", "--L", "1", "--N0", "3", "--T", "0.2",
+                  "--outdir", str(tmp_path)]
+        for argv in (["run", "--engine", "fdm", "--n-z", "16", "--name", "f"],
+                     ["run", "--engine", "spectral", "--modes", "20", "--name", "s"],
+                     ["run", "--engine", "parabolic", "--n-z", "16", "--name", "p"],
+                     ["compare", "--pair", "parabolic,fdm", "--n-z", "16", "--name", "c"],
+                     ["sweep", "--engine", "fdm", "--axis", "L", "--values", "1,10",
+                      "--n-z", "16", "--name", "w"]):
+            assert main([*argv, *common]) == 0, argv
+        written = sorted(path.name for path in tmp_path.glob("*.json"))
+        assert written == ["c_report.json", "f.json", "p.json", "s.json", "w_index.json"]
+        for name in written:
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
 
     def test_sweep_parallel_workers_match_serial(self, tmp_path):
         args = [
