@@ -177,7 +177,7 @@ class RunConfig:
         if modal and self.samples * self.modes > MAX_MODAL_TERMS:
             raise ConfigError(
                 f"samples x modes must be at most {MAX_MODAL_TERMS}, got {self.samples} x"
-                f" {self.modes}: the modal time table holds one weight per sample and mode"
+                f" {self.modes}: a modal series takes work in proportion to samples x modes"
             )
 
 

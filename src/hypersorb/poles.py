@@ -16,12 +16,12 @@ initial bulk (the walls start empty), with no Gram solve:
     sigma(t) = sigma_eq - sum a w e^(-beta^2 t),
     N(z, t) = N_eq + sum a cos(beta z) e^(-beta^2 t).
 
-spectral.modal_sums evaluates these over the real table e^(-beta^2 t) with
-amplitudes a; this module assembles the roots, a, w and the t = 0 row.  A
-mode carries no mass (its cos(beta z) integrates to 2w over the slab), so
-conservation holds to rounding.  Inert walls (L = 0) keep sigma = 0 and
-leave the Neumann series of the bulk: beta = 2 k pi, norm 1/4 and w = 0,
-set exactly since sin(k pi) does not round to 0.
+spectral.modal_sums evaluates these, each sum contracting the real table
+e^(-beta^2 t) with a times a factor; this module assembles the roots, a, w
+and the t = 0 row.  A mode carries no mass (its cos(beta z) integrates to
+2w over the slab), so conservation holds to rounding.  Inert walls (L = 0)
+keep sigma = 0 and leave the Neumann series of the bulk: beta = 2 k pi,
+norm 1/4 and w = 0, set exactly since sin(k pi) does not round to 0.
 
 Roots.  With u = A beta^2 - 1, v = L beta > 0 and theta = atan2(v, u) in
 (0, pi), g beta = -hypot(u, v) sin(beta/2 - theta).  On the interval
@@ -140,7 +140,8 @@ def to_series(p: Params, ic: InitialCondition, tgrid, probes=()) -> TimeSeries:
         wall, a = np.zeros_like(beta), 2.0 * moments
     decay = np.exp(np.multiply.outer(-later, beta * beta))
     points = np.concatenate(([0.5], probes))
-    sigma, columns, cons = modal_sums(decay, beta, wall, n_eq, sigma_eq, p.N0, points, amp=a)
+    sigma, columns, cons = modal_sums(lambda f: np.inner(decay, a * f), beta, wall, n_eq, sigma_eq,
+                                      p.N0, points)
     if later.size < t.size:
         # t = 0 leads the ascending times: the initial data, walls empty
         start = sample_initial(ic, p, points)

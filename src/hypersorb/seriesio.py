@@ -71,6 +71,8 @@ def write_csv(path, names, columns, config: dict | None = None) -> None:
     """
     if len(names) != len(columns):
         raise InvalidInput(f"CSV header of {len(names)} names for {len(columns)} columns")
+    if not columns:
+        raise InvalidInput("a CSV needs at least one column")
     for name in names:
         # a line break is any boundary str.splitlines knows, as read_series_csv splits
         if "," in name or "".join(name.splitlines()) != name:

@@ -8,20 +8,21 @@ the zero-initial-velocity condition, giving bulk and surface densities
 evaluable at any (z*, t*).
 
 modal_sums evaluates this series and the exact sum of hypersorb.poles alike;
-this module assembles the real time table Re(S1 e^{mu1 t} + S2 e^{mu2 t})
-(or its rate), one damped cosine per oscillating mode.  The field is
-evaluated on demand (eval_density); a series holds sigma, the wall density
-and its probes, and no stored rows.
+this module supplies the contraction S(f) = Re(sum_k (S1 e^{mu1 t} +
+S2 e^{mu2 t})_k f_k) (or its rate), one damped cosine per oscillating mode,
+each decaying at -1/(2B).  The field is evaluated on demand (eval_density);
+a series holds sigma, the wall density and its probes, and no stored rows.
 
-The trig tables of n x k entries are built from O(n + k) sines and cosines
-by angle addition, sin(a +- b) and cos(a + b) in terms of sin and cos of a
-and of b: the Gram matrix's sines of (alpha_i +- alpha_j)/2, and the
-cosines of the value table on an even time grid (_grid_cosines).  Entries
-move from the per-entry forms at rounding level only.
+Trig of n x k phase sums comes from O(n + k) sines and cosines by angle
+addition, sin(a +- b) and cos(a + b) in terms of sin and cos of a and of b:
+the Gram matrix's sines of (alpha_i +- alpha_j)/2, and the cosine sums of
+the value on an even time grid, which become matrix products and form no
+samples x modes array (_contraction).  Results move from the per-entry
+forms at rounding level only.
 
 The Cholesky factor and the small blocks of the triangular inverse
 (LAPACK), that inverse's block products, the projection's and the solve
-residual's matrix-vector products and modal_sums' contraction (BLAS) are
+residual's matrix-vector products and the contraction's products (BLAS) are
 the package's only BLAS and LAPACK calls in a run (orthogonality_residual,
 a library check, adds two matrix products); a threaded BLAS may order their
 sums by its thread count, so this engine's last bits, unlike those of fdm,
@@ -46,14 +47,13 @@ MAX_GRAM_CONDITION = 1e12
 INVERSE_BLOCK = 32
 
 # e^x underflows to zero in double precision below x = -745.2, so past
-# UNDERFLOW_EXPONENT / |slowest rate| every term of the time table is zero
+# UNDERFLOW_EXPONENT / |slowest rate| every modal term is zero
 UNDERFLOW_EXPONENT = 746.0
 
-# most samples x modes of a modal time evaluation; the (samples, modes)
-# table of real weights is built in one piece, at 8 bytes an entry, beside
-# one buffer of cosines of the same size (on an even time grid about
-# sqrt(samples) rows longer, and paired with a second such buffer while
-# angle addition forms it).  The largest in use is 801 x 2000.
+# most samples x modes of a modal time evaluation, whose work grows as
+# samples x modes per summed factor; on an even time grid it forms no
+# array of that size, on any other grid and for the rate one cosine table
+# of 8 bytes an entry.  The largest in use is 801 x 2000.
 # It also bounds samples x roots of the parabolic pole sum, whose table
 # holds one real exponential per sample and root (801 x 21 at T = 2).
 MAX_MODAL_TERMS = 10**7
@@ -93,29 +93,25 @@ def sample_times(tgrid) -> np.ndarray:
     return t
 
 
-def modal_sums(table, freq, wall, n_eq, sigma_eq, N0, probes=(), amp=1.0):
+def modal_sums(contract, freq, wall, n_eq, sigma_eq, N0, probes=()):
     """sigma, the bulk density at each probe, and conservation of a modal series.
 
-    Term k has an amplitude amp, a frequency freq, a share wall of the surface
-    density and the time factors table[..., k].  With S(f) = Re(sum over the
-    terms of amp f table): sigma = sigma_eq - S(wall), the density at a probe
-    z (a point or an array) is n_eq + S(cos(freq z)), and the closed-form
-    mass n_eq + 2 S(wall) leaves a conservation residual of rounding only.
-    S(wall) is summed once for both: 2 S(wall) is S(2 wall) bit for bit,
-    since scaling by 2 is exact short of subnormals.  Each S contracts the
-    term axes of table and f, time axes first: a matrix-vector product
-    unless both a time and a probe axis are present.
+    Term k has a frequency freq and a share wall of the surface density;
+    contract(f) is the engine's S(f), the sum over the terms of f times
+    each term's amplitude and time factors, with the time axes first and
+    then those of f but its last, the term axis.  sigma = sigma_eq -
+    S(wall), the density at a probe z (a point or an array) is n_eq +
+    S(cos(freq z)), and the closed-form mass n_eq + 2 S(wall) leaves a
+    conservation residual of rounding only.  S(wall) is summed once for
+    both: 2 S(wall) is S(2 wall) bit for bit, since scaling by 2 is exact
+    short of subnormals.
     """
     z = [np.asarray(zi, dtype=float) for zi in probes]
     if not all(np.all(np.abs(zi) <= 0.5 + 1e-12) for zi in z):
         raise InvalidInput("z* must lie within [-1/2, 1/2]")
-
-    def total(factor):
-        return np.real(np.inner(table, amp * factor))
-
-    share = total(wall)
+    share = contract(wall)
     sigma = sigma_eq - share
-    columns = [n_eq + total(np.cos(np.multiply.outer(zi, freq))) for zi in z]
+    columns = [n_eq + contract(np.cos(np.multiply.outer(zi, freq))) for zi in z]
     mass = n_eq + 2.0 * share
     return sigma, columns, np.abs(mass + 2.0 * sigma - N0)
 
@@ -227,14 +223,13 @@ def solve_residual(basis: OrthoBasis, C: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(basis.gram @ C - b) / scale) if scale else 0.0
 
 
-def project_initial(ic: InitialCondition, basis: OrthoBasis, p: Params) -> np.ndarray:
-    """Expansion coefficients of N(z*, 0) - N_eq in the cosine modes.
+def project_initial(b: np.ndarray, basis: OrthoBasis) -> np.ndarray:
+    """Expansion coefficients of N(z*, 0) - N_eq in the cosine modes, b its departure_moments.
 
     The departure from equilibrium is first resolved along the orthogonal
     companions (closed-form integrals, no quadrature), then mapped back to
     the cosine modes through the triangular coefficient table.
     """
-    b = departure_moments(ic, p, basis.alphas)
     r = (basis.coeffs.T @ b) / basis.norms
     return basis.coeffs @ r
 
@@ -298,97 +293,95 @@ def _times(t) -> np.ndarray:
     return t
 
 
-def _grid_cosines(x: np.ndarray, freq, phase) -> np.ndarray:
-    """cos(freq x + phase), shape (x.size, freq.size), for x = np.linspace(x[0], x[-1], x.size).
+def _contraction(sol: SpectralSolution, t, rate: bool = False):
+    """f -> S(f) = Re(sum_k (S1 e^{mu1 t} + S2 e^{mu2 t})_k f_k), or its t-derivative.
 
-    Point n = qM + r of the grid (at least two points), M the ceiling of
-    sqrt(x.size), sits at a coarse point x[qM] plus a fine offset r dx, so
-    by angle addition the table takes sines and cosines of the (x.size/M +
-    M) x freq.size coarse phases freq x[qM] + phase and fine phases freq r
-    dx only, and three passes over the table.  The coarse rows are the
-    per-entry phases bit for bit; a fine offset adds a phase rounding of
-    about freq ulp(x).
-    """
-    step = (x[-1] - x[0]) / (x.size - 1)
-    fine_count = math.ceil(math.sqrt(x.size))
-    coarse = np.add(np.multiply.outer(x[::fine_count], freq), phase)
-    fine = np.multiply.outer(np.arange(fine_count) * step, freq)
-    table = np.multiply(np.cos(coarse)[:, None], np.cos(fine))
-    table -= np.multiply(np.sin(coarse)[:, None], np.sin(fine))
-    return table.reshape(-1, table.shape[-1])[: x.size]
+    f holds one entry per mode on its last axis; S(f) has the axes of t
+    first, then the other axes of f.  An oscillating mode (mu2 = conj(mu1))
+    sums to |P| e^{Re(mu1) t} cos(Im(mu1) t + arg P) with P = S1 + conj(S2).
+    Every such mode decays at Re(mu1) = -1/(2B), so S(f) is e^{-t/2B} times
+    the contraction of the cosines with g = |P| f, the exponential applied
+    per time after it.  A mode with two real rates adds its own columns
+    S1 e^{mu1 t} + S2 e^{mu2 t}.  The rate puts mu1 S1 and mu2 S2 in place
+    of S1 and S2.  The trig of the phases is taken here, once; each call
+    of the returned function runs only the products.
 
-
-def _time_weights(sol: SpectralSolution, t, rate: bool = False) -> np.ndarray:
-    """Real modal weights Re(S1 e^{mu1 t} + S2 e^{mu2 t}) (or their t-derivative).
-
-    Shape (n_t, n_modes) for array t, (n_modes,) for scalar t.  An oscillating
-    mode (mu2 = conj(mu1)) sums to Re(P e^{mu1 t}) with P = S1 + conj(S2),
-    that is |P| e^{Re(mu1) t} cos(Im(mu1) t + arg P), P being 2 S1 when
-    S2 = conj(S1).  Every such mode decays at Re(mu1) = -1/(2B), so the table
-    is one cosine factor per entry and one real exponential per time.  The
-    columns of a mode with two real rates are S1 e^{mu1 t} + S2 e^{mu2 t}.
-    The rate puts mu1 S1 and mu2 S2 in place of S1 and S2.
-
-    The value table on an even grid, t equal to np.linspace(t[0], t[-1],
-    t.size), takes its cosines from _grid_cosines by angle addition; that
-    stays within rounding (~1e-16 of the table's largest entry) of one
-    cosine per entry.  Any other t, and the rate table, take one cosine per
-    entry: the rate's scale comes from the fastest modes, where the phase
-    rounding of angle addition, about Im(mu1) ulp(t), would show.  The table
-    is built in two buffers, the cosines and the damped amplitudes.  Times
-    past the underflow of the slowest mode are evaluated at that point,
-    where every entry is zero, so t = inf needs no cos(inf); a grid reaching
-    past it takes one cosine per entry.
+    The value on an even grid, t equal to np.linspace(t[0], t[-1], t.size),
+    forms no samples x modes array: time n = qM + r, M the ceiling of
+    sqrt(t.size), is a coarse time t[qM] (its phase per entry, bit for bit)
+    plus a fine offset r dt, so by angle addition the cosine sum is
+    (cos C g) cos F^T - (sin C g) sin F^T, two (t.size/M x modes)(modes x M)
+    matrix products per row of g.  A fine offset adds a phase rounding of
+    about Im(mu1) ulp(t).  Any other t, and the rate, take one cosine per
+    entry, contracted with g: the rate's scale comes from the fastest
+    modes, where that rounding would show.  Times past the underflow of the
+    slowest mode are evaluated at that point, where every term is zero, so
+    t = inf needs no cos(inf); a grid reaching past it takes one cosine per
+    entry.
     """
     t = _times(t)
     pair = sol.mu2 == np.conj(sol.mu1)
     s1, s2 = (sol.mu1 * sol.S1, sol.mu2 * sol.S2) if rate else (sol.S1, sol.S2)
-    p = s1 + np.conj(s2)
     slowest = max(np.max(sol.mu1.real), np.max(sol.mu2.real))
     limit = UNDERFLOW_EXPONENT / -slowest
-    tt = np.minimum(t, limit)[..., None]
+    tt = np.minimum(t, limit)
+    tr, real = tt[..., None], ~pair
+    p = (s1 + np.conj(s2))[pair]
+    freq, phase, size = sol.mu1.imag[pair], np.angle(p), np.abs(p)
+    # -0.5 / B is eigen's Re(mu1) of an oscillating mode, bit for bit
+    decay = np.exp(np.multiply(-0.5 / sol.params.B, tt))
     if not rate and t.ndim == 1 and t.size > 1 and max(t[0], t[-1]) <= limit \
             and np.array_equal(t, np.linspace(t[0], t[-1], t.size)):
-        wave = _grid_cosines(t, sol.mu1.imag, np.angle(p))
+        fine_count = math.ceil(math.sqrt(t.size))
+        coarse = np.add(np.multiply.outer(t[::fine_count], freq), phase)
+        fine = np.multiply.outer(np.arange(fine_count) * ((t[-1] - t[0]) / (t.size - 1)), freq)
+        cos_c, sin_c, cos_f, sin_f = np.cos(coarse), np.sin(coarse), np.cos(fine).T, np.sin(fine).T
+
+        def waves(g):
+            rows = [((cos_c * row) @ cos_f - (sin_c * row) @ sin_f).ravel()[: t.size]
+                    for row in g.reshape(math.prod(g.shape[:-1]), g.shape[-1])]
+            return np.array(rows).T.reshape(t.shape + g.shape[:-1])
     else:
-        wave = np.multiply(sol.mu1.imag, tt)
-        np.add(wave, np.angle(p), out=wave)
+        wave = np.multiply(freq, tr)
+        np.add(wave, phase, out=wave)
         np.cos(wave, out=wave)
-    # -0.5 / B is eigen's Re(mu1) of an oscillating mode, bit for bit
-    table = np.multiply(np.exp(np.multiply(-0.5 / sol.params.B, tt)), np.abs(p))
-    np.multiply(table, wave, out=table)
-    del wave
-    if not pair.all():
-        real = ~pair
-        table[..., real] = (s1.real[real] * np.exp(sol.mu1.real[real] * tt)
-                            + s2.real[real] * np.exp(sol.mu2.real[real] * tt))
-    return table
+
+        def waves(g):
+            return np.inner(wave, g)
+    two_real = (s1.real[real] * np.exp(sol.mu1.real[real] * tr)
+                + s2.real[real] * np.exp(sol.mu2.real[real] * tr))
+
+    def contract(f):
+        return (np.reshape(decay, decay.shape + (1,) * (f.ndim - 1)) * waves(size * f[..., pair])
+                + np.inner(two_real, f[..., real]))
+
+    return contract
 
 
 def eval_density(sol: SpectralSolution, zstar, tstar):
     """Bulk density N(z*, t*); broadcasts over array z* and t*, t* axes first."""
-    _, (value,), _ = modal_sums(_time_weights(sol, tstar), sol.alphas, sol.wall, sol.n_eq,
+    _, (value,), _ = modal_sums(_contraction(sol, tstar), sol.alphas, sol.wall, sol.n_eq,
                                 sol.sigma_eq, sol.params.N0, [zstar])
     return float(value) if np.isscalar(zstar) and np.isscalar(tstar) else value
 
 
 def density_rate(sol: SpectralSolution, zstar, tstar):
     """Time derivative of the bulk density; zero at t* = 0 by construction."""
-    _, (value,), _ = modal_sums(_time_weights(sol, tstar, rate=True), sol.alphas, sol.wall,
+    _, (value,), _ = modal_sums(_contraction(sol, tstar, rate=True), sol.alphas, sol.wall,
                                 0.0, 0.0, 0.0, [zstar])
     return value
 
 
 def eval_sigma(sol: SpectralSolution, tstar):
     """Surface density sigma(t*) from the modewise conservation balance."""
-    value, _, _ = modal_sums(_time_weights(sol, tstar), sol.alphas, sol.wall, sol.n_eq,
+    value, _, _ = modal_sums(_contraction(sol, tstar), sol.alphas, sol.wall, sol.n_eq,
                              sol.sigma_eq, sol.params.N0)
     return float(value) if np.isscalar(tstar) else value
 
 
 def sigma_rate(sol: SpectralSolution, tstar):
     """Time derivative of sigma(t*); vanishes identically at t* = 0."""
-    value, _, _ = modal_sums(_time_weights(sol, tstar, rate=True), sol.alphas, sol.wall,
+    value, _, _ = modal_sums(_contraction(sol, tstar, rate=True), sol.alphas, sol.wall,
                              0.0, 0.0, 0.0)
     return float(value) if np.isscalar(tstar) else value
 
@@ -397,12 +390,13 @@ def imag_residue(sol: SpectralSolution, zgrid, tgrid) -> float:
     """Largest imaginary leak of the complex evaluation over a probe grid.
 
     The complex table S1 e^{mu1 t} + S2 e^{mu2 t} is evaluated here, term by
-    term: its leak certifies the conjugate amplitudes the real table of
-    _time_weights keeps only the real part of.
+    term: its leak certifies the conjugate amplitudes whose real part alone
+    _contraction sums.
     """
     tt = _times(tgrid)[..., None]
-    table = sol.S1 * np.exp(sol.mu1 * tt) + sol.S2 * np.exp(sol.mu2 * tt)
-    surf, (bulk,), _ = modal_sums(table.imag, sol.alphas, sol.wall, 0.0, 0.0, 0.0, [zgrid])
+    leak = (sol.S1 * np.exp(sol.mu1 * tt) + sol.S2 * np.exp(sol.mu2 * tt)).imag
+    surf, (bulk,), _ = modal_sums(lambda f: np.inner(leak, f), sol.alphas, sol.wall, 0.0, 0.0,
+                                  0.0, [zgrid])
     return float(max(np.max(np.abs(bulk)), np.max(np.abs(surf))))
 
 
@@ -422,10 +416,11 @@ def solve_spectral(
     if not p.B > 0:
         raise InvalidInput("the modal engine requires B > 0; use the parabolic solver")
     roots = find_eigenvalues(p, mode_count)
-    # contiguous copies of the record's columns, which the modal tables read
+    # contiguous copies of the record's columns, which the modal sums read
     alphas, anchors, mu1, mu2 = (roots[name].copy() for name in roots.dtype.names)
     basis = orthogonalize(alphas)
-    C = project_initial(ic, basis, p)
+    b = departure_moments(ic, p, alphas)
+    C = project_initial(b, basis)
     s1, s2 = amplitudes(C, mu1, mu2)
     n_eq, sigma_eq = equilibrium(p)
     sol = SpectralSolution(
@@ -441,7 +436,7 @@ def solve_spectral(
         mu2=mu2,
     )
     zprobe = np.linspace(-0.45, 0.45, 37)
-    sigma0, (recon,), cons0 = modal_sums(_time_weights(sol, 0.0), alphas, sol.wall, n_eq,
+    sigma0, (recon,), cons0 = modal_sums(_contraction(sol, 0.0), alphas, sol.wall, n_eq,
                                          sigma_eq, p.N0, [zprobe])
     target = sample_initial(ic, p, zprobe)
     sol.diagnostics = {
@@ -450,7 +445,7 @@ def solve_spectral(
         "reconstruction_error_at_center": float(abs(recon[18] - target[18])),
         "sigma_at_zero": float(sigma0),
         "conservation_residual_t0": float(cons0),
-        "solve_residual": solve_residual(basis, C, departure_moments(ic, p, alphas)),
+        "solve_residual": solve_residual(basis, C, b),
     }
     return sol
 
@@ -463,7 +458,7 @@ def to_series(sol: SpectralSolution, tgrid, probes=()) -> TimeSeries:
     spatial rows: eval_density evaluates the field at any (z*, t*).
     """
     t = sample_times(tgrid)
-    sigma, columns, cons = modal_sums(_time_weights(sol, t), sol.alphas, sol.wall, sol.n_eq,
+    sigma, columns, cons = modal_sums(_contraction(sol, t), sol.alphas, sol.wall, sol.n_eq,
                                       sol.sigma_eq, sol.params.N0, np.concatenate(([0.5], probes)))
     return TimeSeries(
         t=t,

@@ -81,6 +81,12 @@ def spectral_wavefront_50(wavefront_params):
     return solve_spectral(wavefront_params, step_ic(), 50)
 
 
+@pytest.fixture(scope="session")
+def spectral_oscillatory_2000(oscillatory_params):
+    """The most modes a run allows (--modes 2000), on the all-oscillating set."""
+    return solve_spectral(oscillatory_params, step_ic(), 2000)
+
+
 def first_local_max(t, values, floor):
     """Time of the first interior local maximum above floor, or None."""
     v = np.asarray(values)
@@ -100,17 +106,15 @@ def interior_maxima(t, values, prominence):
     return hits
 
 
-def three_sum_conservation(table, freq, wall, n_eq, sigma_eq, N0, probes=(), amp=1.0):
+def three_sum_conservation(contract, freq, wall, n_eq, sigma_eq, N0, probes=()):
     """sigma and the conservation residual as three separate sums give them.
 
-    The mass is the sum S(2 wall) of its own, beside S(wall) for sigma:
-    the expression the single sum of spectral.modal_sums must match bit for bit.
+    The mass is the sum S(2 wall) of its own, beside S(wall) for sigma, each
+    through the engine's contraction S: the expression the single sum of
+    spectral.modal_sums must match bit for bit.
     """
-    def total(factor):
-        return np.real(np.inner(table, amp * factor))
-
-    sigma = sigma_eq - total(wall)
-    mass = n_eq + total(2.0 * wall)
+    sigma = sigma_eq - contract(wall)
+    mass = n_eq + contract(2.0 * wall)
     return sigma, np.abs(mass + 2.0 * sigma - N0)
 
 

@@ -190,7 +190,9 @@ class TestSeriesCsv:
         (["a,b", "c"], [[1.0], [2.0]], "holds a comma or a line break"),
         (["a", "b\nc"], [[1.0], [2.0]], "holds a comma or a line break"),
         (["a\r", "b"], [[1.0], [2.0]], "holds a comma or a line break"),
-    ], ids=["names-over-columns", "unequal-columns", "2d-column", "comma-name", "newline-name", "cr-name"])
+        ([], [], "needs at least one column"),
+    ], ids=["names-over-columns", "unequal-columns", "2d-column", "comma-name", "newline-name", "cr-name",
+            "no-columns"])
     def test_csv_that_would_not_read_back_refused_before_the_file_exists(self, tmp_path, names,
                                                                           columns, message):
         path = tmp_path / "c.csv"

@@ -1,4 +1,4 @@
-"""Memory held by the full-length series: the march record and the modal table.
+"""Memory held by the full-length series: the march record and the modal series.
 
 Peaks are measured with tracemalloc, which numpy reports its array buffers
 to, from the start to the end of one call.
@@ -10,7 +10,7 @@ import numpy as np
 
 from hypersorb import spectral
 from hypersorb.fdm import Grid, default_lambda, march
-from hypersorb.params import Params, step_ic
+from hypersorb.params import Params
 
 
 def peak_bytes(call) -> int:
@@ -37,10 +37,10 @@ def test_march_record_peak_per_level():
     assert peak <= 96 * (n_t + 1)
 
 
-def test_time_weights_peak_in_tables():
-    # two real (samples x modes) buffers, the cosines and the table
-    sol = spectral.solve_spectral(Params(A=1e-3, B=0.1, L=1.0, N0=3.0), step_ic(), 200)
+def test_time_weights_peak_in_tables(spectral_oscillatory_2000):
+    # the even grid's contraction of the modal time weights forms no (samples
+    # x modes) array: at 801 x 2000 the series peaks below one such table of
+    # 12.8 MB
     t = np.linspace(0.0, 2.0, 801)
-    table = t.size * sol.alphas.size * 8
-    for rate in (False, True):
-        assert peak_bytes(lambda: spectral._time_weights(sol, t, rate=rate)) <= 2.5 * table
+    table = t.size * spectral_oscillatory_2000.alphas.size * 8
+    assert peak_bytes(lambda: spectral.to_series(spectral_oscillatory_2000, t, probes=[0.0, 0.25])) < table
