@@ -196,7 +196,8 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> Roots:
     if not isinstance(count, Integral) or count < 1:
         raise InvalidInput(f"count must be an integer of at least 1, got {count!r}")
     if not p.B > 0:
-        raise InvalidInput("the eigenvalue set requires B > 0")
+        raise InvalidInput("the eigenvalue set requires B > 0; use the parabolic engine"
+                           " (hypersorb.poles)")
     if p.A * p.A == math.inf:
         # den = (2B - A)^2 + A^2 q is then inf - inf wherever q < 0
         raise InvalidInput(f"the eigenvalue set requires a finite A^2, got A = {p.A!r}")

@@ -349,12 +349,14 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     slot's memoryviews and the rows' constants (a Python loop over a
     batch's rows, none for one row), mirrors the symmetry node, solves the
     wall value and writes the row's sigma from the slot before it.  A pass
-    around the ring runs its levels' programs back to back, then copies its
-    raw record off the ring into its place in a level-major chunk (sigma,
-    the wall values, node 0, the interior sums and the probe nodes), all
-    bound once per place and pass length; then one bound max and min of its
-    new levels check it for divergence.  The full rows, at max_rows evenly
-    spread levels, go straight from the passes that hold one to the series.
+    around the ring runs its levels' programs back to back, then copies the
+    whole ring's raw record into its place in a level-major chunk of
+    CHUNK_PASSES rings (sigma, the wall values, node 0, the interior sums
+    and the probe nodes), bound once per place; a short last pass leaves
+    stale slots there, which are never read.  Then one max and one min of
+    the whole ring, bound once, check it for divergence.  The full rows, at
+    max_rows evenly spread levels, go straight from the passes that hold one
+    to the series.
     Every CHUNK_PASSES passes, and after the last, the chunk is written into
     the row-major (n_batch, n_levels) record of sigma, surface, conservation
     and each probe, the inner mass, probes and residual derived on the way;
@@ -415,9 +417,20 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     rows = np.empty((n_batch, stored.size, n_nodes))
     # the raw record of CHUNK_PASSES passes, level-major: sigma, the wall value,
     # node 0, the interior sum and the probe nodes, one entry per row
-    n_chunk = min(CHUNK_PASSES * n_slots, n_levels)
+    n_chunk = CHUNK_PASSES * n_slots
     sig_c, wall_c, head_c, sum_c = (np.empty((n_chunk, n_batch)) for _ in range(4))
     node_c = np.empty((n_chunk, n_batch, len(nodes)))
+    node_index = np.array(nodes, dtype=np.intp)
+
+    def record(c: int) -> list:
+        # copies of the whole ring's raw record into places c .. c + n_slots - 1 of the chunk
+        done = slice(c, c + n_slots)
+        return [*(partial(np.copyto, dst[done], src) for dst, src in (
+            (sig_c, sig_ring), (wall_c, ring[..., -1]), (head_c, ring[..., 0]), (sum_c, sums))),
+            partial(np.take, ring, node_index, 2, node_c[done], "clip")]
+
+    # bound once for each place in the chunk that a pass of this march takes
+    records = [record(c) for c in range(0, min(n_chunk, n_levels), n_slots)]
 
     def flush(lo: int, m: int) -> None:
         # the chunk's first m levels into the record as levels lo .. lo + m - 1
@@ -431,39 +444,26 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
         inner = h * (0.5 * head_c[:m] + sum_c[:m])
         cons[:, span] = abs(2.0 * (inner + 0.5 * h * wall_c[:m]) + 2.0 * sig_c[:m] - n0).T
 
-    def bind_pass(first: int, c: int, n: int) -> tuple:
-        # the pass of levels first .. first + n - 1: its levels' ops, then copies
-        # of its raw record into its place c in the chunk; and the max and min
-        # of its new levels (the start row is not one) for the divergence check
-        block, done = ring[:n], slice(c, c + n)
-        record = [partial(np.copyto, dst[done], src) for dst, src in (
-            (sig_c, sig_ring[:n]), (wall_c, block[..., -1]), (head_c, block[..., 0]), (sum_c, sums[:n]))]
-        take = partial(np.take, block, np.array(nodes, dtype=np.intp), 2, node_c[done], "clip")
-        new = block[0 if first else 1:]
-        return ([*(full_pass[: n * per_level] if first else first_pass), *record, take],
-                partial(np.maximum.reduce, new, None), partial(np.minimum.reduce, new, None))
-
-    # the march checks its new levels once a pass: a node at or past the
-    # smallest ceiling (or NaN) fails the pass's max or min test, and only
-    # then are the pass's levels checked in order, each row against its own
-    # ceiling, so the first level and node past it are named.  Levels after
-    # that one may overflow before the pass ends; numpy stays quiet about it.
+    # the march checks the whole ring once a pass: a node at or past the
+    # smallest ceiling (or NaN) fails its max or min test, and only then are
+    # the pass's new levels checked in order, each row against its own
+    # ceiling, so the first level and node past it are named (the start row
+    # and stale slots are not new).  Levels after that one may overflow
+    # before the pass ends; numpy stays quiet about it.
     ceilings = [1e100 * max(1.0, p.N0) for p in ps]
     ceiling = min(ceilings)
+    top, bottom = partial(np.maximum.reduce, ring, None), partial(np.minimum.reduce, ring, None)
     # pass by pass around the ring: levels first .. first + n - 1 in slots 0 .. n - 1;
-    # the first pass starts from the start row in slot 0, with the start-up level.
-    # A pass is bound once per place in the chunk and length (the first: key None)
+    # the first pass starts from the start row in slot 0, with the start-up level
     starts = range(0, n_levels, n_slots)
     edges = np.searchsorted(stored, [*starts, n_levels]).tolist()
-    bound: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for first, lo, hi in zip(starts, edges, edges[1:]):
             n, c = min(n_slots, n_levels - first), first % n_chunk  # c: its place in the chunk
-            key = (c, n) if first else None
-            if key not in bound:
-                bound[key] = bind_pass(first, c, n)
-            ops, top, bottom = bound[key]
-            for op in ops:
+            levels = full_pass if n == n_slots else full_pass[: n * per_level]
+            for op in levels if first else first_pass:
+                op()
+            for op in records[c // n_slots]:
                 op()
             if not (top() < ceiling and bottom() > -ceiling):
                 for i in range(0 if first else 1, n):

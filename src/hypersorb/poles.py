@@ -17,11 +17,12 @@ initial bulk (the walls start empty), with no Gram solve:
     N(z, t) = N_eq + sum a cos(beta z) e^(-beta^2 t).
 
 spectral.modal_sums evaluates these, each sum contracting the real table
-e^(-beta^2 t) with a times a factor; this module assembles the roots, a, w
-and the t = 0 row.  A mode carries no mass (its cos(beta z) integrates to
-2w over the slab), so conservation holds to rounding.  Inert walls (L = 0)
-keep sigma = 0 and leave the Neumann series of the bulk: beta = 2 k pi,
-norm 1/4 and w = 0, set exactly since sin(k pi) does not round to 0.
+e^(-beta^2 t) with a times a factor, and spectral.sum_series lays out the
+series; this module assembles the roots, a, w and the t = 0 row.  A mode
+carries no mass (its cos(beta z) integrates to 2w over the slab), so
+conservation holds to rounding.  Inert walls (L = 0) keep sigma = 0 and
+leave the Neumann series of the bulk: beta = 2 k pi, norm 1/4 and w = 0,
+set exactly since sin(k pi) does not round to 0.
 
 Roots.  With u = A beta^2 - 1, v = L beta > 0 and theta = atan2(v, u) in
 (0, pi), g beta = -hypot(u, v) sin(beta/2 - theta).  On the interval
@@ -38,7 +39,9 @@ then a sign change of g itself between adjacent floats.
 A term whose exponent beta^2 t_1 exceeds DROP_EXPONENT at the first positive
 sample t_1 is below e^-40 of its amplitude at every positive sample and is
 dropped, so the root count follows from the sample times; the t = 0 row is
-the initial data itself.
+the initial data itself.  check_terms holds times x interval_count(t_1) to
+the sum engines' one rule, spectral.check_terms, and its message ("times x
+roots must be at most ...").
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ import math
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigError
 from .params import InitialCondition, Params, cosine_moment, equilibrium, initial_mass, sample_initial
 from .rootfind import bracketed_roots, half_turns
 from .series import TimeSeries
-from .spectral import MAX_MODAL_TERMS, modal_sums, phi_integral, sample_times
+from .spectral import modal_sums, phi_integral, sample_times, sum_series
 
 # terms with beta^2 t_1 above this are dropped (see the module docstring)
 DROP_EXPONENT = 40.0
@@ -89,17 +93,11 @@ def interval_count(t_first: float) -> int:
 
 
 def check_terms(n_times: int, t_first: float, what: str = "times") -> None:
-    """ConfigError if n_times times, the first positive at t_first, pass MAX_MODAL_TERMS terms.
+    """spectral.check_terms of n_times what, the first positive at t_first, x roots.
 
     One exponential per time and root; interval_count(t_first) bounds the roots.
     """
-    roots = interval_count(t_first)
-    if n_times * roots > MAX_MODAL_TERMS:
-        raise ConfigError(
-            f"{what} x roots must be at most {MAX_MODAL_TERMS}, got {n_times} x {roots}:"
-            f" the parabolic sum keeps every root beta with beta^2 t_1 <= {DROP_EXPONENT:g}"
-            f" at its first positive time t_1, one exponential per time and root"
-        )
+    spectral.check_terms(n_times, interval_count(t_first), what, "roots")
 
 
 def roots(p: Params, t_first: float) -> np.ndarray:
@@ -148,12 +146,5 @@ def to_series(p: Params, ic: InitialCondition, tgrid, probes=()) -> TimeSeries:
         sigma = np.concatenate(([0.0], sigma))
         columns = [np.concatenate(([v], column)) for v, column in zip(start, columns)]
         cons = np.concatenate(([abs(initial_mass(ic, p) - p.N0)], cons))
-    return TimeSeries(
-        t=t,
-        sigma=sigma,
-        surface=columns[0],
-        probes={float(z): column for z, column in zip(probes, columns[1:])},
-        conservation=cons,
-        params=p,
-        meta={"engine": "parabolic", "roots": int(beta.size)},
-    )
+    return sum_series(t, (sigma, columns, cons), probes, p,
+                      {"engine": "parabolic", "roots": int(beta.size)})

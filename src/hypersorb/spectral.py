@@ -11,7 +11,11 @@ modal_sums evaluates this series and the exact sum of hypersorb.poles alike;
 this module supplies the contraction S(f) = Re(sum_k (S1 e^{mu1 t} +
 S2 e^{mu2 t})_k f_k) (or its rate), one damped cosine per oscillating mode,
 each decaying at -1/(2B).  The field is evaluated on demand (eval_density);
-a series holds sigma, the wall density and its probes, and no stored rows.
+a series holds sigma, the wall density and its probes, and no stored rows,
+and sum_series lays it out for both engines.  One rule bounds their work,
+check_terms: times x terms (modes here, roots in poles) must be at most
+MAX_MODAL_TERMS, or one ConfigError says "<times> x <terms> must be at
+most <MAX_MODAL_TERMS>, got <n> x <m>: ...".
 
 Trig of n x k phase sums comes from O(n + k) sines and cosines by angle
 addition, sin(a +- b) and cos(a + b) in terms of sin and cos of a and of b:
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import DEFAULT_MODE_COUNT, find_eigenvalues
-from .errors import DegenerateBasisError, DegenerateModeError, InvalidInput
+from .errors import ConfigError, DegenerateBasisError, DegenerateModeError, InvalidInput
 from .params import InitialCondition, Params, cosine_moment, equilibrium, sample_initial
 from .series import TimeSeries
 
@@ -50,12 +54,12 @@ INVERSE_BLOCK = 32
 # UNDERFLOW_EXPONENT / |slowest rate| every modal term is zero
 UNDERFLOW_EXPONENT = 746.0
 
-# most samples x modes of a modal time evaluation, whose work grows as
-# samples x modes per summed factor; on an even time grid it forms no
-# array of that size, on any other grid and for the rate one cosine table
-# of 8 bytes an entry.  The largest in use is 801 x 2000.
-# It also bounds samples x roots of the parabolic pole sum, whose table
-# holds one real exponential per sample and root (801 x 21 at T = 2).
+# most times x terms of either sum engine, held by check_terms alone: the
+# work of a sum grows as times x terms per summed factor.  The modal
+# series' terms are its modes (on an even time grid it forms no array of
+# that size, on any other grid and for the rate one cosine table of 8
+# bytes an entry; the largest in use is 801 x 2000), the pole sum's its
+# roots, one real exponential per time and root (801 x 21 at T = 2).
 MAX_MODAL_TERMS = 10**7
 
 
@@ -85,12 +89,40 @@ def phi_integral(alphas) -> np.ndarray:
     return 2.0 * np.sin(0.5 * a) / a
 
 
+def check_terms(n_times: int, n_terms: int, what: str, terms: str) -> None:
+    """ConfigError if n_times what x n_terms terms pass MAX_MODAL_TERMS, the sum engines' one bound."""
+    if n_times * n_terms > MAX_MODAL_TERMS:
+        raise ConfigError(f"{what} x {terms} must be at most {MAX_MODAL_TERMS}, got {n_times} x"
+                          f" {n_terms}: a sum engine's work grows as {what} x {terms}")
+
+
+def _times(t, refusal: str = "t* must be non-negative") -> np.ndarray:
+    """t as a float array, refused with refusal unless every entry is t >= 0 (NaN is refused)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise InvalidInput(refusal)
+    return t
+
+
 def sample_times(tgrid) -> np.ndarray:
     """The sample times of a series: a 1-d array of finite t >= 0."""
+    refusal = "a series needs a 1-d array of finite times t >= 0"
     t = np.asarray(tgrid, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0):
-        raise InvalidInput("a series needs a 1-d array of finite times t >= 0")
-    return t
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise InvalidInput(refusal)
+    return _times(t, refusal)
+
+
+def sum_series(t, sums, probes, params: Params, meta: dict) -> TimeSeries:
+    """A sum engine's TimeSeries at times t from modal_sums' (sigma, columns, conservation).
+
+    The sums were taken at z* = 1/2, whose column is the wall density
+    (surface), then at probes, whose columns are keyed by float z*.
+    """
+    sigma, columns, cons = sums
+    return TimeSeries(t=t, sigma=sigma, surface=columns[0],
+                      probes={float(z): column for z, column in zip(probes, columns[1:])},
+                      conservation=cons, params=params, meta=meta)
 
 
 def modal_sums(contract, freq, wall, n_eq, sigma_eq, N0, probes=()):
@@ -285,14 +317,6 @@ class SpectralSolution:
         return 0.5 * phi_integral(self.alphas)
 
 
-def _times(t) -> np.ndarray:
-    """t as a float array, refused unless every entry is t >= 0 (NaN is refused)."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise InvalidInput("t* must be non-negative")
-    return t
-
-
 def _contraction(sol: SpectralSolution, t, rate: bool = False):
     """f -> S(f) = Re(sum_k (S1 e^{mu1 t} + S2 e^{mu2 t})_k f_k), or its t-derivative.
 
@@ -411,10 +435,8 @@ def solve_spectral(
     |mass + 2 sigma - N0| at t* = 0.  The mass is
     the exact slab integral, so the residual is rounding only: sigma is
     defined by the modewise balance, which makes conservation an identity
-    of the modal series at any mode count.
+    of the modal series at any mode count.  find_eigenvalues refuses B = 0.
     """
-    if not p.B > 0:
-        raise InvalidInput("the modal engine requires B > 0; use the parabolic solver")
     roots = find_eigenvalues(p, mode_count)
     # contiguous copies of the record's columns, which the modal sums read
     alphas, anchors, mu1, mu2 = (roots[name].copy() for name in roots.dtype.names)
@@ -458,18 +480,7 @@ def to_series(sol: SpectralSolution, tgrid, probes=()) -> TimeSeries:
     spatial rows: eval_density evaluates the field at any (z*, t*).
     """
     t = sample_times(tgrid)
-    sigma, columns, cons = modal_sums(_contraction(sol, t), sol.alphas, sol.wall, sol.n_eq,
-                                      sol.sigma_eq, sol.params.N0, np.concatenate(([0.5], probes)))
-    return TimeSeries(
-        t=t,
-        sigma=sigma,
-        surface=columns[0],
-        probes={float(z): column for z, column in zip(probes, columns[1:])},
-        conservation=cons,
-        params=sol.params,
-        meta={
-            "engine": "spectral",
-            "mode_count": sol.alphas.size,
-            "diagnostics": dict(sol.diagnostics),
-        },
-    )
+    sums = modal_sums(_contraction(sol, t), sol.alphas, sol.wall, sol.n_eq, sol.sigma_eq,
+                      sol.params.N0, np.concatenate(([0.5], probes)))
+    meta = {"engine": "spectral", "mode_count": sol.alphas.size, "diagnostics": dict(sol.diagnostics)}
+    return sum_series(t, sums, probes, sol.params, meta)

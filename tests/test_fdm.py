@@ -341,6 +341,24 @@ class TestRunFdm:
             (ser,) = march([row0], [p], grid(RING - 1), max_rows=RING)
         assert not np.all(np.isfinite(ser.rows))
 
+    @pytest.mark.parametrize("wall", [1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("n_batch, point", [
+        (1, ""), (2, " of batch point 1 (A=0.01, L=1, N0=3)")])
+    def test_wall_divergence_named(self, wall, n_batch, point):
+        # the interior stays below the ceiling 1e100 N0 and the wall value
+        # reaches it, passes it or is not a number: the wall node is named
+        p = Params(A=0.01, B=0.1, L=1.0, N0=3.0)
+        grid = Grid.from_lambda(16, 0.05, 0.02)
+        ceiling = 1e100 * p.N0
+        rows = np.full((n_batch, grid.n_z + 1), 0.9 * ceiling)
+        rows[-1, -1] = wall * ceiling
+        with pytest.raises(StabilityError) as err:
+            fdm._check_divergence(7, rows, [ceiling] * n_batch, [p] * n_batch, grid)
+        assert str(err.value) == (
+            f"wall density diverging at level j=7{point} (lambda={grid.lam:.4g}, B=0.1);"
+            " reduce lambda"
+        )
+
     def test_wave_batch_mixes_B(self):
         # each row of a batch meets its own B
         ps = [Params(A=0.01, B=0.1, L=1.0, N0=3.0), Params(A=0.01, B=0.5, L=1.0, N0=3.0)]

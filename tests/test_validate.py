@@ -1,5 +1,6 @@
 """Engine comparison against the exact diffusive reference, and series audits."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypersorb.errors import InvalidInput
 from hypersorb.fdm import Grid, default_lambda, march, run_fdm
 from hypersorb.params import Params, equilibrium, sample_initial, step_ic
 from hypersorb.series import thin_indices
+from hypersorb.seriesio import read_series_csv, write_series_csv
 from hypersorb.spectral import solve_spectral, to_series
 from hypersorb.validate import audit_conservation, audit_kinetics, compare_engines, run_parabolic
 
@@ -98,6 +100,21 @@ class TestCompareEngines:
         with pytest.raises(InvalidInput, match="sigma_tol required"):
             compare_engines(bare, bare, tgrid)
         assert compare_engines(bare, bare, tgrid, sigma_tol=0.1).passed
+
+    def test_series_without_residual_reports_nan(self, parabolic_reference, tmp_path):
+        # a series read back from CSV carries no conservation residual, so the
+        # report gives NaN for it, and the other series' largest residual
+        path = tmp_path / "parabolic.csv"
+        write_series_csv(parabolic_reference, path)
+        a, b = read_series_csv(path), read_series_csv(path)
+        assert a.conservation is None and b.conservation is None
+        tgrid = np.linspace(0.1, 1.0, 11)
+        rep = compare_engines(a, b, tgrid, sigma_tol=0.1)
+        assert math.isnan(rep.conservation_a) and math.isnan(rep.conservation_b)
+        assert rep.max_sigma_dev == 0.0 and rep.passed
+        mixed = compare_engines(a, parabolic_reference, tgrid)
+        assert math.isnan(mixed.conservation_a)
+        assert mixed.conservation_b == float(np.max(parabolic_reference.conservation))
 
     def test_report_serializes(self, parabolic_reference):
         rep = compare_engines(parabolic_reference, parabolic_reference,
