@@ -28,6 +28,7 @@ says so.  Other files, JSON artifacts in one tree only, and CSVs that are
 no series, are skipped.
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -126,12 +127,13 @@ def compare_json(name: str, a, b) -> tuple[str, float | None]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print("usage: series_diff.py OUT_A OUT_B", file=sys.stderr)
-        return 2
-    trees = [series_csvs(Path(arg)) for arg in argv]
-    documents = [json_artifacts(Path(arg)) for arg in argv]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("OUT_A", help="an output tree of scripts/artifact_hashes.py")
+    parser.add_argument("OUT_B", help="another such tree, compared against OUT_A")
+    args = parser.parse_args(argv)
+    dirs = [args.OUT_A, args.OUT_B]
+    trees = [series_csvs(Path(arg)) for arg in dirs]
+    documents = [json_artifacts(Path(arg)) for arg in dirs]
     failed, largest = False, 0.0
     for name in sorted(set(trees[0]) | set(trees[1]) | (set(documents[0]) & set(documents[1]))):
         if name in documents[0]:
@@ -140,7 +142,7 @@ def main(argv=None) -> int:
             failed = failed or change is None
             continue
         if name not in trees[0] or name not in trees[1]:
-            print(f"{name}: only in {argv[0] if name in trees[0] else argv[1]}")
+            print(f"{name}: only in {dirs[0] if name in trees[0] else dirs[1]}")
             failed = True
             continue
         line, change = compare(name, trees[0][name], trees[1][name])

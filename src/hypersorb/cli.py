@@ -21,7 +21,6 @@ from .errors import ConfigError, HypersorbError, InvalidInput
 from .params import InitialCondition, Params, PhysicalInputs, from_physical, parabolic_ic, sampled_ic, step_ic
 from .series import thin_series
 from .seriesio import probe_column, write_csv, write_json, write_series_csv, write_text
-from .spectral import MAX_MODAL_TERMS  # noqa: F401  (the bound of spectral.check_terms)
 
 OUTDIR_ENV = "HYPERSORB_OUTDIR"
 
@@ -73,7 +72,7 @@ class RunConfig:
     T: float | None = None
     n_z: int = 200
     lam: float | None = None
-    modes: int = 50
+    modes: int = eigen.DEFAULT_MODE_COUNT
     samples: int = 801
     probes: list[float] = field(default_factory=lambda: [0.0, 0.25, 0.45])
     outdir: str | None = None
@@ -255,27 +254,19 @@ def _outdir(cfg: RunConfig) -> str:
     return path
 
 
-def _require_relaxation(p: Params, what: str, modal: bool) -> None:
-    """Refuse B = 0 for what (the parabolic engine's limit), and for modal roots an A^2 that overflows."""
-    if not p.B > 0:
-        raise ConfigError(f"{what} requires B > 0; B = 0 is classical diffusion, which the"
-                          " parabolic engine solves exactly")
-    if modal and p.A * p.A == math.inf:
-        raise ConfigError(f"{what} requires a finite A^2, got A = {p.A!r}")
-
-
 def _grid(cfg: RunConfig, engine: str, p: Params, n_points: int = 1):
     """What engine evaluates p on, checked before any engine runs.
 
-    fdm and spectral refuse B = 0, spectral also an A whose square overflows.
+    fdm refuses B = 0 (fdm.default_lambda and fdm.check_grid), and spectral
+    also an A whose square overflows (eigen.check_params).
     fdm marches a Grid, checked for a march of n_points rows; spectral and
     parabolic evaluate --samples times over the horizon, and the parabolic
     pole sum's samples x roots, and under compare its report times x roots,
     are held to the sum engines' one bound by poles.check_terms (spectral's
     samples x modes is checked with the configuration).
     """
-    if engine != "parabolic":
-        _require_relaxation(p, f"the {engine} engine", engine == "spectral")
+    if engine == "spectral":
+        eigen.check_params(p, "the spectral engine")
     T = cfg.horizon(p)
     if engine == "fdm":
         lam = cfg.lam if cfg.lam is not None else fdm.default_lambda(p.B)
@@ -434,7 +425,7 @@ def cmd_eigen_dump(cfg: RunConfig, alpha_min: float, alpha_max: float, points: i
             f" points = {points}, alpha-min = {alpha_min!r}, alpha-max = {alpha_max!r}"
         )
     p = cfg.resolved_params()
-    _require_relaxation(p, "eigen-dump", True)
+    eigen.check_params(p, "eigen-dump")
     outdir = _outdir(cfg)
     path = os.path.join(outdir, f"{cfg.name}_eigen_grid.csv")
     table = eigen.eigen_grid(p, np.linspace(alpha_min, alpha_max, points))

@@ -60,8 +60,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BracketingError, InvalidInput
-from .params import Params, alpha_critical
+from .errors import BracketingError, ConfigError, InvalidInput
+from .params import Params, alpha_critical, require_relaxation
 from .rootfind import bracketed_roots, half_turns
 
 # eigen_grid masks alpha this close to a pole of tan(alpha/2)
@@ -177,6 +177,14 @@ def _breakpoints(p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return at, left, right
 
 
+def check_params(p: Params, what: str = "the eigenvalue set") -> None:
+    """ConfigError unless p has roots for what: B > 0 (params.require_relaxation) and finite A^2."""
+    require_relaxation(p.B, what)
+    if p.A * p.A == math.inf:
+        # den = (2B - A)^2 + A^2 q is then inf - inf wherever q < 0
+        raise ConfigError(f"{what} requires a finite A^2, got A = {p.A!r}")
+
+
 def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> Roots:
     """First ``count`` roots of the continued secular equation, ascending.
 
@@ -190,17 +198,11 @@ def find_eigenvalues(p: Params, count: int = DEFAULT_MODE_COUNT) -> Roots:
     within BRACKET_TOL.  Each interval yields at least one root (the one
     holding the kinetic pole may yield two) or raises BracketingError.
     Roots within CRITICAL_NUDGE of alpha_c are pushed off the degenerate
-    point so both exponents stay distinct.  B = 0, and an A whose square
-    overflows, are refused with InvalidInput.
+    point so both exponents stay distinct.  check_params refuses p first.
     """
+    check_params(p)
     if not isinstance(count, Integral) or count < 1:
         raise InvalidInput(f"count must be an integer of at least 1, got {count!r}")
-    if not p.B > 0:
-        raise InvalidInput("the eigenvalue set requires B > 0; use the parabolic engine"
-                           " (hypersorb.poles)")
-    if p.A * p.A == math.inf:
-        # den = (2B - A)^2 + A^2 q is then inf - inf wherever q < 0
-        raise InvalidInput(f"the eigenvalue set requires a finite A^2, got A = {p.A!r}")
     m = np.arange(1, count + 1)
     lo, hi = (2 * m - 1) * math.pi, (2 * m + 1) * math.pi
     at, left, right = _breakpoints(p)

@@ -6,7 +6,7 @@ class HypersorbError(Exception):
 
 
 class InvalidInput(HypersorbError, ValueError):
-    """A user-supplied value violates a documented precondition."""
+    """A user-supplied value violates a documented precondition; ConfigError is one kind."""
 
 
 class BracketingError(HypersorbError, RuntimeError):
@@ -25,5 +25,5 @@ class StabilityError(HypersorbError, RuntimeError):
     """The explicit scheme produced non-finite values (time step too large)."""
 
 
-class ConfigError(HypersorbError, ValueError):
-    """Run configuration is inconsistent or incomplete."""
+class ConfigError(InvalidInput):
+    """Invalid input no run starts from (a bad configuration, or B = 0 for a wave engine); CLI exit 2."""

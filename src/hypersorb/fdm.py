@@ -17,8 +17,8 @@ parameter set, and sets on one grid, whatever their B, advance as one
 a batch row is bit-identical to a march of its set alone.  The runners
 (run_fdm and run_fdm_batch) sample the initial condition, store 401 rows
 and refuse, through check_grid, a grid they cannot march; other marches,
-such as one with every level stored, call march directly.  The diffusive
-(B = 0) limit is not marched: hypersorb.poles sums it exactly.
+such as one with every level stored, call march directly.  B = 0, which
+hypersorb.poles sums exactly, is refused by params.require_relaxation.
 
 At the sizes in use numpy's per-call cost outweighs the arithmetic, so
 each ring slot gets a pre-bound level program once per march: partials of
@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInput, StabilityError
-from .params import InitialCondition, Params, sample_initial
+from .params import InitialCondition, Params, check_positions, require_relaxation, sample_initial
 from .series import TimeSeries, thin_indices
 
 # most level rows held by the marching kernel: level j is written into slot
@@ -142,15 +142,13 @@ class Grid:
 
 def default_lambda(B: float) -> float:
     """Step ratio used when the caller does not pin one: min(sqrt(B)/2, cap)."""
-    if not B > 0:
-        raise ConfigError("default_lambda requires B > 0")
+    require_relaxation(B, "the fdm engine")
     return min(0.5 * math.sqrt(B), LAMBDA_CAP)
 
 
 def check_grid(grid: Grid, B: float, n_points: int = 1) -> None:
-    """Refuse with ConfigError a grid unstable at B (a batch's least) or past MAX_RECORD."""
-    if not B > 0:
-        raise ConfigError("run_fdm requires B > 0; use the parabolic engine (hypersorb.poles)")
+    """Refuse with ConfigError B = 0, a grid unstable at B (a batch's least) or past MAX_RECORD."""
+    require_relaxation(B, "the fdm engine")
     if grid.lam > math.sqrt(B):
         raise ConfigError(f"lambda = {grid.lam:.4g} exceeds the stability bound sqrt(B) = "
                           f"{math.sqrt(B):.4g}; reduce lambda")
@@ -320,11 +318,8 @@ def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
     """Linear interpolation stencils (probe, left index, right weight)."""
     out = []
     h = zgrid[1] - zgrid[0]
-    for z in probes:
-        az = abs(float(z))
-        if not az <= 0.5 + 1e-12:
-            raise InvalidInput(f"probe z* = {z} outside [-1/2, 1/2]")
-        az = min(az, 0.5)
+    for z in check_positions(probes):
+        az = min(abs(float(z)), 0.5)
         i = min(int(az / h), zgrid.size - 2)
         w = (az - zgrid[i]) / h
         out.append((float(z), i, float(w)))
@@ -370,9 +365,7 @@ def march(rows0, ps, grid: Grid, probes=(), max_rows: int = STORED_ROWS) -> list
     n_batch, n_nodes, n_t = len(ps), grid.n_z + 1, grid.n_t
     if not ps or rows0.shape != (n_batch, n_nodes):
         raise InvalidInput("a batch needs one start row of n_z+1 nodes per parameter set")
-    if not min(p.B for p in ps) > 0:
-        raise ConfigError("the hyperbolic engine requires B > 0; use the parabolic engine"
-                          " (hypersorb.poles)")
+    require_relaxation(min(p.B for p in ps), "the fdm engine")
     constants = [_wall_constants(p, grid) for p in ps]
     zgrid, h = grid.zgrid(), grid.h
     n_levels = n_t + 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import ConfigError, InvalidInput
 
 # relative tolerance applied to user-supplied (sampled) initial data
 SAMPLED_RTOL = 1e-6
@@ -102,6 +102,13 @@ def equilibrium(p: Params) -> tuple[float, float]:
     n_eq = p.N0 / (1.0 + 2.0 * p.L)
     sigma_eq = p.N0 * p.L / (1.0 + 2.0 * p.L)
     return n_eq, sigma_eq
+
+
+def require_relaxation(B: float, what: str) -> None:
+    """ConfigError unless B > 0, the wave regime that what (an engine or command) needs."""
+    if not B > 0:
+        raise ConfigError(f"{what} requires B > 0; B = 0 is classical diffusion, which the"
+                          " parabolic engine (hypersorb.poles) solves exactly")
 
 
 def wave_speed(p: Params) -> float:
@@ -211,6 +218,15 @@ def _validate_sampled(ic: InitialCondition, p: Params) -> None:
         )
 
 
+def check_positions(z) -> np.ndarray:
+    """z as a float array; InvalidInput naming the first z* outside [-1/2, 1/2] (to 1e-12)."""
+    z = np.asarray(z, dtype=float)
+    outside = ~(np.abs(z) <= 0.5 + 1e-12)
+    if outside.any():
+        raise InvalidInput(f"z* = {float(z[outside][0])} outside [-1/2, 1/2]")
+    return z
+
+
 def sample_initial(ic: InitialCondition, p: Params, zgrid) -> np.ndarray:
     """Evaluate the initial profile on ``zgrid`` (points in [-1/2, 1/2]).
 
@@ -218,9 +234,7 @@ def sample_initial(ic: InitialCondition, p: Params, zgrid) -> np.ndarray:
     everywhere else; the smooth profiles are evaluated in closed form;
     sampled data is validated and interpolated.
     """
-    zgrid = np.asarray(zgrid, dtype=float)
-    if not np.all(np.abs(zgrid) <= 0.5 + 1e-12):
-        raise InvalidInput("zgrid points must lie within [-1/2, 1/2]")
+    zgrid = check_positions(zgrid)
     az = np.abs(zgrid)
     if ic.kind == "step":
         out = np.full(zgrid.shape, float(p.N0))

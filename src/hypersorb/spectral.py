@@ -42,7 +42,7 @@ import numpy as np
 
 from .eigen import DEFAULT_MODE_COUNT, find_eigenvalues
 from .errors import ConfigError, DegenerateBasisError, DegenerateModeError, InvalidInput
-from .params import InitialCondition, Params, cosine_moment, equilibrium, sample_initial
+from .params import InitialCondition, Params, check_positions, cosine_moment, equilibrium, sample_initial
 from .series import TimeSeries
 
 # Gram matrices whose condition bound exceeds this are rejected
@@ -138,9 +138,7 @@ def modal_sums(contract, freq, wall, n_eq, sigma_eq, N0, probes=()):
     both: 2 S(wall) is S(2 wall) bit for bit, since scaling by 2 is exact
     short of subnormals.
     """
-    z = [np.asarray(zi, dtype=float) for zi in probes]
-    if not all(np.all(np.abs(zi) <= 0.5 + 1e-12) for zi in z):
-        raise InvalidInput("z* must lie within [-1/2, 1/2]")
+    z = [check_positions(zi) for zi in probes]
     share = contract(wall)
     sigma = sigma_eq - share
     columns = [n_eq + contract(np.cos(np.multiply.outer(zi, freq))) for zi in z]
@@ -435,7 +433,7 @@ def solve_spectral(
     |mass + 2 sigma - N0| at t* = 0.  The mass is
     the exact slab integral, so the residual is rounding only: sigma is
     defined by the modewise balance, which makes conservation an identity
-    of the modal series at any mode count.  find_eigenvalues refuses B = 0.
+    of the modal series at any mode count.  eigen.check_params refuses p.
     """
     roots = find_eigenvalues(p, mode_count)
     # contiguous copies of the record's columns, which the modal sums read

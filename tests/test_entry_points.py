@@ -23,7 +23,8 @@ def test_every_public_name_resolves():
     assert [name for name in hypersorb.__all__ if not hasattr(hypersorb, name)] == []
 
 
-@pytest.mark.parametrize("script", ["landmarks.py", "convergence.py", "artifact_hashes.py"])
+@pytest.mark.parametrize("script", ["landmarks.py", "convergence.py", "artifact_hashes.py",
+                                    "series_diff.py"])
 def test_script_imports(script, monkeypatch):
     # imported under its own name, not __main__, so none of its work runs;
     # artifact_hashes.py also binds perfbench's harness names by import
@@ -33,9 +34,11 @@ def test_script_imports(script, monkeypatch):
     spec.loader.exec_module(module)
 
 
-@pytest.mark.parametrize("script", ["landmarks.py", "artifact_hashes.py", "convergence.py"])
+@pytest.mark.parametrize("script", ["landmarks.py", "artifact_hashes.py", "convergence.py",
+                                    "series_diff.py"])
 def test_script_help_writes_nothing(script, tmp_path):
-    # --help is not an outdir: usage on stdout, exit 0, no file made in the cwd
+    # --help is not an outdir (nor, for series_diff.py, a tree): usage on stdout,
+    # exit 0, no file made in the cwd
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"], cwd=tmp_path,

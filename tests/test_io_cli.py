@@ -1247,14 +1247,14 @@ class TestCli:
         monkeypatch.setattr(cli.spectral, "solve_spectral", no_modal_work)
         monkeypatch.setattr(cli.spectral, "to_series", no_modal_work)
         modes = 50
-        samples = cli.MAX_MODAL_TERMS // modes + 1
+        samples = spectral.MAX_MODAL_TERMS // modes + 1
         args = [*command, "--A", "0.01", "--B", "0.1", "--N0", "3", "--T", "0.02", "--n-z", "16",
                 "--modes", str(modes), "--samples", str(samples), "--outdir", str(tmp_path)]
         if command[0] != "sweep":
             args += ["--L", "1"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: samples x modes must be at most {cli.MAX_MODAL_TERMS}")
+        assert err.startswith(f"configuration error: samples x modes must be at most {spectral.MAX_MODAL_TERMS}")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [
@@ -1281,7 +1281,7 @@ class TestCli:
         args += [] if "sweep" in command else ["--L", "1"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: samples x roots must be at most {cli.MAX_MODAL_TERMS},"
+        assert err.startswith(f"configuration error: samples x roots must be at most {spectral.MAX_MODAL_TERMS},"
                               f" got {terms}")
         assert not (tmp_path / "out").exists()
 
@@ -1298,7 +1298,7 @@ class TestCli:
                      "--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: report times x roots must be at most"
-                              f" {cli.MAX_MODAL_TERMS}, got 401 x 4501582")
+                              f" {spectral.MAX_MODAL_TERMS}, got 401 x 4501582")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [("run", "--engine", "parabolic"),
@@ -1326,13 +1326,13 @@ class TestCli:
 
     def test_modal_table_bound_is_inclusive_and_modal_only(self):
         modes = 50
-        at_bound = ["--modes", str(modes), "--samples", str(cli.MAX_MODAL_TERMS // modes)]
-        past = ["--modes", str(modes), "--samples", str(cli.MAX_MODAL_TERMS // modes + 1)]
+        at_bound = ["--modes", str(modes), "--samples", str(spectral.MAX_MODAL_TERMS // modes)]
+        past = ["--modes", str(modes), "--samples", str(spectral.MAX_MODAL_TERMS // modes + 1)]
         parser = make_parser()
         cfg = build_config(parser.parse_args(["run", "--engine", "spectral", *at_bound]))
-        assert cfg.samples * cfg.modes == cli.MAX_MODAL_TERMS
+        assert cfg.samples * cfg.modes == spectral.MAX_MODAL_TERMS
         for args in (["run", "--engine", "fdm", *past], ["compare", "--pair", "parabolic,fdm", *past]):
-            assert build_config(parser.parse_args(args)).samples == cli.MAX_MODAL_TERMS // modes + 1
+            assert build_config(parser.parse_args(args)).samples == spectral.MAX_MODAL_TERMS // modes + 1
         with pytest.raises(cli.ConfigError, match="samples x modes"):
             build_config(parser.parse_args(["compare", "--pair", "fdm,spectral", *past]))
 

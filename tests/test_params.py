@@ -1,8 +1,9 @@
-"""Parameter mapping, equilibrium state and initial-condition handling."""
+"""Parameter mapping, equilibrium state, initial-condition handling and the shared refusals."""
 
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hypersorb import poles
+from hypersorb import eigen, fdm, params, poles, spectral
 from hypersorb.eigen import find_eigenvalues
-from hypersorb.errors import InvalidInput
+from hypersorb.errors import ConfigError, InvalidInput
 from hypersorb.params import (
     InitialCondition,
     Params,
@@ -353,3 +354,66 @@ class TestParamsValidation:
         # inf/inf = NaN at N0 = 3, sigma_eq = 0 in place of 1/2 at N0 = 1, N0 L alone at 5e307
         with pytest.raises(InvalidInput, match="2 L and N0 L must be finite"):
             Params(A=1.0, B=0.1, L=L, N0=N0)
+
+
+WAVE = Params(A=0.01, B=0.1, L=1.0, N0=3.0)
+DIFFUSIVE = replace(WAVE, B=0.0)
+GRID = fdm.Grid.from_lambda(16, 0.05, 0.02)
+
+
+def relaxation_refusal(what: str) -> str:
+    return (f"{what} requires B > 0; B = 0 is classical diffusion, which the parabolic engine"
+            " (hypersorb.poles) solves exactly")
+
+
+class TestSharedRefusals:
+    """A rule several engines share is stated once, in the module that owns it.
+
+    The wave regime B > 0 (params.require_relaxation), the finite A^2 of the
+    eigenvalue set (eigen.check_params) and the slab positions
+    (params.check_positions) each refuse with one text wherever they apply.
+    """
+
+    @pytest.mark.parametrize("refused, text", [
+        pytest.param(lambda: fdm.default_lambda(0.0), relaxation_refusal("the fdm engine"),
+                     id="default_lambda"),
+        pytest.param(lambda: fdm.check_grid(GRID, 0.0), relaxation_refusal("the fdm engine"),
+                     id="check_grid"),
+        pytest.param(lambda: fdm.march([sample_initial(step_ic(), WAVE, GRID.zgrid())] * 2,
+                                       [WAVE, DIFFUSIVE], GRID),
+                     relaxation_refusal("the fdm engine"), id="march-batch"),
+        pytest.param(lambda: fdm.run_fdm(DIFFUSIVE, step_ic(), GRID),
+                     relaxation_refusal("the fdm engine"), id="run_fdm"),
+        pytest.param(lambda: find_eigenvalues(DIFFUSIVE, 5), relaxation_refusal("the eigenvalue set"),
+                     id="find_eigenvalues"),
+        pytest.param(lambda: spectral.solve_spectral(DIFFUSIVE, step_ic(), 5),
+                     relaxation_refusal("the eigenvalue set"), id="solve_spectral"),
+        pytest.param(lambda: eigen.check_params(replace(WAVE, A=1e300)),
+                     "the eigenvalue set requires a finite A^2, got A = 1e+300", id="finite-A-squared"),
+    ])
+    def test_wave_regime_refusal(self, refused, text):
+        # a configuration error, which is also invalid input, with the rule's one text
+        with pytest.raises(ConfigError) as caught:
+            refused()
+        assert isinstance(caught.value, InvalidInput)
+        assert str(caught.value) == text
+
+    @pytest.mark.parametrize("evaluate", [
+        pytest.param(lambda z: fdm.run_fdm(WAVE, step_ic(), GRID, probes=[z]), id="fdm-probes"),
+        pytest.param(lambda z: sample_initial(step_ic(), WAVE, [z]), id="sample_initial"),
+        pytest.param(lambda z: spectral.modal_sums(lambda f: f.sum(axis=-1), np.array([math.pi]),
+                                                   np.array([0.1]), 1.0, 0.5, 2.0, [z]),
+                     id="modal_sums"),
+    ])
+    def test_slab_position_rule(self, evaluate):
+        # the slab's faces are met to 1e-12
+        evaluate(0.5 + 5e-13)
+        with pytest.raises(InvalidInput) as caught:
+            evaluate(0.5 + 2e-12)
+        assert str(caught.value) == f"z* = {0.5 + 2e-12} outside [-1/2, 1/2]"
+
+    def test_positions_name_the_first_outside(self):
+        z = params.check_positions([0.25, -0.5, 0.5])
+        assert z.dtype == float and z.tolist() == [0.25, -0.5, 0.5]
+        with pytest.raises(InvalidInput, match=re.escape("z* = -0.7 outside [-1/2, 1/2]")):
+            params.check_positions([[0.25, -0.7], [0.9, math.nan]])
