@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every artifact of the benchmark commands, one eigen-dump and one compare.
+"""Print the sha256 of every artifact of the benchmark commands and of five fixed ones.
 
 Usage, from the root of a checkout:
 
@@ -11,11 +11,16 @@ the argv the benchmark builds for it (``WORKLOADS``, ``resolve_inputs`` and
 ``eigen-dump`` tabulates the secular functions on its default alpha grid at
 the secular-landmark set A = 0.5, B = 1e-3, L = 0.1, and the README's
 ``compare --pair spectral,fdm`` runs: the one command that evaluates the
-modal series twice, at ``--samples`` and at the report's times.  Last, an
+modal series twice, at ``--samples`` and at the report's times.  Then an
 ``fdm`` run takes the wave-timing set in laboratory units (A = 0.01,
 B = 0.1, L = 1, N0 = 3 through ``params.from_physical``), and another
 marches that set from the parabolic initial profile (``--ic parabolic``).
-These four are ``EXTRA``, and none reads SEED.
+Last, ``sampled_ic`` writes a fixed full-slab profile into its own outdir
+(``write_profile``: even, of mass N0 = 3, no node at z* = 0, 17
+significant digits) and runs the README's compare from it (``--ic sampled
+--ic-file``), so that folding sampled data, its cosine moments and its
+interpolation are covered; the profile is listed with its artifacts.
+These five are ``EXTRA``, and none reads SEED.
 Command w writes into OUTDIR/w (default out/artifact_hashes/w), which is
 emptied first.  One line ``w/file sha256`` is printed per artifact, in
 sorted order; the benchmark's lines come first.
@@ -46,13 +51,15 @@ if __name__ == "__main__":
     # single-threaded BLAS, as in the benchmark, set before numpy is imported
     os.environ.update(PINNED_THREADS)
 
+import numpy as np  # noqa: E402
 from harness import WORKLOADS, command_argv, resolve_inputs  # noqa: E402
 
 from hypersorb import cli  # noqa: E402
 
 # the commands beside the benchmark's, by name: the secular-equation table at
 # the secular-landmark set, the README's cross-validation of two engines, one
-# run from physical inputs and one from the parabolic initial profile
+# run from physical inputs, one from the parabolic initial profile, and that
+# cross-validation from sampled data (its --ic-file is added by command)
 EXTRA = {
     "eigen_dump": ["eigen-dump", "--A", "0.5", "--B", "1e-3", "--L", "0.1", "--N0", "3",
                    "--name", "landmark"],
@@ -62,11 +69,28 @@ EXTRA = {
                  "--tau-a", "0.1", "--k-a", "1e-3", "--n0", "3e4", "--T", "2"],
     "parabolic_ic": ["run", "--engine", "fdm", "--ic", "parabolic", "--A", "0.01", "--B", "0.1",
                      "--L", "1", "--N0", "3", "--T", "2"],
+    "sampled_ic": ["compare", "--pair", "spectral,fdm", "--ic", "sampled", "--A", "1e-3",
+                   "--B", "0.1", "--L", "1", "--N0", "3", "--T", "2"],
 }
 
 
+def write_profile(path):
+    """sampled_ic's initial data, as z,value rows of 17 significant digits.
+
+    1 - 4 z*^2 on 40 evenly spaced nodes of the full slab, none at z* = 0,
+    scaled to trapezoidal mass N0 = 3.
+    """
+    z = np.linspace(-0.5, 0.5, 40)
+    v = 1.0 - 4.0 * z * z
+    v *= 3.0 / np.trapezoid(v, z)
+    np.savetxt(path, np.column_stack((z, v)), fmt="%.17g", delimiter=",")
+
+
 def command(name, target, seed):
-    """The argv of command name, writing into target."""
+    """The argv of command name, writing into target (sampled_ic's profile is written first)."""
+    if name == "sampled_ic":
+        write_profile(target / "profile.csv")
+        return [*EXTRA[name], "--ic-file", str(target / "profile.csv"), "--outdir", str(target)]
     if name in EXTRA:
         return [*EXTRA[name], "--outdir", str(target)]
     workload = WORKLOADS[name]

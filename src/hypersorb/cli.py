@@ -111,7 +111,7 @@ class RunConfig:
                 data = np.loadtxt(self.ic_file, delimiter=",", comments="#", ndmin=2)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read ic_file {self.ic_file!r}: {exc}") from exc
-            if data.shape[1] < 2:
+            if data.shape[1] != 2:
                 raise ConfigError(
                     f"ic_file {self.ic_file!r} has {data.shape[1]} column(s); it needs two: z,value"
                 )
@@ -139,11 +139,10 @@ class RunConfig:
         if not self.name or any(sep and sep in self.name for sep in (os.sep, os.altsep, "\0")):
             raise ConfigError(f"name must be a nonempty file name without a path separator,"
                               f" got {self.name!r}")
+        params.check_positions(self.probes, "probe z*")
         # a series keys its probes by z*, which holds 0 and -0 as one
         columns = [probe_column(z + 0.0) for z in self.probes]
         for i, (z, column) in enumerate(zip(self.probes, columns)):
-            if not abs(z) <= 0.5:
-                raise ConfigError(f"probe z* = {z} outside [-1/2, 1/2]")
             if column in columns[:i]:
                 raise ConfigError(
                     f"probes {self.probes[columns.index(column)]!r} and {z!r} both name column"

@@ -26,4 +26,7 @@ class StabilityError(HypersorbError, RuntimeError):
 
 
 class ConfigError(InvalidInput):
-    """Invalid input no run starts from (a bad configuration, or B = 0 for a wave engine); CLI exit 2."""
+    """Invalid input no run starts from; CLI exit 2.
+
+    A bad configuration, B = 0 for a wave engine, or a z* outside the slab.
+    """

@@ -315,11 +315,11 @@ def apply_surface(row: np.ndarray, sigma_prev: float, grid: Grid, p: Params) -> 
 
 
 def _probe_weights(probes, zgrid: np.ndarray) -> list[tuple[float, int, float]]:
-    """Linear interpolation stencils (probe, left index, right weight)."""
+    """Linear interpolation stencils (probe, left index, right weight) at |z*|, z* in the slab."""
     out = []
     h = zgrid[1] - zgrid[0]
     for z in check_positions(probes):
-        az = min(abs(float(z)), 0.5)
+        az = abs(float(z))
         i = min(int(az / h), zgrid.size - 2)
         w = (az - zgrid[i]) / h
         out.append((float(z), i, float(w)))

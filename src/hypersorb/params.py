@@ -1,7 +1,8 @@
 """Dimensionless model: parameter groups, equilibrium state and initial data.
 
 The slab occupies -1/2 <= z* <= 1/2 in reduced coordinates, with identical
-adsorbing walls at both faces.  Everything downstream works with four
+adsorbing walls at both faces (check_positions, exact); even sampled data is
+stored on the half slab.  Everything downstream works with four
 dimensionless groups:
 
     A  = tau_a / tau_D   desorption time over diffusion time,
@@ -138,7 +139,9 @@ class InitialCondition:
 
     kind is one of "step", "parabolic" or "sampled".  All kinds satisfy
     N(+-1/2, 0) = 0, carry total mass N0 and are even in z*; only sampled
-    data carries z and values: its arrays are checked here, its constraints on use.
+    data carries z and values.  Its arrays, walls and evenness (on the scale
+    max|values|) are checked here, and full-slab data is folded onto [0, 1/2]
+    (a node at z* = 0 interpolated if none); its mass, which needs N0, on use.
     """
 
     kind: str
@@ -160,9 +163,21 @@ class InitialCondition:
             raise InvalidInput("sampled z grid must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise InvalidInput("sampled initial values must be finite")
-        lo = 0.0 if z[0] >= -1e-12 else -0.5
+        full = z[0] < -1e-12
+        lo = -0.5 if full else 0.0
         if abs(z[0] - lo) > 1e-9 or abs(z[-1] - 0.5) > 1e-9:
             raise InvalidInput("sampled z grid must cover [0, 1/2] or [-1/2, 1/2]")
+        tol = SAMPLED_RTOL * float(np.max(np.abs(values)))
+        if abs(values[-1]) > tol or (full and abs(values[0]) > tol):
+            raise InvalidInput("sampled initial data must vanish at z* = +-1/2")
+        if full:
+            if np.max(np.abs(values - np.interp(-z, z, values))) > tol:
+                raise InvalidInput("sampled initial data must be even in z*")
+            keep = z >= -1e-12
+            zh, vh = z[keep], values[keep]
+            if zh[0] > 1e-12:
+                zh, vh = np.r_[0.0, zh], np.r_[np.interp(0.0, z, values), vh]
+            z, values = zh, vh
         for name, value in (("z", z), ("values", values)):
             object.__setattr__(self, name, value)
 
@@ -181,78 +196,55 @@ def sampled_ic(z, values) -> InitialCondition:
     """User-supplied profile on its own grid.
 
     The grid must be strictly increasing and cover either [0, 1/2] or
-    [-1/2, 1/2], and the values must be finite; values are interpreted per
-    unit N0 scaling of the caller (they are used as-is, constraints are
-    checked in sample_initial).
+    [-1/2, 1/2], and the values must be finite, vanish at the walls and,
+    over the full slab, be even in z*; they are used as given, and their
+    mass N0 is checked where a parameter set reads them.
     """
     return InitialCondition("sampled", z, values)
 
 
-def _half_profile(ic: InitialCondition) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled data on the half domain [0, 1/2], from a node at z* = 0 (interpolated if none)."""
-    z, v = ic.z, ic.values
-    if z[0] >= -1e-12:
-        return z, v
-    keep = z >= -1e-12
-    if z[keep][0] <= 1e-12:
-        return z[keep], v[keep]
-    return np.r_[0.0, z[keep]], np.r_[np.interp(0.0, z, v), v[keep]]
-
-
 def _validate_sampled(ic: InitialCondition, p: Params) -> None:
-    z, v = ic.z, ic.values
-    scale = max(float(np.max(np.abs(v))), p.N0)
-    # wall value must vanish
-    if abs(v[-1]) > SAMPLED_RTOL * scale or (z[0] < -1e-12 and abs(v[0]) > SAMPLED_RTOL * scale):
-        raise InvalidInput("sampled initial data must vanish at z* = +-1/2")
-    # even in z* when both halves are given
-    if z[0] < -1e-12:
-        mirrored = np.interp(-z, z, v)
-        if np.max(np.abs(v - mirrored)) > SAMPLED_RTOL * scale:
-            raise InvalidInput("sampled initial data must be even in z*")
-    zh, vh = _half_profile(ic)
-    mass = 2.0 * np.trapezoid(vh, zh)
+    """InvalidInput unless sampled data carries mass N0 of p (relative tolerance SAMPLED_RTOL)."""
+    mass = initial_mass(ic, p)
     if abs(mass - p.N0) > SAMPLED_RTOL * p.N0:
         raise InvalidInput(
             f"sampled initial data carries mass {mass:.9g}, expected N0 = {p.N0:.9g}"
         )
 
 
-def check_positions(z) -> np.ndarray:
-    """z as a float array; InvalidInput naming the first z* outside [-1/2, 1/2] (to 1e-12)."""
+def check_positions(z, what: str = "z*") -> np.ndarray:
+    """z as a float array; ConfigError naming, as what, the first entry not in |z| <= 1/2 (exact)."""
     z = np.asarray(z, dtype=float)
-    outside = ~(np.abs(z) <= 0.5 + 1e-12)
+    outside = ~(np.abs(z) <= 0.5)
     if outside.any():
-        raise InvalidInput(f"z* = {float(z[outside][0])} outside [-1/2, 1/2]")
+        raise ConfigError(f"{what} = {float(z[outside][0])} outside [-1/2, 1/2]")
     return z
 
 
 def sample_initial(ic: InitialCondition, p: Params, zgrid) -> np.ndarray:
     """Evaluate the initial profile on ``zgrid`` (points in [-1/2, 1/2]).
 
-    The step profile puts the value 0 exactly on wall nodes and N0
-    everywhere else; the smooth profiles are evaluated in closed form;
-    sampled data is validated and interpolated.
+    The step profile is 0 at |z*| = 1/2 and N0 everywhere else; the
+    smooth profiles are evaluated in closed form; sampled data has its mass
+    checked and is interpolated on its half-slab nodes at |z*|.
     """
     zgrid = check_positions(zgrid)
     az = np.abs(zgrid)
     if ic.kind == "step":
         out = np.full(zgrid.shape, float(p.N0))
-        out[az >= 0.5 - 1e-12] = 0.0
+        out[az == 0.5] = 0.0
         return out
     if ic.kind == "parabolic":
         return 1.5 * p.N0 * (1.0 - 4.0 * zgrid**2)
     _validate_sampled(ic, p)
-    zh, vh = _half_profile(ic)
-    return np.interp(az, zh, vh)
+    return np.interp(az, ic.z, ic.values)
 
 
 def initial_mass(ic: InitialCondition, p: Params) -> float:
     """Total mass of the initial profile over the full slab."""
     if ic.kind in ("step", "parabolic"):
         return float(p.N0)
-    zh, vh = _half_profile(ic)
-    return 2.0 * float(np.trapezoid(vh, zh))
+    return 2.0 * float(np.trapezoid(ic.values, ic.z))
 
 
 def _segment_cosine_integral(z, f, alpha):
@@ -267,8 +259,8 @@ def _segment_cosine_integral(z, f, alpha):
 def cosine_moment(ic: InitialCondition, p: Params, alpha):
     """Integral of N(z*, 0) cos(alpha z*) over the full slab [-1/2, 1/2], for each alpha.
 
-    Closed forms for the step and parabolic profiles; sampled data is
-    validated once and integrated exactly segment by segment.  Powers use
+    Closed forms for the step and parabolic profiles; sampled data has its
+    mass checked and is integrated exactly segment by segment.  Powers use
     float_power, the C library's pow, so that an array of alpha gives the
     bits of scalar calls (numpy's power may take a SIMD path).
     """
@@ -281,6 +273,5 @@ def cosine_moment(ic: InitialCondition, p: Params, alpha):
     if ic.kind == "parabolic":
         return 1.5 * p.N0 * (16.0 * np.sin(half) - 8.0 * alpha * np.cos(half)) / np.float_power(alpha, 3)
     _validate_sampled(ic, p)
-    zh, vh = _half_profile(ic)
-    parts = _segment_cosine_integral(zh, vh, alpha[..., None])
+    parts = _segment_cosine_integral(ic.z, ic.values, alpha[..., None])
     return 2.0 * np.sum(parts, axis=-1)

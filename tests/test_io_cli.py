@@ -479,6 +479,8 @@ class TestCli:
         pytest.param("0.5,0\n0.25,3\n0,6\n", "must be strictly increasing", id="decreasing"),
         pytest.param("0,6\n", "needs matching 1-d z and value arrays", id="one-row"),
         pytest.param("0,6\n0.25,3\n0.4,0\n", "must cover [0, 1/2] or [-1/2, 1/2]", id="short"),
+        pytest.param("0,6,1\n0.25,3,1\n0.5,0,1\n", "has 3 column(s); it needs two: z,value",
+                     id="three-columns"),
     ])
     def test_bad_initial_condition_refused_before_the_outdir(self, tmp_path, capsys, command, ic,
                                                               message):

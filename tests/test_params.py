@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hypersorb import eigen, fdm, params, poles, spectral
+from hypersorb.cli import main
 from hypersorb.eigen import find_eigenvalues
 from hypersorb.errors import ConfigError, InvalidInput
 from hypersorb.params import (
@@ -221,17 +222,27 @@ class TestSampleInitial:
         assert ic.z.dtype == ic.values.dtype == np.float64
         assert ic.values.tolist() == sampled_ic([0, 0.25, 0.5], [6, 6, 0]).values.tolist()
 
+    # wall values and evenness need no parameter set, so building the data refuses them
     def test_sampled_nonzero_wall(self):
         z = np.linspace(0, 0.5, 101)
         v = np.full(z.size, 3.0)
         with pytest.raises(InvalidInput, match="vanish"):
-            sample_initial(sampled_ic(z, v), self.p, np.array([0.0]))
+            sampled_ic(z, v)
 
     def test_sampled_asymmetry(self):
         z = np.linspace(-0.5, 0.5, 201)
         v = 1.5 * 3.0 * (1 - 4 * z * z) * (1 + 0.1 * z)
         with pytest.raises(InvalidInput, match="even"):
-            sample_initial(sampled_ic(z, v), self.p, np.array([0.0]))
+            sampled_ic(z, v)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(lambda z: np.full(z.size, 3.0), id="walls"),
+        pytest.param(lambda z: np.r_[1.0, np.zeros(z.size - 1)], id="left-wall"),
+    ])
+    def test_full_slab_walls_checked_when_built(self, values):
+        z = np.linspace(-0.5, 0.5, 201)
+        with pytest.raises(InvalidInput, match=re.escape("must vanish at z* = +-1/2")):
+            sampled_ic(z, values(z))
 
     def test_full_slab_data_without_a_node_at_zero_folded_there(self):
         # 100 nodes of [-1/2, 1/2], none at z* = 0: the segment across 0 is split
@@ -241,7 +252,11 @@ class TestSampleInitial:
         v *= 3.0 / np.trapezoid(v, z)
         ic = sampled_ic(z, v)
         keep = z > 0
-        half = sampled_ic(np.r_[0.0, z[keep]], np.r_[np.interp(0.0, z, v), v[keep]])
+        fold = np.r_[0.0, z[keep]], np.r_[np.interp(0.0, z, v), v[keep]]
+        # the data is stored folded, once, when it is built
+        assert ic.z[0] == 0.0
+        assert ic.z.tobytes() == fold[0].tobytes() and ic.values.tobytes() == fold[1].tobytes()
+        half = sampled_ic(*fold)
         assert initial_mass(ic, self.p) == pytest.approx(3.0, rel=1e-14)
         assert initial_mass(ic, self.p) == initial_mass(half, self.p)
         zg = np.linspace(-0.5, 0.5, 41)
@@ -257,6 +272,7 @@ class TestSampleInitial:
         v = 1.5 * (1 - 4 * z * z)
         v *= 3.0 / np.trapezoid(v, z)
         ic, half = sampled_ic(z, v), sampled_ic(z[50:], v[50:])
+        assert ic.z.tobytes() == z[50:].tobytes() and ic.values.tobytes() == v[50:].tobytes()
         assert initial_mass(ic, self.p) == initial_mass(half, self.p)
         zg = np.linspace(-0.5, 0.5, 41)
         assert sample_initial(ic, self.p, zg).tobytes() == sample_initial(half, self.p, zg).tobytes()
@@ -406,11 +422,35 @@ class TestSharedRefusals:
                      id="modal_sums"),
     ])
     def test_slab_position_rule(self, evaluate):
-        # the slab's faces are met to 1e-12
-        evaluate(0.5 + 5e-13)
-        with pytest.raises(InvalidInput) as caught:
-            evaluate(0.5 + 2e-12)
-        assert str(caught.value) == f"z* = {0.5 + 2e-12} outside [-1/2, 1/2]"
+        # exact: both faces belong to the slab, and the next float out of either does not
+        for face, text in ((0.5, "0.5000000000000001"), (-0.5, "-0.5000000000000001")):
+            evaluate(face)
+            with pytest.raises(ConfigError) as caught:
+                evaluate(np.nextafter(face, 2 * face))
+            assert isinstance(caught.value, InvalidInput)
+            assert str(caught.value) == f"z* = {text} outside [-1/2, 1/2]"
+
+    @pytest.mark.parametrize("face", [0.5, -0.5])
+    def test_slab_position_rule_of_cli_probes(self, tmp_path, capsys, face):
+        # the CLI applies the same rule, as a configuration error before the outdir is made
+        def run(z, out):
+            return main(["run", "--engine", "fdm", "--A", "0.01", "--B", "0.1", "--L", "1",
+                         "--N0", "3", "--T", "0.05", "--n-z", "16", f"--probes={z!r}",
+                         "--outdir", str(out)])
+
+        assert run(face, tmp_path / "in") == 0
+        outside = float(np.nextafter(face, 2 * face))
+        capsys.readouterr()
+        assert run(outside, tmp_path / "out") == 2
+        assert capsys.readouterr().err == (f"configuration error: probe z* = {outside!r} outside"
+                                           " [-1/2, 1/2]\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_step_profile_walls_are_the_faces(self):
+        # N0 one float inside either face, 0 on it
+        inside = float(np.nextafter(0.5, 0))
+        out = sample_initial(step_ic(), WAVE, [-0.5, -inside, 0.0, inside, 0.5])
+        assert out.tolist() == [0.0, WAVE.N0, WAVE.N0, WAVE.N0, 0.0]
 
     def test_positions_name_the_first_outside(self):
         z = params.check_positions([0.25, -0.5, 0.5])
