@@ -4,11 +4,13 @@ Configuration can come from a flat ``key = value`` file (# comments
 allowed) with command-line flags taking precedence.  Artifacts are CSV
 series plus JSON diagnostics; every artifact embeds the resolved
 configuration, and identical configurations produce identical bytes.
+``main(argv)`` reuses one parser per process, so it may be called repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -110,7 +112,8 @@ class RunConfig:
             try:
                 data = np.loadtxt(self.ic_file, delimiter=",", comments="#", ndmin=2)
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read ic_file {self.ic_file!r}: {exc}") from exc
+                raise ConfigError(f"cannot read ic_file {self.ic_file!r}: {exc} (numeric rows"
+                                  " z,value; a header line must start with #)") from exc
             if data.shape[1] != 2:
                 raise ConfigError(
                     f"ic_file {self.ic_file!r} has {data.shape[1]} column(s); it needs two: z,value"
@@ -487,8 +490,18 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built on the first call and kept for the life of the process."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    """Run argv's command; return 0, or 1 on an error or failed comparison, 2 on a refusal.
+
+    Every call reuses one parser; argparse exits on --help (0) and on bad usage (2).
+    """
+    args = _parser().parse_args(argv)
     try:
         cfg = build_config(args)
         if args.command in ("run", "compare"):

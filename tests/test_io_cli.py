@@ -544,6 +544,22 @@ class TestCli:
         assert err.startswith("configuration error:") and message in err and str(ic_file) in err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("header, rc", [("z,value", 2), ("# z,value", 0)])
+    def test_ic_file_header_line_must_be_a_comment(self, tmp_path, capsys, header, rc):
+        # the reader reads numeric rows only: a bare header line is refused before the
+        # outdir is made, with the rule in the message; a # header line is a comment
+        ic_file = tmp_path / "ic.csv"
+        ic_file.write_text(f"{header}\n0,6\n0.25,3\n0.5,0\n")
+        outdir = tmp_path / "out"
+        assert main(self.run_args(outdir, extra=("--ic", "sampled", "--ic-file", str(ic_file)))) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("configuration error: cannot read ic_file")
+            assert "a header line must start with #" in err and str(ic_file) in err
+            assert not outdir.exists()
+        else:
+            assert err == "" and (outdir / "t.csv").exists()
+
     @pytest.mark.parametrize("engine", ["fdm", "parabolic", "spectral"])
     def test_non_finite_ic_file_refused(self, tmp_path, capsys, engine):
         ic_file = tmp_path / "ic.csv"
@@ -1402,6 +1418,60 @@ class TestCli:
         c_star = 1.0 / math.sqrt(0.1)
         assert abs(slopes[0]) < 0.05 * 3.0 * c_star
         assert abs(slopes[0]) < 0.1 * np.max(np.abs(slopes))
+
+
+class TestParserReuse:
+    """main parses every call with one parser, built once per process."""
+
+    def test_reused_parser_leaks_no_state(self, tmp_path, capsys):
+        # each call between the two equal runs sets flags the run leaves at their
+        # defaults; the run's artifacts echo every field, so a value carried over
+        # from any of them would change its bytes
+        out = str(tmp_path)
+        params = ["--A", "0.01", "--B", "0.1", "--L", "1", "--N0", "3", "--T", "0.05"]
+        first = ["run", "--engine", "fdm", *params, "--n-z", "16", "--outdir", out, "--name", "r"]
+        assert main(first) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in ("r.csv", "r.json")}
+        assert main(["sweep", "--engine", "fdm", "--axis", "L", "--values", "0.1,10",
+                     "--workers", "2", "--samples", "21", *params, "--outdir", out,
+                     "--name", "s"]) == 0
+        # B = 0.1 is far from the diffusive limit: the report is written and fails, exit 1
+        assert main(["compare", "--pair", "parabolic,fdm", "--probes", "0,0.5", "--lam", "0.1",
+                     *params, "--outdir", out, "--name", "c"]) == 1
+        assert main(["eigen-dump", "--alpha-max", "20", "--points", "50", *params,
+                     "--outdir", out, "--name", "e"]) == 0
+        assert main(["run", "--engine", "spectral", "--modes", "0", *params,
+                     "--outdir", out, "--name", "refused"]) == 2
+        for argv, code in ((["run", "--engine", "exact"], 2), (["run", "--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        capsys.readouterr()
+        assert main(first) == 0
+        assert capsys.readouterr().out == f"{os.path.join(out, 'r.csv')}\n"
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert not (tmp_path / "refused.json").exists()
+
+    def test_main_builds_at_most_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        make = cli.make_parser
+
+        def counting():
+            built.append(make())
+            return built[-1]
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "make_parser", counting)
+        for i in range(5):
+            assert main(["run", "--engine", "fdm", "--A", "0.01", "--B", "0.1", "--L", "1",
+                         "--N0", "3", "--T", "0.05", "--n-z", "16", "--outdir", str(tmp_path),
+                         "--name", f"n{i}"]) == 0
+        assert len(built) == 1
+        # make_parser stays a builder of fresh trees, none of them main's
+        held = cli._parser()
+        assert held is built[0]
+        fresh = [make_parser(), make_parser()]
+        assert fresh[0] is not fresh[1] and all(parser is not held for parser in fresh)
 
 
 def readme_commands() -> list[list[str]]:
